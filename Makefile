@@ -13,7 +13,7 @@ PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
         obs-smoke fabric-smoke trace-baseline
 
 # tier1 runs the bench suite into a scratch file (its bit-identity and
-# pool asserts still gate) so the *committed* median-anchored
+# thread-pool asserts still gate) so the *committed* median-anchored
 # BENCH_engines.json stays what bench-check compares against --
 # otherwise the single run just written would overwrite the baseline
 # seconds before the gate reads it (and, under REPRO_NO_CC, silently
@@ -45,8 +45,7 @@ bench-baseline:
 	$(PYTHON) scripts/bench_median.py
 
 # Rerun the engine rows at reduced size and fail if any committed
-# BENCH_engines.json speedup regressed beyond tolerance (20%; pool
-# rows, which time fork overhead, get a looser 60%).
+# BENCH_engines.json speedup regressed beyond tolerance (20%).
 bench-check:
 	$(PYTHON) scripts/bench_check.py
 
@@ -85,7 +84,7 @@ campaign-smoke:
 
 # Run the full quick-scale campaign under a standing fault-injection
 # schedule (torn store writes, failing manifest appends, raising unit
-# computes, SIGKILLed pool workers, broken native compiles): the run
+# computes, a SIGKILLed campaign worker, broken native compiles): the run
 # must exit 0, render byte-identically to a clean run, and its fired-
 # fault log must replay exactly (scripts/fault_replay.py pins it).
 chaos-smoke:
@@ -99,17 +98,17 @@ chaos-smoke:
 fabric-smoke:
 	$(PYTHON) scripts/fabric_smoke.py
 
-# Trace a quick-scale pool-backed campaign, require byte-identical
-# rendered output vs untraced, validate the Chrome export (store/pool/
-# campaign/native spans from >= 2 pids) and `repro stats`, then gate
-# the disabled telemetry path at <= 2% propagate overhead vs a
-# no-telemetry no-op baseline.
+# Trace a quick-scale --jobs 2 campaign, require byte-identical
+# rendered output vs untraced, validate the Chrome export (store/
+# campaign/circuit/native spans from >= 2 pids) and `repro stats`,
+# then gate the disabled telemetry path at <= 2% propagate overhead
+# vs a no-telemetry no-op baseline.
 obs-smoke:
 	$(PYTHON) scripts/obs_smoke.py
 
-# Refresh the committed BENCH_trace.jsonl (serial native-f32 propagate
-# stages + pool-sharded dispatch, traced through the telemetry plane)
-# and print the ceiling-analysis numbers ROADMAP.md quotes from it.
+# Refresh the committed BENCH_trace.jsonl (serial native-f32 propagate,
+# traced through the telemetry plane) and print the ceiling-analysis
+# numbers ROADMAP.md quotes from it.
 trace-baseline:
 	$(PYTHON) scripts/trace_baseline.py
 

@@ -37,19 +37,13 @@ from repro.timing.dta import run_dta
 #: gate (``make bench-check``).
 BLOCK = int(os.environ.get("REPRO_BENCH_BLOCK", "512"))
 
-#: Pool size of the sharded rows, pinned by the acceptance criterion
-#: of the shared-memory PR.  The JSON records ``cpu_count`` next to
-#: it: on a 1-core container the sharded rows measure the *overhead*
-#: of sharding (workers serialize), not its scaling.
-POOL_WORKERS = 4
-
-#: Thread-shard width of the native-threads row, keyed to this box:
+#: Thread-shard width of the native-threads row, keyed to the host:
 #: the row means "what thread sharding buys *here*", so it uses every
-#: core up to the pool-row width.  On a 1-core container that is a
-#: degenerate 1-worker pool (``shard_columns`` answers None) and the
-#: row measures routing overhead -- the acceptance bar is parity with
-#: serial, scaling only appears next to ``cpu_count > 1``.
-THREAD_WORKERS = min(POOL_WORKERS, os.cpu_count() or 1)
+#: core up to 4.  On a 1-core container that is a degenerate 1-worker
+#: pool (``shard_columns`` answers None) and the row measures routing
+#: overhead -- the acceptance bar is parity with serial, scaling only
+#: appears next to ``cpu_count > 1``.
+THREAD_WORKERS = min(4, os.cpu_count() or 1)
 
 #: Native rows only exist where a working C compiler does; the JSON
 #: records availability + the compiler identity so ``bench-check``
@@ -92,7 +86,6 @@ def emit_summary():
         path = Path(os.environ.get("REPRO_BENCH_OUT", default))
         probe = native.probe_compiler() if NATIVE_AVAILABLE else None
         payload = {"block": BLOCK, "cpu_count": os.cpu_count(),
-                   "pool_workers": POOL_WORKERS,
                    "thread_workers": THREAD_WORKERS,
                    "native_available": NATIVE_AVAILABLE,
                    "native_compiler":
@@ -130,48 +123,6 @@ def test_propagate_block(benchmark, ctx, mnemonic, glitch_model):
     _record(f"propagate[{mnemonic},{glitch_model}]",
             benchmark.stats.stats.min, reference_s)
     assert compiled is not None
-
-
-@pytest.mark.parametrize("mnemonic", ["l.add", "l.mul"])
-def test_propagate_block_sharded(benchmark, ctx, mnemonic):
-    """Pool-sharded propagate (4 workers) vs serial compiled + reference.
-
-    ``vs_serial`` is the acceptance metric of the shared-memory PR
-    (>= 1.8x at 4 workers *given 4 cores*); ``cpu_count`` in the JSON
-    qualifies it -- with a single core the workers serialize and the
-    row measures sharding overhead instead.  Results must stay
-    bit-identical to the serial engine, and the pool must not respawn
-    across rounds (spawn cost amortized, zero per-call pickling).
-    """
-    alu = ctx.alu
-    a, b = _operand_block()
-    prev, new = (a[:BLOCK], b[:BLOCK]), (a[1:], b[1:])
-
-    def run():
-        return alu.propagate(mnemonic, prev, new, 0.7, "sensitized",
-                             engine="compiled")
-
-    run()  # warm the serial plan, workspace and delay tiles
-    serial_s = _time_best(run)
-    values_s, arrivals_s = run()
-    reference_s = _time_best(
-        lambda: alu.propagate(mnemonic, prev, new, 0.7, "sensitized",
-                              engine="reference"))
-    pool = parallel.configure_pool(POOL_WORKERS)
-    try:
-        run()  # warm the shared workspace and spawn the workers
-        benchmark(run)
-        values_p, arrivals_p = run()
-        assert pool.spawn_count == 1  # no per-propagate fork
-    finally:
-        parallel.shutdown_pool()
-    assert np.array_equal(values_p, values_s)
-    assert np.array_equal(arrivals_p, arrivals_s)
-    sharded_s = benchmark.stats.stats.min
-    _record(f"propagate[{mnemonic},sensitized,sharded]", sharded_s,
-            reference_s, serial_ms=round(serial_s * 1e3, 3),
-            vs_serial=round(serial_s / sharded_s, 2),
-            workers=POOL_WORKERS)
 
 
 @pytest.mark.parametrize("mnemonic", ["l.add", "l.mul"])
@@ -257,8 +208,8 @@ def test_propagate_block_native_threads(benchmark, ctx, mnemonic):
     """Thread-sharded native propagate vs the serial native engine.
 
     The zero-IPC row: ``THREAD_WORKERS`` threads shard the block axis
-    over column views of one workspace while the fused C kernels
-    release the GIL -- no pipes, no pickling, no shared mappings.
+    into column ranges of one workspace, one ``repro_run`` call each,
+    while the C kernel releases the GIL -- no pipes, no pickling.
     ``vs_serial`` is the gain over the serial native engine;
     ``cpu_count`` in the JSON qualifies it (1 core => the bar is
     parity, the threads serialize).  Results must stay bit-identical
@@ -430,36 +381,3 @@ def test_run_point_reuse(benchmark):
     _record(f"run_point[median,{n_trials}trials]",
             benchmark.stats.stats.min, reference_s)
 
-
-def test_run_point_pool(benchmark):
-    """Persistent-pool run_point vs the per-call throwaway fork pool.
-
-    The pool's win is spawn amortization: the throwaway path forks
-    (and tears down) ``n_jobs`` workers on *every* point, the pool
-    forks once per sweep.  ``vs_serial`` compares against the in-
-    process per-trial-seed scheme; all paths are bit-identical.
-    """
-    kernel = build_kernel("median", "quick")
-    n_trials = 10
-    factory = lambda rng: _RareInjector(rng)  # noqa: E731
-
-    def point(n_jobs):
-        return run_point(kernel, factory, n_trials=n_trials, seed=3,
-                         n_jobs=n_jobs)
-
-    serial_point = point(1)
-    serial_s = _time_best(lambda: point(1), reps=2)
-    forked_s = _time_best(lambda: point(2), reps=2)  # no pool: forks
-    pool = parallel.configure_pool(2)
-    try:
-        point(2)  # spawn the workers outside the timed region
-        benchmark(lambda: point(2))
-        pooled_point = point(2)
-        assert pool.spawn_count == 1  # one fork for the whole sweep
-    finally:
-        parallel.shutdown_pool()
-    assert pooled_point.trials == serial_point.trials
-    pooled_s = benchmark.stats.stats.min
-    _record(f"run_point[median,{n_trials}trials,pool]", pooled_s,
-            forked_s, serial_ms=round(serial_s * 1e3, 3),
-            vs_serial=round(serial_s / pooled_s, 2), workers=2)

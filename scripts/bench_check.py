@@ -6,14 +6,10 @@ width, only the engine rows -- the warm-store figure rows measure
 store plumbing, not engines) into a scratch JSON, then compares every
 re-measured row's speedup against the committed trajectory:
 
-* Pure-compute rows (propagate/run_dta/run_point engine paths) must
-  hold ``speedup >= (1 - TOLERANCE) * committed`` with the default
-  20 % tolerance: an engine change that costs more than that fails
-  the build.
-* Pool rows (those recording a ``workers`` field) time fork/pipe
-  overhead, which swings heavily with machine load; they are gated at
-  the looser ``POOL_TOLERANCE`` (60 %) so the gate catches "the pool
-  stopped amortizing" without flaking on scheduler noise.
+every row (propagate/run_dta/run_point engine paths) must hold
+``speedup >= (1 - TOLERANCE) * committed`` with the default 20 %
+tolerance: an engine change that costs more than that fails the
+build.
 
 Reduced-size speedups are not identical to full-size ones (smaller
 blocks vectorize worse, which usually *raises* the ratio vs the
@@ -22,8 +18,7 @@ regressions fail.  Wired into ``make bench-check`` (part of
 ``make tier1``); knobs::
 
     REPRO_BENCH_CHECK_BLOCK=256   # reduced block width
-    REPRO_BENCH_CHECK_TOL=0.2     # compute-row tolerance
-    REPRO_BENCH_CHECK_POOL_TOL=0.6
+    REPRO_BENCH_CHECK_TOL=0.2     # per-row tolerance
 
 Exit code 0 = no row regressed.
 """
@@ -44,8 +39,6 @@ REPO = Path(__file__).resolve().parent.parent
 ROW_FILTER = "propagate or run_dta or run_point"
 
 TOLERANCE = float(os.environ.get("REPRO_BENCH_CHECK_TOL", "0.2"))
-POOL_TOLERANCE = float(os.environ.get("REPRO_BENCH_CHECK_POOL_TOL",
-                                      "0.6"))
 REDUCED_BLOCK = os.environ.get("REPRO_BENCH_CHECK_BLOCK", "256")
 
 
@@ -86,13 +79,11 @@ def main() -> int:
 
     regressions = []
     print(f"bench-check: block={REDUCED_BLOCK}, tolerance="
-          f"{TOLERANCE:.0%} (pool rows {POOL_TOLERANCE:.0%})")
+          f"{TOLERANCE:.0%}")
     for name in sorted(set(measured) & set(baseline)):
         committed = baseline[name]["speedup"]
         fresh = measured[name]["speedup"]
-        tolerance = POOL_TOLERANCE if "workers" in baseline[name] \
-            else TOLERANCE
-        floor = (1.0 - tolerance) * committed
+        floor = (1.0 - TOLERANCE) * committed
         status = "ok" if fresh >= floor else "REGRESSED"
         print(f"  {name:48s} committed={committed:7.2f}x "
               f"measured={fresh:7.2f}x floor={floor:6.2f}x {status}")

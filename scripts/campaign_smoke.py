@@ -5,16 +5,14 @@ Exercises the persistence guarantees end to end with real processes,
 over the full ``all`` campaign target (every figure + ablations in one
 sharded pass):
 
-1. an uninterrupted ``repro campaign run all --scale quick`` into
-   store A (the reference output);
-2. the same campaign into store B **on the persistent shared-memory
-   pool** (``--pool-workers 2``), SIGKILLed as soon as a few work
-   units have been persisted (the process group takes the pool's
-   fork workers down with it);
-3. ``repro campaign resume all`` on store B, again pool-backed -- it
-   must reuse the surviving units and render **byte-identical**
-   output to the poolless step 1 (pool execution is invisible in the
-   results);
+1. an uninterrupted ``repro campaign run all --scale quick --jobs 2``
+   into store A (the reference output);
+2. the same campaign into store B, SIGKILLed as soon as a few work
+   units have been persisted (the process group takes the forked
+   shard workers down with it);
+3. ``repro campaign resume all`` on store B, **serially** -- it must
+   reuse the surviving units and render **byte-identical** output to
+   the forked step 1 (the dispatch mode is invisible in the results);
 4. warm ``repro fig2`` / ``repro fig4`` / ``repro fig5`` reruns
    against store A with ``REPRO_FORBID_MC`` and ``REPRO_FORBID_DTA``
    set: any attempt to reach the Monte-Carlo or timing simulator
@@ -53,8 +51,6 @@ KILL_TIMEOUT_S = 600.0
 #: planning substrate, not units).
 UNIT_KINDS = ("mc_point", "fig2_curve", "fig4_curve", "adder_ablation",
               "table1_row")
-#: Pool size of the pool-backed pass (steps 2-3).
-POOL_WORKERS = "2"
 
 
 def repro(args: list[str], store: Path, env_extra: dict | None = None,
@@ -131,8 +127,7 @@ def main() -> int:
             f":{env['PYTHONPATH']}" if env.get("PYTHONPATH") else "")
         victim = subprocess.Popen(
             [sys.executable, "-m", "repro",
-             *scaled(["campaign", "run", "all", "--jobs", JOBS,
-                      "--pool-workers", POOL_WORKERS]),
+             *scaled(["campaign", "run", "all", "--jobs", JOBS]),
              "--store", str(store_b)],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             env=env, start_new_session=True)
@@ -157,12 +152,9 @@ def main() -> int:
         print(f"      killed={killed_midway} with {survivors} units "
               f"persisted", flush=True)
 
-        print("[3/5] pool-backed resume of store B, diff against "
+        print("[3/5] serial resume of store B, diff against "
               "store A ...", flush=True)
-        resumed = repro(scaled(["campaign", "resume", "all",
-                                "--jobs", JOBS,
-                                "--pool-workers", POOL_WORKERS]),
-                        store_b)
+        resumed = repro(scaled(["campaign", "resume", "all"]), store_b)
         if resumed.stdout != reference:
             sys.stderr.write(resumed.stdout)
             raise SystemExit("FAIL: resumed campaign output differs "

@@ -4,14 +4,15 @@
 Runs the full quick-scale ``campaign run all`` three times:
 
 1. **clean** into store A -- the reference output, no faults;
-2. **chaos** into store B, pool-backed with ``--engine native``, under
-   a standing ``REPRO_FAULTS`` schedule that tears store writes, fails
-   manifest appends, raises inside unit computes, SIGKILLs pool
-   workers and breaks the native kernel compile.  The run must still
-   exit 0 (``--max-retries`` absorbs the unit raises, the pool
-   respawns / falls back to serial, torn artifacts are quarantined
-   and recomputed, the native engine degrades to numpy) and its
-   rendered output must be **byte-identical** to the clean run;
+2. **chaos** into store B, ``--jobs 2`` with ``--engine native``,
+   under a standing ``REPRO_FAULTS`` schedule that tears store writes,
+   fails manifest appends, raises inside unit computes, SIGKILLs a
+   forked campaign worker and breaks the native kernel compile.  The
+   run must still exit 0 (``--max-retries`` absorbs the unit raises,
+   the parent backstops the dead worker's shard, torn artifacts are
+   quarantined and recomputed, the native engine degrades to numpy)
+   and its rendered output must be **byte-identical** to the clean
+   run;
 3. **replay** into store C under the *same* schedule: the identical
    faults must fire at the identical per-site hit indices (the fired
    logs must match as (site, mode, hit) multisets), proving the fault
@@ -39,7 +40,6 @@ from repro import faults  # noqa: E402
 SCALE = "quick"
 SEED = "2016"
 JOBS = "2"
-POOL_WORKERS = "2"
 MAX_RETRIES = "3"
 
 #: The standing chaos schedule.  Every probability is per *hit* and
@@ -51,7 +51,7 @@ CHAOS_SCHEDULE = (
     ";store.object_write:torn@p=0.05"
     ";store.manifest_append:oserror@p=0.04"
     ";campaign.unit_run:raise@p=0.08"
-    ";pool.worker_heartbeat:kill@after=3"
+    ";campaign.worker.kill.w1:kill@after=3"
     ";native.compile:fail@after=1"
 )
 
@@ -76,7 +76,6 @@ def scaled(args: list[str]) -> list[str]:
 
 def chaos_args() -> list[str]:
     return scaled(["campaign", "run", "all", "--jobs", JOBS,
-                   "--pool-workers", POOL_WORKERS,
                    "--engine", "native",
                    "--max-retries", MAX_RETRIES])
 

@@ -5,14 +5,15 @@ Proves the observability layer's two load-bearing promises with real
 processes:
 
 1. **Telemetry never changes results.**  A quick-scale
-   ``repro campaign run all --trace`` (pool-backed, native engine
-   where available) must produce **byte-identical** rendered stdout
-   to the same campaign without ``--trace``.
+   ``repro campaign run all --trace`` (``--jobs 2`` fork dispatch,
+   native engine where available) must produce **byte-identical**
+   rendered stdout to the same campaign without ``--trace``.
 2. **The merged trace is real.**  ``repro trace export`` on the
    recorded trace must yield well-formed Chrome ``trace_event`` JSON
-   whose complete events cover the store, pool and campaign layers
-   (plus native when a C compiler exists), coming from the parent
-   *and* at least one worker pid; ``repro stats`` must render it.
+   whose complete events cover the store, campaign, circuit and
+   propagate layers (plus native when a C compiler exists), coming
+   from the parent *and* at least one forked worker pid; ``repro
+   stats`` must render it.
 3. **Disabled means free.**  With the plane off, a sensitized
    propagate on the fastest available engine must cost within
    :data:`OVERHEAD_LIMIT` (2%) of a no-telemetry baseline -- measured
@@ -41,7 +42,6 @@ sys.path.insert(0, str(ROOT / "src"))
 SCALE = "quick"
 SEED = "2016"
 JOBS = "2"
-POOL_WORKERS = "2"
 
 #: Disabled-path overhead ceiling (fraction of the baseline call).
 OVERHEAD_LIMIT = 0.02
@@ -73,7 +73,6 @@ def repro(args: list[str],
 def campaign(store: Path, extra: list[str]) -> str:
     result = repro(["campaign", "run", "all", "--scale", SCALE,
                     "--seed", SEED, "--jobs", JOBS,
-                    "--pool-workers", POOL_WORKERS,
                     "--engine", "native",
                     "--store", str(store), *extra])
     return result.stdout
@@ -95,7 +94,7 @@ def check_export(trace: Path, native_expected: bool) -> None:
                 raise SystemExit(f"FAIL: span event missing {field!r}: "
                                  f"{event}")
     cats = {e["cat"] for e in complete}
-    required = {"store", "pool", "campaign", "circuit", "propagate"}
+    required = {"store", "campaign", "circuit", "propagate"}
     if native_expected:
         required.add("native")
     missing = required - cats
@@ -111,7 +110,8 @@ def check_export(trace: Path, native_expected: bool) -> None:
     if not any(e["ph"] == "C" for e in events):
         raise SystemExit("FAIL: export lacks counter events")
     stats = repro(["stats", str(trace)])
-    if "span" not in stats.stdout or "pool" not in stats.stdout:
+    if "span" not in stats.stdout \
+            or "campaign.unit" not in stats.stdout:
         raise SystemExit("FAIL: `repro stats` output looks empty:\n"
                          + stats.stdout)
 
@@ -179,7 +179,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-obs-smoke-") as tmp:
         trace = Path(tmp) / "t.jsonl"
 
-        print("[1/4] traced `campaign run all` (pool-backed) ...",
+        print("[1/4] traced `campaign run all` (--jobs 2) ...",
               flush=True)
         traced = campaign(Path(tmp) / "store-b",
                           ["--trace", str(trace)])

@@ -112,7 +112,7 @@ def _sanitized_leg() -> None:
             return
         tests = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q",
-             "tests/test_engine_equivalence.py", "-k", "thread"],
+             "tests/test_engine_equivalence.py", "-k", "thread or sharded"],
             env=env, cwd=REPO)
         assert tests.returncode == 0, \
             "thread-sharding tests failed under ASan/UBSan"

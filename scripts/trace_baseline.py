@@ -1,24 +1,19 @@
 #!/usr/bin/env python
 """Regenerate ``BENCH_trace.jsonl`` and re-derive the ceiling numbers.
 
-The ROADMAP's ceiling analysis quotes two measurements: the share of a
-serial native-f32 multiplier propagate spent in the numpy stages
-around the C kernel (stimulus bit-plane conversion + output
-extraction), and the per-task transport overhead of the pool's shard
-dispatch.  Both used to come from one-off timers that were deleted
-after reading; this driver re-measures them through the permanent
-telemetry plane and commits the evidence, so the numbers in
-ROADMAP.md stay one ``make trace-baseline`` away from their raw data.
+The ROADMAP's ceiling analysis quotes the share of a serial
+native-f32 multiplier propagate spent outside the C kernel.  It used
+to come from one-off timers that were deleted after reading; this
+driver re-measures it through the permanent telemetry plane and
+commits the evidence, so the number in ROADMAP.md stays one ``make
+trace-baseline`` away from its raw data.
 
 Writes ``BENCH_trace.jsonl`` (a merged obs trace of the runs below)
-and prints the derived numbers:
-
-* serial native-f32 (fallback: compiled-f32) sensitized multiplier
-  propagate at block=512 -- per-stage spans give
-  ``(stimulus + extract) / whole-call``;
-* pool-sharded compiled propagate (4 workers) -- ``pool.task`` spans
-  carry ``queue_wait_us`` (send-to-receive pipe latency) and the
-  dispatch-span remainder gives whole-round-trip overhead per task.
+and prints the derived numbers for a serial native-f32 (fallback:
+compiled-f32) sensitized multiplier propagate at block=512: the
+per-stage spans give ``(stimulus + extract) / whole-call`` on the
+numpy route, and the single ``repro_run`` span gives the Python wall
+around it on the native route.
 """
 
 from __future__ import annotations
@@ -31,14 +26,12 @@ sys.path.insert(0, str(REPO / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro import native, obs, parallel  # noqa: E402
+from repro import native, obs  # noqa: E402
 from repro.experiments.context import ExperimentContext  # noqa: E402
 from repro.experiments.scale import get_scale  # noqa: E402
 
 BLOCK = 512
 REPS = 5
-POOL_WORKERS = 4
-POOL_ROUNDS = 5
 OUT = REPO / "BENCH_trace.jsonl"
 
 
@@ -59,18 +52,10 @@ def main() -> int:
     # committed trace should show steady-state calls, not first-call
     # compilation.
     run(engine)
-    run("compiled")
 
     obs.configure(OUT)
     for _ in range(REPS):
         run(engine)
-    pool = parallel.configure_pool(POOL_WORKERS)
-    try:
-        run("compiled")  # spawn + warm the shared workspace (traced)
-        for _ in range(POOL_ROUNDS):
-            run("compiled")
-    finally:
-        parallel.shutdown_pool()
     obs.shutdown()
 
     records = obs.read_trace(OUT)
@@ -92,42 +77,18 @@ def main() -> int:
             elif child["name"] == "propagate.kernel":
                 kernel_us += child["dur"]
                 modes.add(child.get("a", {}).get("mode"))
-    share = sum(stage_us.values()) / total_us if total_us else 0.0
     print(f"serial {engine} l.mul propagate, {len(tops)} calls:")
-    print(f"  stimulus+extract share of whole call: {share:6.1%}  "
-          f"(stimulus {stage_us['propagate.stimulus'] / total_us:.1%},"
-          f" extract {stage_us['propagate.extract'] / total_us:.1%})")
     if modes == {"native-fused"}:
         # One repro_run crossing carries stimulus + levels + extract;
         # everything around it is the remaining Python wall (stimulus
         # word packing, validation, workspace lookup, span overhead).
         residual = (total_us - kernel_us) / total_us if total_us else 0.0
-        print(f"  fused single-crossing path: python wall around the "
-              f"repro_run call {residual:6.1%}")
-
-    tasks = [s for s in spans if s["name"] == "pool.task"]
-    dispatches = [s for s in spans if s["name"] == "pool.dispatch"]
-    queue_us = [s["a"]["queue_wait_us"] for s in tasks]
-    # Worker task spans overlap on a timesharing box, so per-round
-    # transport overhead is the dispatch span minus the *union* of its
-    # tasks' intervals (all spans share one monotonic timebase).
-    overhead_us = 0.0
-    for dispatch in dispatches:
-        lo, hi = dispatch["ts"], dispatch["ts"] + dispatch["dur"]
-        intervals = sorted((t["ts"], t["ts"] + t["dur"])
-                           for t in tasks if lo <= t["ts"] <= hi)
-        busy, cursor = 0.0, lo
-        for start, end in intervals:
-            busy += max(0.0, min(end, hi) - max(start, cursor))
-            cursor = max(cursor, end)
-        overhead_us += dispatch["dur"] - busy
-    per_task = overhead_us / len(tasks) if tasks else 0.0
-    print(f"pool-sharded compiled propagate, {len(dispatches)} rounds"
-          f" x {POOL_WORKERS} workers:")
-    print(f"  mean queue wait (send->receive): "
-          f"{np.mean(queue_us) / 1e3:6.3f} ms/task")
-    print(f"  transport overhead (dispatch minus task-busy union): "
-          f"{per_task / 1e3:6.3f} ms/task")
+        print(f"  python wall around the repro_run call: {residual:6.1%}")
+    else:
+        share = sum(stage_us.values()) / total_us if total_us else 0.0
+        print(f"  stimulus+extract share of whole call: {share:6.1%}  "
+              f"(stimulus {stage_us['propagate.stimulus'] / total_us:.1%},"
+              f" extract {stage_us['propagate.extract'] / total_us:.1%})")
     print(f"trace-baseline: wrote {OUT} ({len(records)} records)")
     return 0
 

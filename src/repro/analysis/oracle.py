@@ -1,7 +1,7 @@
 """Opt-in runtime bounds oracle for ``Circuit.propagate``.
 
 With ``REPRO_CHECK_BOUNDS=1`` in the environment, every propagate call
--- any engine, any glitch model, serial or pool-sharded -- has its
+-- any engine, any glitch model, serial or thread-sharded -- has its
 returned arrivals checked against the static envelope of
 :func:`repro.analysis.sta.compute_envelope`:
 
@@ -15,7 +15,7 @@ relaxed-identity contract (:data:`~repro.netlist.plan.F32_RTOL` /
 
 The check is deliberately independent of the engines: it reuses the
 compiled plan's structure but none of the event kernels, so a silent
-kernel bug (native C, f32 views, pooled shards) trips it instead of
+kernel bug (native C, f32 views, thread shards) trips it instead of
 only shifting engine-vs-engine diffs.  Envelopes are cached per plan
 (delays and launch compared by value), so test suites that sweep five
 engines over one circuit pay for one static pass, not five.

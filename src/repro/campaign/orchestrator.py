@@ -17,20 +17,35 @@ with three guarantees:
   it completes; at worst the unit in flight at kill time is redone.
 
 The ``all`` target plans every campaign experiment into one combined
-unit list, shards it over one fork pool, and renders each figure from
+unit list, shards it over the dispatch, and renders each figure from
 its own units -- one store-served pass over everything the repo can
 render.
 
-The process pool uses fork workers (unit closures capture injector
-factories and compiled kernels, which cannot be pickled; fork inherits
-them along with the parent's characterization tables), falling back to
-serial execution where fork is unavailable.
+Dispatch has three modes:
+
+* **serial** -- units computed in-process, in plan order;
+* **fork** (``jobs >= 2``) -- one forked child per static shard of the
+  pending units.  Unit closures capture injector factories and
+  compiled kernels, which cannot be pickled; fork inherits them along
+  with the parent's characterization tables.  Each child calls
+  :func:`_run_shard`, sends its outcome dict over a pipe and exits;
+  the parent joins every child;
+* **fabric** (``fabric_workers``) -- forked lease workers racing for
+  unit batches on the shared store (:mod:`repro.fabric.worker`).
+
+Both multi-process modes end in the same backstop: any unit whose
+worker returned no outcome (SIGKILLed, crashed) is recovered by a
+store scan and then computed serially in the parent, so completion
+never depends on worker liveness.  Children are independent and their
+shards static, so a campaign's fired-fault sequence is deterministic.
+Fork is required for both; without it dispatch runs serially.
 """
 
 from __future__ import annotations
 
 import logging
 import multiprocessing
+import os
 import sys
 import time
 import traceback
@@ -44,7 +59,6 @@ from repro.experiments import ablations, fig1, fig2, fig4, fig5, fig6, \
 from repro.experiments.context import ExperimentContext, NOMINAL_VDD
 from repro.experiments.scale import Scale, get_scale
 from repro.mc.units import WorkUnit
-from repro.mc.runner import _fork_available
 from repro.timing.characterize import characterization_key
 
 _LOG = logging.getLogger("repro.campaign")
@@ -306,7 +320,8 @@ def _compute_one(unit: WorkUnit, store) -> str | None:
 
 
 def _compute_pending(units: list[WorkUnit], store,
-                     indices: list[int]) -> dict:
+                     indices: list[int],
+                     kill_site: str | None = None) -> dict:
     """Compute and persist the units at ``indices``.
 
     Returns ``{"computed": [...], "failed": [...]}`` index lists.
@@ -314,10 +329,14 @@ def _compute_pending(units: list[WorkUnit], store,
     worker of a concurrent campaign raced us to are skipped (the
     recheck keeps the work unique) and must not be reported as
     computed.  ``failed`` units have failure markers in the store.
+    ``kill_site`` is a forked worker's chaos hook, fired before each
+    unit.
     """
     computed: list[int] = []
     failed: list[int] = []
     for index in indices:
+        if kill_site is not None:
+            faults.fire(kill_site)
         unit = units[index]
         if store.contains(unit.key):
             continue
@@ -331,35 +350,120 @@ def _compute_pending(units: list[WorkUnit], store,
     return {"computed": computed, "failed": failed}
 
 
-# Fork-worker state, inherited through the pool initializer (the unit
-# closures are not picklable; initargs travel by fork inheritance).
+# Fork-worker state, set in the parent right before the shard children
+# fork (the unit closures are not picklable; fork inherits them).
 _WORKER_STATE: dict | None = None
 
 
-def _init_worker(state: dict) -> None:
+def _init_worker(state: dict | None) -> None:
     global _WORKER_STATE
     _WORKER_STATE = state
 
 
 def _run_shard(indices: list[int]) -> dict:
-    """Throwaway-pool worker: compute/persist the units at ``indices``."""
+    """Forked campaign worker: compute/persist the units at ``indices``."""
     state = _WORKER_STATE
-    assert state is not None, "worker state missing (pool without fork?)"
-    return _compute_pending(state["units"], state["store"], indices)
+    assert state is not None, "worker state missing (no fork?)"
+    return _compute_pending(state["units"], state["store"], indices,
+                            kill_site=state.get("kill_site"))
 
 
-@parallel.pool_task("campaign-unit-shard")
-def _pool_shard(registry: dict, indices: list[int]) -> dict:
-    """Persistent-pool task: compute/persist the units at ``indices``.
+def _shard_child(worker: int, indices: list[int], conn) -> None:
+    """Body of one forked shard child: run, send the outcome, exit.
 
-    The unit list (closures over contexts, kernels and injector
-    factories) and the store arrive by fork inheritance -- registered
-    once per campaign invocation, so one worker generation serves
-    every shard of the campaign instead of forking a pool per unit
-    batch.
+    The kill site is per-worker (``campaign.worker.kill.w1``) because
+    fault decisions are pure functions of (seed, site, hit) and
+    children inherit the parent's hit counters: a shared site name
+    would kill every worker on the same hit.  ``_run_shard`` is looked
+    up at call time, so a wrapper installed on the module attribute
+    sees every shard.
     """
-    return _compute_pending(registry[("campaign-units",)],
-                            registry[("campaign-store",)], indices)
+    try:
+        _init_worker({**_WORKER_STATE,
+                      "kill_site": f"campaign.worker.kill.w{worker}"})
+        conn.send(_run_shard(indices))
+        conn.close()
+    except BaseException:
+        _LOG.exception("campaign worker %d crashed", worker)
+        obs.flush()
+        os._exit(1)
+    # Skip atexit/multiprocessing teardown: the forked interpreter
+    # inherited compiled kernels and thread-pool state it must not
+    # finalize.
+    os._exit(0)
+
+
+def _dispatch_fork(units: list[WorkUnit], store,
+                   shards: list[list[int]], emit) -> list:
+    """Run each shard in its own forked child; returns per-shard outcomes.
+
+    A shard whose child died before sending (SIGKILL, crash) yields
+    None -- the caller backstops it.  Each pipe's write end is closed
+    in the parent right after its child starts, so later children
+    never inherit it and a dead child's pipe reads EOF at once.
+    """
+    faults.trip("campaign.shard_dispatch")
+    context = multiprocessing.get_context("fork")
+    _init_worker({"units": units, "store": store})
+    children = []
+    try:
+        for worker, shard in enumerate(shards):
+            reader, writer = context.Pipe(duplex=False)
+            proc = context.Process(target=_shard_child,
+                                   args=(worker, shard, writer),
+                                   daemon=False)
+            proc.start()
+            writer.close()
+            children.append((proc, reader))
+    finally:
+        _init_worker(None)
+    outcomes = []
+    for worker, (proc, reader) in enumerate(children):
+        try:
+            outcome = reader.recv()
+        except (EOFError, OSError):
+            outcome = None
+        reader.close()
+        proc.join()
+        if outcome is None:
+            _LOG.warning("campaign worker %d exited %s without an "
+                         "outcome; backstopping its shard", worker,
+                         proc.exitcode)
+            obs.counter("campaign.worker.died")
+        else:
+            emit(f"shard done ({len(outcome['computed'])} units "
+                 f"computed, {len(outcome['failed'])} failed)")
+        outcomes.append(outcome)
+    return outcomes
+
+
+def _backstop(units: list[WorkUnit], indices: list[int], store,
+              emit) -> dict:
+    """Recover units no worker reported on: store scan, then compute.
+
+    A unit already in the store counts as computed and one with a
+    failure marker as failed (the retry rounds take it from there);
+    anything else is computed serially right here.  Used after both
+    multi-process dispatch modes, so worker liveness is never a
+    correctness dependency.
+    """
+    computed: list[int] = []
+    failed: list[int] = []
+    for index in indices:
+        unit = units[index]
+        if store.contains(unit.key):
+            computed.append(index)
+            continue
+        if store.get(failure_key(unit.key)) is not None:
+            failed.append(index)
+            continue
+        emit(f"backstop: computing {unit.label}")
+        obs.counter("campaign.backstop")
+        if _compute_one(unit, store) is None:
+            computed.append(index)
+        else:
+            failed.append(index)
+    return {"computed": computed, "failed": failed}
 
 
 #: Base backoff between unit retry rounds (seconds, doubled per round).
@@ -378,16 +482,13 @@ def run_campaign(experiment: str, scale: str | Scale = "default",
     Args:
         experiment: one of :data:`CAMPAIGN_EXPERIMENTS`, or ``"all"``
             to plan every campaign experiment into one combined unit
-            list sharded over a single pool and rendered per figure.
+            list, dispatched once and rendered per figure.
         scale: fidelity preset (name or :class:`Scale`).
         seed: master seed (every unit derives its own).
         store: the :class:`repro.store.ResultStore` holding results;
             required -- the store *is* the campaign state.
-        jobs: worker processes for pending units (1 = in-process).
-            With a persistent pool configured
-            (:func:`repro.parallel.configure_pool`), any ``jobs >= 2``
-            shards over the pool's workers instead of forking a
-            throwaway pool for this invocation.
+        jobs: worker processes for pending units (1 = in-process);
+            ``jobs >= 2`` forks one child per static shard.
         log: optional progress sink (e.g. stderr writer).
         timing_dtype: settle-pipeline dtype of the context's DTA runs
             (``"float32"`` caches under its own keys).
@@ -401,11 +502,11 @@ def run_campaign(experiment: str, scale: str | Scale = "default",
             keep their store markers, render as a failure notice, and
             are counted in ``CampaignReport.failed``.
         fabric_workers: run pending units through the distributed
-            fabric instead of a pool -- N forked lease workers racing
+            fabric instead -- N forked lease workers racing
             for unit batches on the (typically ``--fabric URL``
             remote) store, crash-resuming each other via lease steals
             (:mod:`repro.fabric.worker`).  Requires fork; falls back
-            to the ordinary dispatch paths where unavailable.
+            to serial dispatch where unavailable.
 
     Resuming is the same call again: completed units are store hits
     and only the missing ones execute, with byte-identical rendered
@@ -414,7 +515,7 @@ def run_campaign(experiment: str, scale: str | Scale = "default",
     Thread sharding composes with every dispatch mode: a configured
     thread-shard pool (:func:`repro.parallel.configure_thread_pool`)
     is rebuilt per forked worker on first use (threads do not survive
-    fork), so each pool/fabric worker thread-shards its own
+    fork), so each fork/fabric worker thread-shards its own
     native-engine propagates.  Campaign artifacts stay byte-identical
     regardless of shard mode -- f64 native output is bit-identical to
     serial at any thread count.
@@ -462,50 +563,26 @@ def run_campaign(experiment: str, scale: str | Scale = "default",
         computed_indices.update(outcome["computed"])
         failed_indices.update(outcome["failed"])
 
-    shared_pool = parallel.get_pool()
-    if pending and fabric_workers and _fork_available():
+    if pending and fabric_workers and parallel.fork_available():
         # Distributed fabric: forked lease workers race for batches
         # on the shared store; a killed worker's lease lapses and a
-        # peer steals it, and the parent backstops any remainder --
-        # the outcome scan, not worker exit status, is authoritative.
+        # peer steals it.  Workers report nothing, so the backstop's
+        # store scan is the outcome.
         from repro.fabric.worker import dispatch_fabric
         with obs.span("campaign.dispatch", mode="fabric",
                       pending=len(pending), workers=fabric_workers):
-            absorb(dispatch_fabric(units, pending, store,
-                                   fabric_workers, _compute_one,
-                                   emit))
-    elif len(pending) > 1 and jobs >= 2 and shared_pool is not None \
-            and shared_pool.workers >= 2:
-        # Persistent pool: registered once per campaign invocation,
-        # every shard (and any later campaign in this process) reuses
-        # the same workers.
-        shared_pool.register(("campaign-units",), units)
-        shared_pool.register(("campaign-store",), store)
-        shards = [pending[start::shared_pool.workers]
-                  for start in range(shared_pool.workers)
-                  if pending[start::shared_pool.workers]]
-        with obs.span("campaign.dispatch", mode="pool",
-                      pending=len(pending), shards=len(shards)):
-            for outcome in shared_pool.run(
-                    "campaign-unit-shard",
-                    [(shard,) for shard in shards]):
-                absorb(outcome)
-                emit(f"shard done ({len(outcome['computed'])} units "
-                     f"computed, {len(outcome['failed'])} failed)")
-    elif len(pending) > 1 and jobs >= 2 and _fork_available():
+            dispatch_fabric(units, pending, store, fabric_workers,
+                            _compute_one, emit)
+            absorb(_backstop(units, pending, store, emit))
+    elif len(pending) > 1 and jobs >= 2 and parallel.fork_available():
         shards = [pending[start::jobs] for start in range(jobs)
                   if pending[start::jobs]]
-        state = {"units": units, "store": store}
-        context = multiprocessing.get_context("fork")
         with obs.span("campaign.dispatch", mode="fork",
-                      pending=len(pending), shards=len(shards)), \
-                context.Pool(processes=len(shards),
-                             initializer=_init_worker,
-                             initargs=(state,)) as pool:
-            for outcome in pool.imap_unordered(_run_shard, shards):
-                absorb(outcome)
-                emit(f"shard done ({len(outcome['computed'])} units "
-                     f"computed, {len(outcome['failed'])} failed)")
+                      pending=len(pending), shards=len(shards)):
+            for shard, outcome in zip(
+                    shards, _dispatch_fork(units, store, shards, emit)):
+                absorb(outcome if outcome is not None
+                       else _backstop(units, shard, store, emit))
     else:
         with obs.span("campaign.dispatch", mode="serial",
                       pending=len(pending)):
@@ -520,7 +597,7 @@ def run_campaign(experiment: str, scale: str | Scale = "default",
                     failed_indices.add(index)
                     emit(f"FAILED {unit.label}")
 
-    # Retry rounds for crashed units: serial in the parent (the pool
+    # Retry rounds for crashed units: serial in the parent (a worker
     # may be part of the problem), exponential backoff between rounds.
     for attempt in range(1, max_retries + 1):
         if not failed_indices:

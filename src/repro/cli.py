@@ -4,10 +4,10 @@ Examples::
 
     python -m repro table1 --scale paper
     python -m repro fig5 --scale default --jobs 4
-    python -m repro fig2 --scale paper --pool-workers 4 --timing-dtype float32
+    python -m repro fig2 --scale paper --engine native --shard-threads 2
     python -m repro all --scale quick
     python -m repro campaign run fig5 --scale paper --jobs 8
-    python -m repro campaign run all --scale paper --jobs 8 --pool-workers 8
+    python -m repro campaign run all --scale paper --jobs 8
     python -m repro campaign status fig5 --scale paper
     python -m repro cache ls
     python -m repro cache gc --max-bytes 100000000 --pin alu_characterization
@@ -109,22 +109,14 @@ def _add_store(parser: argparse.ArgumentParser,
                             help="worker processes (per-trial streams "
                                  "for fig commands, unit sharding for "
                                  "campaigns)")
-    parser.add_argument("--pool-workers", type=int, default=None,
-                        metavar="N",
-                        help="persistent shared-memory pool size: "
-                             "spawn N fork workers once and reuse "
-                             "them for sharded propagate blocks, "
-                             "pooled Monte-Carlo trials and campaign "
-                             "unit shards (default: no pool)")
     parser.add_argument("--shard-threads", type=int, default=None,
                         metavar="N",
                         help="thread-shard pool size for native "
                              "engines: shard each propagate's block "
                              "axis over N in-process threads (the C "
                              "kernels release the GIL; zero pipes, "
-                             "zero pickling).  Native engines then "
-                             "never use the fork pool; numpy engines "
-                             "still do (default: no thread pool)")
+                             "zero pickling).  Numpy engines always "
+                             "run serially (default: no thread pool)")
     parser.add_argument("--timing-dtype", default="float64",
                         choices=("float64", "float32"),
                         help="settle-pipeline dtype of the DTA "
@@ -280,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = subparsers.add_parser(
         "stats", help="aggregate a telemetry trace: top spans by "
                       "total/self time, counter totals, store hit "
-                      "rate, pool utilization")
+                      "rate, thread-shard and fabric use")
     stats.add_argument("trace", help="trace file recorded by --trace "
                                      "or $REPRO_TRACE")
     stats.add_argument("--limit", type=int, default=20,
@@ -367,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     if getattr(args, "faults", None):
-        # Before any store/pool/native work: forked workers inherit
+        # Before any store/native work: forked workers inherit
         # the configured plane, so one schedule governs the process
         # tree.
         faults.configure(args.faults)
@@ -384,8 +376,6 @@ def main(argv: list[str] | None = None) -> int:
         # *reads* an existing trace (configure would clear it).
         obs.configure(args.trace)
 
-    if getattr(args, "pool_workers", None):
-        parallel.configure_pool(args.pool_workers)
     if getattr(args, "shard_threads", None):
         # Thread shards serve native engines only; forked campaign/DTA
         # workers rebuild a same-width pool on first use (threads do
@@ -394,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     timing_dtype = getattr(args, "timing_dtype", "float64")
     engine = getattr(args, "engine", None)
     if engine is not None:
-        # The process-global default: forked campaign/pool workers and
+        # The process-global default: forked campaign workers and
         # every config-implied engine resolution inherit it.
         native.set_backend(engine)
         if engine == "native" and not native.native_available():

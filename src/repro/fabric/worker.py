@@ -20,10 +20,10 @@ A worker that dies mid-batch (the chaos schedules SIGKILL it at the
 ``fabric.worker.kill.w<i>`` site, which only ever fires while a lease
 is held) simply stops heartbeating; the lease lapses after its TTL
 (``REPRO_LEASE_TTL_S``) and a surviving peer steals the batch.  The
-parent joins all workers and then **backstops serially**: any unit
-still missing from the store (every worker died, or a unit crashed
-into a failure marker) is handled in-process, so the campaign's
-completion never depends on fabric liveness.
+parent joins all workers; the campaign orchestrator then runs the
+same backstop it uses for fork dispatch -- any unit still missing
+from the store (every worker died) is computed in-process -- so the
+campaign's completion never depends on fabric liveness.
 
 Observability: each computed batch runs under a ``fabric.batch`` span
 (worker, stolen, units computed) and idle polls count under
@@ -183,23 +183,23 @@ def _worker_entry(worker, batches, units, store, compute_one,
         obs.flush()
         os._exit(1)
     # Skip atexit/multiprocessing teardown: the forked interpreter
-    # inherited compiled kernels and pool state it must not finalize.
+    # inherited compiled kernels and thread-pool state it must not
+    # finalize.
     os._exit(0)
 
 
 def dispatch_fabric(units, pending: list[int], store, workers: int,
-                    compute_one, emit=None) -> dict:
-    """Run pending units across N forked lease workers; then backstop.
+                    compute_one, emit=None) -> None:
+    """Run pending units across N forked lease workers and join them.
 
-    Returns the orchestrator's dispatch outcome shape
-    ``{"computed": [...], "failed": [...]}`` (unit index lists),
-    derived from a post-join store scan -- the workers' own exit
-    status carries no result, which is exactly what makes SIGKILLing
-    them survivable.
+    Workers report nothing back: their exit status carries no result,
+    which is exactly what makes SIGKILLing them survivable.  The
+    caller derives the outcome from the store afterwards (see the
+    orchestrator's backstop).
     """
     emit = emit or (lambda message: None)
     if not pending:
-        return {"computed": [], "failed": []}
+        return
     batches = plan_batches(units, pending)
     poll_s = default_poll_s()
     context = multiprocessing.get_context("fork")
@@ -225,25 +225,3 @@ def dispatch_fabric(units, pending: list[int], store, workers: int,
         obs.counter("fabric.worker.died", casualties)
         emit(f"fabric: {casualties} worker(s) died; "
              f"survivors + backstop cover their leases")
-    # Post-join accounting from the store itself.  Anything neither
-    # computed nor marked failed (every worker died first) is
-    # backstopped serially right here -- fabric liveness is never a
-    # correctness dependency.
-    from repro.campaign.failures import failure_key
-    computed: list[int] = []
-    failed: list[int] = []
-    for index in pending:
-        unit = units[index]
-        if store.contains(unit.key):
-            computed.append(index)
-            continue
-        if store.get(failure_key(unit.key)) is not None:
-            failed.append(index)
-            continue
-        emit(f"fabric backstop: computing {unit.label}")
-        obs.counter("fabric.backstop")
-        if compute_one(unit, store) is None:
-            computed.append(index)
-        else:
-            failed.append(index)
-    return {"computed": computed, "failed": failed}

@@ -4,11 +4,13 @@ The paper's premise is operating hardware past its guaranteed margins
 and characterizing what breaks; this module applies the same idea to
 the runtime itself.  Every layer that can fail in production declares
 **named injection sites** (``store.object_write``,
-``pool.worker_heartbeat``, ``native.compile``, ``campaign.unit_run``,
+``campaign.shard_dispatch``, ``native.compile``, ``campaign.unit_run``,
 ...) and asks the plane on each pass whether a fault should fire
-there.  The distributed fabric adds its network surface as first-class
-sites: ``fabric.http.put`` / ``fabric.http.get`` (one hit per HTTP
-attempt; ``oserror`` = unreachable, ``corrupt`` = torn response body),
+there.  Forked campaign workers fire ``campaign.worker.kill.w<i>``
+before each unit of worker *i*'s shard.  The distributed fabric adds
+its network surface as first-class sites: ``fabric.http.put`` /
+``fabric.http.get`` (one hit per HTTP attempt; ``oserror`` =
+unreachable, ``corrupt`` = torn response body),
 ``fabric.lease.renew`` (a heartbeat that cannot reach the store) and
 ``fabric.worker.kill.w<i>`` (SIGKILL worker *i* mid-lease; the site is
 per-worker because decisions are pure functions of (seed, site, hit)
@@ -17,7 +19,7 @@ per-worker because decisions are pure functions of (seed, site, hit)
 parsed from ``REPRO_FAULTS`` or the CLI ``--faults`` flag -- maps
 sites to fault modes::
 
-    REPRO_FAULTS="seed=7;store.object_write:torn@p=0.1;pool.worker_heartbeat:kill@after=3"
+    REPRO_FAULTS="seed=7;store.object_write:torn@p=0.1;campaign.worker.kill.w1:kill@after=3"
 
 Grammar: rules are ``;``-separated ``site:mode@param,param`` clauses
 plus an optional ``seed=N`` clause.  ``site`` may end in ``*`` for a
@@ -46,11 +48,11 @@ as one JSON line, so a failing chaos run can be replayed exactly:
 :func:`schedule_from_log` turns the log back into a pinned
 ``hits=``-schedule.
 
-Hit counters are per process: a forked pool worker inherits the plane
+Hit counters are per process: a forked worker inherits the plane
 object (and its counters at fork time) but counts its own hits from
-there; a respawned worker re-forks from the parent and therefore sees
-the same deterministic sequence again.  Replays compare fired faults
-as (site, mode, hit) multisets for exactly this reason.
+there -- which is why the worker kill sites are per-worker names.
+Replays compare fired faults as (site, mode, hit) multisets for
+exactly this reason.
 """
 
 from __future__ import annotations

@@ -21,16 +21,13 @@ Two execution schemes:
   process-parallel execution (``n_jobs >= 2``) bit-identical to the
   same scheme run serially (``n_jobs=1``).
 
-Parallel execution prefers the process-global persistent pool
-(:mod:`repro.parallel`, when configured): the kernel, injector factory
-and machine config are registered with the pool once per change (fork
-inheritance -- they hold compiled closures and cannot be pickled),
-per-point seeds travel the worker pipes, and repeated ``run_point``
-calls of one sweep reuse the same workers instead of forking a
-throwaway pool per point.  Without a configured pool the historical
-per-call fork pool is used, falling back to in-process execution where
-fork is unavailable.  All three execution paths are bit-identical at
-any worker count.
+Parallel execution (``n_jobs >= 2``) forks a throwaway worker pool per
+call: the kernel, injector factory and machine config ride fork
+inheritance (they hold compiled closures and cannot be pickled), trials
+are dealt round-robin into ``n_jobs`` chunks, and the results are put
+back into trial order.  Where fork is unavailable the same per-trial
+scheme runs in-process.  Every path is bit-identical at any worker
+count.
 """
 
 from __future__ import annotations
@@ -200,23 +197,6 @@ def _run_trial_chunk(chunk: list[int]) -> list[TrialResult]:
                               state.get("injector_args", ()))
 
 
-@parallel.pool_task("mc-trial-chunk")
-def _pool_trial_chunk(registry: dict, indices: list[int]) \
-        -> list[TrialResult]:
-    """Persistent-pool task: run the trials at the given indices.
-
-    Kernel, factory and config arrive by fork inheritance (registered
-    once per change -- they capture compiled closures); the per-point
-    seed list and injector args travel the pipes (picklable, tiny).
-    """
-    seeds = [registry[("mc-seeds",)][index] for index in indices]
-    return _run_seeded_trials(registry[("mc-kernel",)],
-                              registry[("mc-factory",)],
-                              seeds,
-                              registry[("mc-config",)],
-                              registry[("mc-injector-args",)])
-
-
 def run_point(kernel: KernelInstance, injector_factory: InjectorFactory,
               n_trials: int, seed: int = 0, label: str = "",
               config: MachineConfig | None = None,
@@ -240,9 +220,7 @@ def run_point(kernel: KernelInstance, injector_factory: InjectorFactory,
         injector_args: leading arguments for ``injector_factory``.
             Sweeps pass the per-point condition (e.g. the frequency)
             here instead of closing over it, so the *same* factory
-            object serves every point -- which is what lets the
-            persistent pool keep its workers across a whole sweep
-            (closures would force a respawn per point).
+            object serves every point of a sweep.
 
     Returns:
         The aggregated :class:`McPoint`.
@@ -278,19 +256,14 @@ def run_point(kernel: KernelInstance, injector_factory: InjectorFactory,
         return point
 
     seeds = trial_seeds(seed, n_trials)
-    if n_jobs == 1 or n_trials == 1 or not _fork_available():
+    if n_jobs == 1 or n_trials == 1 or not parallel.fork_available():
         for trial in _run_seeded_trials(kernel, injector_factory, seeds,
                                         config, injector_args):
             point.add(trial)
         return point
 
-    pool = parallel.get_pool()
-    if pool is not None and pool.workers >= 2:
-        ordered = _run_pooled_trials(pool, kernel, injector_factory,
-                                     seeds, config, injector_args)
-    else:
-        ordered = _run_forked_trials(kernel, injector_factory, seeds,
-                                     config, injector_args, n_jobs)
+    ordered = _run_forked_trials(kernel, injector_factory, seeds, config,
+                                 injector_args, n_jobs)
     for trial in ordered:
         assert trial is not None
         point.add(trial)
@@ -301,7 +274,7 @@ def _reassemble(chunks: list[list[int]], per_chunk: list,
                 n_trials: int) -> list[TrialResult | None]:
     """Put chunked trial results back into trial order.
 
-    This is what makes every parallel path bit-identical to serial:
+    This is what makes the parallel path bit-identical to serial:
     the point only ever sees trials in index order, no matter which
     worker ran them or when it finished.
     """
@@ -312,32 +285,9 @@ def _reassemble(chunks: list[list[int]], per_chunk: list,
     return ordered
 
 
-def _run_pooled_trials(pool, kernel, injector_factory, seeds, config,
-                       injector_args) -> list[TrialResult | None]:
-    """Fan trials out over the persistent pool.
-
-    Kernel/factory/config are registered by identity: within a sweep
-    they are the same objects for every point, so only the first point
-    respawns the workers -- later points reuse them and only ship the
-    (picklable) seed list and injector args over the pipes.
-    """
-    pool.register(("mc-kernel",), kernel)
-    pool.register(("mc-factory",), injector_factory)
-    pool.register(("mc-config",), config)
-    pool.push_if_new(("mc-seeds",), seeds)
-    pool.push_if_new(("mc-injector-args",), injector_args)
-    n_trials = len(seeds)
-    chunks = [list(range(start, n_trials, pool.workers))
-              for start in range(pool.workers)]
-    chunks = [chunk for chunk in chunks if chunk]
-    per_chunk = pool.run("mc-trial-chunk",
-                         [(chunk,) for chunk in chunks])
-    return _reassemble(chunks, per_chunk, n_trials)
-
-
 def _run_forked_trials(kernel, injector_factory, seeds, config,
                        injector_args, n_jobs) -> list[TrialResult | None]:
-    """Historical per-call fork pool (no persistent pool configured)."""
+    """Fan trial chunks out over a throwaway fork pool of ``n_jobs``."""
     n_trials = len(seeds)
     chunks = [list(range(start, n_trials, n_jobs))
               for start in range(n_jobs)]
@@ -350,7 +300,3 @@ def _run_forked_trials(kernel, injector_factory, seeds, config,
         per_chunk = pool.map(_run_trial_chunk, chunks)
     return _reassemble(chunks, per_chunk, n_trials)
 
-
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods() \
-        and hasattr(os, "fork")

@@ -148,9 +148,7 @@ def sweep_units(kernel: KernelInstance,
 
         def compute(f=frequency, s=point_seed):
             # The frequency travels as injector_args (not a closure):
-            # every point of the sweep then shares one factory object,
-            # which is what lets the persistent pool keep its workers
-            # across the whole sweep.
+            # every point of the sweep then shares one factory object.
             point = run_point(
                 kernel,
                 injector_factory,

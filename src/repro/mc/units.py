@@ -13,9 +13,9 @@ units serve three callers:
 
 * the figure drivers iterate them in order (store-aware: hits skip the
   expensive computation entirely);
-* the campaign orchestrator shards them across a process pool and
+* the campaign orchestrator shards them across forked workers and
   persists each result as soon as it completes (kill-safe resume);
-* tests compare resolve paths (fresh vs cached vs pooled) for
+* tests compare resolve paths (fresh vs cached vs forked) for
   bit-identical output.
 
 Key discipline: the payload contains *everything* that determines the

@@ -20,8 +20,8 @@ toolchain.
 
 Engine preference is explicit at every API level (``engine=`` on the
 contexts and campaign calls, ``--engine`` on the CLI) plus one
-process-global default (:func:`set_backend`) that forked pool and
-campaign workers inherit.
+process-global default (:func:`set_backend`) that forked campaign
+workers inherit.
 """
 
 from __future__ import annotations
@@ -43,10 +43,7 @@ from repro.native.lowering import (
     NativeDesc,
     bus_tables,
     native_desc,
-    run_extract,
     run_fused,
-    run_propagate,
-    run_stimulus,
 )
 from repro.native.source import KERNEL_ABI, render_source, source_hash
 
@@ -74,10 +71,7 @@ __all__ = [
     "probe_compiler",
     "record_runtime_failure",
     "render_source",
-    "run_extract",
     "run_fused",
-    "run_propagate",
-    "run_stimulus",
     "runtime_failure",
     "set_backend",
     "source_hash",
@@ -126,7 +120,7 @@ def clear_runtime_failure() -> None:
 def set_backend(name: str) -> None:
     """Set the process-global engine preference (``--engine``).
 
-    Fork children (pool and campaign workers) inherit it; a ``native``
+    Fork children (campaign and fabric workers) inherit it; a ``native``
     preference still resolves to numpy wherever the backend is
     unavailable.
     """

@@ -4,7 +4,7 @@ No binary is ever vendored: the C source is rendered from the template
 in :mod:`repro.native.source` and compiled *once per (source hash,
 compiler, dtype)* into a shared library cached under the result-store
 directory (``$REPRO_NATIVE_CACHE`` overrides, tests point it at a
-tmpdir).  Every later process -- including forked pool workers -- just
+tmpdir).  Every later process -- including forked campaign workers -- just
 ``dlopen``\\ s the cached file; a template edit, compiler upgrade or
 flag change produces a different hash and therefore a fresh build next
 to the stale one.
@@ -238,7 +238,7 @@ def ensure_library(timing_dtype: str,
     Raises :class:`NativeBuildError` when the toolchain is masked or
     absent, or when the compile itself fails.  The write is atomic
     (compile to a temp name, then ``os.replace``), so concurrent
-    builders -- e.g. pool workers racing a cold cache -- at worst do
+    builders -- e.g. campaign workers racing a cold cache -- at worst do
     redundant work, never serve a torn file.
     """
     global build_count
@@ -312,22 +312,6 @@ class Kernels:
                 f"kernel ABI mismatch: library {self.path} has "
                 f"{loaded_abi}, expected {KERNEL_ABI}")
         i64, ptr = ctypes.c_int64, ctypes.c_void_p
-        common = [i64, ptr, ptr, ptr, ptr, ptr, ptr, i64]
-        self.sensitized = self._lib.repro_propagate_sensitized
-        self.sensitized.restype = None
-        self.sensitized.argtypes = common + [ptr, ptr, ptr, ptr, i64, i64]
-        self.value_change = self._lib.repro_propagate_value_change
-        self.value_change.restype = None
-        self.value_change.argtypes = common + [ptr, ptr, ptr, ptr, ptr,
-                                               i64, i64]
-        self.stimulus = self._lib.repro_stimulus
-        self.stimulus.restype = None
-        self.stimulus.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, i64,
-                                  ptr, i64, ptr, ptr, ptr, ptr, i64, i64]
-        self.extract = self._lib.repro_extract
-        self.extract.restype = None
-        self.extract.argtypes = [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr,
-                                 i64, i64, i64, ptr, ptr]
         self.run = self._lib.repro_run
         self.run.restype = None
         self.run.argtypes = [
@@ -335,8 +319,8 @@ class Kernels:
             i64, ptr, ptr, ptr, ptr, ptr, i64, ptr,
             # propagate: ops, descriptor x6, row0, delays
             i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr,
-            # extract: bits, tables x3, words, out x2
-            i64, ptr, ptr, ptr, i64, ptr, ptr,
+            # extract: bits, tables x3, words, out x2, out stride
+            i64, ptr, ptr, ptr, i64, ptr, ptr, i64,
             # shared: value_change, prev/values/events/settles,
             # stride, n_cols
             i64, ptr, ptr, ptr, ptr, i64, i64]
@@ -369,7 +353,7 @@ def load_kernels(timing_dtype: str,
                  directory: Path | None = None) -> Kernels:
     """Ensure + dlopen the kernels for one dtype (cached per path).
 
-    Safe in forked pool workers: a worker either inherits the parent's
+    Safe in forked workers: a worker either inherits the parent's
     already-loaded handle through fork or lazily opens the cached file
     itself -- the build step was completed by whoever ran first.
 

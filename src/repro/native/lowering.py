@@ -12,15 +12,15 @@ tested against the width-1 suite in ``tests/``).
 
 The descriptor is cached on the plan instance itself, so it shares the
 plan's lifecycle: a netlist edit rebuilds the plan and thereby drops
-the stale descriptor, and a plan pushed to pool workers carries (or
-lazily rebuilds) its descriptor in each worker.
+the stale descriptor, and a forked worker inherits (or lazily
+rebuilds) the descriptor of the plan it inherited.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.native.build import Kernels, load_kernels
+from repro.native.build import Kernels
 
 _FAMILY_CODES = {"and": 0, "xor": 1, "mux": 2}
 
@@ -93,8 +93,8 @@ class BusTables:
     the bit's net renumbered through ``plan.rows``, ``word`` the index
     of its bus in the packed ``(n_buses, N)`` uint64 stimulus/result
     matrix, ``shift`` its position inside that word.  The tables are
-    what lets ``repro_stimulus`` / ``repro_extract`` cross the
-    Python/C wall once per call instead of once per bus.
+    what lets ``repro_run`` unpack the stimulus and pack the outputs
+    inside its single Python/C crossing instead of once per bus.
 
     Buses wider than 64 bits cannot pack into one word; callers must
     check :attr:`packable` and keep the numpy path for such circuits
@@ -176,90 +176,46 @@ def _packed_words(words: np.ndarray, n_cols: int, what: str) -> int:
     return words.shape[1]
 
 
-def run_stimulus(plan, ws, tables: BusTables, prev_words: np.ndarray,
-                 new_words: np.ndarray, arrival: float, fill_prev: bool,
-                 kernels: Kernels | None = None) -> None:
-    """Seed constants + input rows of ``ws`` straight from packed words.
+def _layout(ws) -> tuple:
+    """Base pointers ``(new, events, settles, prev)`` of ``ws``.
 
-    Replaces the numpy stimulus stage: unpacks ``prev_words`` /
-    ``new_words`` (``(n_buses, N)`` uint64, one row per input bus in
-    table order) into the workspace value planes, computing events and
-    arrival-seeded settles in the same pass, and seeds the constant
-    rows 0/1.  ``fill_prev`` additionally stores the previous values
-    into ``ws.prev`` (the value-change engine's input contract).
+    Workspace planes are C-contiguous ``(n_nets, N)`` blocks allocated
+    once and never replaced, so their addresses are cached on the
+    workspace: ``.ctypes.data`` rebuilds a ctypes accessor on every
+    read (~1.5 us), and one workspace serves every call of a DTA
+    sweep.  ``prev`` is allocated lazily by the value-change model;
+    until then its slot is None (the sensitized kernel never reads
+    it) and the cache is rebuilt on the first call that needs it.
     """
-    if not tables.packable:
-        raise ValueError("bus wider than 64 bits cannot use the fused "
-                         "stimulus path")
-    if kernels is None:
-        kernels = load_kernels(_dtype_name(ws))
-    n_cols = ws.n_vectors
-    words_stride = _packed_words(prev_words, n_cols, "prev stimulus")
-    _packed_words(new_words, n_cols, "new stimulus")
-    stride, new_ptr, events_ptr, settles_ptr, prev_ptr = \
-        _layout(ws, fill_prev)
-    cached = getattr(ws, "_native_arrival", None)
-    if cached is None:
-        buf = np.empty(1, dtype=ws.timing_dtype)
-        cached = (buf, buf.ctypes.data)
-        ws._native_arrival = cached
-    arr, arr_ptr = cached
-    arr[0] = arrival
-    kernels.stimulus(tables.n_in_bits, *tables.in_ptrs,
-                     prev_words.ctypes.data, new_words.ctypes.data,
-                     words_stride, arr_ptr, int(fill_prev),
-                     prev_ptr, new_ptr, events_ptr,
-                     settles_ptr, stride, n_cols)
-
-
-def run_extract(plan, ws, tables: BusTables, glitch_model: str,
-                kernels: Kernels | None = None):
-    """Gather every output bus out of ``ws`` in one C pass.
-
-    Returns ``(outputs, arrivals)``: per-bus packed uint64 vectors and
-    per-bus ``(width, N)`` arrival matrices, views into two buffers
-    freshly allocated per call (callers may retain them).  Matches the
-    numpy extraction bit-for-bit: sensitized arrivals are the raw
-    settle rows masked by events, value-change arrivals are the
-    already-masked settle rows.
-    """
-    if not tables.packable:
-        raise ValueError("bus wider than 64 bits cannot use the fused "
-                         "extract path")
-    if kernels is None:
-        kernels = load_kernels(_dtype_name(ws))
-    n_cols = ws.n_vectors
-    stride, new_ptr, events_ptr, settles_ptr, _ = _layout(ws, False)
-    out_words = np.empty((tables.n_out_buses, n_cols), dtype=np.uint64)
-    out_arrivals = np.empty((tables.n_out_bits, n_cols),
-                            dtype=ws.timing_dtype)
-    kernels.extract(tables.n_out_bits, *tables.out_ptrs,
-                    tables.n_out_buses, new_ptr, events_ptr,
-                    settles_ptr, stride,
-                    int(glitch_model == "sensitized"), n_cols,
-                    out_words.ctypes.data, out_arrivals.ctypes.data)
-    outputs = {}
-    arrivals = {}
-    for i, (name, width, off) in enumerate(
-            zip(tables.out_names, tables.out_widths, tables.out_offsets)):
-        outputs[name] = out_words[i]
-        arrivals[name] = out_arrivals[off:off + width]
-    return outputs, arrivals
+    cached = getattr(ws, "_native_layout", None)
+    if cached is None or (cached[3] is None and ws.has_prev):
+        cached = (ws.new.ctypes.data, ws.events.ctypes.data,
+                  ws.settles.ctypes.data,
+                  ws.prev.ctypes.data if ws.has_prev else None)
+        ws._native_layout = cached
+    return cached
 
 
 def run_fused(plan, ws, tables: BusTables, prev_words: np.ndarray,
               new_words: np.ndarray, arrival: float, delays: np.ndarray,
-              glitch_model: str, kernels: Kernels):
-    """Whole propagate in one library call (``repro_run``).
+              glitch_model: str, kernels: Kernels, pool=None,
+              shards: list[tuple[int, int]] | None = None):
+    """Whole propagate as ``repro_run`` calls over column ranges.
 
-    Stimulus unpack, every level, and output extraction happen inside
-    a single ctypes crossing: the serial native path's Python wall
-    reduces to output-buffer allocation and dict assembly, and the
-    output rows are still cache-hot from the last level when the
-    extract pass reads them.  Same contract as running the three
-    stage kernels back to back (the C side *is* that composition).
-    Shard and degrade paths keep the individual kernels: a shard
-    extracts nothing, and a mid-call engine switch needs the seams.
+    Stimulus unpack, every level and output extraction happen inside
+    one ctypes crossing per range.  Without ``shards`` the range is
+    the whole block (one call); with them, ``pool.run`` executes one
+    call per ``(lo, hi)`` across its threads.  Each call is handed
+    its range's first column of every matrix plus the full-width row
+    strides, so the disjoint ranges write disjoint columns of the same
+    workspace and output buffers -- no merge step, and f64 results
+    bit-identical to the serial call.  The descriptor, the per-row
+    delay vector and every lazily allocated plane are materialized
+    here, before fan-out, so worker threads touch no shared cache.
+
+    Returns ``(outputs, arrivals)``: per-bus packed uint64 vectors and
+    per-bus ``(width, N)`` arrival matrices, views into two buffers
+    freshly allocated per call (callers may retain them).
     """
     if not tables.packable:
         raise ValueError("bus wider than 64 bits cannot use the fused "
@@ -268,8 +224,9 @@ def run_fused(plan, ws, tables: BusTables, prev_words: np.ndarray,
     words_stride = _packed_words(prev_words, n_cols, "prev stimulus")
     _packed_words(new_words, n_cols, "new stimulus")
     value_change = glitch_model != "sensitized"
-    stride, new_ptr, events_ptr, settles_ptr, prev_ptr = \
-        _layout(ws, value_change)
+    if value_change:
+        ws.prev  # noqa: B018  (allocate before the layout is cached)
+    new_ptr, events_ptr, settles_ptr, prev_ptr = _layout(ws)
     desc = native_desc(plan)
     rowed = desc.delays_rowed(np.asarray(delays, dtype=float),
                               ws.timing_dtype)
@@ -283,19 +240,34 @@ def run_fused(plan, ws, tables: BusTables, prev_words: np.ndarray,
     out_words = np.empty((tables.n_out_buses, n_cols), dtype=np.uint64)
     out_arrivals = np.empty((tables.n_out_bits, n_cols),
                             dtype=ws.timing_dtype)
-    kernels.run(tables.n_in_bits, *tables.in_ptrs,
-                prev_words.ctypes.data, new_words.ctypes.data,
-                words_stride, arr_ptr,
-                desc.n_ops, desc.family.ctypes.data,
-                desc.lo.ctypes.data, desc.hi.ctypes.data,
-                desc.ins_off.ctypes.data, desc.ins.ctypes.data,
-                desc.flags.ctypes.data, desc.gate_row0,
-                rowed.ctypes.data,
-                tables.n_out_bits, *tables.out_ptrs,
-                tables.n_out_buses, out_words.ctypes.data,
-                out_arrivals.ctypes.data,
-                int(value_change), prev_ptr, new_ptr, events_ptr,
-                settles_ptr, stride, n_cols)
+    real = ws.timing_dtype.itemsize
+    word = out_words.itemsize
+    prev_words_ptr = prev_words.ctypes.data
+    new_words_ptr = new_words.ctypes.data
+    out_words_ptr = out_words.ctypes.data
+    out_arrivals_ptr = out_arrivals.ctypes.data
+    descriptor = (desc.n_ops, desc.family.ctypes.data,
+                  desc.lo.ctypes.data, desc.hi.ctypes.data,
+                  desc.ins_off.ctypes.data, desc.ins.ctypes.data,
+                  desc.flags.ctypes.data, desc.gate_row0,
+                  rowed.ctypes.data)
+
+    def run(lo: int, hi: int) -> None:
+        kernels.run(tables.n_in_bits, *tables.in_ptrs,
+                    prev_words_ptr + lo * word, new_words_ptr + lo * word,
+                    words_stride, arr_ptr, *descriptor,
+                    tables.n_out_bits, *tables.out_ptrs,
+                    tables.n_out_buses, out_words_ptr + lo * word,
+                    out_arrivals_ptr + lo * real, n_cols,
+                    int(value_change),
+                    prev_ptr + lo if value_change else None,
+                    new_ptr + lo, events_ptr + lo, settles_ptr + lo * real,
+                    n_cols, hi - lo)
+
+    if shards is None:
+        run(0, n_cols)
+    else:
+        pool.run(run, shards)
     outputs = {}
     arrivals = {}
     for i, (name, width, off) in enumerate(
@@ -303,84 +275,3 @@ def run_fused(plan, ws, tables: BusTables, prev_words: np.ndarray,
         outputs[name] = out_words[i]
         arrivals[name] = out_arrivals[off:off + width]
     return outputs, arrivals
-
-
-def _dtype_name(ws) -> str:
-    """Kernel-library dtype name for a workspace's timing dtype."""
-    if ws.timing_dtype == np.float64:
-        return "float64"
-    if ws.timing_dtype == np.float32:
-        return "float32"
-    raise ValueError(
-        f"no native kernel for timing dtype {ws.timing_dtype}")
-
-
-def _layout(ws, need_prev: bool) -> tuple:
-    """Shared row stride + base pointers of ``ws``'s state matrices.
-
-    Serial workspaces are plain C-contiguous ``(n_nets, N)`` blocks;
-    pool shard views are column slices whose rows keep the parent
-    width as stride.  Either way all matrices must agree and columns
-    must be unit-stride -- the kernels address ``base + row * stride +
-    col``.
-
-    Returns ``(stride, new_ptr, events_ptr, settles_ptr, prev_ptr)``
-    (``prev_ptr`` is None unless ``need_prev``).  ``.ctypes.data``
-    rebuilds a ctypes accessor on every read (~1.5 us, several reads
-    per fused stage), and one workspace serves every call of a DTA
-    sweep -- so the derived layout is cached on the workspace and
-    revalidated by plane identity: a reallocated plane (or a fresh
-    per-call ShardView) misses and re-derives.
-    """
-    new, events, settles = ws.new, ws.events, ws.settles
-    prev = ws.prev if need_prev else None
-    cached = getattr(ws, "_native_layout", None)
-    if (cached is not None and cached[0] is new and cached[1] is events
-            and cached[2] is settles
-            and (not need_prev or cached[3] is prev)):
-        return cached[4]
-    stride = new.strides[0] // new.itemsize
-    if (events.strides[0] // events.itemsize != stride
-            or settles.strides[0] // settles.itemsize != stride
-            or new.strides[1] != new.itemsize
-            or settles.strides[1] != settles.itemsize):
-        raise ValueError("workspace matrices disagree on layout")
-    if prev is not None and prev.strides[0] // prev.itemsize != stride:
-        raise ValueError("workspace matrices disagree on layout")
-    layout = (stride, new.ctypes.data, events.ctypes.data,
-              settles.ctypes.data,
-              prev.ctypes.data if prev is not None else None)
-    ws._native_layout = (new, events, settles, prev, layout)
-    return layout
-
-
-def run_propagate(plan, ws, delays: np.ndarray, glitch_model: str,
-                  kernels: Kernels | None = None) -> None:
-    """Run one propagate call through the fused C kernels.
-
-    Drop-in replacement for ``plan_mod.propagate_sensitized`` /
-    ``propagate_value_change`` over the same :class:`Workspace` (or
-    pool :class:`ShardView`) contract: constants/input rows seeded by
-    the caller, sensitized settle rows left raw, value-change settle
-    rows stored masked.
-    """
-    dtype_name = _dtype_name(ws)
-    desc = native_desc(plan)
-    if not desc.n_ops:
-        return  # gate-less plan: nothing to run, nothing to compile
-    if kernels is None:
-        kernels = load_kernels(dtype_name)
-    rowed = desc.delays_rowed(np.asarray(delays, dtype=float), ws.timing_dtype)
-    value_change = glitch_model != "sensitized"
-    stride, new_ptr, events_ptr, settles_ptr, prev_ptr = \
-        _layout(ws, value_change)
-    args = (desc.n_ops, desc.family.ctypes.data, desc.lo.ctypes.data,
-            desc.hi.ctypes.data, desc.ins_off.ctypes.data,
-            desc.ins.ctypes.data, desc.flags.ctypes.data, desc.gate_row0)
-    if value_change:
-        kernels.value_change(*args, prev_ptr, new_ptr,
-                             events_ptr, settles_ptr,
-                             rowed.ctypes.data, stride, ws.n_vectors)
-    else:
-        kernels.sensitized(*args, new_ptr, events_ptr, settles_ptr,
-                           rowed.ctypes.data, stride, ws.n_vectors)

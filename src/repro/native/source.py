@@ -29,16 +29,15 @@ and masking a gathered settle is a select (``eff ? s : 0``), which is
 bit-identical to the engine's multiply-by-bool for the non-negative
 finite settles both engines produce.
 
-ABI 2 adds the fused entry/exit kernels: ``repro_stimulus`` unpacks
-packed input words straight into the workspace value/event/settle
-planes (and ``prev`` for the value-change model), and
-``repro_extract`` packs output-bus values back into words and gathers
-per-bit arrivals.  ``repro_run`` composes stimulus, propagate and
-extract into ONE library call -- the serial native path crosses the
-Python/C wall once per propagate, not once per stage; shard and
-degrade paths keep the individual stage kernels.  The float64 kernels
-are therefore bit-identical to ``engine="compiled"``; the float32
-kernels inherit the relaxed-identity contract of
+The stage kernels (stimulus unpack, the two propagate models, output
+extract) are ``static``: the library exports exactly one entry point,
+``repro_run``, which composes them over one column range.  ABI 3
+gives that range an output row stride, so a thread shard passes its
+column offset into every matrix -- workspace planes, stimulus words,
+output words and arrivals -- and writes only its own columns; a serial
+call is the one range covering the whole block.  The float64 kernels
+are therefore bit-identical to ``engine="compiled"`` at any shard
+count; the float32 kernels inherit the relaxed-identity contract of
 ``engine="compiled-f32"``.
 """
 
@@ -48,7 +47,7 @@ import hashlib
 
 #: Bumped whenever the kernel ABI (signatures, descriptor layout)
 #: changes; part of the source text, so it also rotates the cache key.
-KERNEL_ABI = 2
+KERNEL_ABI = 3
 
 #: dtype name -> C scalar type of the settle pipeline.
 REAL_TYPES = {"float64": "double", "float32": "float"}
@@ -77,7 +76,7 @@ static inline REAL rmax(REAL a, REAL b) {{ return a > b ? a : b; }}
 
 int repro_kernel_abi(void) {{ return {abi}; }}
 
-void repro_propagate_sensitized(
+static void repro_propagate_sensitized(
     int64_t n_ops, const int32_t *family,
     const int64_t *lo, const int64_t *hi, const int64_t *ins_off,
     const int32_t *ins, const uint8_t *flags, int64_t gate_row0,
@@ -155,7 +154,7 @@ void repro_propagate_sensitized(
     }}
 }}
 
-void repro_propagate_value_change(
+static void repro_propagate_value_change(
     int64_t n_ops, const int32_t *family,
     const int64_t *lo, const int64_t *hi, const int64_t *ins_off,
     const int32_t *ins, const uint8_t *flags, int64_t gate_row0,
@@ -237,7 +236,7 @@ void repro_propagate_value_change(
  * `words_stride`.  When `fill_prev` is nonzero (value-change model)
  * the unpacked previous values are also stored into `prev`; the
  * sensitized model passes fill_prev = 0 and prev may be NULL. */
-void repro_stimulus(
+static void repro_stimulus(
     int64_t n_bits, const int64_t *bit_row, const int64_t *bit_word,
     const int64_t *bit_shift,
     const uint64_t *prev_words, const uint64_t *new_words,
@@ -302,18 +301,19 @@ void repro_stimulus(
  * event ? settle : 0 -- bit-identical to the numpy engine's
  * multiply-by-bool for the non-negative finite settles it produces);
  * the value-change engine stores settles already masked, so the raw
- * row is copied.  Output buffers are C-contiguous (column stride 1,
- * row stride n_cols) and out_words must arrive zeroed or not at all:
- * the word rows are rebuilt from zero here. */
-void repro_extract(
+ * row is copied.  Output buffers have unit column stride and row
+ * stride `out_stride` (>= n_cols: a shard writes its own columns of
+ * the full-width buffers); the word rows are rebuilt from zero here,
+ * so out_words need not arrive zeroed. */
+static void repro_extract(
     int64_t n_bits, const int64_t *bit_row, const int64_t *bit_word,
     const int64_t *bit_shift, int64_t n_words,
     const uint8_t *values, const uint8_t *events, const REAL *settles,
     int64_t stride, int64_t mask_events, int64_t n_cols,
-    uint64_t *out_words, REAL *out_arrivals)
+    uint64_t *out_words, REAL *out_arrivals, int64_t out_stride)
 {{
     for (int64_t w = 0; w < n_words; w++) {{
-        uint64_t *restrict ow = out_words + w * n_cols;
+        uint64_t *restrict ow = out_words + w * out_stride;
         #pragma omp simd
         for (int64_t j = 0; j < n_cols; j++) ow[j] = 0u;
     }}
@@ -322,8 +322,8 @@ void repro_extract(
         const uint8_t *er = events + bit_row[k] * stride;
         const REAL *sr = settles + bit_row[k] * stride;
         const int64_t shift = bit_shift[k];
-        uint64_t *restrict ow = out_words + bit_word[k] * n_cols;
-        REAL *restrict oa = out_arrivals + k * n_cols;
+        uint64_t *restrict ow = out_words + bit_word[k] * out_stride;
+        REAL *restrict oa = out_arrivals + k * out_stride;
         if (mask_events) {{
             #pragma omp simd
             for (int64_t j = 0; j < n_cols; j++) {{
@@ -340,17 +340,17 @@ void repro_extract(
     }}
 }}
 
-/* Fused whole call: stimulus -> levelized propagate -> extract in ONE
- * library call.  Pure composition of the three stage kernels above --
- * no new logic to diverge -- so the serial native path crosses the
- * Python/C wall once per propagate and the output rows are still
- * cache-hot from the last level when the extract pass reads them.
- * `value_change` selects the glitch model end to end: it is the
- * stimulus `fill_prev`, the propagate kernel, and the inverse of the
- * extract `mask_events` (the value-change engine stores settles
- * already masked).  Shard and degrade paths keep calling the stage
- * kernels individually (a shard extracts nothing; a mid-call engine
- * switch needs the seams). */
+/* The library's one entry point: stimulus -> levelized propagate ->
+ * extract over one column range, in ONE call.  Pure composition of the
+ * static stage kernels above -- no new logic to diverge -- so the
+ * output rows are still cache-hot from the last level when the
+ * extract pass reads them.  `value_change` selects the glitch model
+ * end to end: it is the stimulus `fill_prev`, the propagate kernel,
+ * and the inverse of the extract `mask_events` (the value-change
+ * engine stores settles already masked).  Every matrix pointer is the
+ * range's first column; `words_stride`, `stride` and `out_stride` are
+ * the full-width row strides, so N disjoint ranges across threads
+ * compose to exactly the serial call. */
 void repro_run(
     int64_t n_in_bits, const int64_t *in_row, const int64_t *in_word,
     const int64_t *in_shift,
@@ -363,7 +363,7 @@ void repro_run(
     int64_t n_out_bits, const int64_t *out_row,
     const int64_t *out_word, const int64_t *out_shift,
     int64_t n_out_words, uint64_t *out_words, REAL *out_arrivals,
-    int64_t value_change, uint8_t *prev,
+    int64_t out_stride, int64_t value_change, uint8_t *prev,
     uint8_t *values, uint8_t *events, REAL *settles,
     int64_t stride, int64_t n_cols)
 {{
@@ -383,7 +383,7 @@ void repro_run(
     repro_extract(n_out_bits, out_row, out_word, out_shift,
                   n_out_words, values, events, settles, stride,
                   value_change ? 0 : 1, n_cols, out_words,
-                  out_arrivals);
+                  out_arrivals, out_stride);
 }}
 """
 

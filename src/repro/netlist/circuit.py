@@ -61,13 +61,13 @@ argument of :meth:`Circuit.evaluate` / :meth:`Circuit.propagate`:
   executable specification; the property suite asserts the compiled
   engine is bit-identical to it on random circuits.
 
-When a shared-memory pool is configured (see :mod:`repro.parallel`),
-both compiled engines shard the block axis of :meth:`propagate` over
-the pool's persistent fork workers: the workspace matrices live in
-anonymous shared mappings, every worker runs the full level pipeline
-on its own column range (columns are independent, so no inter-level
-barrier exists), and float64 results stay bit-identical to the
-serial engine at any worker count.
+The native engines (``"compiled-native"`` / ``"native-f32"``, see
+:mod:`repro.native`) run the same plan as one C call per column
+range.  When a thread-shard pool is configured (see
+:mod:`repro.parallel`), the block axis of a native :meth:`propagate`
+splits into one range per thread over the *same* workspace: columns
+are independent, so no inter-level barrier exists, and float64
+results stay bit-identical to the serial engine at any thread count.
 """
 
 from __future__ import annotations
@@ -146,11 +146,6 @@ class Circuit:
         self._plan: plan_mod.CompiledPlan | None = None
         self._workspaces: dict[tuple, plan_mod.Workspace] = {}
         self._dirty = False
-        self._pool_token: int | None = None
-        #: (pool, delays snapshot) last pushed -- the pool is part of
-        #: the guard because a reconfigured pool starts with an empty
-        #: registry and must be pushed again even for equal values.
-        self._pool_delays: tuple | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -274,23 +269,19 @@ class Circuit:
                 self.gate_outputs, self._input_net_set)
         return self._plan
 
-    def _workspace(self, n_vectors: int, timing_dtype=np.float64,
-                   shared: bool = False) -> plan_mod.Workspace:
+    def _workspace(self, n_vectors: int,
+                   timing_dtype=np.float64) -> plan_mod.Workspace:
         """Reusable ``(n_nets, N)`` scratch matrices for one block width.
 
-        One workspace is kept per (width, timing dtype, shared?) so a
-        float32 view or a pool-sharded run never clobbers the buffers
-        of a concurrent float64 serial run at the same width.  Shared
-        workspaces allocate every matrix eagerly in anonymous shared
-        mappings, so fork workers inherit complete, writable views.
+        One workspace is kept per (width, timing dtype) so a float32
+        view never clobbers the buffers of a float64 run at the same
+        width.
         """
-        key = (n_vectors, np.dtype(timing_dtype).str, shared)
+        key = (n_vectors, np.dtype(timing_dtype).str)
         workspace = self._workspaces.get(key)
         if workspace is None:
-            alloc = parallel.shared_empty if shared else None
             workspace = plan_mod.Workspace(self.n_nets, n_vectors,
-                                           timing_dtype=timing_dtype,
-                                           alloc=alloc, eager=shared)
+                                           timing_dtype=timing_dtype)
             self._workspaces[key] = workspace
         return workspace
 
@@ -335,10 +326,10 @@ class Circuit:
         """Validate bus stimulus and pack it into one uint64 matrix.
 
         Row ``i`` is the ``(N,)`` integer stimulus of the ``i``-th
-        input bus in canonical bus order.  The fused native stimulus
-        kernel unpacks bits straight from these words into the
-        workspace planes, so the numpy bit-plane stage
-        (:meth:`_stimulus_planes`) never materializes on that path.
+        input bus in canonical bus order.  The native kernel unpacks
+        bits straight from these words into the workspace planes, so
+        the numpy bit-plane stage (:meth:`_stimulus_planes`) never
+        materializes on that path.
         """
         missing = set(self._input_buses) - set(inputs)
         if missing:
@@ -360,17 +351,6 @@ class Circuit:
         for i, row in enumerate(stacked):
             words[i] = row
         return words, n_vectors
-
-    def _planes_from_words(self, words: np.ndarray) \
-            -> dict[str, np.ndarray]:
-        """Rebuild per-bus bit planes from packed stimulus words.
-
-        Only runs on the native-degrade path (first kernel touch of
-        the process failed after validation already consumed the
-        inputs as packed words).
-        """
-        return {name: bits_from_ints(words[i], len(bus.nets))
-                for i, (name, bus) in enumerate(self._input_buses.items())}
 
     def _seed_workspace(self, ws, rows, prev_planes, new_planes,
                         sensitized: bool, arrival: float) -> None:
@@ -559,31 +539,28 @@ class Circuit:
             tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
         """Bucketed two-vector simulation on the compiled plan.
 
-        ``native`` selects the fused C kernels over the same plan and
+        ``native`` selects the fused C kernel over the same plan and
         workspace contract; the caller asked for a native engine
         explicitly, so an unavailable backend is a
         :class:`CircuitError` here -- silent fallback happens one
         level up, in :func:`repro.native.engine_for`.
 
-        Native engines run *fused*: stimulus word-unpacking and
-        output-bus extraction happen inside the C library too.  The
-        serial native path is ONE library call (``repro_run``:
-        stimulus -> every level -> extract in a single Python/C
-        crossing); sharded and degraded calls run the stage kernels
-        (``repro_stimulus`` / ``repro_extract``) around the sharded
-        middle.  Routing: when a thread-shard pool is configured,
-        native engines shard their block axis over in-process threads
-        (the kernels release the GIL -- zero pipes, zero pickling) and
-        the fork pool is never engaged for them; numpy engines keep
-        the fork ``SharedPool``, which also still serves native work
-        when only it is configured.
+        The native engine has one route: ``repro_run`` (stimulus ->
+        every level -> extract) over column ranges -- one range
+        covering the block when serial, one range per thread when a
+        thread-shard pool is configured.  Whether the call runs native
+        at all is decided once, at entry: a circuit whose buses cannot
+        pack into 64-bit words, or a kernel library that fails to
+        build or load (latched as the process's runtime failure), runs
+        the whole call on the numpy engine of the same dtype --
+        bit-identical at f64, same relaxed contract at f32.
 
-        The staged pipeline carries per-stage telemetry spans
+        The numpy route carries per-stage telemetry spans
         (``propagate.stimulus`` / ``propagate.kernel`` /
         ``propagate.extract``) so "where did the time go" inside one
-        call is answerable from a trace; the fused serial path emits a
-        single ``propagate.kernel`` span (mode ``native-fused``) --
-        there are no Python-side stages left to time.
+        call is answerable from a trace; the native route emits a
+        single ``propagate.kernel`` span (mode ``native-fused`` or
+        ``threads``) -- there are no Python-side stages left to time.
         """
         if native:
             reason = native_mod.unavailable_reason()
@@ -595,11 +572,8 @@ class Circuit:
         with obs.span("circuit.propagate", circuit=self.name,
                       engine=engine_name,
                       glitch_model=glitch_model) as top:
-            sensitized = glitch_model == "sensitized"
-            arrival = float(input_arrival)
             plan = self.plan
-            rows = plan.rows
-            tables = None
+            kernels = None
             if native:
                 tables = native_mod.bus_tables(
                     plan,
@@ -607,248 +581,68 @@ class Circuit:
                      for name, bus in self._input_buses.items()},
                     {name: bus.nets
                      for name, bus in self._output_buses.items()})
-            fused = native and tables.packable
-            pool = None
-            thread_pool = parallel.get_thread_pool() if native else None
-            kernels = None
-            if native:
-                # Resolve the dlopened library once per call: the
-                # ensure step re-hashes the kernel source (~0.1 ms),
-                # which would otherwise be paid by every fused stage.
-                # The first touch of a process can still fail behind a
-                # passing probe (compile or dlopen rot): latch the
-                # degrade and run this call numpy end to end --
-                # bit-identical at f64, same relaxed contract at f32.
-                try:
-                    kernels = native_mod.load_kernels(
-                        "float32" if timing_dtype == np.float32
-                        else "float64")
-                except native_mod.NativeBuildError as error:
-                    native_mod.record_runtime_failure(str(error))
-                    native = False
-                    fused = False
-                    thread_pool = None
-            # Call setup -- validation, shard routing and workspace
-            # lookup -- happens outside the stage spans so the traced
-            # stimulus/extract durations measure the stages themselves
-            # (the ROADMAP ceiling analysis reads them as such).
+                if tables.packable:
+                    try:
+                        kernels = native_mod.load_kernels(
+                            "float32" if timing_dtype == np.float32
+                            else "float64")
+                    except native_mod.NativeBuildError as error:
+                        native_mod.record_runtime_failure(str(error))
             delays = np.asarray(delays, dtype=float)
-            prev_planes = new_planes = None
-            if fused:
+            arrival = float(input_arrival)
+            if kernels is not None:
                 prev_words, n_prev = self._stimulus_words(prev_inputs)
                 new_words, n_new = self._stimulus_words(new_inputs)
             else:
                 prev_planes, n_prev = self._stimulus_planes(prev_inputs)
                 new_planes, n_new = self._stimulus_planes(new_inputs)
             if n_prev != n_new:
-                raise CircuitError(
-                    "prev/new stimulus lengths differ")
-            if thread_pool is not None:
-                thread_shards = thread_pool.shard_columns(n_new)
-                shards = None
-            else:
-                thread_shards = None
-                pool = parallel.get_pool()
+                raise CircuitError("prev/new stimulus lengths differ")
+            top.set(n_vectors=n_new)
+            ws = self._workspace(n_new, timing_dtype)
+            if kernels is not None:
+                pool = parallel.get_thread_pool()
                 shards = pool.shard_columns(n_new) \
                     if pool is not None else None
-            ws = self._workspace(n_new, timing_dtype,
-                                 shared=shards is not None)
-            if fused and thread_shards is None and shards is None:
-                # Serial native path: the whole propagate -- stimulus
-                # unpack, every level, output extraction -- is ONE
-                # library call (``repro_run``), so no per-stage
-                # stimulus/extract spans are emitted: there is no
-                # Python-side stage work left to measure, only this
-                # single crossing.  Sharded runs and mid-call engine
-                # degrades keep the staged pipeline below (a shard
-                # extracts nothing; a degrade switches engines at a
-                # stage seam).
-                top.set(n_vectors=n_new)
-                with obs.span("propagate.kernel", mode="native-fused"):
+                with obs.span("propagate.kernel",
+                              mode="native-fused" if shards is None
+                              else "threads"):
                     return native_mod.run_fused(
                         plan, ws, tables, prev_words, new_words,
-                        arrival, delays, glitch_model, kernels)
-            with obs.span("propagate.stimulus",
-                          mode="native" if fused else "numpy") as stim:
-                if fused:
-                    try:
-                        native_mod.run_stimulus(
-                            plan, ws, tables, prev_words, new_words,
-                            arrival, fill_prev=not sensitized,
-                            kernels=kernels)
-                    except native_mod.NativeBuildError as error:
-                        # The first kernel touch of the process can
-                        # still fail (compile or dlopen rot behind a
-                        # passing probe): latch the degrade and finish
-                        # this call numpy end to end -- bit-identical
-                        # at f64, same relaxed contract at f32.
-                        native_mod.record_runtime_failure(str(error))
-                        fused = False
-                        native = False
-                        thread_shards = None
-                        stim.set(mode="numpy-degraded")
-                        prev_planes = self._planes_from_words(prev_words)
-                        new_planes = self._planes_from_words(new_words)
-                if not fused:
-                    self._seed_workspace(ws, rows, prev_planes,
-                                         new_planes, sensitized, arrival)
-            top.set(n_vectors=n_new)
-            if thread_shards is not None:
-                mode = "threads"
-            elif shards is not None:
-                mode = "pooled"
+                        arrival, delays, glitch_model, kernels,
+                        pool=pool, shards=shards)
+            return self._propagate_numpy(plan, ws, prev_planes,
+                                         new_planes, delays, arrival,
+                                         glitch_model)
+
+    def _propagate_numpy(self, plan, ws, prev_planes, new_planes, delays,
+                         arrival, glitch_model) -> \
+            tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """The numpy stages: seed the workspace, run levels, extract."""
+        sensitized = glitch_model == "sensitized"
+        rows = plan.rows
+        with obs.span("propagate.stimulus", mode="numpy"):
+            self._seed_workspace(ws, rows, prev_planes, new_planes,
+                                 sensitized, arrival)
+        with obs.span("propagate.kernel", mode="numpy"):
+            if sensitized:
+                plan_mod.propagate_sensitized(plan, ws, delays)
             else:
-                mode = "native" if native else "numpy"
-            with obs.span("propagate.kernel", mode=mode):
-                if thread_shards is not None:
-                    try:
-                        self._propagate_threaded(thread_pool, plan, ws,
-                                                 delays, glitch_model,
-                                                 thread_shards, kernels)
-                    except native_mod.NativeBuildError as error:
-                        # Column writes are idempotent: the serial
-                        # numpy engine recomputes every gate row over
-                        # the full width, overwriting any partial
-                        # shard output.
-                        native_mod.record_runtime_failure(str(error))
-                        fused = False
-                        if sensitized:
-                            plan_mod.propagate_sensitized(plan, ws,
-                                                          delays)
-                        else:
-                            plan_mod.propagate_value_change(plan, ws,
-                                                            delays)
-                elif shards is not None:
-                    self._propagate_pooled(pool, plan, ws, delays,
-                                           glitch_model, shards,
-                                           native=native)
-                elif native:
-                    try:
-                        native_mod.run_propagate(plan, ws, delays,
-                                                 glitch_model,
-                                                 kernels=kernels)
-                    except native_mod.NativeBuildError as error:
-                        # Runtime failure behind a passing probe
-                        # (compile or dlopen broke mid-run): latch the
-                        # degrade and finish on the numpy engine over
-                        # the same plan/workspace -- bit-identical at
-                        # f64, same relaxed contract at f32.
-                        native_mod.record_runtime_failure(str(error))
-                        fused = False
-                        if sensitized:
-                            plan_mod.propagate_sensitized(plan, ws,
-                                                          delays)
-                        else:
-                            plan_mod.propagate_value_change(plan, ws,
-                                                            delays)
-                elif sensitized:
-                    plan_mod.propagate_sensitized(plan, ws, delays)
+                plan_mod.propagate_value_change(plan, ws, delays)
+        with obs.span("propagate.extract", mode="numpy"):
+            outputs = {}
+            out_arrivals = {}
+            for name, bus in self._output_buses.items():
+                bus_rows = rows[bus.nets]
+                outputs[name] = ints_from_bits(ws.new[bus_rows])
+                if sensitized:
+                    # Settle rows are raw arrivals; event-mask on the
+                    # way out.
+                    out_arrivals[name] = ws.settles[bus_rows] \
+                        * ws.events[bus_rows]
                 else:
-                    plan_mod.propagate_value_change(plan, ws, delays)
-            with obs.span("propagate.extract",
-                          mode="native" if fused else "numpy"):
-                if fused:
-                    try:
-                        outputs, out_arrivals = native_mod.run_extract(
-                            plan, ws, tables, glitch_model,
-                            kernels=kernels)
-                    except native_mod.NativeBuildError as error:
-                        native_mod.record_runtime_failure(str(error))
-                        fused = False
-                if not fused:
-                    outputs = {}
-                    out_arrivals = {}
-                    for name, bus in self._output_buses.items():
-                        bus_rows = rows[bus.nets]
-                        outputs[name] = ints_from_bits(ws.new[bus_rows])
-                        if sensitized:
-                            # Settle rows are raw arrivals; event-mask
-                            # on the way out.
-                            out_arrivals[name] = ws.settles[bus_rows] \
-                                * ws.events[bus_rows]
-                        else:
-                            out_arrivals[name] = ws.settles[bus_rows]
+                    out_arrivals[name] = ws.settles[bus_rows]
         return outputs, out_arrivals
-
-    def _propagate_threaded(self, thread_pool, plan, ws, delays,
-                            glitch_model, shards, kernels) -> None:
-        """Shard one native propagate's block axis over threads.
-
-        Threads share the address space, so nothing is registered or
-        pushed anywhere: every shard runs the fused C kernels over a
-        column-sliced view of the *same* workspace, and the ctypes
-        calls release the GIL so shards genuinely overlap (and will
-        scale further on free-threaded CPython).  The descriptor and
-        the per-row delay tile are materialized here, once, before
-        fan-out (the caller already resolved ``kernels``) -- worker
-        threads never touch the lazy caches, so there is nothing to
-        race.
-        """
-        desc = native_mod.native_desc(plan)
-        desc.delays_rowed(delays, ws.timing_dtype)
-        # Touch the lazily-allocated planes in the dispatching thread.
-        _ = (ws.events, ws.settles)
-        if glitch_model != "sensitized":
-            _ = ws.prev
-
-        def shard(lo: int, hi: int) -> None:
-            native_mod.run_propagate(plan, plan_mod.ShardView(ws, lo, hi),
-                                     delays, glitch_model,
-                                     kernels=kernels)
-
-        thread_pool.run(shard, shards)
-
-    def _propagate_pooled(self, pool, plan, ws, delays, glitch_model,
-                          shards, native: bool = False) -> None:
-        """Shard one propagate call's block axis over the pool.
-
-        The plan and the per-corner delay vector are pushed to the
-        workers once (small, picklable; re-pushed only when they
-        change), the workspace is registered for fork inheritance
-        (its buffers live in shared mappings, so worker writes land in
-        place), and each per-call message is a handful of ints -- no
-        per-call pickling of the plan or any buffer.
-
-        The delay vector is compared *by value* against the last
-        pushed snapshot, mirroring the serial delay-tile cache: an
-        in-place mutation of a previously pushed array, or a fresh
-        equal-valued array per call (e.g. list input), both do the
-        right thing -- re-push on real change, no traffic otherwise.
-        One key per circuit, so the worker registries stay bounded
-        across DTA corners.
-        """
-        if self._pool_token is None:
-            self._pool_token = parallel.next_token()
-        token = self._pool_token
-        plan_key = ("netlist-plan", token)
-        pool.push_if_new(plan_key, plan)
-        delays_key = ("netlist-delays", token)
-        if self._pool_delays is None \
-                or self._pool_delays[0] is not pool \
-                or not np.array_equal(self._pool_delays[1], delays):
-            # Push a snapshot: the registry copy must not alias an
-            # array the caller may mutate in place (a respawn forks
-            # whatever the registry holds).
-            snapshot = delays.copy()
-            self._pool_delays = (pool, snapshot)
-            pool.push_if_new(delays_key, snapshot)
-        ws_key = ("netlist-ws", token, ws.n_vectors, ws.timing_dtype.str)
-        pool.register(ws_key, ws)
-        if native:
-            # Complete the build before dispatching so cold-cache
-            # workers dlopen a finished library instead of racing the
-            # compile (racing is safe -- atomic replace -- but wasteful).
-            try:
-                native_mod.ensure_library(
-                    "float32" if ws.timing_dtype == np.float32
-                    else "float64")
-            except native_mod.NativeBuildError as error:
-                native_mod.record_runtime_failure(str(error))
-                native = False  # shards run the numpy propagate
-        pool.run("netlist-propagate-shard",
-                 [(plan_key, ws_key, delays_key, glitch_model, lo, hi,
-                   native)
-                  for lo, hi in shards])
 
     def _propagate_value_change(self, prev_values, new_values, events,
                                 settles, delays) -> None:

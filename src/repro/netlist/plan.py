@@ -76,7 +76,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.netlist.graph import find_combinational_cycle
-from repro.parallel import pool_task
 
 #: Relative tolerance of the float32 settle pipeline vs float64.
 #: An arrival is a max-plus chain of at most ``n_levels`` roundings,
@@ -338,25 +337,18 @@ class Workspace:
 
     ``timing_dtype`` selects the dtype of the settle matrix (and, via
     the engines, of the gathered settle planes and delay tiles); the
-    boolean value/event matrices are dtype-independent.  ``alloc``
-    swaps the allocator, e.g. for buffers in shared memory
-    (:func:`repro.parallel.shm.shared_empty`); shared workspaces
-    allocate everything eagerly so fork workers inherit complete
-    mappings (``eager=True``).
+    boolean value/event matrices are dtype-independent.
     """
 
     def __init__(self, n_nets: int, n_vectors: int,
-                 timing_dtype=np.float64, alloc=None, eager: bool = False):
+                 timing_dtype=np.float64):
         self.n_vectors = n_vectors
         self.timing_dtype = np.dtype(timing_dtype)
-        self._alloc = alloc or (lambda shape, dtype: np.empty(shape, dtype))
-        self.new = self._alloc((n_nets, n_vectors), np.dtype(bool))
+        self.new = np.empty((n_nets, n_vectors), dtype=bool)
         self._events: np.ndarray | None = None
         self._settles: np.ndarray | None = None
         self._prev: np.ndarray | None = None
         self._scratch: dict[tuple, np.ndarray] = {}
-        if eager:
-            self.prev, self.events, self.settles  # noqa: B018
 
     def scratch(self, tag: str, rows: int, n_vectors: int | None = None,
                 dtype=bool) -> np.ndarray:
@@ -366,9 +358,7 @@ class Workspace:
         these planes (``np.take(..., out=...)``) instead of allocating
         ``values[op.ins]`` fresh for every level of every call; one
         plane per role ("values"/"events"/"settles") sized to the
-        plan's widest level serves the whole propagate.  Scratch is
-        always process-private ``np.empty`` -- never the shared
-        allocator -- because no other process ever reads it.
+        plan's widest level serves the whole propagate.
         """
         n_vectors = self.n_vectors if n_vectors is None else n_vectors
         key = (tag, n_vectors, np.dtype(dtype).str)
@@ -379,61 +369,27 @@ class Workspace:
         return buffer
 
     @property
+    def has_prev(self) -> bool:
+        """Whether the previous-cycle value matrix exists yet."""
+        return self._prev is not None
+
+    @property
     def prev(self) -> np.ndarray:
         if self._prev is None:
-            self._prev = self._alloc(self.new.shape, np.dtype(bool))
+            self._prev = np.empty(self.new.shape, dtype=bool)
         return self._prev
 
     @property
     def events(self) -> np.ndarray:
         if self._events is None:
-            self._events = self._alloc(self.new.shape, np.dtype(bool))
+            self._events = np.empty(self.new.shape, dtype=bool)
         return self._events
 
     @property
     def settles(self) -> np.ndarray:
         if self._settles is None:
-            self._settles = self._alloc(self.new.shape, self.timing_dtype)
+            self._settles = np.empty(self.new.shape, self.timing_dtype)
         return self._settles
-
-
-class ShardView:
-    """Column slice ``[:, lo:hi]`` of a workspace, for one pool worker.
-
-    The timing engines are elementwise along the block axis (gathers
-    run along the net axis, every float/bool op along the columns), so
-    a worker operating on its column range computes results
-    bit-identical to the serial engine restricted to those columns --
-    no inter-level synchronization is needed: every row a level reads
-    was written by the *same* shard at an earlier level.
-    """
-
-    def __init__(self, ws: Workspace, lo: int, hi: int):
-        self.n_vectors = hi - lo
-        self.timing_dtype = ws.timing_dtype
-        self.new = ws.new[:, lo:hi]
-        self.events = ws.events[:, lo:hi]
-        self.settles = ws.settles[:, lo:hi]
-        self._ws = ws
-        self._lo, self._hi = lo, hi
-
-    @property
-    def prev(self) -> np.ndarray:
-        return self._ws.prev[:, self._lo:self._hi]
-
-    def scratch(self, tag: str, rows: int, n_vectors: int | None = None,
-                dtype=bool) -> np.ndarray:
-        """Shard-width gather plane (safety net, not the hot path).
-
-        The engines key the scratch path on C-contiguity, which a
-        proper column slice never has -- but a full-width view would,
-        so this passthrough keeps the workspace duck type complete
-        instead of resting on ``shard_columns`` never producing one.
-        Cached on the owning workspace (each pool worker owns its
-        forked copy of that object; only the state matrices are
-        shared mappings).
-        """
-        return self._ws.scratch(tag, rows, self.n_vectors, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +402,16 @@ def _gather(matrix: np.ndarray, ins: np.ndarray,
 
     ``np.take(..., out=scratch)`` keeps steady-state propagate calls
     allocation-free -- but only on C-contiguous matrices: handed a
-    column-sliced shard view it falls into a buffering slow path that
-    copies the whole source (measured ~90x), so shard views keep the
-    fancy-index gather (callers pass ``scratch=None``).
+    column-sliced view it falls into a buffering slow path that copies
+    the whole source (measured ~90x).  Workspace matrices are always
+    full-width blocks; functional evaluation passes ``scratch=None``
+    and keeps the fancy-index gather.
     """
     if scratch is None:
         return matrix[ins]
-    # Shard-boundary guard: a non-contiguous source or destination
-    # would silently take numpy's buffered slow path.  Callers gate
-    # the scratch path on the matrix's contiguity, so tripping this
-    # means a new call site routed a column-sliced view here.
+    # A non-contiguous source or destination would silently take
+    # numpy's buffered slow path; tripping this means a new call site
+    # routed a column-sliced view here.
     assert matrix.flags.c_contiguous, \
         "np.take(out=) fast path needs a C-contiguous source"
     out = scratch[:len(ins)]
@@ -523,11 +479,10 @@ def propagate_sensitized(plan: CompiledPlan, ws: Workspace,
     """
     new, events, settles = ws.new, ws.events, ws.settles
     dmats = plan.delay_mats(delays, ws.n_vectors, ws.timing_dtype)
-    rows = plan.max_gather_rows if new.flags.c_contiguous else 0
-    vbuf = ws.scratch("values", rows) if rows else None
-    ebuf = ws.scratch("events", rows) if rows else None
-    sbuf = ws.scratch("settles", rows, dtype=ws.timing_dtype) \
-        if rows else None
+    rows = plan.max_gather_rows
+    vbuf = ws.scratch("values", rows)
+    ebuf = ws.scratch("events", rows)
+    sbuf = ws.scratch("settles", rows, dtype=ws.timing_dtype)
     for op, dmat in zip(plan.ops, dmats):
         n = op.n_gates
         legs = _values_op(op, new, vbuf)
@@ -574,10 +529,9 @@ def propagate_value_change(plan: CompiledPlan, ws: Workspace,
     """
     prev, new, events, settles = ws.prev, ws.new, ws.events, ws.settles
     dmats = plan.delay_mats(delays, ws.n_vectors, ws.timing_dtype)
-    rows = plan.max_gather_rows if new.flags.c_contiguous else 0
-    vbuf = ws.scratch("values", rows) if rows else None
-    sbuf = ws.scratch("settles", rows, dtype=ws.timing_dtype) \
-        if rows else None
+    rows = plan.max_gather_rows
+    vbuf = ws.scratch("values", rows)
+    sbuf = ws.scratch("settles", rows, dtype=ws.timing_dtype)
     for op, dmat in zip(plan.ops, dmats):
         n = op.n_gates
         _values_op(op, prev, vbuf)
@@ -595,40 +549,3 @@ def propagate_value_change(plan: CompiledPlan, ws: Workspace,
                                 out=gathered[:n])
         np.add(latest, dmat, out=latest)
         np.multiply(latest, changed, out=settles[op.lo:op.hi])
-
-
-@pool_task("netlist-propagate-shard")
-def _propagate_shard(registry: dict, plan_key, ws_key, delays_key,
-                     glitch_model: str, lo: int, hi: int,
-                     native: bool = False) -> None:
-    """Pool task: run one column shard of a propagate call in place.
-
-    The plan and delay vector arrive by pipe push (picklable, sent
-    once per change); the workspace arrives by fork inheritance (its
-    matrices are shared mappings, so the writes below land in the
-    parent's buffers).  Nothing is returned -- the join in
-    ``SharedPool.run`` is the synchronization point.
-
-    With ``native`` set the shard runs the fused C kernels over its
-    column range of the same shared mappings: the worker either
-    inherited the parent's loaded library through fork or lazily
-    dlopens the cached .so the parent ensured before dispatching.
-    """
-    view = ShardView(registry[ws_key], lo, hi)
-    if native:
-        from repro import native as native_mod
-        try:
-            native_mod.run_propagate(registry[plan_key], view,
-                                     registry[delays_key], glitch_model)
-            return
-        except native_mod.NativeBuildError as error:
-            # The parent ensured the library before dispatch, but this
-            # worker's dlopen can still fail (cache evicted between
-            # ensure and load); degrade this shard to numpy -- f64 is
-            # bit-identical -- and latch the reason worker-locally.
-            native_mod.record_runtime_failure(str(error))
-    if glitch_model == "sensitized":
-        propagate_sensitized(registry[plan_key], view, registry[delays_key])
-    else:
-        propagate_value_change(registry[plan_key], view,
-                               registry[delays_key])

@@ -12,7 +12,6 @@ from repro.obs.export import (  # noqa: F401
     category_of,
     counter_totals,
     fabric_split,
-    pool_split,
     read_trace,
     render_stats,
     span_aggregates,

@@ -10,9 +10,8 @@ turns that into:
   ``"X"`` events plus process metadata and ``"C"`` counter events)
   loadable in Perfetto / ``chrome://tracing``;
 * :func:`render_stats` -- an aggregate text table: top spans by total
-  and self time, counter totals with store hit rate, the pool's
-  queue-wait vs compute split, and the thread-shard per-thread busy
-  share.
+  and self time, counter totals with store hit rate, the thread-shard
+  per-thread busy share, and the lease-fabric aggregates.
 
 Readers are forgiving by design: unparsable lines (a record torn by a
 kill) are skipped, and leftover ``.pid-*`` part files of a run whose
@@ -190,23 +189,6 @@ def unit_times(records: list[dict]) -> dict[str, float]:
     return dict(times)
 
 
-def pool_split(records: list[dict]) -> dict[str, float] | None:
-    """Aggregate queue-wait vs compute time over pool task spans."""
-    wait = 0.0
-    compute = 0.0
-    n = 0
-    for record in spans(records):
-        if record["name"] != "pool.task":
-            continue
-        n += 1
-        compute += record["dur"]
-        wait += record.get("a", {}).get("queue_wait_us", 0.0)
-    if not n:
-        return None
-    return {"tasks": n, "queue_wait_ms": wait / 1e3,
-            "compute_ms": compute / 1e3}
-
-
 def thread_split(records: list[dict]) -> dict | None:
     """Thread-shard utilization from ``threads.shard`` spans.
 
@@ -281,7 +263,7 @@ def fabric_split(records: list[dict]) -> dict | None:
 
 
 def render_stats(records: list[dict], limit: int = 20) -> str:
-    """Aggregate text report: spans, counters, pool utilization."""
+    """Aggregate text report: spans, counters, shard and fabric use."""
     lines = []
     pids = sorted({r.get("pid") for r in records
                    if r.get("pid") is not None})
@@ -311,16 +293,6 @@ def render_stats(records: list[dict], limit: int = 20) -> str:
         if hits or misses:
             lines.append(f"{'store hit rate':28s} "
                          f"{hits / (hits + misses):>11.1%}")
-    split = pool_split(records)
-    if split is not None:
-        lines.append("")
-        busy = split["compute_ms"] \
-            / (split["compute_ms"] + split["queue_wait_ms"]) \
-            if split["compute_ms"] + split["queue_wait_ms"] else 0.0
-        lines.append(f"pool: {split['tasks']} task(s), "
-                     f"compute {split['compute_ms']:.2f} ms, "
-                     f"queue wait {split['queue_wait_ms']:.2f} ms "
-                     f"(utilization {busy:.1%})")
     threads = thread_split(records)
     if threads is not None:
         lines.append("")

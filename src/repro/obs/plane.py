@@ -220,8 +220,8 @@ def flush() -> None:
     """Emit a cumulative counter snapshot record (if anything changed).
 
     Span records hit the sink as they close; only counters batch.
-    Instrumented loops call this at natural barriers (a pool worker
-    after each task batch) because forked workers exit via
+    Instrumented loops call this at natural barriers (a forked worker
+    after its shard or batch) because forked workers exit via
     ``os._exit`` and never run this module's atexit hook.
     """
     global _COUNTERS_DIRTY

@@ -1,104 +1,54 @@
-"""Process-global execution pools: fork workers and thread shards.
+"""Execution substrates: forked children for units, threads for shards.
 
-Two pools, two substrates, one decision rule:
+The paper's pipeline parallelizes at one grain -- independent work
+units and trials -- plus, inside one native propagate, the block axis.
+Each grain has exactly one substrate:
 
-* :class:`~repro.parallel.pool.SharedPool` -- persistent **fork**
-  workers with shared-memory workspaces.  The substrate for work that
-  holds the GIL (numpy engines, MC trial chunks, campaign units):
-  separate processes are the only way those overlap.
+* **fork children** -- campaign unit shards (one forked child per
+  shard, see :mod:`repro.campaign.orchestrator`), fabric lease workers
+  and ``run_point(n_jobs>=2)`` trial chunks.  Unit closures capture
+  compiled kernels and injector factories, which cannot be pickled;
+  fork inherits them.  :func:`fork_available` is the one probe every
+  fork user asks.
 * :class:`~repro.parallel.threads.ThreadShardPool` -- persistent
-  **threads** sharding native-engine propagates over column views of
-  the same workspace.  The native kernels are ctypes calls that
-  release the GIL, so threads overlap them with zero pipes, zero
-  pickling and zero registry plumbing; when a thread pool is
-  configured, :meth:`Circuit.propagate` routes native engines here
-  and never engages the fork pool for them.
+  **threads** sharding native-engine propagates into column ranges of
+  the same workspace.  The native kernel is a ctypes call that
+  releases the GIL, so threads overlap it with zero pipes and zero
+  pickling.  Numpy engines never shard.
 
-Configured explicitly (CLI ``--pool-workers`` / ``--shard-threads``,
-benches, tests).  Both accessors are fork-aware, in opposite ways: a
-forked child sees ``None`` from :func:`get_pool` (it must never talk
-over its parent's pipes) but gets a *fresh same-width pool* from
-:func:`get_thread_pool` (threads do not survive fork, and a campaign
-or DTA worker should keep thread-sharding its propagates).
+The thread pool is configured explicitly (CLI ``--shard-threads``,
+benches, tests).  Its accessor is fork-aware: a forked child gets a
+*fresh same-width pool* from :func:`get_thread_pool` (threads do not
+survive fork, and a campaign or DTA worker should keep thread-sharding
+its propagates).
 """
 
 from __future__ import annotations
 
 import atexit
-import itertools
+import multiprocessing
 import os
 
-from repro.parallel.pool import (
-    PoolError,
-    SharedPool,
-    fork_available,
-    pool_task,
-    shard_ranges,
-)
-from repro.parallel.shm import is_shared, shared_empty
-from repro.parallel.threads import ThreadShardPool, free_threaded
+from repro.parallel.threads import ThreadShardPool, free_threaded, \
+    shard_ranges
 
 __all__ = [
-    "PoolError",
-    "SharedPool",
     "ThreadShardPool",
-    "configure_pool",
     "configure_thread_pool",
     "fork_available",
     "free_threaded",
-    "get_pool",
     "get_thread_pool",
-    "is_shared",
-    "next_token",
-    "pool_task",
     "shard_ranges",
-    "shared_empty",
-    "shutdown_pool",
     "shutdown_thread_pool",
 ]
 
-_POOL: SharedPool | None = None
-
 _THREAD_POOL: ThreadShardPool | None = None
 
-_TOKENS = itertools.count(1)
 
-
-def next_token() -> int:
-    """Process-unique small int for building registry keys."""
-    return next(_TOKENS)
-
-
-def configure_pool(workers: int | None,
-                   min_shard_vectors: int = 64) -> SharedPool | None:
-    """Install (or clear) the process-global pool.
-
-    ``workers`` of None/0/1 -- or an environment without fork --
-    clears the pool: every consumer falls back to its serial path.
-    Workers spawn lazily on first use, so configuring is free until
-    something actually runs on the pool.
-    """
-    global _POOL
-    shutdown_pool()
-    if workers and workers >= 2 and fork_available():
-        _POOL = SharedPool(workers, min_shard_vectors=min_shard_vectors)
-    return _POOL
-
-
-def get_pool() -> SharedPool | None:
-    """The process-global pool, or None (also for forked children)."""
-    pool = _POOL
-    if pool is None or pool.owner_pid != os.getpid():
-        return None
-    return pool
-
-
-def shutdown_pool() -> None:
-    """Stop and drop the process-global pool, if this process owns it."""
-    global _POOL
-    if _POOL is not None and _POOL.owner_pid == os.getpid():
-        _POOL.shutdown()
-    _POOL = None
+def fork_available() -> bool:
+    """Whether this platform can fork children (every fork user asks)."""
+    return "fork" in multiprocessing.get_all_start_methods() \
+        and hasattr(os, "fork")
 
 
 def configure_thread_pool(workers: int | None,
@@ -106,12 +56,12 @@ def configure_thread_pool(workers: int | None,
         -> ThreadShardPool | None:
     """Install (or clear) the process-global thread-shard pool.
 
-    ``workers`` of None/0 clears it.  Unlike the fork pool, a
-    1-worker thread pool is installed rather than cleared: it is
-    degenerate (``shard_columns`` answers None, propagates run
-    serially) but costs nothing, and it lets "thread mode, one lane"
-    be expressed without a special case -- the 1-core bench row runs
-    through it.  Threads spawn lazily on first sharded call.
+    ``workers`` of None/0 clears it.  A 1-worker thread pool is
+    installed rather than cleared: it is degenerate (``shard_columns``
+    answers None, propagates run serially) but costs nothing, and it
+    lets "thread mode, one lane" be expressed without a special case
+    -- the 1-core bench row runs through it.  Threads spawn lazily on
+    first sharded call.
     """
     global _THREAD_POOL
     shutdown_thread_pool()
@@ -147,5 +97,4 @@ def shutdown_thread_pool() -> None:
     _THREAD_POOL = None
 
 
-atexit.register(shutdown_pool)
 atexit.register(shutdown_thread_pool)

@@ -1,14 +1,12 @@
 """Zero-IPC block-axis sharding for native engines: threads, not forks.
 
-The fork :class:`~repro.parallel.pool.SharedPool` exists because numpy
-engines hold the GIL: to overlap shards it needs separate processes,
-which drags in shared mappings, registry pushes, pipe round-trips and
-a measured ~3-4 ms/task contended queue wait on this box.  The native
-C kernels need none of that -- they are ``ctypes`` calls, which
-**release the GIL** for their whole run -- so a plain thread pool can
-shard the block axis of a propagate over column-sliced views of the
-*same* workspace: zero pipes, zero pickling, zero MAP_SHARED plumbing,
-and worker "spawn" is just a thread create.
+The native C kernel is a ``ctypes`` call, which **releases the GIL**
+for its whole run, so a plain thread pool can shard the block axis of
+a propagate into column ranges of the *same* workspace: zero pipes,
+zero pickling, zero shared-memory plumbing, and worker "spawn" is
+just a thread create.  (The numpy engines hold the GIL and always run
+serially; sharding them across processes measured slower than serial,
+so no such path exists.)
 
 Design target is free-threaded CPython (PEP 703): there, the Python
 slivers around the kernel call stop serializing too and numpy engines
@@ -35,9 +33,21 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 
 from repro import faults, obs
-from repro.parallel.pool import shard_ranges
 
 _LOG = logging.getLogger("repro.parallel")
+
+
+def shard_ranges(n: int, shards: int) -> list[tuple[int, int]]:
+    """Split ``range(n)`` into contiguous near-equal (lo, hi) ranges."""
+    base, extra = divmod(n, shards)
+    ranges = []
+    lo = 0
+    for index in range(shards):
+        hi = lo + base + (1 if index < extra else 0)
+        if hi > lo:
+            ranges.append((lo, hi))
+        lo = hi
+    return ranges
 
 
 def free_threaded() -> bool:
@@ -48,11 +58,9 @@ def free_threaded() -> bool:
 class ThreadShardPool:
     """Persistent thread pool sharding native propagates by column range.
 
-    Mirrors the :class:`~repro.parallel.pool.SharedPool` sharding
-    contract (``shard_columns`` answers None when sharding cannot
-    help, callers then run serially) without any of its plumbing:
-    there is no registry, nothing to push, and nothing to inherit --
-    workers see the caller's objects directly.
+    ``shard_columns`` answers None when sharding cannot help, and
+    callers then run serially.  There is no registry, nothing to push
+    and nothing to inherit: workers see the caller's objects directly.
 
     A one-worker pool is legal and degenerate: ``shard_columns``
     always answers None, so every propagate runs serially on the
@@ -83,9 +91,10 @@ class ThreadShardPool:
             -> list[tuple[int, int]] | None:
         """Column ranges for one call, or None to run serially.
 
-        Same decision rule as the fork pool: sharding needs at least
-        two workers and enough columns that every worker gets a
-        meaningful slice.
+        Sharding needs at least two workers and enough columns that
+        every worker gets a meaningful slice.  Deterministic in
+        (n_vectors, workers): a given width always produces the same
+        ranges.
         """
         if self.workers < 2 \
                 or n_vectors < self.workers * self.min_shard_vectors:

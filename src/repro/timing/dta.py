@@ -119,12 +119,11 @@ def run_dta(alu: "AluNetlist", mnemonic: str, n_cycles: int,
     per unit, see :mod:`repro.netlist.plan`) and the per-corner delay
     tile cache, steady-state chunks run allocation-free.
 
-    Parallel substrate: each block's propagate routes through
-    whatever pools the process has configured -- with a thread-shard
-    pool (``--shard-threads``), native-engine blocks fan out over
-    in-process threads; numpy engines shard over the fork pool.  The
-    results are bit-identical either way (f64), so ``block`` remains
-    a pure memory/scheduling knob, never a results knob.
+    Parallel substrate: with a thread-shard pool (``--shard-threads``)
+    each native-engine block fans out over in-process threads; numpy
+    engines run serially.  The results are bit-identical either way
+    (f64), so ``block`` remains a pure memory/scheduling knob, never a
+    results knob.
     """
     if n_cycles <= 0:
         raise ValueError("n_cycles must be positive")

@@ -1,10 +1,11 @@
 """Subprocess driver for the kill-resume matrix test.
 
-Runs a tiny pool-backed fig7 campaign against the store directory
-given as ``argv[1]`` and writes the rendered output to stdout.  The
-test harness sets ``REPRO_FAULTS`` to SIGKILL this process (or its
-pool workers) at one injection site per matrix cell, then reruns the
-driver fault-free and requires byte-identical rendered output.
+Runs a tiny fig7 campaign over the ``--jobs 2`` fork dispatch against
+the store directory given as ``argv[1]`` and writes the rendered
+output to stdout.  The test harness sets ``REPRO_FAULTS`` to SIGKILL
+this process (or one of its forked workers) at one injection site per
+matrix cell, then reruns the driver fault-free and requires
+byte-identical rendered output.
 
 Not a test module (the leading underscore keeps pytest away).
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import sys
 
-from repro import parallel
 from repro.campaign import run_campaign
 from repro.experiments.scale import Scale
 from repro.store import ResultStore
@@ -35,7 +35,6 @@ def main() -> int:
                               store=ResultStore(store_dir),
                               fabric_workers=workers)
     else:
-        parallel.configure_pool(2)
         report = run_campaign("fig7", TINY, seed=SEED,
                               store=ResultStore(store_dir), jobs=2)
     sys.stdout.write(report.rendered)

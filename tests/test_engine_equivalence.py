@@ -9,7 +9,7 @@ shared fan-out, constants as inputs) and cross-checks every observable.
 
 The Monte-Carlo layer rides on the same guarantee: CPU reuse via
 ``Cpu.reset()`` and process-parallel ``run_point`` must both be
-invisible in the results.
+invisible in the results, as must thread-sharding the native engine.
 """
 
 import contextlib
@@ -24,12 +24,7 @@ from repro.fi.base import FaultInjector
 from repro.mc.runner import run_point, run_trial, trial_seeds
 from repro.netlist.circuit import Circuit, CircuitError
 from repro.netlist.gates import GATE_KINDS, arity_of
-from repro.netlist.plan import (
-    F32_ATOL,
-    F32_RTOL,
-    ShardView,
-    propagate_sensitized,
-)
+from repro.netlist.plan import F32_ATOL, F32_RTOL
 from repro.sim.cpu import Cpu
 from repro.sim.machine import MachineConfig
 
@@ -51,8 +46,8 @@ def _bounds_oracle(monkeypatch):
     """Arm the static bounds oracle for every equivalence test.
 
     With ``REPRO_CHECK_BOUNDS=1`` each propagate in this file -- five
-    engines, both glitch models, serial and pool-sharded (workers
-    inherit the environment) -- is additionally checked against the
+    engines, both glitch models, serial and thread-sharded -- is
+    additionally checked against the
     independent STA envelope, so the suite cross-checks engines
     against each other *and* against the static bounds at once.
     """
@@ -60,28 +55,12 @@ def _bounds_oracle(monkeypatch):
 
 
 @contextlib.contextmanager
-def _pool(workers: int, min_shard_vectors: int = 1):
-    """Process-global pool for one test body, always torn down.
-
-    ``workers=1`` intentionally configures *no* pool (the serial
-    path): the worker-count sweeps below include it so "1 worker"
-    means exactly what a user gets from ``--pool-workers 1``.
-    """
-    try:
-        yield parallel.configure_pool(
-            workers, min_shard_vectors=min_shard_vectors)
-    finally:
-        parallel.shutdown_pool()
-
-
-@contextlib.contextmanager
 def _thread_pool(workers: int, min_shard_vectors: int = 1):
     """Process-global thread-shard pool for one test body.
 
-    Unlike :func:`_pool`, ``workers=1`` *does* install a (degenerate,
-    serial) pool -- that is the thread pool's documented contract, and
-    the sweeps below include it so the routing code runs even when no
-    sharding happens.
+    ``workers=1`` installs a (degenerate, serial) pool -- that is the
+    thread pool's documented contract, and the sweeps below include it
+    so the routing code runs even when no sharding happens.
     """
     try:
         yield parallel.configure_thread_pool(
@@ -95,7 +74,7 @@ def _thread_pool(workers: int, min_shard_vectors: int = 1):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def random_circuits(draw):
+def random_circuits(draw, n_vectors=st.integers(min_value=1, max_value=16)):
     """A random feed-forward circuit plus matched stimulus blocks."""
     n_inputs = draw(st.integers(min_value=1, max_value=3))
     widths = [draw(st.integers(min_value=1, max_value=6))
@@ -119,7 +98,7 @@ def random_circuits(draw):
     chosen = [outputs[draw(st.integers(0, len(outputs) - 1))]
               for _ in range(n_out - 1)] + [outputs[-1]]
     circuit.output_bus("y", chosen)
-    n_vectors = draw(st.integers(min_value=1, max_value=16))
+    n_vectors = draw(n_vectors)
     stim = {}
     for index, width in enumerate(widths):
         limit = (1 << width) - 1
@@ -174,13 +153,21 @@ def test_f32_engine_within_documented_tolerance(case):
                                    err_msg=glitch_model)
 
 
+def _compiled_engines():
+    engines = ["compiled", "compiled-f32"]
+    if native.native_available():
+        engines += ["compiled-native", "native-f32"]
+    return engines
+
+
 @given(random_circuits(), st.sampled_from([1, 2, 4]))
 @settings(max_examples=25, deadline=None)
 def test_sharded_propagate_identical_to_serial(case, workers):
-    """Pool-sharded propagate must be invisible at any worker count.
+    """A configured thread-shard pool is invisible to every engine.
 
-    f64 shards are bit-identical to the single-core engine; f32
-    shards are bit-identical to the *serial f32* engine (sharding
+    Native engines shard their block axis across the threads; numpy
+    engines ignore the pool and run serially.  Either way the result
+    is bit-identical to the same engine without a pool (sharding
     never changes results, only the dtype contract does).
     """
     circuit, prev, new, delays, arrival = case
@@ -188,9 +175,9 @@ def test_sharded_propagate_identical_to_serial(case, workers):
         (glitch_model, engine): circuit.propagate(
             prev, new, delays, arrival, glitch_model, engine=engine)
         for glitch_model in ("sensitized", "value-change")
-        for engine in ("compiled", "compiled-f32")
+        for engine in _compiled_engines()
     }
-    with _pool(workers):
+    with _thread_pool(workers):
         for (glitch_model, engine), (out_s, arr_s) in serial.items():
             out_p, arr_p = circuit.propagate(prev, new, delays, arrival,
                                              glitch_model, engine=engine)
@@ -244,32 +231,53 @@ def test_native_f32_within_documented_tolerance(case):
                                    err_msg=glitch_model)
 
 
-@needs_native
-@given(random_circuits(), st.sampled_from([1, 2]))
-@settings(max_examples=15, deadline=None)
-def test_native_sharded_identical_to_serial(case, workers):
-    """Pool-sharded native kernels over shared mappings: invisible.
+@st.composite
+def _unequal_shards(draw):
+    """(case, workers) with a block width ``n % workers != 0``.
 
-    Workers run the fused C kernels on their column ranges of the
-    MAP_SHARED workspaces; results must be bit-identical to the serial
-    native engine at any worker count (and native-f64 therefore to
-    compiled-f64 too).
+    Every shard gets at least one column, and the ranges
+    ``shard_ranges`` produces differ in width by one -- the case where
+    a wrong row stride or column offset in one ``repro_run`` range
+    would corrupt its neighbour.
     """
-    circuit, prev, new, delays, arrival = case
-    serial = {
-        (glitch_model, engine): circuit.propagate(
-            prev, new, delays, arrival, glitch_model, engine=engine)
-        for glitch_model in ("sensitized", "value-change")
-        for engine in ("compiled-native", "native-f32")
-    }
-    with _pool(workers):
-        for (glitch_model, engine), (out_s, arr_s) in serial.items():
-            out_p, arr_p = circuit.propagate(prev, new, delays, arrival,
-                                             glitch_model, engine=engine)
-            assert np.array_equal(out_p["y"], out_s["y"]), \
-                (glitch_model, engine, workers)
-            assert np.array_equal(arr_p["y"], arr_s["y"]), \
-                (glitch_model, engine, workers)
+    workers = draw(st.sampled_from([2, 4]))
+    n_vectors = draw(st.integers(1, 6)) * workers \
+        + draw(st.integers(1, workers - 1))
+    return draw(random_circuits(n_vectors=st.just(n_vectors))), workers
+
+
+@needs_native
+@given(_unequal_shards())
+@settings(max_examples=25, deadline=None)
+def test_native_sharded_identical_to_serial(sharded_case):
+    """Unequal ``repro_run`` column ranges compose to the serial call.
+
+    At 2 and 4 threads over widths that do not divide evenly, native
+    f64 is bit-identical to the numpy f64 engine and native-f32 is
+    bit-identical to its own serial run and within F32_RTOL/F32_ATOL
+    of float64.
+    """
+    (circuit, prev, new, delays, arrival), workers = sharded_case
+    for glitch_model in ("sensitized", "value-change"):
+        out64, arr64 = circuit.propagate(prev, new, delays, arrival,
+                                         glitch_model, engine="compiled")
+        _, arr32_serial = circuit.propagate(prev, new, delays, arrival,
+                                            glitch_model,
+                                            engine="native-f32")
+        with _thread_pool(workers):
+            out_n, arr_n = circuit.propagate(prev, new, delays, arrival,
+                                             glitch_model,
+                                             engine="compiled-native")
+            out32, arr32 = circuit.propagate(prev, new, delays, arrival,
+                                             glitch_model,
+                                             engine="native-f32")
+        assert np.array_equal(out_n["y"], out64["y"]), glitch_model
+        assert np.array_equal(arr_n["y"], arr64["y"]), glitch_model
+        assert np.array_equal(out32["y"], out64["y"]), glitch_model
+        assert np.array_equal(arr32["y"], arr32_serial["y"]), glitch_model
+        np.testing.assert_allclose(arr32["y"], arr64["y"],
+                                   rtol=F32_RTOL, atol=F32_ATOL,
+                                   err_msg=str((glitch_model, workers)))
 
 
 def test_native_engine_unavailable_is_a_clean_error(monkeypatch):
@@ -382,55 +390,48 @@ def _wide_xor_chain(n_vectors=160):
     return circuit, prev, new
 
 
-def test_pooled_workspace_buffers_are_shared_mappings():
-    """Sharded runs write shared mappings; serial runs stay private."""
-    circuit, prev, new = _wide_xor_chain()
-    delays = np.full(circuit.n_gates, 2.0)
-    with _pool(2):
-        circuit.propagate(prev, new, delays, 1.0, engine="compiled")
-    shared_ws = circuit._workspaces[(160, "<f8", True)]
-    for matrix in (shared_ws.new, shared_ws.events, shared_ws.settles):
-        assert parallel.is_shared(matrix)
-    circuit.propagate(prev, new, delays, 1.0, engine="compiled")
-    serial_ws = circuit._workspaces[(160, "<f8", False)]
-    assert not parallel.is_shared(serial_ws.new)
+def _sharded_engine() -> str:
+    """The engine a thread pool shards (a serial stand-in without cc)."""
+    return "compiled-native" if native.native_available() else "compiled"
 
 
 def test_pooled_propagate_sees_in_place_delay_mutation():
-    """Mutating a pushed delay array must reach the workers.
+    """Mutating a delay array in place must reach every shard.
 
-    The pooled path compares delays by value against its last pushed
-    snapshot (like the serial delay-tile cache); keying by object
-    identity alone would serve stale delays after an in-place `*=`.
+    The native per-row delay cache compares delays by value (like the
+    numpy delay-tile cache); keying by object identity alone would
+    serve stale delays to the thread shards after an in-place `*=`.
     """
     circuit, prev, new = _wide_xor_chain()
     delays = np.full(circuit.n_gates, 2.0)
-    with _pool(2):
-        circuit.propagate(prev, new, delays, 1.0, engine="compiled")
+    engine = _sharded_engine()
+    with _thread_pool(2):
+        circuit.propagate(prev, new, delays, 1.0, engine=engine)
         delays *= 3.0  # same object, new values
         _, pooled = circuit.propagate(prev, new, delays, 1.0,
-                                      engine="compiled")
+                                      engine=engine)
     _, serial = circuit.propagate(prev, new, delays, 1.0,
                                   engine="compiled")
     assert np.array_equal(pooled["y"], serial["y"])
 
 
 def test_pooled_propagate_survives_pool_reconfiguration():
-    """A reconfigured pool starts empty; the delays must be re-pushed.
+    """A reconfigured thread pool serves the same circuit identically.
 
-    The circuit-side snapshot guard keys on the pool instance: with
-    equal delay values but a fresh pool, skipping the push would leave
-    the new workers without the delay vector (KeyError -> PoolError).
+    Reconfiguring shuts the old executor down; the circuit keeps its
+    workspace and descriptor caches, and the fresh pool's shards must
+    write them exactly as the first pool's did.
     """
     circuit, prev, new = _wide_xor_chain()
     delays = np.full(circuit.n_gates, 2.0)
+    engine = _sharded_engine()
     _, serial = circuit.propagate(prev, new, delays, 1.0,
                                   engine="compiled")
-    with _pool(2):
-        circuit.propagate(prev, new, delays, 1.0, engine="compiled")
-    with _pool(2):  # fresh pool, same circuit, same delay values
+    with _thread_pool(2):
+        circuit.propagate(prev, new, delays, 1.0, engine=engine)
+    with _thread_pool(2):  # fresh pool, same circuit, same delay values
         _, again = circuit.propagate(prev, new, delays, 1.0,
-                                     engine="compiled")
+                                     engine=engine)
     assert np.array_equal(again["y"], serial["y"])
 
 
@@ -544,57 +545,13 @@ def test_thread_shard_fault_heals_byte_identical():
     assert np.array_equal(arr_h["y"], arr_s["y"])
 
 
-@needs_native
-def test_thread_routed_native_skips_fork_pool():
-    """Native engines never engage the fork pool when threads exist.
-
-    With both pools configured, a native propagate must leave the
-    fork pool unspawned and its registry free of netlist keys (no
-    stale shared-workspace registrations to leak); a numpy-engine
-    propagate in the same process still routes to the fork pool.
-    """
-    circuit, prev, new = _wide_xor_chain()
-    delays = np.full(circuit.n_gates, 2.0)
-    out_s, arr_s = circuit.propagate(prev, new, delays, 1.0,
-                                     engine="compiled-native")
-    with _pool(2) as pool, _thread_pool(2):
-        out_t, arr_t = circuit.propagate(prev, new, delays, 1.0,
-                                         engine="compiled-native")
-        assert pool.spawn_count == 0
-        assert not any(str(key[0]).startswith("netlist")
-                       for key in pool._registry)
-        circuit.propagate(prev, new, delays, 1.0, engine="compiled")
-        assert any(key[0] == "netlist-ws" for key in pool._registry)
-    assert np.array_equal(out_t["y"], out_s["y"])
-    assert np.array_equal(arr_t["y"], arr_s["y"])
-
-
-def test_pool_reconfigure_drops_workspace_registrations():
-    """A fresh fork pool starts with an empty registry.
-
-    Shared-workspace registrations belong to one pool generation;
-    reconfiguring must not leak them into the next pool (the circuit
-    re-registers lazily on the next pooled propagate).
-    """
-    circuit, prev, new = _wide_xor_chain()
-    delays = np.full(circuit.n_gates, 2.0)
-    with _pool(2) as pool:
-        circuit.propagate(prev, new, delays, 1.0, engine="compiled")
-        assert any(key[0] == "netlist-ws" for key in pool._registry)
-    with _pool(2) as fresh:
-        assert fresh._registry == {}
-        circuit.propagate(prev, new, delays, 1.0, engine="compiled")
-        assert any(key[0] == "netlist-ws" for key in fresh._registry)
-
-
 def test_gather_scratch_fast_path_contiguity(monkeypatch):
     """The ``np.take(out=)`` gather fast path stays contiguous.
 
     numpy silently buffers (copies the whole source, measured ~90x)
     when either side of ``np.take(out=)`` is non-contiguous.  A
     full-width serial propagate must hit the fast path with both
-    sides C-contiguous; a column-sliced shard view must never reach
-    ``out=`` at all (it keeps the fancy-index gather).
+    sides C-contiguous.
     """
     circuit, prev, new = _wide_xor_chain()
     delays = np.full(circuit.n_gates, 2.0)
@@ -611,12 +568,6 @@ def test_gather_scratch_fast_path_contiguity(monkeypatch):
     circuit.propagate(prev, new, delays, 1.0, engine="compiled")
     assert out_calls, "serial propagate no longer uses np.take(out=)"
     assert all(src and dst for src, dst in out_calls)
-    out_calls.clear()
-    ws = circuit._workspaces[(160, "<f8", False)]
-    propagate_sensitized(circuit.plan, ShardView(ws, 0, 80),
-                         np.asarray(delays, dtype=float))
-    assert not out_calls, \
-        "a column-sliced shard view reached the np.take(out=) path"
 
 
 def test_plan_invalidated_by_gate_add():
@@ -737,25 +688,26 @@ def test_parallel_run_point_equals_serial(kernel):
 
 
 def test_pooled_run_point_equals_serial(kernel):
-    """Persistent-pool run_point: bit-identical, one spawn for many."""
+    """Fork-pooled run_point: bit-identical, and stable across calls.
+
+    Every ``n_jobs>=2`` call forks its own throwaway worker pool; two
+    calls in a row must agree with each other and with the in-process
+    per-trial scheme.
+    """
     factory = lambda rng: _RareInjector(rng)  # noqa: E731
     serial = run_point(kernel, factory, n_trials=8, seed=5, n_jobs=1)
-    with _pool(2) as pool:
-        first = run_point(kernel, factory, n_trials=8, seed=5, n_jobs=2)
-        second = run_point(kernel, factory, n_trials=8, seed=5, n_jobs=2)
-        assert pool.spawn_count == 1  # spawn cost amortized
+    first = run_point(kernel, factory, n_trials=8, seed=5, n_jobs=2)
+    second = run_point(kernel, factory, n_trials=8, seed=5, n_jobs=2)
     assert serial.trials == first.trials == second.trials
     assert serial.summary() == first.summary()
 
 
 def test_pooled_run_point_worker_count_invisible(kernel):
-    """Trial outcomes must not depend on the pool's worker count."""
+    """Trial outcomes must not depend on the fork pool's worker count."""
     factory = lambda rng: _RareInjector(rng)  # noqa: E731
-    points = []
-    for workers in (1, 2, 4):
-        with _pool(workers):
-            points.append(run_point(kernel, factory, n_trials=8,
-                                    seed=9, n_jobs=2))
+    points = [run_point(kernel, factory, n_trials=8, seed=9,
+                        n_jobs=workers)
+              for workers in (2, 3, 4)]
     assert points[0].trials == points[1].trials == points[2].trials
 
 

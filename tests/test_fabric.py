@@ -308,11 +308,11 @@ class TestFabricDispatch:
     def test_dispatch_computes_everything(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_LEASE_TTL_S", "5")
         monkeypatch.setenv("REPRO_STORE_NO_FSYNC", "1")
-        from repro.campaign.orchestrator import _compute_one
+        from repro.campaign.orchestrator import _backstop, _compute_one
         store = ResultStore(tmp_path / "store")
         units = _fake_units(6)
-        outcome = dispatch_fabric(units, list(range(6)), store, 2,
-                                  _compute_one)
+        dispatch_fabric(units, list(range(6)), store, 2, _compute_one)
+        outcome = _backstop(units, list(range(6)), store, print)
         assert sorted(outcome["computed"]) == list(range(6))
         assert outcome["failed"] == []
         for unit in units:
@@ -321,7 +321,7 @@ class TestFabricDispatch:
     def test_dispatch_reports_crashing_units_as_failed(self, tmp_path,
                                                        monkeypatch):
         monkeypatch.setenv("REPRO_STORE_NO_FSYNC", "1")
-        from repro.campaign.orchestrator import _compute_one
+        from repro.campaign.orchestrator import _backstop, _compute_one
         store = ResultStore(tmp_path / "store")
         units = _fake_units(3)
 
@@ -329,8 +329,8 @@ class TestFabricDispatch:
             raise RuntimeError("boom")
 
         units[1] = WorkUnit(label="u1", key=_key(1), compute=explode)
-        outcome = dispatch_fabric(units, [0, 1, 2], store, 2,
-                                  _compute_one)
+        dispatch_fabric(units, [0, 1, 2], store, 2, _compute_one)
+        outcome = _backstop(units, [0, 1, 2], store, print)
         assert sorted(outcome["computed"]) == [0, 2]
         assert outcome["failed"] == [1]
 
@@ -354,7 +354,7 @@ def _run_driver(store: Path, extra_args=(), env_extra=None):
 class TestKillResumeFabric:
     """The matrix cell the fabric exists for: a worker dies mid-lease,
     its peer steals the batch, and the rendered output is
-    byte-identical to a serial (pool) baseline."""
+    byte-identical to a fork-dispatch baseline."""
 
     def test_worker_killed_mid_lease_is_healed_by_peer(
             self, tmp_path):
@@ -388,14 +388,14 @@ class TestKillResumeFabric:
         # the surviving worker recovered the batch through the ledger.
         totals = obs.counter_totals(obs.read_trace(trace))
         assert totals.get("fabric.lease.steal", 0) >= 1 \
-            or totals.get("fabric.backstop", 0) >= 1
+            or totals.get("campaign.backstop", 0) >= 1
         assert totals.get("fabric.worker.died", 0) == 1
 
     def test_fabric_run_matches_pool_run_on_shared_store(
             self, tmp_path):
-        # Same store, fabric first, then a pool resume: everything is
-        # cached, output identical -- the two dispatch paths share
-        # keys exactly.
+        # Same store, fabric first, then a --jobs 2 fork resume:
+        # everything is cached, output identical -- the two dispatch
+        # paths share keys exactly.
         store = tmp_path / "store"
         fabric = _run_driver(store, ("--fabric-workers", "2"),
                              env_extra={

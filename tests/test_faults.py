@@ -24,7 +24,7 @@ class TestGrammar:
     def test_full_schedule_parses(self):
         rules, seed = faults.parse_schedule(
             "seed=7;store.object_write:torn@p=0.1;"
-            "pool.worker_heartbeat:kill@after=3;"
+            "campaign.worker.kill.w1:kill@after=3;"
             "campaign.unit_run:raise@hits=2+5+9,times=2;"
             "native.*:fail@p=1.0")
         assert seed == 7
@@ -60,7 +60,7 @@ class TestGrammar:
         (rule,), _ = faults.parse_schedule("store.*:torn@p=1")
         assert rule.matches("store.object_write")
         assert rule.matches("store.manifest_append")
-        assert not rule.matches("pool.shard_dispatch")
+        assert not rule.matches("campaign.shard_dispatch")
 
 
 class TestDecisions:

@@ -2,17 +2,17 @@
 
 Satellite of the fault-injection harness: a real campaign process
 (tests/_chaos_driver.py) is SIGKILLed -- by the fault plane itself --
-at each stage of the unit pipeline (pool dispatch, mid-shard compute,
-result return, manifest append).  Whatever the kill leaves behind
+at each stage of the unit pipeline (fork dispatch, mid-shard compute,
+a killed worker, manifest append).  Whatever the kill leaves behind
 (half-written shards, workers dead mid-unit, a torn store), a
 fault-free rerun of the driver must render byte-identical output to a
 never-killed baseline.
 
 Sites that kill only *workers* are allowed to complete in one go (the
-pool respawns or falls back to serial); their output must then match
-the baseline directly.  Either way the fired-fault log must show the
-site actually fired -- a cell whose fault never triggers is vacuous
-and fails.
+parent backstops the dead worker's shard); their output must then
+match the baseline directly.  Either way the fired-fault log must show
+the site actually fired -- a cell whose fault never triggers is
+vacuous and fails.
 """
 
 from __future__ import annotations
@@ -29,17 +29,19 @@ from repro import faults
 DRIVER = Path(__file__).parent / "_chaos_driver.py"
 
 #: site -> fault clause; each clause SIGKILLs the process that reaches
-#: the site (parent or pool worker -- whichever hits it first).
+#: the site (parent or forked worker -- whichever hits it first).  The
+#: worker kill site is per-worker: children inherit the parent's hit
+#: counters, so one shared name would kill both workers on one hit.
 MATRIX = {
-    "dispatch": "pool.shard_dispatch:kill@after=1",
+    "dispatch": "campaign.shard_dispatch:kill@after=1",
     "mid-shard": "campaign.unit_run:kill@after=3",
-    "result-return": "pool.result_return:kill@after=1",
+    "worker-kill": "campaign.worker.kill.w1:kill@after=2",
     "manifest-append": "store.manifest_append:kill@after=2",
 }
 
 
-def run_driver(store: Path, env_extra: dict | None = None
-               ) -> subprocess.CompletedProcess:
+def run_driver(store: Path, env_extra: dict | None = None,
+               timeout: float = 600) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     src = str(Path(__file__).parent.parent / "src")
     env["PYTHONPATH"] = src + (
@@ -49,7 +51,7 @@ def run_driver(store: Path, env_extra: dict | None = None
     env.update(env_extra or {})
     return subprocess.run([sys.executable, str(DRIVER), str(store)],
                           capture_output=True, text=True, env=env,
-                          timeout=600)
+                          timeout=timeout)
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +79,8 @@ def test_kill_at_site_then_resume_is_byte_identical(
     assert all(record["mode"] == "kill" for record in fired)
 
     if chaotic.returncode == 0:
-        # Only workers were killed; the pool healed around them and
-        # the campaign finished -- its output must already match.
+        # Only workers were killed; the parent backstopped their
+        # shards and finished -- its output must already match.
         assert chaotic.stdout == baseline
         return
 
@@ -88,3 +90,22 @@ def test_kill_at_site_then_resume_is_byte_identical(
     resumed = run_driver(store)
     assert resumed.returncode == 0, resumed.stderr[-2000:]
     assert resumed.stdout == baseline
+
+
+def test_killed_worker_heals_without_hanging(baseline, tmp_path):
+    """SIGKILL one worker of a ``jobs=2`` campaign: exit 0, promptly.
+
+    A ``multiprocessing.Pool`` never delivers a task whose worker was
+    SIGKILLed, so a fork dispatch built on one waits forever.  The
+    join-based dispatch sees the dead child's pipe hit EOF, backstops
+    its shard in the parent and finishes with byte-identical output.
+    """
+    log = tmp_path / "faults.jsonl"
+    chaotic = run_driver(tmp_path / "store", env_extra={
+        "REPRO_FAULTS": "campaign.worker.kill.w0:kill@after=1",
+        "REPRO_FAULT_LOG": str(log),
+    }, timeout=180)
+    assert chaotic.returncode == 0, chaotic.stderr[-2000:]
+    assert chaotic.stdout == baseline
+    assert [(r["site"], r["mode"]) for r in faults.read_log(log)] == \
+        [("campaign.worker.kill.w0", "kill")]

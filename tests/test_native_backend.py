@@ -309,6 +309,51 @@ def test_runtime_failure_latch_degrades_engine_selection():
     assert native.runtime_failure() is None
 
 
+@needs_native
+@pytest.mark.parametrize("threads", [None, 2])
+def test_compile_failure_runs_the_whole_call_on_numpy(
+        threads, tmp_path, monkeypatch, clean_faults):
+    """A failed first build degrades that very call, bit-identically.
+
+    On an empty native cache the first ``compiled-native`` propagate
+    hits an injected compile failure where the kernels load.  The
+    call must latch the runtime failure and return exactly what
+    ``compiled`` returns -- serially and with a 2-thread shard pool.
+    """
+    from repro import parallel
+
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+    circuit = Circuit("degrade")
+    a = circuit.input_bus("a", 8)
+    b = circuit.input_bus("b", 8)
+    row = [circuit.gate("XOR2", x, y) for x, y in zip(a, b)]
+    row = [circuit.gate("NAND2", row[i], row[(i + 1) % 8])
+           for i in range(8)]
+    circuit.output_bus("y", row)
+    rng = np.random.default_rng(3)
+    prev = {name: rng.integers(0, 256, 200, dtype=np.uint64)
+            for name in ("a", "b")}
+    new = {name: rng.integers(0, 256, 200, dtype=np.uint64)
+           for name in ("a", "b")}
+    delays = rng.uniform(1.0, 9.0, circuit.n_gates)
+    native.clear_runtime_failure()
+    try:
+        for glitch_model in ("sensitized", "value-change"):
+            want = circuit.propagate(prev, new, delays, 1.5, glitch_model,
+                                     engine="compiled")
+            native.clear_runtime_failure()
+            clean_faults.configure("native.compile:fail@after=1")
+            parallel.configure_thread_pool(threads, min_shard_vectors=1)
+            got = circuit.propagate(prev, new, delays, 1.5, glitch_model,
+                                    engine="compiled-native")
+            assert "injected" in (native.runtime_failure() or "")
+            assert np.array_equal(got[0]["y"], want[0]["y"])
+            assert np.array_equal(got[1]["y"], want[1]["y"])
+    finally:
+        parallel.shutdown_thread_pool()
+        native.clear_runtime_failure()
+
+
 def test_engines_cli_strict_exit_codes(capsys, monkeypatch):
     native.clear_runtime_failure()
     if native.native_available():

@@ -282,19 +282,6 @@ class TestExport:
         assert set(times) == {"fig5:p1", "fig5:p2"}
         assert times["fig5:p1"] >= times["fig5:p2"] >= 0
 
-    def test_pool_split(self, tmp_path):
-        trace = tmp_path / "t.jsonl"
-        obs.configure(trace)
-        with obs.span("pool.task", queue_wait_us=500.0):
-            pass
-        with obs.span("pool.task", queue_wait_us=1500.0):
-            pass
-        obs.shutdown()
-        split = obs.pool_split(obs.read_trace(trace))
-        assert split["tasks"] == 2
-        assert split["queue_wait_ms"] == pytest.approx(2.0)
-        assert obs.pool_split([]) is None
-
     def test_thread_split(self, tmp_path):
         trace = tmp_path / "t.jsonl"
         obs.configure(trace)
