@@ -68,7 +68,9 @@ class KernelInstance:
     error_value: Callable[[list[int], list[int]], float]
     relative_error: Callable[[list[int], list[int]], float]
     params: dict = field(default_factory=dict)
-    _golden_cycles: int | None = None
+    #: Fault-free runs keyed by machine config (see
+    #: :func:`repro.mc.runner.golden_run`).
+    _golden: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def output_address(self) -> int:

@@ -16,13 +16,28 @@ flip-flop:
 
 The distinction is an extension knob for sensitivity studies; both
 corrupt only bits reported by the model's fault mask.
+
+Golden-run speculation: before a Monte-Carlo trial runs in the ISS, the
+runner hands :meth:`FaultInjector.speculate` the FI-window ALU mnemonic
+sequence of the kernel's fault-free run.  A model that can prove every
+``fault_mask`` call of that sequence returns 0 -- consuming its random
+streams exactly as those calls would -- returns True, and the trial is
+the golden run.  Otherwise it leaves its state untouched and returns
+False, and the trial runs live.
 """
 
 from __future__ import annotations
 
 import abc
 
+import numpy as np
+
 MASK32 = 0xFFFFFFFF
+
+#: ALU ops a model examines in its first vectorized speculation step;
+#: each later step doubles, so a trial whose first fault comes early
+#: pays only for the steps up to it.
+SPECULATE_CHUNK = 256
 
 FAULT_SEMANTICS = ("flip", "stale")
 
@@ -61,6 +76,25 @@ class FaultInjector(abc.ABC):
     def fault_mask(self, mnemonic: str) -> int:
         """Bit mask of endpoints violated this cycle (0 = no fault)."""
 
+    def speculate(self, mnemonic_ids: np.ndarray) -> bool:
+        """Settle a whole fault-free run without the ISS, if provable.
+
+        ``mnemonic_ids`` indexes :data:`repro.isa.instructions.ALU_MNEMONICS`
+        in the order the golden run executed its FI-window ALU ops.  An
+        override returns True only after consuming its random state
+        exactly as ``fault_mask`` would over that sequence with every
+        mask 0 (and leaves the counters as the run would); if any mask
+        could be non-zero it restores its state and returns False.
+        The default proves nothing and touches nothing.
+        """
+        return False
+
+    def _settled(self, alu_cycles: int) -> bool:
+        """Counters of a fault-free run of ``alu_cycles`` ALU ops."""
+        self.begin_run()
+        self.alu_cycles = alu_cycles
+        return True
+
     def on_alu(self, mnemonic: str, result: int) -> int:
         """CPU hook: pass an EX-stage result through the fault model."""
         self.alu_cycles += 1
@@ -84,3 +118,6 @@ class NullInjector(FaultInjector):
 
     def fault_mask(self, mnemonic: str) -> int:
         return 0
+
+    def speculate(self, mnemonic_ids: np.ndarray) -> bool:
+        return self._settled(len(mnemonic_ids))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fi.base import FaultInjector
+from repro.fi.base import SPECULATE_CHUNK, FaultInjector
 from repro.fi.sampling import BitSampler
 from repro.netlist.alu import N_ENDPOINTS
 
@@ -44,3 +44,17 @@ class FixedProbabilityInjector(FaultInjector):
         if p_any <= 0.0 or self._rng.random() >= p_any:
             return 0
         return self._sampler.sample_mask(self._rng)
+
+    def speculate(self, mnemonic_ids: np.ndarray) -> bool:
+        p_any = self._sampler.p_any
+        if p_any > 0.0:
+            state = self._rng.bit_generator.state
+            left, size = len(mnemonic_ids), SPECULATE_CHUNK
+            while left > 0:
+                draws = self._rng.random(min(size, left))
+                if (draws < p_any).any():
+                    self._rng.bit_generator.state = state
+                    return False
+                left -= len(draws)
+                size *= 2
+        return self._settled(len(mnemonic_ids))

@@ -68,3 +68,6 @@ class StaInjector(FaultInjector):
 
     def fault_mask(self, mnemonic: str) -> int:
         return self._mask
+
+    def speculate(self, mnemonic_ids: np.ndarray) -> bool:
+        return self._mask == 0 and self._settled(len(mnemonic_ids))

@@ -17,7 +17,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from repro.fi.base import FaultInjector
+from repro.fi.base import SPECULATE_CHUNK, FaultInjector
 from repro.fi.model_b import endpoint_worst_sta
 from repro.fi.streams import EffectivePeriodStream
 from repro.netlist.alu import AluNetlist
@@ -81,3 +81,14 @@ class StaNoiseInjector(FaultInjector):
         violated = len(sorted_critical) - bisect_right(
             sorted_critical, period_eff)
         return self._masks_by_count[violated]
+
+    def speculate(self, mnemonic_ids: np.ndarray) -> bool:
+        # No endpoint violates while the period clears the worst one.
+        saved = self._stream.snapshot()
+        worst = self._sorted_critical[-1]
+        for periods in self._stream.take(len(mnemonic_ids),
+                                         SPECULATE_CHUNK):
+            if (periods < worst).any():
+                self._stream.restore(saved)
+                return False
+        return self._settled(len(mnemonic_ids))

@@ -22,16 +22,18 @@ Two endpoint-correlation modes are provided:
 
 The per-cycle fast path costs one stream read, one bisect into the
 period grid, and one uniform draw; the expensive conditional sampling
-only runs on actual fault cycles.
+only runs on actual fault cycles.  :meth:`StatisticalInjector.speculate`
+replays that fast path over a whole golden run in numpy slices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fi.base import FaultInjector
+from repro.fi.base import SPECULATE_CHUNK, FaultInjector
 from repro.fi.sampling import BitSampler
 from repro.fi.streams import EffectivePeriodStream
+from repro.isa.instructions import ALU_MNEMONICS
 from repro.netlist.alu import AluNetlist
 from repro.timing.characterize import (
     AluCharacterization,
@@ -100,6 +102,38 @@ class StatisticalInjector(FaultInjector):
             rng=self._rng)
         # Lazily built conditional samplers, keyed by (mnemonic, row).
         self._samplers: dict[tuple[str, int], BitSampler] = {}
+        self._row_grid, self._draw_limit = self._speculation_tables()
+        # (mnemonic id, row) -> the sampler's p_any, NaN until built.
+        self._p_any_table = np.full(
+            (len(ALU_MNEMONICS), len(self._row_grid.periods)
+             if self._row_grid else 0), np.nan)
+
+    def _speculation_tables(self):
+        """Shared period grid and per-mnemonic draw limits, or Nones.
+
+        Speculation maps a period to one grid row for every mnemonic,
+        so it needs one period grid shared by all ALU mnemonics
+        (characterizations compile them that way); without it, trials
+        run live.  A cycle's fast path draws a uniform exactly when its
+        period is at most its mnemonic's limit: on the grid, and either
+        mapping to a row before the grid's first quiet row (independent
+        mode) or below the worst sampled cycle (joint mode).
+        """
+        grids = [self._grids.get(mnemonic) for mnemonic in ALU_MNEMONICS]
+        if not all(grid is not None and np.array_equal(
+                grid.periods, grids[0].periods) for grid in grids):
+            return None, None
+        periods = grids[0].periods
+        limits = []
+        for mnemonic, grid in zip(ALU_MNEMONICS, grids):
+            if self.correlation == "independent":
+                quiet = grid.first_quiet_row
+                limit = periods[quiet] if quiet < len(periods) else np.inf
+            else:
+                worst = self._cdfs[mnemonic].row_max_sorted[-1]
+                limit = np.nextafter(worst, -np.inf)
+            limits.append(min(limit, np.nextafter(periods[-1], -np.inf)))
+        return grids[0], np.array(limits)
 
     @classmethod
     def for_alu(cls, alu: AluNetlist, frequency_hz: float,
@@ -131,14 +165,19 @@ class StatisticalInjector(FaultInjector):
         if row < 0:
             return 0
         if self.correlation == "independent":
-            return self._independent_mask(mnemonic, grid, row)
+            return self._independent_mask(mnemonic, row)
         return self._joint_mask(mnemonic, period_eff)
 
-    def _independent_mask(self, mnemonic: str, grid, row: int) -> int:
+    def _sampler(self, mnemonic: str, row: int) -> BitSampler:
         sampler = self._samplers.get((mnemonic, row))
         if sampler is None:
-            sampler = BitSampler.from_probs(grid.probs[row])
+            sampler = BitSampler.from_probs(self._grids[mnemonic].probs[row])
             self._samplers[(mnemonic, row)] = sampler
+        return sampler
+
+    def _independent_mask(self, mnemonic: str, row: int) -> int:
+        sampler = (self._samplers.get((mnemonic, row))
+                   or self._sampler(mnemonic, row))
         if sampler.p_any <= 0.0 or self._rng.random() >= sampler.p_any:
             return 0
         return sampler.sample_mask(self._rng)
@@ -157,3 +196,47 @@ class StatisticalInjector(FaultInjector):
         for bit in bits:
             mask |= 1 << int(bit)
         return mask
+
+    # -- golden-run speculation -----------------------------------------
+
+    def speculate(self, mnemonic_ids: np.ndarray) -> bool:
+        if self._row_grid is None:
+            return False
+        saved = self._stream.snapshot()
+        start = 0
+        for periods in self._stream.take(len(mnemonic_ids),
+                                         SPECULATE_CHUNK):
+            ids = mnemonic_ids[start:start + len(periods)]
+            start += len(periods)
+            probs = self._draw_probs(ids, periods)
+            if (self._rng.random(probs.size) < probs).any():
+                self._stream.restore(saved)
+                return False
+        return self._settled(len(mnemonic_ids))
+
+    def _draw_probs(self, ids: np.ndarray,
+                    periods: np.ndarray) -> np.ndarray:
+        """Fault probability of each fast-path uniform draw, in order."""
+        drawing = periods <= self._draw_limit[ids]
+        ids, periods = ids[drawing], periods[drawing]
+        if self.correlation == "independent":
+            rows = self._row_grid.row_indices(periods)
+            table = self._p_any_table
+            p_any = table[ids, rows]
+            missing = np.isnan(p_any)
+            if missing.any():
+                for mid, row in set(zip(ids[missing].tolist(),
+                                        rows[missing].tolist())):
+                    table[mid, row] = self._sampler(
+                        ALU_MNEMONICS[mid], row).p_any
+                p_any = table[ids, rows]
+            return p_any
+        probs = np.empty(len(ids))
+        for mid in np.unique(ids).tolist():
+            at = ids == mid
+            cdfs = self._cdfs[ALU_MNEMONICS[mid]]
+            n = cdfs.n_cycles
+            violating = n - np.searchsorted(cdfs.row_max_sorted,
+                                            periods[at], side="right")
+            probs[at] = violating / n
+        return probs

@@ -13,10 +13,15 @@ voltage-overscaling at fixed frequency), the same fitted curve provides
 the offset's scale factor.
 
 Values are produced in vectorized blocks; the per-cycle cost inside the
-injector is one array index.
+injector is one array index.  :meth:`EffectivePeriodStream.take` hands
+out the same values in slices for golden-run speculation, and
+:meth:`~EffectivePeriodStream.snapshot` / ``restore`` roll the stream
+(and its RNG) back when a speculation fails.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -55,13 +60,14 @@ class EffectivePeriodStream:
         self._rng = rng
         self._block = block
         self._constant: float | None = None
+        self._values: np.ndarray | None = None
+        self._cursor = 0
         if noise.sigma_v == 0.0:
             factor = float(vdd_model.scale_factor(
                 vdd_operating, vdd_characterized))
             self._constant = period_ps / factor
         else:
             self._values = self._refill()
-            self._cursor = 0
 
     def _refill(self) -> np.ndarray:
         droops = self._noise.sample(self._block, self._rng)
@@ -79,3 +85,35 @@ class EffectivePeriodStream:
         value = self._values[self._cursor]
         self._cursor += 1
         return value
+
+    def take(self, n: int, first: int) -> Iterator[np.ndarray]:
+        """The next ``n`` periods, in slices of ``first`` values, doubling.
+
+        Consumes the stream exactly as ``n`` calls to :meth:`next`.  A
+        block refill happens only when the slice after a seam is
+        requested, so random draws the caller makes between slices
+        land in the RNG where the per-cycle path makes them.
+        """
+        size = first
+        while n > 0:
+            if self._constant is not None:
+                chunk = np.full(min(n, size), self._constant)
+            else:
+                if self._cursor >= self._block:
+                    self._values = self._refill()
+                    self._cursor = 0
+                start = self._cursor
+                self._cursor = min(start + n, start + size, self._block)
+                chunk = self._values[start:self._cursor]
+            n -= len(chunk)
+            size *= 2
+            yield chunk
+
+    def snapshot(self) -> tuple:
+        """Stream position plus RNG state, for :meth:`restore`."""
+        return self._rng.bit_generator.state, self._values, self._cursor
+
+    def restore(self, snapshot: tuple) -> None:
+        """Roll the stream and its RNG back to a :meth:`snapshot`."""
+        state, self._values, self._cursor = snapshot
+        self._rng.bit_generator.state = state

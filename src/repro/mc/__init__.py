@@ -3,7 +3,9 @@
 from repro.mc.results import MC_POINT_SCHEMA, McPoint, TrialResult
 from repro.mc.runner import (
     BUDGET_FACTOR,
+    GoldenRun,
     golden_cycles,
+    golden_run,
     run_point,
     run_trial,
     trial_budget,
@@ -30,6 +32,7 @@ __all__ = [
     "BUDGET_FACTOR",
     "FREQUENCY_SWEEP_SCHEMA",
     "FrequencySweep",
+    "GoldenRun",
     "MC_POINT_SCHEMA",
     "McPoint",
     "PointUnit",
@@ -38,6 +41,7 @@ __all__ = [
     "frequency_grid",
     "geometric_mean",
     "golden_cycles",
+    "golden_run",
     "mc_point_key",
     "mean",
     "resolve_units",

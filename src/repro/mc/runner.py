@@ -5,15 +5,27 @@ injector RNG stream(s), and a cycle budget tied to the fault-free
 execution length of the kernel (the infinite-loop detector of the
 paper's ISS) bounds every trial.
 
+Golden-run speculation: one fault-free run per (kernel, machine
+config) -- :func:`golden_run`, cached on the kernel -- records the
+judged :class:`TrialResult` and the FI-window ALU mnemonic sequence.
+Before a trial enters the ISS, the injector is asked to *prove* from
+that sequence that every fault mask the live run would draw is 0
+(:meth:`FaultInjector.speculate`).  The proof consumes the injector's
+random streams exactly as the live run would, so a proven trial *is*
+the golden result and the streams continue bit-identically; an
+unproven one rolls the injector back and runs live.  The CPU is built
+lazily, on the first trial that runs live, so a fully fault-free point
+builds none.
+
 Two execution schemes:
 
 * **Serial** (``n_jobs=None``, the historical default): one injector
   serves all trials of a point and its random stream continues across
-  trials.  Since the compiled-code rework, the CPU is constructed once
-  per point and restored between trials via :meth:`Cpu.reset` (the
-  instruction closures are compiled exactly once per point) -- results
-  are bit-identical to the per-trial-CPU scheme because ``reset``
-  restores the exact construction-time architectural state.
+  trials.  The CPU is constructed at most once per point and restored
+  between trials via :meth:`Cpu.reset` (the instruction closures are
+  compiled exactly once per point) -- results are bit-identical to the
+  per-trial-CPU scheme because ``reset`` restores the exact
+  construction-time architectural state.
 * **Per-trial streams** (``n_jobs`` set): every trial gets an
   independent child seed spawned from the master
   :class:`numpy.random.SeedSequence` and builds its own injector, so
@@ -32,15 +44,18 @@ count.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro import parallel
+from repro import obs, parallel
 from repro.bench.kernel import KernelInstance
 from repro.fi.base import FaultInjector, NullInjector
+from repro.isa.instructions import ALU_MNEMONICS
 from repro.mc.results import McPoint, TrialResult
 from repro.sim.cpu import Cpu
 from repro.sim.machine import MachineConfig
@@ -51,25 +66,68 @@ BUDGET_FACTOR = 4
 
 InjectorFactory = Callable[[np.random.Generator], FaultInjector]
 
+_MNEMONIC_IDS = {mnemonic: index
+                 for index, mnemonic in enumerate(ALU_MNEMONICS)}
 
-def golden_cycles(kernel: KernelInstance,
-                  config: MachineConfig | None = None) -> int:
-    """Fault-free cycle count of a kernel (cached on the instance)."""
-    if kernel._golden_cycles is None:
-        cpu = Cpu(kernel.program, config=config, injector=NullInjector())
+
+@dataclass(frozen=True, eq=False)
+class GoldenRun:
+    """The fault-free run of a kernel under one machine config.
+
+    Attributes:
+        cycles: total executed cycles.
+        mnemonic_ids: FI-window ALU ops in execution order, as indices into
+            :data:`~repro.isa.instructions.ALU_MNEMONICS`.
+        result: the judged run -- what every trial with no fault is.
+    """
+
+    cycles: int
+    mnemonic_ids: np.ndarray
+    result: TrialResult
+
+
+class _TraceRecorder(NullInjector):
+    """Fault-free injector that records the FI-window ALU mnemonics."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.mnemonics: list[str] = []
+
+    def fault_mask(self, mnemonic: str) -> int:
+        self.mnemonics.append(mnemonic)
+        return 0
+
+
+def golden_run(kernel: KernelInstance,
+               config: MachineConfig | None = None) -> GoldenRun:
+    """Fault-free run of a kernel, cached on it per machine config."""
+    key = (config or MachineConfig()).with_max_cycles(0)
+    golden = kernel._golden.get(key)
+    if golden is None:
+        recorder = _TraceRecorder()
+        cpu = Cpu(kernel.program, config=config, injector=recorder)
         result = cpu.run(kernel.entry)
         if not result.finished:
             raise RuntimeError(
                 f"kernel {kernel.name} does not finish fault-free "
                 f"({result.abort_reason})")
-        outputs = cpu.dmem.read_words(kernel.output_address,
-                                      kernel.output_count)
-        if not kernel.is_correct(outputs):
+        trial = _judge(cpu, kernel, result)
+        if not trial.correct:
             raise RuntimeError(
                 f"kernel {kernel.name} fault-free outputs do not match "
                 f"the golden reference")
-        kernel._golden_cycles = result.cycles
-    return kernel._golden_cycles
+        ids = np.array([_MNEMONIC_IDS[m] for m in recorder.mnemonics],
+                       dtype=np.uint8)
+        golden = GoldenRun(cycles=result.cycles, mnemonic_ids=ids,
+                           result=trial)
+        kernel._golden[key] = golden
+    return golden
+
+
+def golden_cycles(kernel: KernelInstance,
+                  config: MachineConfig | None = None) -> int:
+    """Fault-free cycle count of a kernel (cached per machine config)."""
+    return golden_run(kernel, config).cycles
 
 
 def trial_budget(kernel: KernelInstance,
@@ -104,11 +162,44 @@ def _judge(cpu: Cpu, kernel: KernelInstance, result) -> TrialResult:
     )
 
 
+def _speculate(kernel: KernelInstance, injector: FaultInjector,
+               config: MachineConfig) -> TrialResult | None:
+    """The golden result if the injector proves the trial fault-free."""
+    golden = golden_run(kernel, config)
+    if injector.speculate(golden.mnemonic_ids):
+        obs.counter("mc.trials.speculated")
+        return golden.result
+    obs.counter("mc.trials.live")
+    return None
+
+
+def _run_live(kernel: KernelInstance, injector: FaultInjector,
+              config: MachineConfig, budget: int,
+              cpu: Cpu | None) -> TrialResult:
+    """Execute one trial in the ISS, on a fresh or a reset CPU."""
+    if cpu is None:
+        cpu = Cpu(kernel.program, config=config.with_max_cycles(budget),
+                  injector=injector)
+    else:
+        if cpu.config.with_max_cycles(budget) != \
+                config.with_max_cycles(budget):
+            raise ValueError(
+                "reused cpu was built with a different MachineConfig "
+                f"({cpu.config}) than requested ({config})")
+        cpu.reset()
+        cpu.injector = injector
+    result = cpu.run(kernel.entry, max_cycles=budget)
+    return _judge(cpu, kernel, result)
+
+
 def run_trial(kernel: KernelInstance, injector: FaultInjector,
               config: MachineConfig | None = None,
               budget_factor: int = BUDGET_FACTOR,
               cpu: Cpu | None = None) -> TrialResult:
     """Execute one fault-injected run and judge its outputs.
+
+    The trial is first offered to the injector's golden-run
+    speculation; only an unproven trial reaches the ISS.
 
     Args:
         kernel: the benchmark instance.
@@ -125,21 +216,11 @@ def run_trial(kernel: KernelInstance, injector: FaultInjector,
             memory map).
     """
     base_config = config or MachineConfig()
-    budget = trial_budget(kernel, base_config, budget_factor)
-    if cpu is None:
-        cpu = Cpu(kernel.program,
-                  config=base_config.with_max_cycles(budget),
-                  injector=injector)
-    else:
-        if cpu.config.with_max_cycles(budget) != \
-                base_config.with_max_cycles(budget):
-            raise ValueError(
-                "reused cpu was built with a different MachineConfig "
-                f"({cpu.config}) than requested ({base_config})")
-        cpu.reset()
-        cpu.injector = injector
-    result = cpu.run(kernel.entry, max_cycles=budget)
-    return _judge(cpu, kernel, result)
+    trial = _speculate(kernel, injector, base_config)
+    if trial is None:
+        budget = trial_budget(kernel, base_config, budget_factor)
+        trial = _run_live(kernel, injector, base_config, budget, cpu)
+    return trial
 
 
 def trial_seeds(seed: int, n_trials: int) -> list[np.random.SeedSequence]:
@@ -147,14 +228,26 @@ def trial_seeds(seed: int, n_trials: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(n_trials)
 
 
-def _point_cpu(kernel: KernelInstance,
-               config: MachineConfig | None,
-               injector: FaultInjector) -> Cpu:
-    """Budget-configured CPU, compiled once and reset between trials."""
+def _run_trials(kernel: KernelInstance,
+                injectors: Iterable[FaultInjector],
+                config: MachineConfig | None) -> Iterator[TrialResult]:
+    """One trial per injector, sharing a CPU built on the first miss.
+
+    The CPU is compiled once and reset between the trials that run
+    live; a point whose every trial is speculated builds none.
+    """
     base_config = config or MachineConfig()
     budget = trial_budget(kernel, base_config)
-    return Cpu(kernel.program, config=base_config.with_max_cycles(budget),
-               injector=injector)
+    cpu: Cpu | None = None
+    for injector in injectors:
+        trial = _speculate(kernel, injector, base_config)
+        if trial is None:
+            if cpu is None:
+                cpu = Cpu(kernel.program,
+                          config=base_config.with_max_cycles(budget),
+                          injector=injector)
+            trial = _run_live(kernel, injector, base_config, budget, cpu)
+        yield trial
 
 
 def _run_seeded_trials(kernel: KernelInstance,
@@ -162,16 +255,11 @@ def _run_seeded_trials(kernel: KernelInstance,
                        seeds: list[np.random.SeedSequence],
                        config: MachineConfig | None,
                        injector_args: tuple = ()) -> list[TrialResult]:
-    """Run trials with independent per-trial injectors, reusing one CPU."""
-    cpu: Cpu | None = None
-    results = []
-    for child in seeds:
-        injector = injector_factory(*injector_args,
-                                    np.random.default_rng(child))
-        if cpu is None:
-            cpu = _point_cpu(kernel, config, injector)
-        results.append(run_trial(kernel, injector, config, cpu=cpu))
-    return results
+    """Run trials with independent per-trial injectors."""
+    injectors = (injector_factory(*injector_args,
+                                  np.random.default_rng(child))
+                 for child in seeds)
+    return list(_run_trials(kernel, injectors, config))
 
 
 # Fork-worker state, set inside each worker process by the pool
@@ -192,9 +280,12 @@ def _run_trial_chunk(chunk: list[int]) -> list[TrialResult]:
     state = _WORKER_STATE
     assert state is not None, "worker state missing (pool without fork?)"
     seeds = [state["seeds"][index] for index in chunk]
-    return _run_seeded_trials(state["kernel"], state["factory"], seeds,
-                              state["config"],
-                              state.get("injector_args", ()))
+    results = _run_seeded_trials(state["kernel"], state["factory"], seeds,
+                                 state["config"],
+                                 state.get("injector_args", ()))
+    # Pool workers never run the atexit flush: ship the trial counters.
+    obs.flush()
+    return results
 
 
 def run_point(kernel: KernelInstance, injector_factory: InjectorFactory,
@@ -237,7 +328,7 @@ def run_point(kernel: KernelInstance, injector_factory: InjectorFactory,
             "set -- expected a result-store hit")
     point = McPoint(label=label or kernel.name)
     # Resolve the golden run up front: workers then inherit the cached
-    # cycle count instead of each re-deriving it.
+    # run and its trace instead of each re-deriving them.
     golden_cycles(kernel, config or MachineConfig())
 
     if n_jobs is None:
@@ -248,11 +339,13 @@ def run_point(kernel: KernelInstance, injector_factory: InjectorFactory,
         # resets the per-run counters while the random stream continues
         # across trials.  The CPU itself is also constructed once --
         # the compiled instruction closures are reused and reset()
-        # restores the architectural state between trials.
+        # restores the architectural state between trials -- and only
+        # if some trial cannot be speculated.
         injector = injector_factory(*injector_args, master)
-        cpu = _point_cpu(kernel, config, injector)
-        for _ in range(n_trials):
-            point.add(run_trial(kernel, injector, config, cpu=cpu))
+        for trial in _run_trials(kernel,
+                                 itertools.repeat(injector, n_trials),
+                                 config):
+            point.add(trial)
         return point
 
     seeds = trial_seeds(seed, n_trials)

@@ -293,6 +293,11 @@ def render_stats(records: list[dict], limit: int = 20) -> str:
         if hits or misses:
             lines.append(f"{'store hit rate':28s} "
                          f"{hits / (hits + misses):>11.1%}")
+        speculated = totals.get("mc.trials.speculated", 0)
+        live = totals.get("mc.trials.live", 0)
+        if speculated or live:
+            lines.append(f"{'mc speculation hit rate':28s} "
+                         f"{speculated / (speculated + live):>11.1%}")
     threads = thread_split(records)
     if threads is not None:
         lines.append("")

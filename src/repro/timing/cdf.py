@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -141,6 +142,15 @@ class CdfGrid:
         self._period_list = self.periods.tolist()
         self._p_any_list = self.p_any.tolist()
 
+    @cached_property
+    def first_quiet_row(self) -> int:
+        """First row where every endpoint's probability is 0.
+
+        Violation probabilities only fall as the period grows, so every
+        later row is quiet too.
+        """
+        return int(np.any(self.probs > 0.0, axis=1).sum())
+
     def row_index(self, period_ps: float) -> int:
         """Grid row whose probabilities apply at an effective period.
 
@@ -151,6 +161,14 @@ class CdfGrid:
             return -1
         index = bisect_left(self._period_list, period_ps) - 1
         return max(index, 0)
+
+    def row_indices(self, periods_ps: np.ndarray) -> np.ndarray:
+        """:meth:`row_index` of every period in an array."""
+        rows = np.full(len(periods_ps), -1)
+        on_grid = periods_ps < self.periods[-1]
+        rows[on_grid] = np.maximum(np.searchsorted(
+            self.periods, periods_ps[on_grid], "left") - 1, 0)
+        return rows
 
     def p_any_at(self, row: int) -> float:
         return self._p_any_list[row]

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from repro.bench.suite import build_kernel
 from repro.fi.base import FaultInjector, NullInjector
 from repro.mc.results import McPoint, TrialResult
-from repro.mc.runner import golden_cycles, run_point, run_trial
+from repro.mc.runner import golden_cycles, golden_run, run_point, \
+    run_trial
 from repro.mc.stats import geometric_mean, mean, std, wilson_interval
 from repro.mc.sweep import FrequencySweep, frequency_grid, \
     sweep_frequencies
+from repro.sim.machine import MachineConfig
 
 
 class _AggressiveInjector(FaultInjector):
@@ -88,8 +90,28 @@ class TestRunner:
     def test_golden_cycles_cached(self):
         kernel = build_kernel("median", "quick")
         first = golden_cycles(kernel)
-        assert kernel._golden_cycles == first
+        (golden,) = kernel._golden.values()
+        assert golden.cycles == first
         assert golden_cycles(kernel) == first
+        assert golden_run(kernel) is golden
+
+    def test_golden_cache_keyed_by_machine_config(self):
+        kernel = build_kernel("median", "quick")
+        base = golden_run(kernel, MachineConfig())
+        # The cycle budget is not part of the key ...
+        assert golden_run(kernel, MachineConfig(max_cycles=10**6)) is base
+        # ... but the memory map is: with the instruction memory moved,
+        # every absolute address in the program is off and the kernel
+        # no longer runs, where a config-blind cache would have served
+        # the first config's answer.
+        with pytest.raises(RuntimeError):
+            golden_run(kernel, MachineConfig(imem_base=0x100))
+        relaxed = golden_run(kernel, MachineConfig(detect_self_jump=False))
+        assert relaxed is not base
+        assert len(kernel._golden) == 2
+        assert relaxed.cycles == base.cycles
+        assert relaxed.result == base.result
+        assert np.array_equal(relaxed.mnemonic_ids, base.mnemonic_ids)
 
     def test_budget_bounds_runaway_runs(self):
         kernel = build_kernel("median", "quick")
