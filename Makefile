@@ -77,8 +77,9 @@ thread-smoke:
 # Kill a quick-scale `campaign run all` mid-run, resume it, and require
 # the rendered output to be byte-identical to an uninterrupted run;
 # prove warm fig2/fig4/fig5 reruns perform zero DTA and zero Monte-
-# Carlo simulation; and prove `cache gc --max-bytes` holds the cap
-# while evicted units recompute byte-identically.
+# Carlo simulation; prove `cache gc --max-bytes` holds the cap
+# while evicted units recompute byte-identically; and prove
+# `repro fig7 --jobs 2` renders the serial figure from shared entries.
 campaign-smoke:
 	$(PYTHON) scripts/campaign_smoke.py
 

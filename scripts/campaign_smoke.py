@@ -24,7 +24,12 @@ sharded pass):
    (the default ``--pin`` evicts the cheap-to-recompute units first),
    and a rerun of the full campaign must recompute exactly the
    evicted units back to byte-identical output while the survivors
-   stay cache hits.
+   stay cache hits;
+6. ``repro fig7 --jobs 2`` into fresh store C, a serial ``repro
+   fig7`` into fresh store D, and a serial ``repro fig7`` rerun on
+   store C under ``REPRO_FORBID_MC``: all three outputs must be
+   byte-identical, so ``--jobs`` changes neither the figure nor its
+   store entries.
 
 Exit code 0 = all invariants hold.  Wired into ``make campaign-smoke``
 (part of ``make tier1``).
@@ -113,13 +118,13 @@ def main() -> int:
         store_a = Path(tmp) / "store-a"
         store_b = Path(tmp) / "store-b"
 
-        print("[1/5] uninterrupted `campaign run all` into store A ...",
+        print("[1/6] uninterrupted `campaign run all` into store A ...",
               flush=True)
         fresh = repro(scaled(["campaign", "run", "all", "--jobs", JOBS]),
                       store_a)
         reference = fresh.stdout
 
-        print("[2/5] campaign into store B, SIGKILL mid-run ...",
+        print("[2/6] campaign into store B, SIGKILL mid-run ...",
               flush=True)
         env = dict(os.environ)
         root = Path(__file__).resolve().parent.parent
@@ -152,7 +157,7 @@ def main() -> int:
         print(f"      killed={killed_midway} with {survivors} units "
               f"persisted", flush=True)
 
-        print("[3/5] serial resume of store B, diff against "
+        print("[3/6] serial resume of store B, diff against "
               "store A ...", flush=True)
         resumed = repro(scaled(["campaign", "resume", "all"]), store_b)
         if resumed.stdout != reference:
@@ -164,7 +169,7 @@ def main() -> int:
             raise SystemExit("FAIL: resume recomputed everything "
                              "(no units were reused)")
 
-        print("[4/5] warm fig2/fig4/fig5 reruns must do zero "
+        print("[4/6] warm fig2/fig4/fig5 reruns must do zero "
               "simulation ...", flush=True)
         forbid = {"REPRO_FORBID_MC": "1", "REPRO_FORBID_DTA": "1"}
         for figure in ("fig2", "fig4", "fig5"):
@@ -174,7 +179,7 @@ def main() -> int:
                     f"FAIL: warm store-served {figure} differs from "
                     f"its campaign section")
 
-        print("[5/5] `cache gc --max-bytes` keeps the cap, pins "
+        print("[5/6] `cache gc --max-bytes` keeps the cap, pins "
               "characterizations, evicted units recompute ...",
               flush=True)
         # The cap leaves room for every characterization plus half the
@@ -208,8 +213,22 @@ def main() -> int:
                 f"(survivors) with recomputes (evicted): "
                 f"{regen.stderr!r}")
 
+        print("[6/6] `fig7 --jobs 2` equals serial fig7 and serves "
+              "it from the same store entries ...", flush=True)
+        store_c = Path(tmp) / "store-c"
+        store_d = Path(tmp) / "store-d"
+        sharded = repro(scaled(["fig7", "--jobs", JOBS]), store_c).stdout
+        serial = repro(scaled(["fig7"]), store_d).stdout
+        served = repro(scaled(["fig7"]), store_c,
+                       env_extra={"REPRO_FORBID_MC": "1"}).stdout
+        if not sharded == serial == served:
+            raise SystemExit("FAIL: `fig7 --jobs 2`, serial fig7 and "
+                             "the serial rerun on the --jobs store "
+                             "differ")
+
         print("campaign smoke OK: resume byte-identical, warm reruns "
-              "simulation-free, gc cap held with correct recompute")
+              "simulation-free, gc cap held with correct recompute, "
+              "--jobs figure equals serial")
     return 0
 
 

@@ -51,41 +51,52 @@ from repro.netlist.verilog import to_verilog
 from repro.store import ResultStore
 from repro.timing.report import timing_report
 
-#: Experiment name -> callable(scale, seed, ctx, store, jobs) ->
-#: rendered text.  The seed is forwarded to the drivers so *serial*
-#: fig runs (no --jobs) and campaigns at the same --seed share store
-#: entries and render identical output; --jobs runs use per-trial
-#: streams, which are a different scheme cached under their own keys.
+#: Experiment name -> callable(scale, seed, ctx, store) -> rendered
+#: text.  The seed is forwarded to the drivers so fig runs and
+#: campaigns at the same --seed share store entries and render
+#: identical output.
 _EXPERIMENTS = {
-    "table1": lambda scale, seed, ctx, store, jobs: table1.render(
+    "table1": lambda scale, seed, ctx, store: table1.render(
         table1.run(scale, store=store)),
-    "table2": lambda scale, seed, ctx, store, jobs: table2.render(),
-    "fig1": lambda scale, seed, ctx, store, jobs: fig1.render(
-        fig1.run(scale, seed, context=ctx, store=store, n_jobs=jobs)),
-    "fig2": lambda scale, seed, ctx, store, jobs: fig2.render(
+    "table2": lambda scale, seed, ctx, store: table2.render(),
+    "fig1": lambda scale, seed, ctx, store: fig1.render(
+        fig1.run(scale, seed, context=ctx, store=store)),
+    "fig2": lambda scale, seed, ctx, store: fig2.render(
         fig2.run(scale, seed, context=ctx, store=store)),
-    "fig4": lambda scale, seed, ctx, store, jobs: fig4.render(
+    "fig4": lambda scale, seed, ctx, store: fig4.render(
         fig4.run(scale, seed, context=ctx, store=store)),
-    "fig5": lambda scale, seed, ctx, store, jobs: fig5.render(
-        fig5.run(scale, seed, context=ctx, store=store, n_jobs=jobs)),
-    "fig6": lambda scale, seed, ctx, store, jobs: fig6.render(
-        fig6.run(scale, seed, context=ctx, store=store, n_jobs=jobs)),
-    "fig7": lambda scale, seed, ctx, store, jobs: fig7.render(
-        fig7.run(scale, seed, context=ctx, store=store, n_jobs=jobs)),
-    "fig-sta-margin": lambda scale, seed, ctx, store, jobs:
+    "fig5": lambda scale, seed, ctx, store: fig5.render(
+        fig5.run(scale, seed, context=ctx, store=store)),
+    "fig6": lambda scale, seed, ctx, store: fig6.render(
+        fig6.run(scale, seed, context=ctx, store=store)),
+    "fig7": lambda scale, seed, ctx, store: fig7.render(
+        fig7.run(scale, seed, context=ctx, store=store)),
+    "fig-sta-margin": lambda scale, seed, ctx, store:
         fig_sta_margin.render(
             fig_sta_margin.run(scale, seed, context=ctx, store=store)),
-    "ablations": lambda scale, seed, ctx, store, jobs:
+    "ablations": lambda scale, seed, ctx, store:
         ablations.render_all(
             ablations.run_glitch_model_ablation(scale, seed,
                                                 context=ctx),
             ablations.run_semantics_ablation(scale, seed, context=ctx,
-                                             store=store, n_jobs=jobs),
+                                             store=store),
             ablations.run_adder_topology_ablation(
                 scale, seed, store=store,
                 timing_dtype=ctx.timing_dtype,
                 engine=ctx.dta_engine)),
 }
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for worker counts: a bad count is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _add_scale(parser: argparse.ArgumentParser) -> None:
@@ -105,10 +116,12 @@ def _add_store(parser: argparse.ArgumentParser,
                         help="compute everything fresh; do not read or "
                              "write the result store")
     if with_jobs:
-        parser.add_argument("--jobs", type=int, default=None,
-                            help="worker processes (per-trial streams "
-                                 "for fig commands, unit sharding for "
-                                 "campaigns)")
+        parser.add_argument("--jobs", type=_positive_int, default=None,
+                            help="worker processes: shard the "
+                                 "experiment's store units over N "
+                                 "forked children (fig commands run "
+                                 "as campaigns; output does not "
+                                 "depend on N)")
     parser.add_argument("--shard-threads", type=int, default=None,
                         metavar="N",
                         help="thread-shard pool size for native "
@@ -184,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "writes through it instead of a local "
                               "directory")
         if action != "status":
-            sub.add_argument("--workers", type=int, default=None,
+            sub.add_argument("--workers", type=_positive_int,
+                             default=None,
                              metavar="N",
                              help="distributed-fabric worker "
                                   "processes: N forked lease workers "
@@ -395,18 +409,35 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command in _EXPERIMENTS or args.command == "all":
         store = _resolve_store(args)
+        sharded = args.jobs is not None and args.jobs >= 2
+        if sharded and store is None:
+            print("--jobs shards campaign units over the result store "
+                  "(drop --no-store)", file=sys.stderr)
+            return 2
         ctx = ExperimentContext.create(args.scale, args.seed, store=store,
                                        timing_dtype=timing_dtype,
                                        engine=engine)
         names = (list(_EXPERIMENTS) if args.command == "all"
                  else [args.command])
+        failed = False
         for name in names:
             if len(names) > 1:
                 print(f"\n{'=' * 72}\n{name} (scale: {args.scale})\n"
                       f"{'=' * 72}")
-            print(_EXPERIMENTS[name](args.scale, args.seed, ctx, store,
-                                     args.jobs))
-        return 0
+            if sharded and name in CAMPAIGN_EXPERIMENTS:
+                # The campaign resolves the same units as the driver,
+                # so the figure and its store entries do not depend on
+                # the worker count.
+                report = run_campaign(name, args.scale, args.seed,
+                                      store=store, jobs=args.jobs,
+                                      timing_dtype=timing_dtype,
+                                      engine=engine)
+                failed = failed or bool(report.failed)
+                print(report.rendered)
+            else:
+                print(_EXPERIMENTS[name](args.scale, args.seed, ctx,
+                                         store))
+        return 1 if failed else 0
 
     if args.command == "campaign":
         store = _resolve_store(args)

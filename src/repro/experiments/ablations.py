@@ -32,7 +32,7 @@ from repro.fi.model_c import StatisticalInjector
 from repro.mc.results import McPoint
 from repro.mc.runner import run_point
 from repro.mc.units import PointUnit, mc_point_key, resolve_units, \
-    stream_scheme, work_unit_key
+    work_unit_key
 from repro.netlist.adders import ADDER_KINDS
 from repro.netlist.alu import AluConfig, AluNetlist
 from repro.netlist.calibrate import calibrate_alu
@@ -92,13 +92,11 @@ class SemanticsAblation:
 
 def semantics_point_units(ctx: ExperimentContext, seed: int = 2016,
                           frequency_hz: float = 730e6,
-                          sigma_v: float = 0.010,
-                          n_jobs: int | None = None) -> list[PointUnit]:
+                          sigma_v: float = 0.010) -> list[PointUnit]:
     """One Monte-Carlo unit per fault-semantics variant (flip, stale)."""
     characterization = ctx.characterization(NOMINAL_VDD)
     kernel = build_kernel("mat_mult_8bit", ctx.scale.kernel_scale)
     noise = ctx.noise(sigma_v)
-    stream = stream_scheme(n_jobs)
     units = []
     for semantics in ("flip", "stale"):
         def compute(semantics=semantics):
@@ -108,12 +106,12 @@ def semantics_point_units(ctx: ExperimentContext, seed: int = 2016,
                     characterization, frequency_hz, noise,
                     vdd_model=ctx.vdd_model, rng=rng,
                     semantics=semantics),
-                n_trials=ctx.scale.trials, seed=seed, n_jobs=n_jobs)
+                n_trials=ctx.scale.trials, seed=seed)
 
         units.append(PointUnit(
             label=f"ablations:semantics/{semantics}",
             key=mc_point_key(
-                "ablations", ctx.scale, seed, stream, kernel,
+                "ablations", ctx.scale, seed, kernel,
                 ctx.scale.trials,
                 {"study": "semantics", "semantics": semantics,
                  "sigma_v": sigma_v, "model": "C",
@@ -137,8 +135,7 @@ def run_semantics_ablation(scale: str | Scale = "default",
                            context: ExperimentContext | None = None,
                            frequency_hz: float = 730e6,
                            sigma_v: float = 0.010,
-                           store=None,
-                           n_jobs: int | None = None) -> SemanticsAblation:
+                           store=None) -> SemanticsAblation:
     """Compare fault semantics on the 8-bit matmul benchmark."""
     scale = get_scale(scale)
     ctx = context or ExperimentContext.create(scale, seed, store=store)
@@ -146,7 +143,7 @@ def run_semantics_ablation(scale: str | Scale = "default",
         store = ctx.store
     units = semantics_point_units(ctx, seed=seed,
                                   frequency_hz=frequency_hz,
-                                  sigma_v=sigma_v, n_jobs=n_jobs)
+                                  sigma_v=sigma_v)
     points, _, _ = resolve_units(units, store)
     return assemble_semantics(points, frequency_hz=frequency_hz)
 

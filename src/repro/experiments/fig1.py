@@ -77,8 +77,7 @@ def _sub_figures(ctx: ExperimentContext) -> list[tuple]:
     return subs
 
 
-def point_units(ctx: ExperimentContext, seed: int = 2016,
-                n_jobs: int | None = None) -> list[PointUnit]:
+def point_units(ctx: ExperimentContext, seed: int = 2016) -> list[PointUnit]:
     """Decompose the three sub-figures into per-frequency MC units.
 
     Unit order is sub-figure major, ascending frequency minor,
@@ -94,7 +93,6 @@ def point_units(ctx: ExperimentContext, seed: int = 2016,
             frequencies_hz=_onset_grid(onset, ctx.scale.freq_points),
             n_trials=ctx.scale.trials,
             seed=seed,
-            n_jobs=n_jobs,
             experiment="fig1",
             scale=ctx.scale,
             condition={"model": model, "sigma_v": sigma,
@@ -126,13 +124,13 @@ def assemble(ctx: ExperimentContext,
 
 def run(scale: str | Scale = "default", seed: int = 2016,
         context: ExperimentContext | None = None,
-        store=None, n_jobs: int | None = None) -> list[Fig1Result]:
+        store=None) -> list[Fig1Result]:
     """Run the three sub-figures on the median benchmark."""
     scale = get_scale(scale)
     ctx = context or ExperimentContext.create(scale, seed, store=store)
     if store is None:
         store = ctx.store
-    units = point_units(ctx, seed=seed, n_jobs=n_jobs)
+    units = point_units(ctx, seed=seed)
     points, _, _ = resolve_units(units, store)
     return assemble(ctx, points)
 

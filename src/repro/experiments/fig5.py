@@ -95,8 +95,7 @@ def conditions() -> list[Fig5Config]:
 
 
 def point_units(ctx: ExperimentContext, seed: int = 2016,
-                benchmark: str = "median",
-                n_jobs: int | None = None) -> list[PointUnit]:
+                benchmark: str = "median") -> list[PointUnit]:
     """Decompose the figure into per-frequency Monte-Carlo units.
 
     Units are ordered by condition then ascending frequency, matching
@@ -123,7 +122,6 @@ def point_units(ctx: ExperimentContext, seed: int = 2016,
                 ctx, config.vdd, config.sigma_v, ctx.scale.freq_points),
             n_trials=ctx.scale.trials,
             seed=seed,
-            n_jobs=n_jobs,
             experiment="fig5",
             scale=ctx.scale,
             condition={"vdd": config.vdd, "sigma_v": config.sigma_v,
@@ -158,19 +156,17 @@ def assemble(ctx: ExperimentContext, points: list[McPoint],
 def run(scale: str | Scale = "default", seed: int = 2016,
         context: ExperimentContext | None = None,
         benchmark: str = "median",
-        store=None, n_jobs: int | None = None) -> list[Fig5Result]:
+        store=None) -> list[Fig5Result]:
     """Run all six sub-figures.
 
     ``store`` serves already-computed points without re-simulating and
-    persists fresh ones; ``n_jobs`` switches every point to per-trial
-    child-seed streams executed over that many fork workers.
+    persists fresh ones.
     """
     scale = get_scale(scale)
     ctx = context or ExperimentContext.create(scale, seed, store=store)
     if store is None:
         store = ctx.store
-    units = point_units(ctx, seed=seed, benchmark=benchmark,
-                        n_jobs=n_jobs)
+    units = point_units(ctx, seed=seed, benchmark=benchmark)
     points, _, _ = resolve_units(units, store)
     return assemble(ctx, points, benchmark=benchmark)
 

@@ -71,8 +71,7 @@ def _grid(ctx: ExperimentContext, sigma_v: float) -> list[float]:
 
 def point_units(ctx: ExperimentContext, seed: int = 2016,
                 benchmarks: tuple[str, ...] = FIG6_BENCHMARKS,
-                sigma_v: float = SIGMA_V,
-                n_jobs: int | None = None) -> list[PointUnit]:
+                sigma_v: float = SIGMA_V) -> list[PointUnit]:
     """Per-frequency Monte-Carlo units, grouped by benchmark."""
     characterization = ctx.characterization(NOMINAL_VDD)
     noise = ctx.noise(sigma_v)
@@ -92,7 +91,6 @@ def point_units(ctx: ExperimentContext, seed: int = 2016,
             frequencies_hz=grid,
             n_trials=ctx.scale.trials,
             seed=seed + 6151 * salt,
-            n_jobs=n_jobs,
             experiment="fig6",
             scale=ctx.scale,
             condition={"vdd": NOMINAL_VDD, "sigma_v": sigma_v,
@@ -129,14 +127,14 @@ def run(scale: str | Scale = "default", seed: int = 2016,
         context: ExperimentContext | None = None,
         benchmarks: tuple[str, ...] = FIG6_BENCHMARKS,
         sigma_v: float = SIGMA_V,
-        store=None, n_jobs: int | None = None) -> list[Fig6Result]:
+        store=None) -> list[Fig6Result]:
     """Sweep every benchmark at 0.7 V with sigma = 10 mV."""
     scale = get_scale(scale)
     ctx = context or ExperimentContext.create(scale, seed, store=store)
     if store is None:
         store = ctx.store
     units = point_units(ctx, seed=seed, benchmarks=benchmarks,
-                        sigma_v=sigma_v, n_jobs=n_jobs)
+                        sigma_v=sigma_v)
     points, _, _ = resolve_units(units, store)
     return assemble(ctx, points, benchmarks=benchmarks, sigma_v=sigma_v)
 

@@ -32,8 +32,7 @@ from repro.experiments.scale import Scale, get_scale
 from repro.fi.model_c import StatisticalInjector
 from repro.mc.results import McPoint
 from repro.mc.runner import run_point
-from repro.mc.units import PointUnit, mc_point_key, resolve_units, \
-    stream_scheme
+from repro.mc.units import PointUnit, mc_point_key, resolve_units
 from repro.power.model import CorePowerModel
 
 #: Swept supply-voltage range [V] (below the nominal 0.7 V).
@@ -95,13 +94,11 @@ def _voltages(ctx: ExperimentContext) -> np.ndarray:
 
 
 def point_units(ctx: ExperimentContext, seed: int = 2016,
-                benchmark: str = "median",
-                n_jobs: int | None = None) -> list[PointUnit]:
+                benchmark: str = "median") -> list[PointUnit]:
     """One Monte-Carlo unit per (sigma, Vdd) configuration."""
     kernel = build_kernel(benchmark, ctx.scale.kernel_scale)
     characterization = ctx.characterization(NOMINAL_VDD)
     frequency = ctx.sta_limit_hz(NOMINAL_VDD)
-    stream = stream_scheme(n_jobs)
     units: list[PointUnit] = []
     for sigma in NOISE_SIGMAS:
         noise = ctx.noise(sigma)
@@ -118,14 +115,13 @@ def point_units(ctx: ExperimentContext, seed: int = 2016,
                     kernel, factory,
                     n_trials=ctx.scale.trials,
                     seed=point_seed,
-                    label=f"{kernel.name}@{vdd:.3f}V",
-                    n_jobs=n_jobs)
+                    label=f"{kernel.name}@{vdd:.3f}V")
 
             units.append(PointUnit(
                 label=f"fig7:{kernel.name}@{vdd:.3f}V/"
                       f"{sigma * 1e3:.0f}mV",
                 key=mc_point_key(
-                    "fig7", ctx.scale, point_seed, stream, kernel,
+                    "fig7", ctx.scale, point_seed, kernel,
                     ctx.scale.trials,
                     {"vdd": float(vdd), "sigma_v": sigma, "model": "C",
                      "frequency_hz": float(frequency),
@@ -160,14 +156,13 @@ def assemble(ctx: ExperimentContext, points: list[McPoint],
 def run(scale: str | Scale = "default", seed: int = 2016,
         context: ExperimentContext | None = None,
         benchmark: str = "median",
-        store=None, n_jobs: int | None = None) -> Fig7Result:
+        store=None) -> Fig7Result:
     """Run the voltage-overscaling trade-off study."""
     scale = get_scale(scale)
     ctx = context or ExperimentContext.create(scale, seed, store=store)
     if store is None:
         store = ctx.store
-    units = point_units(ctx, seed=seed, benchmark=benchmark,
-                        n_jobs=n_jobs)
+    units = point_units(ctx, seed=seed, benchmark=benchmark)
     points, _, _ = resolve_units(units, store)
     return assemble(ctx, points, benchmark=benchmark)
 

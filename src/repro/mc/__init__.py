@@ -9,7 +9,6 @@ from repro.mc.runner import (
     run_point,
     run_trial,
     trial_budget,
-    trial_seeds,
 )
 from repro.mc.stats import geometric_mean, mean, std, wilson_interval
 from repro.mc.sweep import (
@@ -24,7 +23,6 @@ from repro.mc.units import (
     WorkUnit,
     mc_point_key,
     resolve_units,
-    stream_scheme,
     work_unit_key,
 )
 
@@ -48,11 +46,9 @@ __all__ = [
     "run_point",
     "run_trial",
     "std",
-    "stream_scheme",
     "sweep_frequencies",
     "sweep_units",
     "trial_budget",
-    "trial_seeds",
     "wilson_interval",
     "work_unit_key",
 ]

@@ -1,7 +1,7 @@
 """Monte-Carlo execution of fault-injected benchmark runs.
 
 The runner owns the reproducibility story: a master seed derives the
-injector RNG stream(s), and a cycle budget tied to the fault-free
+injector RNG stream, and a cycle budget tied to the fault-free
 execution length of the kernel (the infinite-loop detector of the
 paper's ISS) bounds every trial.
 
@@ -17,42 +17,26 @@ unproven one rolls the injector back and runs live.  The CPU is built
 lazily, on the first trial that runs live, so a fully fault-free point
 builds none.
 
-Two execution schemes:
-
-* **Serial** (``n_jobs=None``, the historical default): one injector
-  serves all trials of a point and its random stream continues across
-  trials.  The CPU is constructed at most once per point and restored
-  between trials via :meth:`Cpu.reset` (the instruction closures are
-  compiled exactly once per point) -- results are bit-identical to the
-  per-trial-CPU scheme because ``reset`` restores the exact
-  construction-time architectural state.
-* **Per-trial streams** (``n_jobs`` set): every trial gets an
-  independent child seed spawned from the master
-  :class:`numpy.random.SeedSequence` and builds its own injector, so
-  trial outcomes do not depend on execution order.  This is what makes
-  process-parallel execution (``n_jobs >= 2``) bit-identical to the
-  same scheme run serially (``n_jobs=1``).
-
-Parallel execution (``n_jobs >= 2``) forks a throwaway worker pool per
-call: the kernel, injector factory and machine config ride fork
-inheritance (they hold compiled closures and cannot be pickled), trials
-are dealt round-robin into ``n_jobs`` chunks, and the results are put
-back into trial order.  Where fork is unavailable the same per-trial
-scheme runs in-process.  Every path is bit-identical at any worker
-count.
+One execution scheme: one injector serves all trials of a point and
+its random stream continues across trials.  The CPU is constructed at
+most once per point and restored between trials via :meth:`Cpu.reset`
+(the instruction closures are compiled exactly once per point) --
+results are bit-identical to a fresh CPU per trial because ``reset``
+restores the exact construction-time architectural state.  Process
+parallelism lives one level up: campaigns shard whole points over
+forked workers (:mod:`repro.campaign`), so a point is the same number
+set however many processes compute its figure.
 """
 
 from __future__ import annotations
 
-import itertools
-import multiprocessing
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-from repro import obs, parallel
+from repro import obs
 from repro.bench.kernel import KernelInstance
 from repro.fi.base import FaultInjector, NullInjector
 from repro.isa.instructions import ALU_MNEMONICS
@@ -223,23 +207,21 @@ def run_trial(kernel: KernelInstance, injector: FaultInjector,
     return trial
 
 
-def trial_seeds(seed: int, n_trials: int) -> list[np.random.SeedSequence]:
-    """Independent per-trial child seeds of one master seed."""
-    return np.random.SeedSequence(seed).spawn(n_trials)
-
-
-def _run_trials(kernel: KernelInstance,
-                injectors: Iterable[FaultInjector],
+def _run_trials(kernel: KernelInstance, injector: FaultInjector,
+                n_trials: int,
                 config: MachineConfig | None) -> Iterator[TrialResult]:
-    """One trial per injector, sharing a CPU built on the first miss.
+    """Run ``n_trials`` trials on one injector and a lazily built CPU.
 
-    The CPU is compiled once and reset between the trials that run
-    live; a point whose every trial is speculated builds none.
+    The CPU calls ``begin_run()`` before every run, which resets the
+    injector's per-run counters while its random stream continues
+    across trials.  The CPU is compiled once and reset between the
+    trials that run live; a point whose every trial is speculated
+    builds none.
     """
     base_config = config or MachineConfig()
     budget = trial_budget(kernel, base_config)
     cpu: Cpu | None = None
-    for injector in injectors:
+    for _ in range(n_trials):
         trial = _speculate(kernel, injector, base_config)
         if trial is None:
             if cpu is None:
@@ -250,64 +232,20 @@ def _run_trials(kernel: KernelInstance,
         yield trial
 
 
-def _run_seeded_trials(kernel: KernelInstance,
-                       injector_factory: InjectorFactory,
-                       seeds: list[np.random.SeedSequence],
-                       config: MachineConfig | None,
-                       injector_args: tuple = ()) -> list[TrialResult]:
-    """Run trials with independent per-trial injectors."""
-    injectors = (injector_factory(*injector_args,
-                                  np.random.default_rng(child))
-                 for child in seeds)
-    return list(_run_trials(kernel, injectors, config))
-
-
-# Fork-worker state, set inside each worker process by the pool
-# initializer.  Passing the state through ``initargs`` (inherited via
-# fork, never pickled) keeps concurrent ``run_point`` calls from
-# different threads isolated: each pool's workers see exactly the
-# state that pool was created with.
-_WORKER_STATE: dict | None = None
-
-
-def _init_worker(state: dict) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = state
-
-
-def _run_trial_chunk(chunk: list[int]) -> list[TrialResult]:
-    """Pool worker: run the trials at the given indices."""
-    state = _WORKER_STATE
-    assert state is not None, "worker state missing (pool without fork?)"
-    seeds = [state["seeds"][index] for index in chunk]
-    results = _run_seeded_trials(state["kernel"], state["factory"], seeds,
-                                 state["config"],
-                                 state.get("injector_args", ()))
-    # Pool workers never run the atexit flush: ship the trial counters.
-    obs.flush()
-    return results
-
-
 def run_point(kernel: KernelInstance, injector_factory: InjectorFactory,
               n_trials: int, seed: int = 0, label: str = "",
               config: MachineConfig | None = None,
-              n_jobs: int | None = None,
               injector_args: tuple = ()) -> McPoint:
     """Run ``n_trials`` Monte-Carlo trials of one configuration.
 
     Args:
         kernel: the benchmark instance.
-        injector_factory: builds a fresh injector from a per-trial RNG
-            (called as ``injector_factory(*injector_args, rng)``).
+        injector_factory: builds the point's injector from the master
+            RNG (called as ``injector_factory(*injector_args, rng)``).
         n_trials: number of trials (paper: at least 100 per point).
-        seed: master seed; trials use independent child streams.
+        seed: master seed of the point's one continuing random stream.
         label: point label for reports.
         config: machine configuration override.
-        n_jobs: ``None`` (default) keeps the historical serial scheme:
-            one injector whose stream spans all trials.  An integer
-            switches to per-trial child seeds -- ``n_jobs=1`` runs them
-            in-process, ``n_jobs>=2`` fans trials out over worker
-            processes; all orderings produce bit-identical points.
         injector_args: leading arguments for ``injector_factory``.
             Sweeps pass the per-point condition (e.g. the frequency)
             here instead of closing over it, so the *same* factory
@@ -318,8 +256,6 @@ def run_point(kernel: KernelInstance, injector_factory: InjectorFactory,
     """
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
-    if n_jobs is not None and n_jobs <= 0:
-        raise ValueError("n_jobs must be positive (or None for serial)")
     if os.environ.get("REPRO_FORBID_MC"):
         # Verification hook: a warm-cache rerun must be served entirely
         # from the result store, so reaching the simulator is a bug.
@@ -327,69 +263,9 @@ def run_point(kernel: KernelInstance, injector_factory: InjectorFactory,
             "Monte-Carlo simulation attempted while REPRO_FORBID_MC is "
             "set -- expected a result-store hit")
     point = McPoint(label=label or kernel.name)
-    # Resolve the golden run up front: workers then inherit the cached
-    # run and its trace instead of each re-deriving them.
-    golden_cycles(kernel, config or MachineConfig())
-
-    if n_jobs is None:
-        master = np.random.default_rng(seed)
-        # One injector serves all trials of the point: construction
-        # (CDF grids, noise blocks) is much more expensive than a
-        # trial, and the CPU calls begin_run() before every run, which
-        # resets the per-run counters while the random stream continues
-        # across trials.  The CPU itself is also constructed once --
-        # the compiled instruction closures are reused and reset()
-        # restores the architectural state between trials -- and only
-        # if some trial cannot be speculated.
-        injector = injector_factory(*injector_args, master)
-        for trial in _run_trials(kernel,
-                                 itertools.repeat(injector, n_trials),
-                                 config):
-            point.add(trial)
-        return point
-
-    seeds = trial_seeds(seed, n_trials)
-    if n_jobs == 1 or n_trials == 1 or not parallel.fork_available():
-        for trial in _run_seeded_trials(kernel, injector_factory, seeds,
-                                        config, injector_args):
-            point.add(trial)
-        return point
-
-    ordered = _run_forked_trials(kernel, injector_factory, seeds, config,
-                                 injector_args, n_jobs)
-    for trial in ordered:
-        assert trial is not None
+    # One injector serves all trials of the point: construction (CDF
+    # grids, noise blocks) is much more expensive than a trial.
+    injector = injector_factory(*injector_args, np.random.default_rng(seed))
+    for trial in _run_trials(kernel, injector, n_trials, config):
         point.add(trial)
     return point
-
-
-def _reassemble(chunks: list[list[int]], per_chunk: list,
-                n_trials: int) -> list[TrialResult | None]:
-    """Put chunked trial results back into trial order.
-
-    This is what makes the parallel path bit-identical to serial:
-    the point only ever sees trials in index order, no matter which
-    worker ran them or when it finished.
-    """
-    ordered: list[TrialResult | None] = [None] * n_trials
-    for chunk, results in zip(chunks, per_chunk):
-        for index, trial in zip(chunk, results):
-            ordered[index] = trial
-    return ordered
-
-
-def _run_forked_trials(kernel, injector_factory, seeds, config,
-                       injector_args, n_jobs) -> list[TrialResult | None]:
-    """Fan trial chunks out over a throwaway fork pool of ``n_jobs``."""
-    n_trials = len(seeds)
-    chunks = [list(range(start, n_trials, n_jobs))
-              for start in range(n_jobs)]
-    state = {"kernel": kernel, "factory": injector_factory,
-             "seeds": seeds, "config": config,
-             "injector_args": injector_args}
-    context = multiprocessing.get_context("fork")
-    with context.Pool(processes=n_jobs, initializer=_init_worker,
-                      initargs=(state,)) as pool:
-        per_chunk = pool.map(_run_trial_chunk, chunks)
-    return _reassemble(chunks, per_chunk, n_trials)
-

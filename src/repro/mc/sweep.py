@@ -19,8 +19,7 @@ from repro.bench.kernel import KernelInstance
 from repro.fi.base import FaultInjector
 from repro.mc.results import McPoint
 from repro.mc.runner import run_point
-from repro.mc.units import PointUnit, mc_point_key, resolve_units, \
-    stream_scheme
+from repro.mc.units import PointUnit, mc_point_key, resolve_units
 
 #: Builds an injector for (frequency_hz, rng).
 FrequencyInjectorFactory = Callable[
@@ -124,7 +123,6 @@ def sweep_units(kernel: KernelInstance,
                 frequencies_hz: list[float],
                 n_trials: int,
                 seed: int = 0,
-                n_jobs: int | None = None,
                 experiment: str = "",
                 scale=None,
                 condition: dict | None = None) -> list[PointUnit]:
@@ -139,7 +137,6 @@ def sweep_units(kernel: KernelInstance,
     key (see :func:`repro.mc.units.mc_point_key`); they do not affect
     the computation.
     """
-    stream = stream_scheme(n_jobs)
     units = []
     for index, frequency in enumerate(sorted(frequencies_hz)):
         point_seed = seed + SWEEP_SEED_STRIDE * index
@@ -155,7 +152,6 @@ def sweep_units(kernel: KernelInstance,
                 n_trials=n_trials,
                 seed=s,
                 label=f"{kernel.name}@{f / 1e6:.1f}MHz",
-                n_jobs=n_jobs,
                 injector_args=(f,),
             )
             point.config = {"frequency_hz": f}
@@ -164,8 +160,8 @@ def sweep_units(kernel: KernelInstance,
         units.append(PointUnit(
             label=f"{experiment or kernel.name}:"
                   f"{kernel.name}@{frequency / 1e6:.1f}MHz",
-            key=mc_point_key(experiment, scale, point_seed, stream,
-                             kernel, n_trials, point_condition),
+            key=mc_point_key(experiment, scale, point_seed, kernel,
+                             n_trials, point_condition),
             compute=compute,
         ))
     return units
@@ -178,7 +174,6 @@ def sweep_frequencies(kernel: KernelInstance,
                       sta_limit_hz: float,
                       seed: int = 0,
                       config: dict | None = None,
-                      n_jobs: int | None = None,
                       store=None,
                       experiment: str = "",
                       scale=None,
@@ -192,13 +187,8 @@ def sweep_frequencies(kernel: KernelInstance,
         frequencies_hz: frequencies to sweep (any order; stored sorted).
         n_trials: Monte-Carlo trials per frequency.
         sta_limit_hz: hardware STA limit for PoFF-gain reporting.
-        seed: master seed; every (frequency, trial) pair derives an
-            independent stream.
+        seed: master seed; every frequency derives its own point seed.
         config: description recorded on the sweep.
-        n_jobs: forwarded to :func:`repro.mc.runner.run_point`; an
-            integer switches every point to independent per-trial
-            streams (bit-identical for any job count), ``None`` keeps
-            the historical serial scheme.
         store: optional :class:`repro.store.ResultStore`; points found
             there skip their Monte-Carlo simulation, misses are
             computed and persisted.
@@ -209,8 +199,7 @@ def sweep_frequencies(kernel: KernelInstance,
     """
     ordered = sorted(frequencies_hz)
     units = sweep_units(kernel, injector_factory, ordered, n_trials,
-                        seed=seed, n_jobs=n_jobs, experiment=experiment,
-                        scale=scale,
+                        seed=seed, experiment=experiment, scale=scale,
                         condition={**(config or {}), **(key_extra or {})})
     points, _, _ = resolve_units(units, store)
     return FrequencySweep(

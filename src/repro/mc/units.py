@@ -35,19 +35,6 @@ from repro.mc.results import MC_POINT_SCHEMA
 from repro.mc.runner import BUDGET_FACTOR
 
 
-def stream_scheme(n_jobs: int | None) -> str:
-    """Random-stream scheme implied by an ``n_jobs`` setting.
-
-    ``run_point`` draws trials from one continuing stream when
-    ``n_jobs`` is None and from independent per-trial child seeds when
-    it is set; the two produce different (both valid) points, so the
-    scheme must be part of the cache key.  Within a scheme the results
-    are bit-identical at any job count, which is why the job count
-    itself is *not* part of the key.
-    """
-    return "serial" if n_jobs is None else "per-trial"
-
-
 def work_unit_key(kind: str, experiment: str, scale, seed: int,
                   condition: dict | None, stream: str = "dta") -> dict:
     """Canonical cache-key payload for one work unit of any kind.
@@ -55,8 +42,7 @@ def work_unit_key(kind: str, experiment: str, scale, seed: int,
     The schema version is read from the store's kind registry so it
     always tracks the artifact's ``*_SCHEMA`` constant.  ``stream``
     defaults to ``"dta"`` for deterministic (non-Monte-Carlo)
-    artifacts; Monte-Carlo points pass their random-stream scheme
-    through :func:`mc_point_key` instead.
+    artifacts; Monte-Carlo points use :func:`mc_point_key` instead.
     """
     from repro.store.schema import current_schema
     return {
@@ -70,17 +56,21 @@ def work_unit_key(kind: str, experiment: str, scale, seed: int,
     }
 
 
-def mc_point_key(experiment: str, scale, seed: int, stream: str,
+def mc_point_key(experiment: str, scale, seed: int,
                  kernel: KernelInstance, n_trials: int,
                  condition: dict | None) -> dict:
-    """Canonical cache-key payload for one Monte-Carlo point."""
+    """Canonical cache-key payload for one Monte-Carlo point.
+
+    ``"stream": "serial"`` names ``run_point``'s one random-stream
+    scheme; it stays in the payload so existing keys are unchanged.
+    """
     return {
         "kind": "mc_point",
         "schema": MC_POINT_SCHEMA,
         "experiment": experiment,
         "scale": asdict(scale) if scale is not None else None,
         "seed": seed,
-        "stream": stream,
+        "stream": "serial",
         "config": {
             **(condition or {}),
             "benchmark": kernel.name,

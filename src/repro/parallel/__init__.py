@@ -1,14 +1,14 @@
 """Execution substrates: forked children for units, threads for shards.
 
 The paper's pipeline parallelizes at one grain -- independent work
-units and trials -- plus, inside one native propagate, the block axis.
-Each grain has exactly one substrate:
+units -- plus, inside one native propagate, the block axis.  Each
+grain has exactly one substrate:
 
 * **fork children** -- campaign unit shards (one forked child per
-  shard, see :mod:`repro.campaign.orchestrator`), fabric lease workers
-  and ``run_point(n_jobs>=2)`` trial chunks.  Unit closures capture
-  compiled kernels and injector factories, which cannot be pickled;
-  fork inherits them.  :func:`fork_available` is the one probe every
+  shard, see :mod:`repro.campaign.orchestrator`; ``repro figN --jobs
+  N`` runs through them too) and fabric lease workers.  Unit closures
+  capture compiled kernels and injector factories, which cannot be
+  pickled; fork inherits them.  :func:`fork_available` is the one probe every
   fork user asks.
 * :class:`~repro.parallel.threads.ThreadShardPool` -- persistent
   **threads** sharding native-engine propagates into column ranges of

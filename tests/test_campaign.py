@@ -15,7 +15,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.campaign import campaign_status, plan_campaign, run_campaign
+from repro import cli
+from repro.campaign import CAMPAIGN_EXPERIMENTS, campaign_status, \
+    plan_campaign, run_campaign
 from repro.campaign.orchestrator import _init_worker, _run_shard
 from repro.experiments import ablations, fig2, fig4, fig5, fig6, fig7
 from repro.experiments.context import ExperimentContext
@@ -61,23 +63,6 @@ class TestStoreAwareDrivers:
         warm = fig7.render(fig7.run(TINY, seed=SEED, context=ctx,
                                     store=store))
         assert warm == fig7_truth
-
-    def test_driver_n_jobs_is_bit_identical_across_job_counts(self, ctx):
-        serial = fig7.run(TINY, seed=SEED, context=ctx, n_jobs=1)
-        pooled = fig7.run(TINY, seed=SEED, context=ctx, n_jobs=2)
-        assert fig7.render(pooled) == fig7.render(serial)
-        for a, b in zip(serial.curves, pooled.curves):
-            for pa, pb in zip(a.points, b.points):
-                assert pa.point.trials == pb.point.trials
-
-    def test_per_trial_stream_entries_do_not_collide_with_serial(
-            self, ctx, store):
-        # Same configuration, different stream scheme -> different keys.
-        serial_units = fig7.point_units(ctx, seed=SEED)
-        pooled_units = fig7.point_units(ctx, seed=SEED, n_jobs=2)
-        serial_keys = {store.key_of(unit.key) for unit in serial_units}
-        pooled_keys = {store.key_of(unit.key) for unit in pooled_units}
-        assert serial_keys.isdisjoint(pooled_keys)
 
     def test_characterization_persists_across_contexts(self, store):
         first = ExperimentContext.create(TINY, seed=SEED, store=store)
@@ -329,10 +314,14 @@ class TestCurveArtifacts:
 
 class TestCampaignAll:
     @pytest.fixture(scope="class")
-    def all_truth(self, store_factory) -> str:
+    def truth_store(self, store_factory) -> ResultStore:
+        return store_factory("truth")
+
+    @pytest.fixture(scope="class")
+    def all_truth(self, truth_store) -> str:
         """Uninterrupted `campaign run all` output: the ground truth."""
-        report = run_campaign("all", TINY, seed=SEED,
-                              store=store_factory("truth"), jobs=1)
+        report = run_campaign("all", TINY, seed=SEED, store=truth_store,
+                              jobs=1)
         return report.rendered
 
     @pytest.fixture(scope="class")
@@ -351,6 +340,21 @@ class TestCampaignAll:
         assert fig7_truth in all_truth
         assert fig4.render(fig4.run(TINY, seed=SEED, context=ctx)) \
             in all_truth
+
+    @pytest.mark.parametrize("name", CAMPAIGN_EXPERIMENTS)
+    def test_driver_render_is_campaign_render_from_shared_entries(
+            self, name, all_truth, truth_store, monkeypatch):
+        # `repro figN --jobs N` prints the campaign render and serial
+        # `repro figN` the driver render: on the store `all` filled,
+        # both must be served without computing and agree byte for byte.
+        monkeypatch.setenv("REPRO_FORBID_MC", "1")
+        monkeypatch.setenv("REPRO_FORBID_DTA", "1")
+        warm_ctx = ExperimentContext.create(TINY, seed=SEED,
+                                            store=truth_store)
+        driver = cli._EXPERIMENTS[name](TINY, SEED, warm_ctx, truth_store)
+        report = run_campaign(name, TINY, seed=SEED, store=truth_store)
+        assert report.computed == 0
+        assert driver == report.rendered
 
     def test_resume_after_kill_is_byte_identical(self, all_truth,
                                                  store_factory):

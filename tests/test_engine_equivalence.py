@@ -8,8 +8,8 @@ test below builds random circuits (random kinds, random wiring depths,
 shared fan-out, constants as inputs) and cross-checks every observable.
 
 The Monte-Carlo layer rides on the same guarantee: CPU reuse via
-``Cpu.reset()`` and process-parallel ``run_point`` must both be
-invisible in the results, as must thread-sharding the native engine.
+``Cpu.reset()`` must be invisible in the results, as must
+thread-sharding the native engine.
 """
 
 import contextlib
@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro import faults, native, parallel
 from repro.bench.suite import build_kernel
 from repro.fi.base import FaultInjector
-from repro.mc.runner import run_point, run_trial, trial_seeds
+from repro.mc.runner import run_trial
 from repro.netlist.circuit import Circuit, CircuitError
 from repro.netlist.gates import GATE_KINDS, arity_of
 from repro.netlist.plan import F32_ATOL, F32_RTOL
@@ -629,7 +629,7 @@ def test_engine_argument_validated():
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo reuse and parallel equivalence
+# Monte-Carlo CPU reuse
 # ---------------------------------------------------------------------------
 
 class _RareInjector(FaultInjector):
@@ -676,48 +676,3 @@ def test_reset_restores_dmem_snapshot(kernel):
     cpu.reset()
     assert cpu.dmem.snapshot() == before
     assert cpu.regs == [0] * 32 and cpu.cycles == 0
-
-
-def test_parallel_run_point_equals_serial(kernel):
-    serial = run_point(kernel, lambda rng: _RareInjector(rng),
-                       n_trials=8, seed=5, n_jobs=1)
-    parallel = run_point(kernel, lambda rng: _RareInjector(rng),
-                         n_trials=8, seed=5, n_jobs=2)
-    assert serial.trials == parallel.trials
-    assert serial.summary() == parallel.summary()
-
-
-def test_pooled_run_point_equals_serial(kernel):
-    """Fork-pooled run_point: bit-identical, and stable across calls.
-
-    Every ``n_jobs>=2`` call forks its own throwaway worker pool; two
-    calls in a row must agree with each other and with the in-process
-    per-trial scheme.
-    """
-    factory = lambda rng: _RareInjector(rng)  # noqa: E731
-    serial = run_point(kernel, factory, n_trials=8, seed=5, n_jobs=1)
-    first = run_point(kernel, factory, n_trials=8, seed=5, n_jobs=2)
-    second = run_point(kernel, factory, n_trials=8, seed=5, n_jobs=2)
-    assert serial.trials == first.trials == second.trials
-    assert serial.summary() == first.summary()
-
-
-def test_pooled_run_point_worker_count_invisible(kernel):
-    """Trial outcomes must not depend on the fork pool's worker count."""
-    factory = lambda rng: _RareInjector(rng)  # noqa: E731
-    points = [run_point(kernel, factory, n_trials=8, seed=9,
-                        n_jobs=workers)
-              for workers in (2, 3, 4)]
-    assert points[0].trials == points[1].trials == points[2].trials
-
-
-def test_trial_seeds_are_deterministic():
-    first = [s.generate_state(2).tolist() for s in trial_seeds(42, 4)]
-    second = [s.generate_state(2).tolist() for s in trial_seeds(42, 4)]
-    assert first == second
-
-
-def test_run_point_validates_n_jobs(kernel):
-    with pytest.raises(ValueError, match="n_jobs"):
-        run_point(kernel, lambda rng: _RareInjector(rng),
-                  n_trials=2, n_jobs=0)

@@ -49,79 +49,74 @@ def kernel():
     return instance
 
 
-def _assert_exact(kernel, make, n_trials, seed, n_jobs):
+def _assert_exact(kernel, make, n_trials, seed):
     """Speculating and live points of one injector recipe agree."""
     fast = run_point(kernel, lambda rng: make(False, rng), n_trials,
-                     seed=seed, n_jobs=n_jobs)
+                     seed=seed)
     live = run_point(kernel, lambda rng: make(True, rng), n_trials,
-                     seed=seed, n_jobs=n_jobs)
+                     seed=seed)
     assert fast.trials == live.trials
     assert fast.to_json() == live.to_json()
     return fast
-
-
-SCHEMES = st.sampled_from([None, 1])
 
 
 class TestExactness:
     @SLOW
     @given(p_bit=st.sampled_from([0.0, 1e-5, 3e-5, 1e-3]),
            semantics=st.sampled_from(FAULT_SEMANTICS),
-           seed=st.integers(0, 2**16), n_jobs=SCHEMES)
-    @example(p_bit=2e-5, semantics="stale", seed=3, n_jobs=None)
-    def test_model_a(self, kernel, p_bit, semantics, seed, n_jobs):
+           seed=st.integers(0, 2**16))
+    @example(p_bit=2e-5, semantics="stale", seed=3)
+    def test_model_a(self, kernel, p_bit, semantics, seed):
         def make(live, rng):
             cls = _live(FixedProbabilityInjector) if live \
                 else FixedProbabilityInjector
             return cls(p_bit, rng=rng, semantics=semantics)
-        _assert_exact(kernel, make, 6, seed, n_jobs)
+        _assert_exact(kernel, make, 6, seed)
 
     @SLOW
     @given(mhz=st.floats(600.0, 800.0),
-           semantics=st.sampled_from(FAULT_SEMANTICS),
-           n_jobs=SCHEMES)
-    def test_model_b(self, kernel, alu, mhz, semantics, n_jobs):
+           semantics=st.sampled_from(FAULT_SEMANTICS))
+    def test_model_b(self, kernel, alu, mhz, semantics):
         def make(live, rng):
             cls = _live(StaInjector) if live else StaInjector
             return cls(alu, mhz * 1e6, semantics=semantics)
-        _assert_exact(kernel, make, 3, 0, n_jobs)
+        _assert_exact(kernel, make, 3, 0)
 
     @SLOW
     @given(mhz=st.floats(615.0, 640.0),
            noise=st.sampled_from([QUIET, NOISE]),
            semantics=st.sampled_from(FAULT_SEMANTICS),
-           seed=st.integers(0, 2**16), n_jobs=SCHEMES)
-    @example(mhz=626.0, noise=NOISE, semantics="flip", seed=1,
-             n_jobs=None)
+           seed=st.integers(0, 2**16))
+    @example(mhz=626.0, noise=NOISE, semantics="flip", seed=1)
     def test_model_bplus(self, kernel, alu, vdd_model, mhz, noise,
-                         semantics, seed, n_jobs):
+                         semantics, seed):
         def make(live, rng):
             cls = _live(StaNoiseInjector) if live else StaNoiseInjector
             return cls(alu, mhz * 1e6, noise, vdd_model=vdd_model,
                        rng=rng, semantics=semantics)
-        _assert_exact(kernel, make, 6, seed, n_jobs)
+        _assert_exact(kernel, make, 6, seed)
 
     @settings(max_examples=10, deadline=None)
     @given(mhz=st.floats(672.0, 694.0),
            noise=st.sampled_from([QUIET, NOISE]),
            correlation=st.sampled_from(CORRELATION_MODES),
            semantics=st.sampled_from(FAULT_SEMANTICS),
-           seed=st.integers(0, 2**16), n_jobs=SCHEMES)
+           seed=st.integers(0, 2**16))
     @example(mhz=684.0, noise=NOISE, correlation="independent",
-             semantics="stale", seed=1, n_jobs=None)
+             semantics="stale", seed=1)
     @example(mhz=684.0, noise=NOISE, correlation="joint",
-             semantics="flip", seed=1, n_jobs=1)
+             semantics="flip", seed=1)
     @example(mhz=770.0, noise=QUIET, correlation="independent",
-             semantics="flip", seed=1, n_jobs=None)
+             semantics="flip", seed=1)
     def test_model_c(self, kernel, characterization, vdd_model, mhz,
-                     noise, correlation, semantics, seed, n_jobs):
+                     noise, correlation, semantics, seed):
         def make(live, rng):
             cls = _live(StatisticalInjector) if live \
                 else StatisticalInjector
             return cls(characterization, mhz * 1e6, noise,
                        vdd_model=vdd_model, rng=rng,
                        correlation=correlation, semantics=semantics)
-        _assert_exact(kernel, make, 6, seed, n_jobs)
+        _assert_exact(kernel, make, 6, seed)
 
     @pytest.mark.parametrize("mhz", [600.0, 684.0])
     def test_model_c_across_refill_seam(self, kernel, characterization,
@@ -135,7 +130,7 @@ class TestExactness:
                 else StatisticalInjector
             return cls(characterization, mhz * 1e6, NOISE,
                        vdd_model=vdd_model, rng=rng)
-        point = _assert_exact(kernel, make, n_trials, 5, None)
+        point = _assert_exact(kernel, make, n_trials, 5)
         assert sum(t.alu_cycles for t in point.trials) > 65536
 
 
@@ -260,13 +255,12 @@ def count_cpus(monkeypatch):
 
 
 class TestLazyCpu:
-    @pytest.mark.parametrize("n_jobs", [None, 1])
     def test_fault_free_point_builds_no_cpu(self, kernel, characterization,
-                                            vdd_model, count_cpus, n_jobs):
+                                            vdd_model, count_cpus):
         point = run_point(
             kernel, lambda rng: StatisticalInjector(
                 characterization, 450e6, NOISE, vdd_model=vdd_model,
-                rng=rng), 5, seed=1, n_jobs=n_jobs)
+                rng=rng), 5, seed=1)
         assert point.p_correct == 1.0
         assert count_cpus.built == 0
 
@@ -278,11 +272,9 @@ class TestLazyCpu:
             5, seed=1)
         assert count_cpus.built == 1
 
-    @pytest.mark.parametrize("n_jobs", [None, 1])
     def test_missed_first_trial_builds_one_cpu(self, kernel, alu,
-                                               count_cpus, n_jobs):
-        point = run_point(kernel, lambda rng: StaInjector(alu, 900e6), 4,
-                          n_jobs=n_jobs)
+                                               count_cpus):
+        point = run_point(kernel, lambda rng: StaInjector(alu, 900e6), 4)
         assert point.p_correct < 1.0
         assert count_cpus.built == 1
 

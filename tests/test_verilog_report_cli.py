@@ -2,12 +2,20 @@
 
 import pytest
 
+from repro import obs
+from repro.campaign import campaign_status
 from repro.cli import build_parser, main
+from repro.experiments import scale as scale_mod
+from repro.experiments.scale import Scale
 from repro.netlist.adders import adder_circuit
 from repro.netlist.circuit import Circuit
 from repro.netlist.logic_unit import logic_circuit
 from repro.netlist.verilog import to_verilog, write_verilog
+from repro.store import ResultStore
 from repro.timing.report import timing_report
+
+TINY = Scale(name="tiny", trials=4, freq_points=4, kernel_scale="quick",
+             char_cycles=128, fig4_samples=128, voltage_points=3)
 
 
 class TestVerilogEmitter:
@@ -118,6 +126,58 @@ class TestCli:
         assert args.no_store and args.jobs == 2
         args = parser.parse_args(["fig7", "--store", "/tmp/s"])
         assert args.store == "/tmp/s"
+
+    @pytest.mark.parametrize("argv", [
+        ["fig7", "--jobs", "0"],
+        ["all", "--jobs", "-1"],
+        ["campaign", "run", "fig7", "--jobs", "0"],
+        ["campaign", "resume", "fig7", "--jobs", "-1"],
+        ["campaign", "run", "fig7", "--jobs", "two"],
+        ["campaign", "run", "fig7", "--fabric", "http://127.0.0.1:1",
+         "--workers", "0"],
+    ])
+    def test_worker_counts_must_be_positive(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
+    def test_fig_jobs_renders_the_serial_figure(self, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setitem(scale_mod._PRESETS, "quick", TINY)
+        assert main(["fig7", "--store", str(tmp_path / "a"),
+                     "--jobs", "2"]) == 0
+        sharded = capsys.readouterr().out
+        assert main(["fig7", "--store", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().out == sharded
+        # The serial rerun on the sharded store is served from it.
+        monkeypatch.setenv("REPRO_FORBID_MC", "1")
+        assert main(["fig7", "--store", str(tmp_path / "a")]) == 0
+        assert capsys.readouterr().out == sharded
+
+    def test_fig_jobs_needs_the_store(self, capsys):
+        assert main(["fig7", "--no-store", "--jobs", "2"]) == 2
+        assert "drop --no-store" in capsys.readouterr().err
+
+    def test_fig_jobs_trace_counts_every_trial(self, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.setitem(scale_mod._PRESETS, "quick", TINY)
+        store = str(tmp_path / "store")
+        trace = str(tmp_path / "t.jsonl")
+        try:
+            assert main(["fig7", "--store", store, "--jobs", "2",
+                         "--trace", trace]) == 0
+            obs.shutdown()
+        finally:
+            obs.reset()
+        totals = obs.counter_totals(obs.read_trace(trace))
+        units = campaign_status("fig7", TINY, 2016,
+                                ResultStore(store)).total
+        assert totals["mc.trials.speculated"] + totals["mc.trials.live"] \
+            == units * TINY.trials
+        capsys.readouterr()
+        assert main(["stats", trace]) == 0
+        assert "mc speculation hit rate" in capsys.readouterr().out
 
     def test_cache_ls_and_gc_run(self, tmp_path, capsys):
         store_dir = str(tmp_path / "cache")
