@@ -20,12 +20,13 @@ builds none.
 One execution scheme: one injector serves all trials of a point and
 its random stream continues across trials.  The CPU is constructed at
 most once per point and restored between trials via :meth:`Cpu.reset`
-(the instruction closures are compiled exactly once per point) --
-results are bit-identical to a fresh CPU per trial because ``reset``
-restores the exact construction-time architectural state.  Process
-parallelism lives one level up: campaigns shard whole points over
-forked workers (:mod:`repro.campaign`), so a point is the same number
-set however many processes compute its figure.
+(each instruction slot is compiled on its first fetch in the point and
+kept for every later trial) -- results are bit-identical to a fresh CPU
+per trial because ``reset`` restores the exact construction-time
+architectural state.  Process parallelism lives one level up: campaigns
+shard whole points over forked workers (:mod:`repro.campaign`), so a
+point is the same number set however many processes compute its
+figure.
 """
 
 from __future__ import annotations
@@ -193,11 +194,11 @@ def run_trial(kernel: KernelInstance, injector: FaultInjector,
         cpu: optional CPU to reuse: it is reset (registers, data
             memory, counters restored from the construction-time
             snapshot) and re-armed with ``injector`` instead of
-            constructing -- and re-compiling -- a fresh CPU.  Results
-            are bit-identical either way; the reused CPU must have been
-            built with the same machine ``config`` (a mismatch raises
-            ``ValueError`` rather than silently running with the old
-            memory map).
+            constructing a fresh CPU and compiling its code again.
+            Results are bit-identical either way; the reused CPU must
+            have been built with the same machine ``config`` (a
+            mismatch raises ``ValueError`` rather than silently running
+            with the old memory map).
     """
     base_config = config or MachineConfig()
     trial = _speculate(kernel, injector, base_config)
@@ -214,9 +215,9 @@ def _run_trials(kernel: KernelInstance, injector: FaultInjector,
 
     The CPU calls ``begin_run()`` before every run, which resets the
     injector's per-run counters while its random stream continues
-    across trials.  The CPU is compiled once and reset between the
-    trials that run live; a point whose every trial is speculated
-    builds none.
+    across trials.  The CPU is built once and reset between the trials
+    that run live, and it keeps the slots it compiled; a point whose
+    every trial is speculated builds none.
     """
     base_config = config or MachineConfig()
     budget = trial_budget(kernel, base_config)

@@ -181,8 +181,8 @@ def sweep_frequencies(kernel: KernelInstance,
     """Run a Monte-Carlo frequency sweep.
 
     Args:
-        kernel: benchmark instance (reused across points; the CPU is
-            compiled once per point and reset between trials).
+        kernel: benchmark instance (reused across points; one CPU per
+            point is reset between trials and keeps its compiled slots).
         injector_factory: builds an injector for a frequency and RNG.
         frequencies_hz: frequencies to sweep (any order; stored sorted).
         n_trials: Monte-Carlo trials per frequency.

@@ -8,11 +8,13 @@ in which an instruction occupies the execute (EX) stage is simply its
 retire index, so the simulator advances one instruction per cycle and
 exposes the EX stage to the fault-injection framework at that point.
 
-For speed, the program image is *pre-compiled* once: every instruction
-word becomes a Python closure specialized on its decoded operands
-(jump targets resolved to absolute indices, r0 writes elided, ...).
-The hot loop then only dispatches closures and manages the branch
-delay slot.
+For speed, each instruction slot is *compiled* the first time it is
+fetched: its word becomes a Python closure specialized on its decoded
+operands (jump targets resolved to absolute indices, r0 writes elided,
+...) and stays in the slot for every later run of the CPU.  The hot loop
+then only dispatches closures and manages the branch delay slot, and a
+CPU costs what its executed code costs, not what its instruction memory
+costs.
 
 Fault injection contract: while the FI window is open (between the
 ``l.nop NOP_FI_ON`` / ``NOP_FI_OFF`` kernel markers) every FI-eligible
@@ -52,6 +54,32 @@ def _signed(value: int) -> int:
     return value - 0x100000000 if value & _SIGN_BIT else value
 
 
+class _Core:
+    """Run state shared by a CPU and its compiled instructions.
+
+    The closures capture this object, never the :class:`Cpu`, so a CPU
+    is not part of a reference cycle: it is freed, with its data memory
+    and snapshot, as soon as its last user drops it.
+    """
+
+    __slots__ = ("injector", "hook", "flag", "fi_window")
+
+    def __init__(self, injector) -> None:
+        self.injector = injector
+        self.hook: Callable[[str, int], int] | None = None
+        self.flag = False
+        self.fi_window = False
+
+    def fi_on(self) -> None:
+        self.fi_window = True
+        if self.injector is not None:
+            self.hook = self.injector.on_alu
+
+    def fi_off(self) -> None:
+        self.fi_window = False
+        self.hook = None
+
+
 class Cpu:
     """The instruction set simulator.
 
@@ -71,70 +99,93 @@ class Cpu:
                  injector=None, profile: bool = False, trace_hook=None):
         self.config = config or MachineConfig()
         self.program = program
-        self.injector = injector
         self.profile = profile
         self.trace_hook = trace_hook
         self.regs: list[int] = [0] * 32
-        self.flag = False
         self.dmem = DataMemory(self.config.dmem_base, self.config.dmem_size)
         self.reports: list[int] = []
         self.cycles = 0
         self.kernel_cycles = 0
-        self._fi_window = False
-        self._active_hook: Callable[[str, int], int] | None = None
+        self._core = _Core(injector)
         self._class_counts: dict[str, int] = {}
-        self._code: list[Callable[[], int | None] | None] = []
-        self._imem_words: list[int] = []
-        self._load_program()
+        self._imem_words = self._load_program()
+        # Slots are compiled on first fetch (see _run_loop).
+        self._code: list[Callable[[], int | None] | None] = \
+            [None] * len(self._imem_words)
         # Snapshot the loaded data image once: reset() restores it
-        # instead of re-splitting the program and re-compiling every
-        # instruction closure (the Monte-Carlo trial-reuse fast path).
+        # instead of re-splitting the program (the Monte-Carlo
+        # trial-reuse fast path).
         self._dmem_image = self.dmem.snapshot()
 
+    @property
+    def injector(self):
+        """The fault injector armed for the next run (or None)."""
+        return self._core.injector
+
+    @injector.setter
+    def injector(self, injector) -> None:
+        self._core.injector = injector
+
+    @property
+    def flag(self) -> bool:
+        """The compare flag (``SR[F]``)."""
+        return self._core.flag
+
     # ------------------------------------------------------------------
-    # Program loading and pre-compilation
+    # Program loading and lazy compilation
     # ------------------------------------------------------------------
 
-    def _load_program(self) -> None:
+    def _load_program(self) -> list[int]:
+        """Store the data words and return the instruction memory.
+
+        Each program word below ``dmem_base`` goes to instruction slot
+        ``(address - imem_base) // 4``; slots up to the last such word
+        that no program word covers hold word 0.  Words below
+        ``imem_base`` are in no memory, so fetching them is
+        :class:`PcOutOfRange`.  Words at or above ``dmem_base`` are
+        stored in the data memory.
+        """
         cfg = self.config
-        program = self.program
-        self._imem_words = []
-        for index, word in enumerate(program.words):
-            address = program.base_address + 4 * index
-            if address < cfg.dmem_base:
-                self._imem_words.append(word)
-            else:
-                self.dmem.store_word(address, word)
-        self._compile_all()
+        base = self.program.base_address
+        words = self.program.words
+        # Index of the first word at or above each base (ceil division).
+        first = min(len(words), max(0, -((base - cfg.imem_base) // 4)))
+        split = min(len(words), max(0, -((base - cfg.dmem_base) // 4)))
+        self.dmem.write_words(base + 4 * split, words[split:])
+        code = words[first:split]
+        if not code:
+            return []
+        return [0] * max(0, (base - cfg.imem_base) // 4) + code
 
-    def _compile_all(self) -> None:
-        self._code = []
-        for index, word in enumerate(self._imem_words):
-            address = self.config.imem_base + 4 * index
-            try:
-                decoded = decode(word)
-            except EncodingError:
-                self._code.append(None)
-                continue
-            self._code.append(self._compile(decoded, address))
+    def _compile_slot(self, index: int) -> Callable[[], int | None]:
+        """Compile instruction slot ``index`` and keep it for later runs."""
+        address = self.config.imem_base + 4 * index
+        try:
+            decoded = decode(self._imem_words[index])
+        except EncodingError:
+            raise IllegalInstruction(f"at {address:#x}") from None
+        op = self._code[index] = self._compile(decoded, address)
+        return op
 
     def reset(self) -> None:
         """Restore architectural state for a fresh run.
 
-        Restores from the construction-time snapshot instead of
-        re-decoding and re-compiling the program image.  All state
-        containers are mutated in place -- the compiled instruction
-        closures hold references to ``regs``, ``reports``, ``dmem`` and
-        ``_class_counts``, so rebinding any of them would silently
-        disconnect the compiled code from the architectural state.
+        Restores from the construction-time snapshot; the slots compiled
+        so far stay compiled, so a rerun compiles only code it had not
+        reached before.  All state containers are mutated in place --
+        the compiled instruction closures hold references to ``regs``,
+        ``reports``, ``dmem``, ``_class_counts`` and the run state
+        ``_core``, so rebinding any of them would silently disconnect
+        the compiled code from the architectural state.
         """
         self.regs[:] = [0] * 32
-        self.flag = False
         self.reports.clear()
         self.cycles = 0
         self.kernel_cycles = 0
-        self._fi_window = False
-        self._active_hook = None
+        core = self._core
+        core.flag = False
+        core.fi_window = False
+        core.hook = None
         self._class_counts.clear()
         self.dmem.restore(self._dmem_image)
 
@@ -159,8 +210,9 @@ class Cpu:
             entry = self.program.symbol(entry)
         budget = max_cycles if max_cycles is not None else \
             self.config.max_cycles
-        if self.injector is not None:
-            self.injector.begin_run()
+        injector = self._core.injector
+        if injector is not None:
+            injector.begin_run()
         finished = False
         abort_reason: str | None = None
         exit_code: int | None = None
@@ -172,7 +224,6 @@ class Cpu:
         except (IllegalInstruction, PcOutOfRange, MemoryFault,
                 MisalignedAccess, InfiniteLoop) as fault:
             abort_reason = fault.reason
-        injector = self.injector
         return ExecutionResult(
             finished=finished,
             abort_reason=abort_reason,
@@ -190,6 +241,7 @@ class Cpu:
         if entry % 4:
             raise PcOutOfRange(f"entry {entry:#x} not word aligned")
         code = self._code
+        core = self._core
         size = len(code)
         pc_index = (entry - self.config.imem_base) // 4
         pending = -1
@@ -205,11 +257,10 @@ class Cpu:
                         f"pc {self.config.imem_base + 4 * pc_index:#x}")
                 op = code[pc_index]
                 if op is None:
-                    raise IllegalInstruction(
-                        f"at {self.config.imem_base + 4 * pc_index:#x}")
+                    op = self._compile_slot(pc_index)
                 target = op()
                 cycles += 1
-                if self._fi_window:
+                if core.fi_window:
                     kernel_cycles += 1
                 if pending >= 0:
                     if target is not None:
@@ -224,19 +275,6 @@ class Cpu:
         finally:
             self.cycles = cycles
             self.kernel_cycles = kernel_cycles
-
-    # ------------------------------------------------------------------
-    # FI window plumbing
-    # ------------------------------------------------------------------
-
-    def _fi_on(self) -> None:
-        self._fi_window = True
-        if self.injector is not None:
-            self._active_hook = self.injector.on_alu
-
-    def _fi_off(self) -> None:
-        self._fi_window = False
-        self._active_hook = None
 
     # ------------------------------------------------------------------
     # Instruction compilation
@@ -270,7 +308,7 @@ class Cpu:
         mnemonic = spec.mnemonic
         regs = self.regs
         dmem = self.dmem
-        cpu = self
+        core = self._core
         rd, ra, rb, imm = decoded.rd, decoded.ra, decoded.rb, decoded.imm
 
         def write(value: int) -> None:
@@ -284,7 +322,7 @@ class Cpu:
                 # Result discarded architecturally, but the instruction
                 # still occupies EX and is still counted by the hook.
                 def op_alu_r0():
-                    hook = cpu._active_hook
+                    hook = core.hook
                     result = compute()
                     if hook is not None:
                         hook(mnemonic, result)
@@ -292,7 +330,7 @@ class Cpu:
                 return op_alu_r0
 
             def op_alu():
-                hook = cpu._active_hook
+                hook = core.hook
                 result = compute()
                 if hook is not None:
                     result = hook(mnemonic, result)
@@ -339,7 +377,7 @@ class Cpu:
             wanted = mnemonic == "l.bf"
 
             def op_branch():
-                if cpu.flag == wanted:
+                if core.flag == wanted:
                     return target_index
                 return None
             return op_branch
@@ -357,12 +395,12 @@ class Cpu:
                 return op_report
             if imm == NOP_FI_ON:
                 def op_fi_on():
-                    cpu._fi_on()
+                    core.fi_on()
                     return None
                 return op_fi_on
             if imm == NOP_FI_OFF:
                 def op_fi_off():
-                    cpu._fi_off()
+                    core.fi_off()
                     return None
                 return op_fi_off
 
@@ -463,7 +501,7 @@ class Cpu:
     def _compile_compare(self, mnemonic: str, ra: int, rb: int,
                          imm: int) -> Callable[[], None]:
         regs = self.regs
-        cpu = self
+        core = self._core
         immediate = mnemonic.endswith("i")
         kind = mnemonic[4:-1] if immediate else mnemonic[4:]
 
@@ -493,6 +531,6 @@ class Cpu:
 
         def op_compare():
             a, b = get_operands()
-            cpu.flag = test(a, b)
+            core.flag = test(a, b)
             return None
         return op_compare

@@ -1,5 +1,8 @@
 """Tests for the Monte-Carlo runner, aggregation and sweeps."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 from repro.bench.suite import build_kernel
 from repro.fi.base import FaultInjector, NullInjector
 from repro.mc.results import McPoint, TrialResult
+from repro.mc import runner
 from repro.mc.runner import golden_cycles, golden_run, run_point, \
     run_trial
 from repro.mc.stats import geometric_mean, mean, std, wilson_interval
 from repro.mc.sweep import FrequencySweep, frequency_grid, \
     sweep_frequencies
+from repro.sim.cpu import Cpu
 from repro.sim.machine import MachineConfig
 
 
@@ -112,6 +117,26 @@ class TestRunner:
         assert relaxed.cycles == base.cycles
         assert relaxed.result == base.result
         assert np.array_equal(relaxed.mnemonic_ids, base.mnemonic_ids)
+
+    def test_point_cpu_is_freed_without_the_cyclic_gc(self, monkeypatch):
+        built = []
+
+        class RecordingCpu(Cpu):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(runner, "Cpu", RecordingCpu)
+        kernel = build_kernel("median", "quick")
+        gc.disable()
+        try:
+            point = run_point(kernel, lambda rng: _AggressiveInjector(),
+                              n_trials=3, seed=3)
+            assert point.n_trials == 3 and point.p_correct == 0.0
+            assert built
+            assert all(ref() is None for ref in built)
+        finally:
+            gc.enable()
 
     def test_budget_bounds_runaway_runs(self):
         kernel = build_kernel("median", "quick")

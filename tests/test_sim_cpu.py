@@ -1,5 +1,8 @@
 """Unit tests for the cycle-accurate CPU: semantics, control, faults."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.fi.base import FaultInjector
@@ -297,6 +300,7 @@ class TestFatalConditions:
         """)
         assert not result.finished
         assert result.abort_reason == "illegal-instruction"
+        assert result.cycles == 2  # the undecodable fetch retires nothing
 
 
 class TestHooksAndWindows:
@@ -422,3 +426,146 @@ class TestProfiling:
         second = cpu.run("start")
         assert first.exit_code == second.exit_code == 9
         assert second.cycles == first.cycles
+
+
+class TestLoader:
+    def test_program_placed_at_its_base_address(self):
+        program = assemble("""
+        start:
+            l.addi r3, r0, 5
+            l.nop 0x1
+        """, base_address=0x100)
+        result = Cpu(program).run("start")
+        assert result.finished and result.exit_code == 5
+
+    def test_slots_below_the_program_hold_word_zero(self):
+        # Word 0 is ``l.j 0``: a jump below the program's base lands on
+        # a self-jump, not outside instruction memory.
+        program = assemble("""
+        start:
+            l.jr r0
+            l.nop
+        """, base_address=0x100)
+        result = Cpu(program).run("start")
+        assert result.abort_reason == "infinite-loop"
+        assert result.cycles == 2
+
+    def test_words_below_imem_base_are_not_instruction_memory(self):
+        program = assemble("""
+        start:
+            l.nop
+            l.nop 0x1
+        """)
+        result = Cpu(program, config=MachineConfig(imem_base=0x4)).run(0)
+        assert result.abort_reason == "pc-out-of-range"
+        assert result.cycles == 0
+
+
+class TestLazyCompile:
+    PADDING = """
+    start:
+        l.ori r1, r0, 0x800
+        l.jr  r1
+        l.nop
+        .org 0x1000
+        .word 0
+    """
+
+    def test_jump_into_padding_is_a_self_jump(self):
+        cpu, result = run_program(self.PADDING)
+        assert result.abort_reason == "infinite-loop"
+        assert result.cycles == 3
+
+    def test_padding_without_self_jump_detection(self):
+        # Padding is a run of ``l.j 0``: the second one sits in the
+        # first one's delay slot.
+        cpu, result = run_program(self.PADDING, config=MachineConfig(
+            detect_self_jump=False, max_cycles=1000))
+        assert result.abort_reason == "illegal-instruction"
+        assert result.cycles == 5
+        # A lone zero word with a nop in its delay slot spins until the
+        # cycle budget runs out.
+        cpu, result = run_program("""
+        start:
+            l.j spin
+            l.nop
+        spin:
+            .word 0
+            l.nop
+        """, config=MachineConfig(detect_self_jump=False, max_cycles=1000))
+        assert result.abort_reason == "infinite-loop"
+        assert result.cycles == 1000
+
+    def test_undecodable_word_never_fetched_is_harmless(self):
+        cpu, result = run_program("""
+        start:
+            l.addi r3, r0, 1
+            l.nop 0x1
+            .word 0xfc000000
+        """)
+        assert result.finished
+
+    LOOP = """
+    start:
+        l.addi r1, r0, 5
+        l.nop 0x10
+    loop:
+        l.mul  r2, r1, r1
+        l.addi r1, r1, -1
+        l.sfne r1, r0
+        l.bf   loop
+        l.nop
+        l.nop 0x11
+        l.nop 0x1
+        .org 0x400
+        .word 0
+    """
+
+    def test_compiles_only_fetched_slots_and_once(self):
+        fetched = []
+        cpu = Cpu(assemble(self.LOOP),
+                  trace_hook=lambda address, decoded: fetched.append(address))
+        assert all(op is None for op in cpu._code)
+        first = cpu.run("start")
+        compiled = list(cpu._code)
+        n_compiled = sum(op is not None for op in compiled)
+        assert 0 < n_compiled <= len(set(fetched)) < len(compiled)
+        cpu.reset()
+        second = cpu.run("start")
+        assert second == first
+        assert all(a is b for a, b in zip(cpu._code, compiled))
+
+    def test_profile_and_trace_hook_survive_reset(self):
+        fetched = []
+        cpu = Cpu(assemble(self.LOOP), profile=True,
+                  trace_hook=lambda address, decoded: fetched.append(address))
+        first = cpu.run("start")
+        first_fetched = list(fetched)
+        fetched.clear()
+        cpu.reset()
+        second = cpu.run("start")
+        assert second.class_counts == first.class_counts
+        assert first.class_counts
+        assert fetched == first_fetched
+
+
+class TestLifetime:
+    def test_dead_cpu_is_freed_without_the_cyclic_gc(self):
+        # The run ends with the FI window open, the injector's hook
+        # still armed.
+        source = """
+        start:
+            l.nop 0x10
+            l.addi r3, r0, 4
+            l.nop 0x1
+        """
+        gc.disable()
+        try:
+            cpu = Cpu(assemble(source), injector=_EveryCycleFlipper())
+            result = cpu.run("start")
+            assert result.fault_count == 1
+            ref = weakref.ref(cpu)
+            del cpu
+            assert ref() is None
+        finally:
+            gc.enable()
