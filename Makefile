@@ -9,16 +9,16 @@ PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 .PHONY: tier1 test lint bench-engines bench-engines-scratch \
         bench-baseline bench-check bench-figures campaign-smoke \
-        native-smoke sanitize-smoke thread-smoke chaos-smoke \
+        native-smoke sanitize-smoke chaos-smoke \
         obs-smoke fabric-smoke trace-baseline
 
-# tier1 runs the bench suite into a scratch file (its bit-identity and
-# thread-pool asserts still gate) so the *committed* median-anchored
+# tier1 runs the bench suite into a scratch file (its bit-identity
+# asserts still gate) so the *committed* median-anchored
 # BENCH_engines.json stays what bench-check compares against --
 # otherwise the single run just written would overwrite the baseline
 # seconds before the gate reads it (and, under REPRO_NO_CC, silently
 # drop every native row from the committed file).
-tier1: lint test native-smoke sanitize-smoke thread-smoke bench-engines-scratch bench-check campaign-smoke chaos-smoke obs-smoke fabric-smoke
+tier1: lint test native-smoke sanitize-smoke bench-engines-scratch bench-check campaign-smoke chaos-smoke obs-smoke fabric-smoke
 
 # Static checks: ruff + mypy per pyproject.toml (strict on
 # src/repro/analysis/, permissive elsewhere).  Where those tools are
@@ -64,15 +64,6 @@ native-smoke:
 # lacks libasan or the runtime can't be injected into python.
 sanitize-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) scripts/sanitize_smoke.py
-
-# Shard a calibrated-ALU multiplier propagate over the zero-IPC thread
-# pool at 2 and 4 workers and require byte-identical output vs the
-# serial native engine (f64 + f32, both glitch models, plus a blocked
-# run_dta); heal an injected threads.shard fault byte-identically; and
-# re-run the thread-sharding tests under the ASan+UBSan instrumented
-# kernels.  Skips (exit 0) without a working C compiler.
-thread-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) scripts/thread_smoke.py
 
 # Kill a quick-scale `campaign run all` mid-run, resume it, and require
 # the rendered output to be byte-identical to an uninterrupted run;

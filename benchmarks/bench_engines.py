@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import native, parallel
+from repro import native
 from repro.bench.suite import build_kernel
 from repro.experiments import fig2, fig4, fig7
 from repro.experiments.context import ExperimentContext
@@ -36,14 +36,6 @@ from repro.timing.dta import run_dta
 #: ``REPRO_BENCH_BLOCK`` shrinks it for the reduced-size regression
 #: gate (``make bench-check``).
 BLOCK = int(os.environ.get("REPRO_BENCH_BLOCK", "512"))
-
-#: Thread-shard width of the native-threads row, keyed to the host:
-#: the row means "what thread sharding buys *here*", so it uses every
-#: core up to 4.  On a 1-core container that is a degenerate 1-worker
-#: pool (``shard_columns`` answers None) and the row measures routing
-#: overhead -- the acceptance bar is parity with serial, scaling only
-#: appears next to ``cpu_count > 1``.
-THREAD_WORKERS = min(4, os.cpu_count() or 1)
 
 #: Native rows only exist where a working C compiler does; the JSON
 #: records availability + the compiler identity so ``bench-check``
@@ -86,7 +78,6 @@ def emit_summary():
         path = Path(os.environ.get("REPRO_BENCH_OUT", default))
         probe = native.probe_compiler() if NATIVE_AVAILABLE else None
         payload = {"block": BLOCK, "cpu_count": os.cpu_count(),
-                   "thread_workers": THREAD_WORKERS,
                    "native_available": NATIVE_AVAILABLE,
                    "native_compiler":
                        probe.version if probe is not None else None,
@@ -200,52 +191,6 @@ def test_propagate_block_native(benchmark, ctx, mnemonic, engine):
     _record(f"propagate[{mnemonic},sensitized,{tag}]", native_s,
             reference_s, serial_ms=round(serial_s * 1e3, 3),
             vs_serial=round(serial_s / native_s, 2))
-
-
-@needs_native
-@pytest.mark.parametrize("mnemonic", ["l.add", "l.mul"])
-def test_propagate_block_native_threads(benchmark, ctx, mnemonic):
-    """Thread-sharded native propagate vs the serial native engine.
-
-    The zero-IPC row: ``THREAD_WORKERS`` threads shard the block axis
-    into column ranges of one workspace, one ``repro_run`` call each,
-    while the C kernel releases the GIL -- no pipes, no pickling.
-    ``vs_serial`` is the gain over the serial native engine;
-    ``cpu_count`` in the JSON qualifies it (1 core => the bar is
-    parity, the threads serialize).  Results must stay bit-identical
-    to serial, and warm calls must never respawn the threads.
-    """
-    alu = ctx.alu
-    a, b = _operand_block()
-    prev, new = (a[:BLOCK], b[:BLOCK]), (a[1:], b[1:])
-
-    def run():
-        return alu.propagate(mnemonic, prev, new, 0.7, "sensitized",
-                             engine="compiled-native")
-
-    run()  # warm plan, descriptor, kernels and workspace
-    serial_s = _time_best(run)
-    values_s, arrivals_s = run()
-    reference_s = _time_best(
-        lambda: alu.propagate(mnemonic, prev, new, 0.7, "sensitized",
-                              engine="reference"))
-    pool = parallel.configure_thread_pool(THREAD_WORKERS)
-    try:
-        run()  # spawn the threads outside the timed region
-        benchmark(run)
-        values_t, arrivals_t = run()
-        # A 1-worker pool never shards, so it never spawns either.
-        assert pool.spawn_count == (1 if THREAD_WORKERS > 1 else 0)
-    finally:
-        parallel.shutdown_thread_pool()
-    assert np.array_equal(values_t, values_s)
-    assert np.array_equal(arrivals_t, arrivals_s)
-    threads_s = benchmark.stats.stats.min
-    _record(f"propagate[{mnemonic},sensitized,native-threads]",
-            threads_s, reference_s,
-            serial_ms=round(serial_s * 1e3, 3),
-            vs_serial=round(serial_s / threads_s, 2),
-            workers=THREAD_WORKERS)
 
 
 @needs_native
@@ -372,9 +317,18 @@ def test_run_point_reuse(benchmark):
         injector = _RareInjector(np.random.default_rng(3))
         return [run_trial(kernel, injector) for _ in range(n_trials)]
 
+    # Every fresh CPU allocates a 1 MiB data memory and its snapshot.
+    # glibc serves those from recycled heap or from fresh, page-faulted
+    # mmap depending on the largest block the process freed before
+    # (its dynamic mmap threshold) -- that is, on which rows ran
+    # first -- and the reference cost swings ~2x with it.  Freeing a
+    # block larger than both buffers pins the recycled-heap regime a
+    # long campaign process runs in, whatever the row order.
+    scratch = bytearray(16 << 20)
+    del scratch
     reuse()
     benchmark(reuse)
-    reference_s = _time_best(fresh, reps=2)
+    reference_s = _time_best(fresh)
     point = reuse()
     fresh_trials = fresh()
     assert point.trials == fresh_trials

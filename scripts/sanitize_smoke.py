@@ -25,6 +25,7 @@ optional by the same contract as the backend itself.
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -119,16 +120,26 @@ def main() -> int:
         # 4. The actual gate: the native equivalence suite, running
         # the instrumented kernels.  Bit-identity asserts still hold
         # (sanitizers instrument around the arithmetic, not in it),
-        # and any memory error aborts the run.
+        # and any memory error aborts the run.  ``all_engines`` and
+        # ``edge_shapes`` select the edge-shape tests (single gates,
+        # width-1 levels, single-vector and non-multiple-of-64
+        # blocks), which run the native engine next to the numpy
+        # ones; ``in_place_delay`` the native delay-cache check.
         tests = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q",
-             "tests/test_engine_equivalence.py", "-k", "native",
+             "tests/test_engine_equivalence.py",
+             "-k", "native or all_engines or edge_shapes or in_place_delay",
              "tests/test_native_backend.py"],
-            env=_env(tmp, preload_path), cwd=REPO)
+            env=_env(tmp, preload_path), cwd=REPO,
+            capture_output=True, text=True)
+        print(tests.stdout + tests.stderr, end="")
         assert tests.returncode == 0, \
             "native equivalence tests failed under ASan/UBSan"
-        print("sanitize-smoke: native equivalence suite green under "
-              "ASan+UBSan")
+        passed = re.search(r"(\d+) passed", tests.stdout)
+        assert passed and int(passed.group(1)) > 0, \
+            "no native equivalence test ran under ASan/UBSan"
+        print(f"sanitize-smoke: {passed.group(1)} native equivalence "
+              f"tests green under ASan+UBSan")
 
     print("sanitize-smoke: OK")
     return 0

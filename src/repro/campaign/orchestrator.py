@@ -38,7 +38,9 @@ worker returned no outcome (SIGKILLed, crashed) is recovered by a
 store scan and then computed serially in the parent, so completion
 never depends on worker liveness.  Children are independent and their
 shards static, so a campaign's fired-fault sequence is deterministic.
-Fork is required for both; without it dispatch runs serially.
+Fork is required for both; without it dispatch runs serially.  Forked
+children are the repo's one parallel substrate: inside a unit, every
+propagate runs serially (one native C call per block).
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro import faults, obs, parallel
+from repro import faults, obs
 from repro.campaign.failures import UnitFailure, failure_key
 from repro.experiments import ablations, fig1, fig2, fig4, fig5, fig6, \
     fig7, table1
@@ -355,6 +357,12 @@ def _compute_pending(units: list[WorkUnit], store,
 _WORKER_STATE: dict | None = None
 
 
+def _fork_available() -> bool:
+    """Whether this platform can fork the fork/fabric workers."""
+    return "fork" in multiprocessing.get_all_start_methods() \
+        and hasattr(os, "fork")
+
+
 def _init_worker(state: dict | None) -> None:
     global _WORKER_STATE
     _WORKER_STATE = state
@@ -388,8 +396,7 @@ def _shard_child(worker: int, indices: list[int], conn) -> None:
         obs.flush()
         os._exit(1)
     # Skip atexit/multiprocessing teardown: the forked interpreter
-    # inherited compiled kernels and thread-pool state it must not
-    # finalize.
+    # inherited compiled kernels it must not finalize.
     os._exit(0)
 
 
@@ -511,14 +518,6 @@ def run_campaign(experiment: str, scale: str | Scale = "default",
     Resuming is the same call again: completed units are store hits
     and only the missing ones execute, with byte-identical rendered
     output for any jobs value.
-
-    Thread sharding composes with every dispatch mode: a configured
-    thread-shard pool (:func:`repro.parallel.configure_thread_pool`)
-    is rebuilt per forked worker on first use (threads do not survive
-    fork), so each fork/fabric worker thread-shards its own
-    native-engine propagates.  Campaign artifacts stay byte-identical
-    regardless of shard mode -- f64 native output is bit-identical to
-    serial at any thread count.
     """
     if store is None:
         raise ValueError("run_campaign needs a result store; it is the "
@@ -563,7 +562,7 @@ def run_campaign(experiment: str, scale: str | Scale = "default",
         computed_indices.update(outcome["computed"])
         failed_indices.update(outcome["failed"])
 
-    if pending and fabric_workers and parallel.fork_available():
+    if pending and fabric_workers and _fork_available():
         # Distributed fabric: forked lease workers race for batches
         # on the shared store; a killed worker's lease lapses and a
         # peer steals it.  Workers report nothing, so the backstop's
@@ -574,7 +573,7 @@ def run_campaign(experiment: str, scale: str | Scale = "default",
             dispatch_fabric(units, pending, store, fabric_workers,
                             _compute_one, emit)
             absorb(_backstop(units, pending, store, emit))
-    elif len(pending) > 1 and jobs >= 2 and parallel.fork_available():
+    elif len(pending) > 1 and jobs >= 2 and _fork_available():
         shards = [pending[start::jobs] for start in range(jobs)
                   if pending[start::jobs]]
         with obs.span("campaign.dispatch", mode="fork",

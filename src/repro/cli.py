@@ -4,7 +4,7 @@ Examples::
 
     python -m repro table1 --scale paper
     python -m repro fig5 --scale default --jobs 4
-    python -m repro fig2 --scale paper --engine native --shard-threads 2
+    python -m repro fig2 --scale paper --engine native
     python -m repro all --scale quick
     python -m repro campaign run fig5 --scale paper --jobs 8
     python -m repro campaign run all --scale paper --jobs 8
@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro import analysis, faults, native, obs, parallel
+from repro import analysis, faults, native, obs
 from repro.analysis import lint as lint_mod
 from repro.bench.suite import BENCHMARK_NAMES, build_kernel
 from repro.campaign import ALL_TARGET, CAMPAIGN_EXPERIMENTS, \
@@ -122,14 +122,6 @@ def _add_store(parser: argparse.ArgumentParser,
                                  "forked children (fig commands run "
                                  "as campaigns; output does not "
                                  "depend on N)")
-    parser.add_argument("--shard-threads", type=int, default=None,
-                        metavar="N",
-                        help="thread-shard pool size for native "
-                             "engines: shard each propagate's block "
-                             "axis over N in-process threads (the C "
-                             "kernels release the GIL; zero pipes, "
-                             "zero pickling).  Numpy engines always "
-                             "run serially (default: no thread pool)")
     parser.add_argument("--timing-dtype", default="float64",
                         choices=("float64", "float32"),
                         help="settle-pipeline dtype of the DTA "
@@ -390,11 +382,6 @@ def main(argv: list[str] | None = None) -> int:
         # *reads* an existing trace (configure would clear it).
         obs.configure(args.trace)
 
-    if getattr(args, "shard_threads", None):
-        # Thread shards serve native engines only; forked campaign/DTA
-        # workers rebuild a same-width pool on first use (threads do
-        # not survive fork), so one flag governs the process tree.
-        parallel.configure_thread_pool(args.shard_threads)
     timing_dtype = getattr(args, "timing_dtype", "float64")
     engine = getattr(args, "engine", None)
     if engine is not None:
@@ -636,6 +623,7 @@ def main(argv: list[str] | None = None) -> int:
                       f"({status['compiler_version']})")
                 print(f"{'':16s} {'':8s}   library {status['library']} "
                       f"[{cached}]")
+                print(f"{'':16s} {'':8s}   cflags {status['cflags']}")
                 print(f"{'':16s} {'':8s}   source hash "
                       f"{status['source_hash'][:16]}")
             else:
@@ -645,20 +633,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{'':16s} {'':8s}   cache dir "
                       f"{status['cache_dir']} (numpy engines serve "
                       f"this dtype instead)")
-        # Thread-shard substrate: always available (stdlib threads);
-        # what varies per build is whether Python code overlaps too.
-        tpool = parallel.get_thread_pool()
-        configured = f"configured, {tpool.workers} worker(s)" \
-            if tpool is not None else "off (--shard-threads N)"
-        print(f"{'thread-shards':16s} {'':8s} available: native "
-              f"engines shard over in-process threads [{configured}]")
-        if parallel.free_threaded():
-            print(f"{'':16s} {'':8s}   free-threaded CPython "
-                  f"(Py_GIL_DISABLED): python around the kernels "
-                  f"overlaps too")
-        else:
-            print(f"{'':16s} {'':8s}   GIL build: only the C kernel "
-                  f"portions overlap (they release the GIL)")
         if analysis.bounds_check_enabled():
             print(f"{'oracle':16s} {'':8s} ACTIVE: every propagate "
                   f"checked against the static STA envelope "

@@ -183,8 +183,7 @@ def _worker_entry(worker, batches, units, store, compute_one,
         obs.flush()
         os._exit(1)
     # Skip atexit/multiprocessing teardown: the forked interpreter
-    # inherited compiled kernels and thread-pool state it must not
-    # finalize.
+    # inherited compiled kernels it must not finalize.
     os._exit(0)
 
 

@@ -176,8 +176,10 @@ def native_status(timing_dtype: str = "float64") -> dict:
     """Diagnostic record for one native engine (``repro engines``).
 
     Always answers -- available or not -- with the compiler probe
-    outcome, the cache path the library would live at, and the source
-    hash, so a silent fallback can be diagnosed from the CLI.
+    outcome, the cache path the library would live at, the source
+    hash and the compiler flags the probe settled on (a fallback to a
+    plain :data:`~repro.native.build.CFLAG_SETS` entry shows up there),
+    so a silent fallback can be diagnosed from the CLI.
     """
     reason = unavailable_reason()
     record: dict = {
@@ -187,6 +189,7 @@ def native_status(timing_dtype: str = "float64") -> dict:
         "cache_dir": str(cache_dir()),
         "compiler": None,
         "compiler_version": None,
+        "cflags": None,
         "source_hash": None,
         "library": None,
         "cached": False,
@@ -196,6 +199,7 @@ def native_status(timing_dtype: str = "float64") -> dict:
         if probe.ok:
             record["compiler"] = probe.exe
             record["compiler_version"] = probe.version
+            record["cflags"] = " ".join(probe.cflags)
             sha = source_hash(render_source(timing_dtype),
                               probe.version or "", probe.cflags)
             path = cache_dir() / library_name(timing_dtype, sha)

@@ -198,20 +198,12 @@ def _layout(ws) -> tuple:
 
 def run_fused(plan, ws, tables: BusTables, prev_words: np.ndarray,
               new_words: np.ndarray, arrival: float, delays: np.ndarray,
-              glitch_model: str, kernels: Kernels, pool=None,
-              shards: list[tuple[int, int]] | None = None):
-    """Whole propagate as ``repro_run`` calls over column ranges.
+              glitch_model: str, kernels: Kernels):
+    """Whole propagate as one ``repro_run`` call over the block.
 
     Stimulus unpack, every level and output extraction happen inside
-    one ctypes crossing per range.  Without ``shards`` the range is
-    the whole block (one call); with them, ``pool.run`` executes one
-    call per ``(lo, hi)`` across its threads.  Each call is handed
-    its range's first column of every matrix plus the full-width row
-    strides, so the disjoint ranges write disjoint columns of the same
-    workspace and output buffers -- no merge step, and f64 results
-    bit-identical to the serial call.  The descriptor, the per-row
-    delay vector and every lazily allocated plane are materialized
-    here, before fan-out, so worker threads touch no shared cache.
+    one ctypes crossing.  The kernel ABI takes a column range plus
+    full-width row strides; a propagate passes the range ``0..n_cols``.
 
     Returns ``(outputs, arrivals)``: per-bus packed uint64 vectors and
     per-bus ``(width, N)`` arrival matrices, views into two buffers
@@ -240,34 +232,17 @@ def run_fused(plan, ws, tables: BusTables, prev_words: np.ndarray,
     out_words = np.empty((tables.n_out_buses, n_cols), dtype=np.uint64)
     out_arrivals = np.empty((tables.n_out_bits, n_cols),
                             dtype=ws.timing_dtype)
-    real = ws.timing_dtype.itemsize
-    word = out_words.itemsize
-    prev_words_ptr = prev_words.ctypes.data
-    new_words_ptr = new_words.ctypes.data
-    out_words_ptr = out_words.ctypes.data
-    out_arrivals_ptr = out_arrivals.ctypes.data
-    descriptor = (desc.n_ops, desc.family.ctypes.data,
-                  desc.lo.ctypes.data, desc.hi.ctypes.data,
-                  desc.ins_off.ctypes.data, desc.ins.ctypes.data,
-                  desc.flags.ctypes.data, desc.gate_row0,
-                  rowed.ctypes.data)
-
-    def run(lo: int, hi: int) -> None:
-        kernels.run(tables.n_in_bits, *tables.in_ptrs,
-                    prev_words_ptr + lo * word, new_words_ptr + lo * word,
-                    words_stride, arr_ptr, *descriptor,
-                    tables.n_out_bits, *tables.out_ptrs,
-                    tables.n_out_buses, out_words_ptr + lo * word,
-                    out_arrivals_ptr + lo * real, n_cols,
-                    int(value_change),
-                    prev_ptr + lo if value_change else None,
-                    new_ptr + lo, events_ptr + lo, settles_ptr + lo * real,
-                    n_cols, hi - lo)
-
-    if shards is None:
-        run(0, n_cols)
-    else:
-        pool.run(run, shards)
+    kernels.run(tables.n_in_bits, *tables.in_ptrs,
+                prev_words.ctypes.data, new_words.ctypes.data,
+                words_stride, arr_ptr, desc.n_ops, desc.family.ctypes.data,
+                desc.lo.ctypes.data, desc.hi.ctypes.data,
+                desc.ins_off.ctypes.data, desc.ins.ctypes.data,
+                desc.flags.ctypes.data, desc.gate_row0, rowed.ctypes.data,
+                tables.n_out_bits, *tables.out_ptrs,
+                tables.n_out_buses, out_words.ctypes.data,
+                out_arrivals.ctypes.data, n_cols, int(value_change),
+                prev_ptr if value_change else None,
+                new_ptr, events_ptr, settles_ptr, n_cols, n_cols)
     outputs = {}
     arrivals = {}
     for i, (name, width, off) in enumerate(

@@ -32,13 +32,10 @@ finite settles both engines produce.
 The stage kernels (stimulus unpack, the two propagate models, output
 extract) are ``static``: the library exports exactly one entry point,
 ``repro_run``, which composes them over one column range.  ABI 3
-gives that range an output row stride, so a thread shard passes its
-column offset into every matrix -- workspace planes, stimulus words,
-output words and arrivals -- and writes only its own columns; a serial
-call is the one range covering the whole block.  The float64 kernels
-are therefore bit-identical to ``engine="compiled"`` at any shard
-count; the float32 kernels inherit the relaxed-identity contract of
-``engine="compiled-f32"``.
+gives that range an output row stride; a propagate passes the one
+range covering the whole block.  The float64 kernels are bit-identical
+to ``engine="compiled"``; the float32 kernels inherit the
+relaxed-identity contract of ``engine="compiled-f32"``.
 """
 
 from __future__ import annotations

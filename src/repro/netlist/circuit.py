@@ -62,12 +62,8 @@ argument of :meth:`Circuit.evaluate` / :meth:`Circuit.propagate`:
   engine is bit-identical to it on random circuits.
 
 The native engines (``"compiled-native"`` / ``"native-f32"``, see
-:mod:`repro.native`) run the same plan as one C call per column
-range.  When a thread-shard pool is configured (see
-:mod:`repro.parallel`), the block axis of a native :meth:`propagate`
-splits into one range per thread over the *same* workspace: columns
-are independent, so no inter-level barrier exists, and float64
-results stay bit-identical to the serial engine at any thread count.
+:mod:`repro.native`) run the same plan as one C call per
+:meth:`propagate`, over the whole block.
 """
 
 from __future__ import annotations
@@ -76,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import obs, parallel
+from repro import obs
 from repro import native as native_mod
 from repro.netlist import plan as plan_mod
 from repro.netlist.gates import GATE_KINDS, arity_of
@@ -559,8 +555,8 @@ class Circuit:
         (``propagate.stimulus`` / ``propagate.kernel`` /
         ``propagate.extract``) so "where did the time go" inside one
         call is answerable from a trace; the native route emits a
-        single ``propagate.kernel`` span (mode ``native-fused`` or
-        ``threads``) -- there are no Python-side stages left to time.
+        single ``propagate.kernel`` span (mode ``native-fused``) --
+        there are no Python-side stages left to time.
         """
         if native:
             reason = native_mod.unavailable_reason()
@@ -601,16 +597,10 @@ class Circuit:
             top.set(n_vectors=n_new)
             ws = self._workspace(n_new, timing_dtype)
             if kernels is not None:
-                pool = parallel.get_thread_pool()
-                shards = pool.shard_columns(n_new) \
-                    if pool is not None else None
-                with obs.span("propagate.kernel",
-                              mode="native-fused" if shards is None
-                              else "threads"):
+                with obs.span("propagate.kernel", mode="native-fused"):
                     return native_mod.run_fused(
                         plan, ws, tables, prev_words, new_words,
-                        arrival, delays, glitch_model, kernels,
-                        pool=pool, shards=shards)
+                        arrival, delays, glitch_model, kernels)
             return self._propagate_numpy(plan, ws, prev_planes,
                                          new_planes, delays, arrival,
                                          glitch_model)

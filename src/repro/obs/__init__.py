@@ -16,12 +16,10 @@ from repro.obs.export import (  # noqa: F401
     render_stats,
     span_aggregates,
     spans,
-    thread_split,
     to_chrome,
     unit_times,
 )
 from repro.obs.plane import (  # noqa: F401
-    adopted_parent,
     configure,
     counter,
     current_span_id,

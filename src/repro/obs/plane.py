@@ -57,7 +57,6 @@ import os
 import sys
 import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 _LOG = logging.getLogger("repro.obs")
@@ -101,28 +100,6 @@ def current_span_id() -> str | None:
         return None
     stack = _stack()
     return stack[-1] if stack else None
-
-
-@contextmanager
-def adopted_parent(span_id: str | None):
-    """Parent this thread's next spans under another thread's span.
-
-    Worker threads start with an empty span stack, so their spans
-    would float free of the dispatching call tree; seeding the stack
-    with the dispatcher's ``current_span_id`` mirrors what fork
-    inheritance does for worker processes.  No-op when the plane is
-    disabled or there is nothing to adopt.
-    """
-    if not _ENABLED or span_id is None:
-        yield
-        return
-    stack = _stack()
-    stack.append(span_id)
-    try:
-        yield
-    finally:
-        if stack and stack[-1] == span_id:
-            stack.pop()
 
 
 class _NullSpan:

@@ -8,17 +8,14 @@ test below builds random circuits (random kinds, random wiring depths,
 shared fan-out, constants as inputs) and cross-checks every observable.
 
 The Monte-Carlo layer rides on the same guarantee: CPU reuse via
-``Cpu.reset()`` must be invisible in the results, as must
-thread-sharding the native engine.
+``Cpu.reset()`` must be invisible in the results.
 """
-
-import contextlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import faults, native, parallel
+from repro import native
 from repro.bench.suite import build_kernel
 from repro.fi.base import FaultInjector
 from repro.mc.runner import run_trial
@@ -46,27 +43,11 @@ def _bounds_oracle(monkeypatch):
     """Arm the static bounds oracle for every equivalence test.
 
     With ``REPRO_CHECK_BOUNDS=1`` each propagate in this file -- five
-    engines, both glitch models, serial and thread-sharded -- is
-    additionally checked against the
+    engines, both glitch models -- is additionally checked against the
     independent STA envelope, so the suite cross-checks engines
     against each other *and* against the static bounds at once.
     """
     monkeypatch.setenv("REPRO_CHECK_BOUNDS", "1")
-
-
-@contextlib.contextmanager
-def _thread_pool(workers: int, min_shard_vectors: int = 1):
-    """Process-global thread-shard pool for one test body.
-
-    ``workers=1`` installs a (degenerate, serial) pool -- that is the
-    thread pool's documented contract, and the sweeps below include it
-    so the routing code runs even when no sharding happens.
-    """
-    try:
-        yield parallel.configure_thread_pool(
-            workers, min_shard_vectors=min_shard_vectors)
-    finally:
-        parallel.shutdown_thread_pool()
 
 
 # ---------------------------------------------------------------------------
@@ -160,33 +141,6 @@ def _compiled_engines():
     return engines
 
 
-@given(random_circuits(), st.sampled_from([1, 2, 4]))
-@settings(max_examples=25, deadline=None)
-def test_sharded_propagate_identical_to_serial(case, workers):
-    """A configured thread-shard pool is invisible to every engine.
-
-    Native engines shard their block axis across the threads; numpy
-    engines ignore the pool and run serially.  Either way the result
-    is bit-identical to the same engine without a pool (sharding
-    never changes results, only the dtype contract does).
-    """
-    circuit, prev, new, delays, arrival = case
-    serial = {
-        (glitch_model, engine): circuit.propagate(
-            prev, new, delays, arrival, glitch_model, engine=engine)
-        for glitch_model in ("sensitized", "value-change")
-        for engine in _compiled_engines()
-    }
-    with _thread_pool(workers):
-        for (glitch_model, engine), (out_s, arr_s) in serial.items():
-            out_p, arr_p = circuit.propagate(prev, new, delays, arrival,
-                                             glitch_model, engine=engine)
-            assert np.array_equal(out_p["y"], out_s["y"]), \
-                (glitch_model, engine, workers)
-            assert np.array_equal(arr_p["y"], arr_s["y"]), \
-                (glitch_model, engine, workers)
-
-
 @needs_native
 @given(random_circuits())
 @settings(max_examples=40, deadline=None)
@@ -229,55 +183,6 @@ def test_native_f32_within_documented_tolerance(case):
         np.testing.assert_allclose(arr32["y"], arr64["y"],
                                    rtol=F32_RTOL, atol=F32_ATOL,
                                    err_msg=glitch_model)
-
-
-@st.composite
-def _unequal_shards(draw):
-    """(case, workers) with a block width ``n % workers != 0``.
-
-    Every shard gets at least one column, and the ranges
-    ``shard_ranges`` produces differ in width by one -- the case where
-    a wrong row stride or column offset in one ``repro_run`` range
-    would corrupt its neighbour.
-    """
-    workers = draw(st.sampled_from([2, 4]))
-    n_vectors = draw(st.integers(1, 6)) * workers \
-        + draw(st.integers(1, workers - 1))
-    return draw(random_circuits(n_vectors=st.just(n_vectors))), workers
-
-
-@needs_native
-@given(_unequal_shards())
-@settings(max_examples=25, deadline=None)
-def test_native_sharded_identical_to_serial(sharded_case):
-    """Unequal ``repro_run`` column ranges compose to the serial call.
-
-    At 2 and 4 threads over widths that do not divide evenly, native
-    f64 is bit-identical to the numpy f64 engine and native-f32 is
-    bit-identical to its own serial run and within F32_RTOL/F32_ATOL
-    of float64.
-    """
-    (circuit, prev, new, delays, arrival), workers = sharded_case
-    for glitch_model in ("sensitized", "value-change"):
-        out64, arr64 = circuit.propagate(prev, new, delays, arrival,
-                                         glitch_model, engine="compiled")
-        _, arr32_serial = circuit.propagate(prev, new, delays, arrival,
-                                            glitch_model,
-                                            engine="native-f32")
-        with _thread_pool(workers):
-            out_n, arr_n = circuit.propagate(prev, new, delays, arrival,
-                                             glitch_model,
-                                             engine="compiled-native")
-            out32, arr32 = circuit.propagate(prev, new, delays, arrival,
-                                             glitch_model,
-                                             engine="native-f32")
-        assert np.array_equal(out_n["y"], out64["y"]), glitch_model
-        assert np.array_equal(arr_n["y"], arr64["y"]), glitch_model
-        assert np.array_equal(out32["y"], out64["y"]), glitch_model
-        assert np.array_equal(arr32["y"], arr32_serial["y"]), glitch_model
-        np.testing.assert_allclose(arr32["y"], arr64["y"],
-                                   rtol=F32_RTOL, atol=F32_ATOL,
-                                   err_msg=str((glitch_model, workers)))
 
 
 def test_native_engine_unavailable_is_a_clean_error(monkeypatch):
@@ -373,7 +278,7 @@ def test_width_one_levels_chain_all_engines():
 
 
 def _wide_xor_chain(n_vectors=160):
-    """A small circuit plus a block wide enough to shard at 2 workers."""
+    """A small circuit plus a 160-vector stimulus block."""
     circuit = Circuit("wide")
     a = circuit.input_bus("a", 4)
     b = circuit.input_bus("b", 4)
@@ -390,108 +295,36 @@ def _wide_xor_chain(n_vectors=160):
     return circuit, prev, new
 
 
-def _sharded_engine() -> str:
-    """The engine a thread pool shards (a serial stand-in without cc)."""
-    return "compiled-native" if native.native_available() else "compiled"
-
-
+@needs_native
 def test_pooled_propagate_sees_in_place_delay_mutation():
-    """Mutating a delay array in place must reach every shard.
+    """Mutating a delay array in place must reach the native engine.
 
     The native per-row delay cache compares delays by value (like the
     numpy delay-tile cache); keying by object identity alone would
-    serve stale delays to the thread shards after an in-place `*=`.
+    serve stale delays after an in-place ``*=``.  The name predates
+    the removal of the thread-shard pool; the cache it guards remains.
     """
     circuit, prev, new = _wide_xor_chain()
     delays = np.full(circuit.n_gates, 2.0)
-    engine = _sharded_engine()
-    with _thread_pool(2):
-        circuit.propagate(prev, new, delays, 1.0, engine=engine)
-        delays *= 3.0  # same object, new values
-        _, pooled = circuit.propagate(prev, new, delays, 1.0,
-                                      engine=engine)
-    _, serial = circuit.propagate(prev, new, delays, 1.0,
-                                  engine="compiled")
-    assert np.array_equal(pooled["y"], serial["y"])
+    circuit.propagate(prev, new, delays, 1.0, engine="compiled-native")
+    delays *= 3.0  # same object, new values
+    _, native_arr = circuit.propagate(prev, new, delays, 1.0,
+                                      engine="compiled-native")
+    _, numpy_arr = circuit.propagate(prev, new, delays, 1.0,
+                                     engine="compiled")
+    assert np.array_equal(native_arr["y"], numpy_arr["y"])
 
 
-def test_pooled_propagate_survives_pool_reconfiguration():
-    """A reconfigured thread pool serves the same circuit identically.
-
-    Reconfiguring shuts the old executor down; the circuit keeps its
-    workspace and descriptor caches, and the fresh pool's shards must
-    write them exactly as the first pool's did.
-    """
-    circuit, prev, new = _wide_xor_chain()
-    delays = np.full(circuit.n_gates, 2.0)
-    engine = _sharded_engine()
-    _, serial = circuit.propagate(prev, new, delays, 1.0,
-                                  engine="compiled")
-    with _thread_pool(2):
-        circuit.propagate(prev, new, delays, 1.0, engine=engine)
-    with _thread_pool(2):  # fresh pool, same circuit, same delay values
-        _, again = circuit.propagate(prev, new, delays, 1.0,
-                                     engine=engine)
-    assert np.array_equal(again["y"], serial["y"])
-
-
-# ---------------------------------------------------------------------------
-# Thread-sharded native engine (zero-IPC block-axis sharding)
-# ---------------------------------------------------------------------------
-
-@needs_native
-@given(random_circuits(), st.sampled_from([1, 2, 4]))
-@settings(max_examples=15, deadline=None)
-def test_native_thread_sharded_identical_to_serial(case, workers):
-    """Thread-sharded native propagate: invisible at any worker count.
-
-    f64 shards must be bit-identical to the serial native engine (and
-    native-f64 is bit-identical to compiled-f64, so transitively to
-    the numpy engine too); f32 shards are bit-identical to the serial
-    f32 engine and stay within the relaxed-identity contract against
-    float64 -- sharding never changes results, only the dtype
-    contract does.
-    """
-    circuit, prev, new, delays, arrival = case
-    serial = {
-        (glitch_model, engine): circuit.propagate(
-            prev, new, delays, arrival, glitch_model, engine=engine)
-        for glitch_model in ("sensitized", "value-change")
-        for engine in ("compiled", "compiled-native", "native-f32")
-    }
-    with _thread_pool(workers):
-        for glitch_model in ("sensitized", "value-change"):
-            for engine in ("compiled-native", "native-f32"):
-                out_t, arr_t = circuit.propagate(
-                    prev, new, delays, arrival, glitch_model,
-                    engine=engine)
-                out_s, arr_s = serial[(glitch_model, engine)]
-                assert np.array_equal(out_t["y"], out_s["y"]), \
-                    (glitch_model, engine, workers)
-                assert np.array_equal(arr_t["y"], arr_s["y"]), \
-                    (glitch_model, engine, workers)
-            # Cross-dtype anchors (so bit-identity above transitively
-            # pins the sharded runs): native-f64 bit-identical to the
-            # numpy engine, f32 within F32_RTOL/F32_ATOL of it.
-            _, arr64 = serial[(glitch_model, "compiled")]
-            assert np.array_equal(
-                serial[(glitch_model, "compiled-native")][1]["y"],
-                arr64["y"])
-            np.testing.assert_allclose(
-                serial[(glitch_model, "native-f32")][1]["y"],
-                arr64["y"], rtol=F32_RTOL, atol=F32_ATOL,
-                err_msg=str((glitch_model, workers)))
-
-
-@needs_native
 def test_thread_sharded_edge_shapes():
-    """Width-1 buses, single gates and single vectors under threads.
+    """Width-1 buses, single vectors and odd block widths, every engine.
 
-    Four workers with ``min_shard_vectors=1`` force real sharding on
-    tiny blocks (and degenerate one-column shards); a single-vector
-    block must fall back to serial via ``shard_columns -> None``.
+    A one-XOR circuit at 1, 4 and 7 vectors (a single-vector block and
+    widths that are not a multiple of 64, the packed stimulus word
+    size) and a 160-vector block over a small circuit must match the
+    reference engine.  The name predates the removal of the
+    thread-shard pool, which once split these blocks.
     """
-    single = Circuit("thread-single")
+    single = Circuit("edge-single")
     a = single.input_bus("a", 1)[0]
     b = single.input_bus("b", 1)[0]
     single.output_bus("y", [single.gate("XOR2", a, b)])
@@ -506,43 +339,17 @@ def test_thread_sharded_edge_shapes():
     cases.append((wide, prev, new, np.full(wide.n_gates, 2.0)))
     for circuit, prev, new, delays in cases:
         for glitch_model in ("sensitized", "value-change"):
-            out_s, arr_s = circuit.propagate(prev, new, delays, 1.5,
+            out_r, arr_r = circuit.propagate(prev, new, delays, 1.5,
                                              glitch_model,
-                                             engine="compiled-native")
-            with _thread_pool(4):
-                out_t, arr_t = circuit.propagate(
-                    prev, new, delays, 1.5, glitch_model,
-                    engine="compiled-native")
-            assert np.array_equal(out_t["y"], out_s["y"]), \
-                (circuit.name, glitch_model)
-            assert np.array_equal(arr_t["y"], arr_s["y"]), \
-                (circuit.name, glitch_model)
-
-
-@needs_native
-def test_thread_shard_fault_heals_byte_identical():
-    """An injected ``threads.shard`` fault heals serially, invisibly.
-
-    The first shard dispatch trips; the pool re-runs that column
-    range in the dispatching thread.  Column writes are idempotent
-    and disjoint, so the healed call must be byte-identical to both
-    the unfaulted sharded run and the serial engine.
-    """
-    circuit, prev, new = _wide_xor_chain()
-    delays = np.full(circuit.n_gates, 2.0)
-    out_s, arr_s = circuit.propagate(prev, new, delays, 1.0,
-                                     engine="compiled-native")
-    try:
-        plane = faults.configure("threads.shard:raise@after=1")
-        with _thread_pool(4):
-            out_h, arr_h = circuit.propagate(prev, new, delays, 1.0,
-                                             engine="compiled-native")
-        assert [(r["site"], r["mode"]) for r in plane.fired] \
-            == [("threads.shard", "raise")]
-    finally:
-        faults.reset()
-    assert np.array_equal(out_h["y"], out_s["y"])
-    assert np.array_equal(arr_h["y"], arr_s["y"])
+                                             engine="reference")
+            for engine in _engines_under_test():
+                out_e, arr_e = circuit.propagate(prev, new, delays, 1.5,
+                                                 glitch_model,
+                                                 engine=engine)
+                assert np.array_equal(out_e["y"], out_r["y"]), \
+                    (circuit.name, len(prev["a"]), glitch_model, engine)
+                assert np.array_equal(arr_e["y"], arr_r["y"]), \
+                    (circuit.name, len(prev["a"]), glitch_model, engine)
 
 
 def test_gather_scratch_fast_path_contiguity(monkeypatch):

@@ -6,6 +6,9 @@ working C compiler exists or ``REPRO_NO_CC`` masks it; the
 availability/fallback tests themselves run everywhere.
 """
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -142,6 +145,11 @@ def test_engines_cli_lists_every_engine(capsys):
     assert ("available" in out)
     if not native.native_available():
         assert "UNAVAILABLE" in out
+    elif native.runtime_failure() is None:
+        # Each available native row names the flags its build used,
+        # so a fallback to a plain CFLAG_SETS entry is visible.
+        probe = native.probe_compiler()
+        assert out.count(f"cflags {' '.join(probe.cflags)}\n") == 2
 
 
 def test_engines_cli_reports_masked_toolchain(capsys, monkeypatch):
@@ -309,19 +317,52 @@ def test_runtime_failure_latch_degrades_engine_selection():
     assert native.runtime_failure() is None
 
 
+def _in_fork_children(jobs: int, call) -> list:
+    """``call()`` in each of ``jobs`` forked children; their results.
+
+    Fork is the substrate behind ``--jobs``: children inherit the
+    parent's circuit, caches and fault plane.  A child never returns
+    into the test runner; it sends its result (or exception) and exits.
+    """
+    context = multiprocessing.get_context("fork")
+    pipes, procs = [], []
+    for _ in range(jobs):
+        recv, send = context.Pipe(duplex=False)
+
+        def child(conn=send):
+            try:
+                conn.send(call())
+            except BaseException as exc:
+                conn.send(exc)
+            finally:
+                os._exit(0)
+
+        proc = context.Process(target=child)
+        proc.start()
+        pipes.append(recv)
+        procs.append(proc)
+    results = [recv.recv() for recv in pipes]
+    for proc in procs:
+        proc.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
+
+
 @needs_native
-@pytest.mark.parametrize("threads", [None, 2])
+@pytest.mark.parametrize("jobs", [None, 2])
 def test_compile_failure_runs_the_whole_call_on_numpy(
-        threads, tmp_path, monkeypatch, clean_faults):
+        jobs, tmp_path, monkeypatch, clean_faults):
     """A failed first build degrades that very call, bit-identically.
 
     On an empty native cache the first ``compiled-native`` propagate
     hits an injected compile failure where the kernels load.  The
     call must latch the runtime failure and return exactly what
-    ``compiled`` returns -- serially and with a 2-thread shard pool.
+    ``compiled`` returns -- in this process (``jobs=None``) and in
+    each of two forked children (``jobs=2``), which inherit the fault
+    plane's hit counters and so each trip on their own first build.
     """
-    from repro import parallel
-
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
     circuit = Circuit("degrade")
     a = circuit.input_bus("a", 8)
@@ -343,14 +384,20 @@ def test_compile_failure_runs_the_whole_call_on_numpy(
                                      engine="compiled")
             native.clear_runtime_failure()
             clean_faults.configure("native.compile:fail@after=1")
-            parallel.configure_thread_pool(threads, min_shard_vectors=1)
-            got = circuit.propagate(prev, new, delays, 1.5, glitch_model,
-                                    engine="compiled-native")
-            assert "injected" in (native.runtime_failure() or "")
-            assert np.array_equal(got[0]["y"], want[0]["y"])
-            assert np.array_equal(got[1]["y"], want[1]["y"])
+
+            def degraded_call(glitch_model=glitch_model):
+                out, arr = circuit.propagate(prev, new, delays, 1.5,
+                                             glitch_model,
+                                             engine="compiled-native")
+                return native.runtime_failure(), out["y"], arr["y"]
+
+            results = ([degraded_call()] if jobs is None
+                       else _in_fork_children(jobs, degraded_call))
+            for failure, out_y, arr_y in results:
+                assert "injected" in (failure or "")
+                assert np.array_equal(out_y, want[0]["y"])
+                assert np.array_equal(arr_y, want[1]["y"])
     finally:
-        parallel.shutdown_thread_pool()
         native.clear_runtime_failure()
 
 
