@@ -75,8 +75,8 @@ campaign-smoke:
 	$(PYTHON) scripts/campaign_smoke.py
 
 # Run the full quick-scale campaign under a standing fault-injection
-# schedule (torn store writes, failing manifest appends, raising unit
-# computes, a SIGKILLed campaign worker, broken native compiles): the run
+# schedule (failing and torn store writes, raising unit computes, a
+# SIGKILLed campaign worker, broken native compiles): the run
 # must exit 0, render byte-identically to a clean run, and its fired-
 # fault log must replay exactly (scripts/fault_replay.py pins it).
 chaos-smoke:

@@ -5,14 +5,15 @@ Runs the full quick-scale ``campaign run all`` three times:
 
 1. **clean** into store A -- the reference output, no faults;
 2. **chaos** into store B, ``--jobs 2`` with ``--engine native``,
-   under a standing ``REPRO_FAULTS`` schedule that tears store writes,
-   fails manifest appends, raises inside unit computes, SIGKILLs a
+   under a standing ``REPRO_FAULTS`` schedule that fails and tears
+   store object writes, raises inside unit computes, SIGKILLs a
    forked campaign worker and breaks the native kernel compile.  The
-   run must still exit 0 (``--max-retries`` absorbs the unit raises,
-   the parent backstops the dead worker's shard, torn artifacts are
-   quarantined and recomputed, the native engine degrades to numpy)
-   and its rendered output must be **byte-identical** to the clean
-   run;
+   run must still exit 0 (the store retries the failed writes,
+   ``--max-retries`` absorbs the unit raises, the parent backstops
+   the dead worker's shard, torn artifacts are quarantined and
+   recomputed, the native engine degrades to numpy), both object-write
+   modes must have fired, and its rendered output must be
+   **byte-identical** to the clean run;
 3. **replay** into store C under the *same* schedule: the identical
    faults must fire at the identical per-site hit indices (the fired
    logs must match as (site, mode, hit) multisets), proving the fault
@@ -45,11 +46,14 @@ MAX_RETRIES = "3"
 #: The standing chaos schedule.  Every probability is per *hit* and
 #: decided by sha256(seed, site, hit), so the whole run is a pure
 #: function of this string and the execution order -- rerunning it
-#: fires the identical fault sequence.
+#: fires the identical fault sequence.  Rules on one site share one
+#: draw per hit and the first matching rule wins, so the two
+#: ``store.object_write`` rules split it: draws below 0.04 raise the
+#: transient OSError (4% per hit), draws in [0.04, 0.09) tear (5%).
 CHAOS_SCHEDULE = (
     "seed=7"
-    ";store.object_write:torn@p=0.05"
-    ";store.manifest_append:oserror@p=0.04"
+    ";store.object_write:oserror@p=0.04"
+    ";store.object_write:torn@p=0.09"
     ";campaign.unit_run:raise@p=0.08"
     ";campaign.worker.kill.w1:kill@after=3"
     ";native.compile:fail@after=1"
@@ -126,6 +130,12 @@ def main() -> int:
         if not fired_b:
             raise SystemExit("FAIL: the chaos schedule fired no faults "
                              "-- the smoke test is vacuous")
+        write_modes = {mode for site, mode, _ in fired_b
+                       if site == "store.object_write"}
+        if write_modes != {"oserror", "torn"}:
+            raise SystemExit("FAIL: store.object_write fired "
+                             f"{sorted(write_modes)}, expected both "
+                             "oserror and torn")
         sites = sorted({site for site, _, _ in fired_b})
         print(f"      healed around {len(fired_b)} injected faults "
               f"across {sites}", flush=True)

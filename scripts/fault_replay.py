@@ -7,7 +7,7 @@ folds such a log back into a ``hits=``-pinned ``REPRO_FAULTS`` string
 that re-fires exactly those faults at exactly those hit indices::
 
     python scripts/fault_replay.py faults.jsonl
-    store.manifest_append:oserror@hits=3;store.object_write:torn@hits=1+7
+    store.object_write:oserror@hits=3;store.object_write:torn@hits=1+7
 
 Print it, export it, or let ``--run`` re-execute a command under it::
 

@@ -1,8 +1,8 @@
 """Opt-in runtime bounds oracle for ``Circuit.propagate``.
 
 With ``REPRO_CHECK_BOUNDS=1`` in the environment, every propagate call
--- any engine, any glitch model, serial or thread-sharded -- has its
-returned arrivals checked against the static envelope of
+-- any engine, any glitch model -- has its returned arrivals checked
+against the static envelope of
 :func:`repro.analysis.sta.compute_envelope`:
 
     every arrival is exactly 0.0 (no event) or inside [min, max].
@@ -15,8 +15,8 @@ relaxed-identity contract (:data:`~repro.netlist.plan.F32_RTOL` /
 
 The check is deliberately independent of the engines: it reuses the
 compiled plan's structure but none of the event kernels, so a silent
-kernel bug (native C, f32 views, thread shards) trips it instead of
-only shifting engine-vs-engine diffs.  Envelopes are cached per plan
+kernel bug (native C, f32 views) trips it instead of only shifting
+engine-vs-engine diffs.  Envelopes are cached per plan
 (delays and launch compared by value), so test suites that sweep five
 engines over one circuit pay for one static pass, not five.
 """

@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = subparsers.add_parser(
         "stats", help="aggregate a telemetry trace: top spans by "
                       "total/self time, counter totals, store hit "
-                      "rate, thread-shard and fabric use")
+                      "rate and fabric use")
     stats.add_argument("trace", help="trace file recorded by --trace "
                                      "or $REPRO_TRACE")
     stats.add_argument("--limit", type=int, default=20,

@@ -50,7 +50,6 @@ from repro.store.serialize import key_hash
 _LOG = logging.getLogger("repro.fabric")
 
 _POLL_ENV = "REPRO_FABRIC_POLL_S"
-_BATCH_ENV = "REPRO_FABRIC_BATCH_UNITS"
 
 DEFAULT_POLL_S = 0.05
 DEFAULT_BATCH_UNITS = 2
@@ -63,13 +62,6 @@ def default_poll_s() -> float:
         return DEFAULT_POLL_S
 
 
-def default_batch_units() -> int:
-    try:
-        return max(1, int(os.environ[_BATCH_ENV]))
-    except (KeyError, ValueError):
-        return DEFAULT_BATCH_UNITS
-
-
 @dataclass(frozen=True)
 class Batch:
     """A leased work quantum: a few pending unit indices."""
@@ -78,8 +70,7 @@ class Batch:
     indices: tuple[int, ...]
 
 
-def plan_batches(units, pending: list[int],
-                 batch_units: int | None = None) -> list[Batch]:
+def plan_batches(units, pending: list[int]) -> list[Batch]:
     """Split pending unit indices into lease-sized batches.
 
     Batch ids are content-derived (the SHA-256 of the member units'
@@ -87,10 +78,9 @@ def plan_batches(units, pending: list[int],
     the ledger's completion tombstones, and two workers forked from
     the same plan agree on every id without coordination.
     """
-    size = batch_units or default_batch_units()
     batches = []
-    for start in range(0, len(pending), size):
-        indices = tuple(pending[start:start + size])
+    for start in range(0, len(pending), DEFAULT_BATCH_UNITS):
+        indices = tuple(pending[start:start + DEFAULT_BATCH_UNITS])
         digest = hashlib.sha256()
         for index in indices:
             digest.update(key_hash(units[index].key).encode())

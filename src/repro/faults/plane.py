@@ -3,10 +3,10 @@
 The paper's premise is operating hardware past its guaranteed margins
 and characterizing what breaks; this module applies the same idea to
 the runtime itself.  Every layer that can fail in production declares
-**named injection sites** (``store.object_write``,
-``campaign.shard_dispatch``, ``native.compile``, ``campaign.unit_run``,
-...) and asks the plane on each pass whether a fault should fire
-there.  Forked campaign workers fire ``campaign.worker.kill.w<i>``
+**named injection sites** (``store.object_write`` /
+``store.object_read``, ``campaign.shard_dispatch``,
+``campaign.unit_run``, ``native.compile`` / ``native.dlopen``, ...)
+and asks the plane on each pass whether a fault should fire there.  Forked campaign workers fire ``campaign.worker.kill.w<i>``
 before each unit of worker *i*'s shard.  The distributed fabric adds
 its network surface as first-class sites: ``fabric.http.put`` /
 ``fabric.http.get`` (one hit per HTTP attempt; ``oserror`` =
@@ -40,7 +40,7 @@ store write, ``corrupt`` garbles a cached kernel library, ...) except
 for three the plane handles uniformly: ``kill`` SIGKILLs the current
 process at the site, ``raise``/any mode reaching :func:`trip` raises
 :class:`InjectedFault`, and ``oserror`` is raised as a transient
-:class:`OSError` by the store sites.
+:class:`OSError` by ``store.object_write`` and the fabric I/O sites.
 
 Every fired fault is appended to the in-process ``fired`` list, logged
 as a warning, and -- when ``REPRO_FAULT_LOG`` names a file -- appended

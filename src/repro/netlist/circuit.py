@@ -541,15 +541,14 @@ class Circuit:
         :class:`CircuitError` here -- silent fallback happens one
         level up, in :func:`repro.native.engine_for`.
 
-        The native engine has one route: ``repro_run`` (stimulus ->
-        every level -> extract) over column ranges -- one range
-        covering the block when serial, one range per thread when a
-        thread-shard pool is configured.  Whether the call runs native
-        at all is decided once, at entry: a circuit whose buses cannot
-        pack into 64-bit words, or a kernel library that fails to
-        build or load (latched as the process's runtime failure), runs
-        the whole call on the numpy engine of the same dtype --
-        bit-identical at f64, same relaxed contract at f32.
+        The native engine has one route: a single ``repro_run`` call
+        (stimulus -> every level -> extract) over the whole block.
+        Whether the call runs native at all is decided once, at entry:
+        a circuit whose buses cannot pack into 64-bit words, or a
+        kernel library that fails to build or load (latched as the
+        process's runtime failure), runs the whole call on the numpy
+        engine of the same dtype -- bit-identical at f64, same relaxed
+        contract at f32.
 
         The numpy route carries per-stage telemetry spans
         (``propagate.stimulus`` / ``propagate.kernel`` /

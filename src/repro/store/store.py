@@ -2,8 +2,6 @@
 
 Layout under a *filesystem* store root::
 
-    manifest.jsonl           # append-only index cache: one entry/line
-    .lock                    # flock serializing manifest writes
     objects/ab/abcdef...json # one envelope per artifact
     quarantine/              # poisoned envelopes, kept for forensics
     leases/                  # fabric work-lease ledger (raw blobs)
@@ -36,20 +34,19 @@ Robustness rules:
   caller recomputes and the forensic evidence survives until ``gc``
   reclaims it (after :data:`~ResultStore.TEMP_GRACE_S`, under
   ``--max-bytes`` pressure, or on ``--all``).
-* Writes are **durable**: the object temp file and the manifest are
-  fsynced (plus the containing directory after the rename), so an
-  acknowledged ``put`` survives a crash of the machine, not only of
-  the process.  ``REPRO_STORE_NO_FSYNC=1`` trades that away for speed.
+* Writes are **durable**: the object temp file is fsynced (plus the
+  containing directory after the rename), so an acknowledged ``put``
+  survives a crash of the machine, not only of the process.
+  ``REPRO_STORE_NO_FSYNC=1`` trades that away for speed.
 * Transient ``OSError``s on the write path are retried with bounded
   exponential backoff and deterministic seeded jitter
   (:class:`repro.store.retry.RetryPolicy`; budget via
   ``REPRO_STORE_RETRIES`` / ``REPRO_STORE_BACKOFF_S``).
-* The manifest is only an index *cache* and is append-only on the hot
-  path: each ``put`` appends one line under an exclusive ``flock``
-  (O(1), no read-modify-write for fork workers to corrupt); ``ls``
-  skips unparsable lines, drops entries whose object vanished, and
-  rebuilds the whole file from the objects directory -- the source of
-  truth -- whenever it is missing.
+* The objects directory is the one index: a ``put`` is a single
+  object write, and ``ls`` reads every envelope through the backend,
+  so no second file can drift from what ``get`` serves.  ``ls`` is
+  read-only: it skips unparsable or self-inconsistent objects and
+  leaves quarantining them to ``get``.
 """
 
 from __future__ import annotations
@@ -57,23 +54,17 @@ from __future__ import annotations
 import json
 import logging
 import os
-import tempfile
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 from repro import faults, obs
-from repro.store.backend import FsBackend, StoreBackend, fsync_dir, \
-    fsync_enabled
+from repro.store.backend import FsBackend, ObjectStat, StoreBackend
 from repro.store.retry import RetryPolicy
 from repro.store.schema import artifact_from_json, artifact_to_json, \
     current_schema
 from repro.store.serialize import canonical_json, key_hash
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-posix fallback
-    fcntl = None
 
 FORMAT = "repro-store/1"
 
@@ -82,7 +73,7 @@ _LOG = logging.getLogger("repro.store")
 
 @dataclass(frozen=True)
 class StoreEntry:
-    """One manifest row describing a stored artifact."""
+    """One listed artifact: its envelope metadata and on-disk size."""
 
     sha256: str
     kind: str
@@ -122,13 +113,11 @@ class ResultStore:
             self.root: Path | str = self._fs.root
             self.objects = self._fs.root / "objects"
             self.quarantine_dir = self._fs.root / "quarantine"
-            self.manifest_path = self._fs.root / "manifest.jsonl"
             self.objects.mkdir(parents=True, exist_ok=True)
         else:
             self.root = backend.describe()
             self.objects = None
             self.quarantine_dir = None
-            self.manifest_path = None
 
     @classmethod
     def default(cls) -> "ResultStore":
@@ -161,11 +150,9 @@ class ResultStore:
             if_absent: bool = False) -> str:
         """Store an artifact under its key; returns the content hash.
 
-        The envelope lands atomically, then the manifest index is
-        updated under the store lock (filesystem backends; the HTTP
-        service maintains its own root).  With ``if_absent`` the write
-        is conditional: an existing entry is left untouched -- the
-        fabric's duplicate-compute suppression.
+        The envelope lands atomically in one backend write.  With
+        ``if_absent`` the write is conditional: an existing entry is
+        left untouched -- the fabric's duplicate-compute suppression.
         """
         kind = key_payload["kind"]
         with obs.span("store.put", kind=kind):
@@ -188,10 +175,6 @@ class ResultStore:
             self._retry("object write",
                         lambda: self._write_object(name, text,
                                                    if_absent=if_absent))
-            if self._fs is not None:
-                entry = self._entry_of(envelope, len(text))
-                self._retry("manifest append",
-                            lambda: self._manifest_add(entry))
             obs.counter("store.put_bytes", len(text))
         return sha
 
@@ -230,33 +213,18 @@ class ResultStore:
         return artifact
 
     def _get(self, key_payload: dict):
-        kind = key_payload.get("kind", "")
-        try:
-            if key_payload.get("schema") != current_schema(kind):
-                return None  # stale-schema request: never served
-        except KeyError:
+        found = self._envelope(key_payload, read_faults=True)
+        if found is None:
             return None
-        name = self._object_name(self.key_of(key_payload))
-        data = self.backend.read(name)
-        if data is None:
-            return None
-        if faults.fire("store.object_read") == "corrupt":
-            self._quarantine(name, "injected read corruption")
-            return None
-        envelope = self._parse_envelope(data)
-        if envelope is None:
-            self._quarantine(name, "unreadable or malformed envelope")
-            return None
-        if canonical_json(envelope["key"]) != canonical_json(key_payload):
-            self._quarantine(name, "embedded key mismatches address")
-            return None
+        name, envelope = found
         body_sha = envelope.get("body_sha256")
         if body_sha is not None \
                 and key_hash(envelope["artifact"]) != body_sha:
             self._quarantine(name, "artifact body checksum mismatch")
             return None
         try:
-            return artifact_from_json(kind, envelope["artifact"])
+            return artifact_from_json(key_payload["kind"],
+                                      envelope["artifact"])
         except Exception as error:
             self._quarantine(name,
                              f"artifact body failed to decode: {error}")
@@ -271,32 +239,41 @@ class ResultStore:
         artifact body behind a valid envelope still reads as a miss in
         :meth:`get`; callers that need the artifact must handle that.
         """
+        return self._envelope(key_payload) is not None
+
+    def _envelope(self, key_payload: dict, *,
+                  read_faults: bool = False) -> tuple[str, dict] | None:
+        """(object name, envelope) of a key's entry, or None on a miss.
+
+        Schema -> read -> parse -> key match, shared by :meth:`get` and
+        :meth:`contains`; a present object failing parse or key match
+        is quarantined.  Only ``get`` passes ``read_faults``, so
+        ``store.object_read`` hit counts follow ``get`` calls alone.
+        """
         kind = key_payload.get("kind", "")
         try:
             if key_payload.get("schema") != current_schema(kind):
-                return False
+                return None  # stale-schema request: never served
         except KeyError:
-            return False
+            return None
         name = self._object_name(self.key_of(key_payload))
         data = self.backend.read(name)
         if data is None:
-            return False
+            return None
+        if read_faults and faults.fire("store.object_read") == "corrupt":
+            self._quarantine(name, "injected read corruption")
+            return None
         envelope = self._parse_envelope(data)
         if envelope is None:
             self._quarantine(name, "unreadable or malformed envelope")
-            return False
+            return None
         if canonical_json(envelope["key"]) != canonical_json(key_payload):
             self._quarantine(name, "embedded key mismatches address")
-            return False
-        return True
+            return None
+        return name, envelope
 
     def delete(self, key_payload: dict) -> bool:
-        """Remove the entry stored under a key; True if one existed.
-
-        The stale manifest line is filtered by ``ls`` on its next read
-        (vanished objects never surface), so no index rewrite is
-        needed here.
-        """
+        """Remove the entry stored under a key; True if one existed."""
         return self.backend.delete(
             self._object_name(self.key_of(key_payload)))
 
@@ -308,86 +285,40 @@ class ResultStore:
         _LOG.warning("quarantined corrupt store object %s: %s",
                      name.rsplit("/", 1)[-1], reason)
 
-    # -- manifest index --------------------------------------------------
+    # -- listing ---------------------------------------------------------
 
     def ls(self) -> list[StoreEntry]:
-        """All live entries, oldest first (from the manifest index).
+        """All listable entries, oldest first.
 
-        Unparsable manifest lines (e.g. a line torn by a kill mid-
-        append) are skipped; entries whose object file is gone are
-        dropped; a missing manifest is rebuilt from the objects
-        directory.  The manifest is also reconciled against the
-        objects directory -- the source of truth -- whenever an
-        on-disk object has no manifest line (a writer killed between
-        the object ``os.replace`` and the manifest append in ``put``
-        leaves exactly that state): the rebuild re-indexes every live
-        object, so ``ls`` never under-reports what ``get`` serves.
-        A dead on-disk object (stale schema, corrupted envelope) keeps
-        triggering the reconcile scan until ``gc`` reclaims it --
-        correctness over speed.
-
-        A *remote* store has no local manifest: the listing is built
-        by enumerating the service's objects and reading each envelope
-        (diagnostics-grade, not a hot path).
+        Walks the backend's ``objects/`` and reads every envelope (a
+        full read of the store, like ``gc``: diagnostics-grade, not a
+        hot path).  Unparsable objects and objects whose key does not
+        hash to their name are skipped; temp files of in-flight writes
+        never list.  Read-only: nothing is quarantined here.
+        ``n_bytes`` is the object's stored size.
         """
-        if self._fs is None:
-            return self._ls_remote()
-        if not self.manifest_path.exists():
-            entries = self.rebuild_manifest()
-        else:
-            entries = {}
-            for line in self.manifest_path.read_text().splitlines():
-                try:
-                    row = json.loads(line)
-                    entry = StoreEntry(**row)
-                except (json.JSONDecodeError, TypeError):
-                    continue
-                if self._object_path(entry.sha256).exists():
-                    entries[entry.sha256] = entry
-            on_disk = {path.stem for path in self.objects.glob("*/*.json")}
-            if on_disk - set(entries):
-                entries = self.rebuild_manifest()
-        return sorted(entries.values(),
-                      key=lambda entry: entry.created_unix)
-
-    def _ls_remote(self) -> list[StoreEntry]:
-        entries: list[StoreEntry] = []
-        for stat in self.backend.list("objects/"):
-            data = self.backend.read(stat.name)
-            if data is None:
-                continue
-            envelope = self._parse_envelope(data)
-            if envelope is None:
-                continue
-            entries.append(self._entry_of(envelope, stat.size))
+        entries = [self._entry_of(envelope, stat.size)
+                   for stat, envelope in self._scan()
+                   if envelope is not None]
         return sorted(entries, key=lambda entry: entry.created_unix)
 
-    def rebuild_manifest(self) -> dict[str, StoreEntry]:
-        """Regenerate the manifest by scanning the objects directory."""
-        entries: dict[str, StoreEntry] = {}
-        for path in sorted(self.objects.glob("*/*.json")):
-            envelope = self._read_envelope(path)
-            if envelope is None or not self._self_consistent(envelope,
-                                                             path):
-                continue
-            try:
-                size = path.stat().st_size
-            except OSError:
-                continue
-            entry = self._entry_of(envelope, size)
-            entries[entry.sha256] = entry
-        text = "".join(json.dumps(entry.__dict__, sort_keys=True) + "\n"
-                       for entry in entries.values())
-        with self._lock():
-            self._atomic_write(self.manifest_path, text)
-        return entries
+    def _scan(self) -> Iterator[tuple[ObjectStat, dict | None]]:
+        """Yield (stat, envelope) per object; the envelope is None when
+        it does not parse or its key does not hash to its name."""
+        for stat in self.backend.list("objects/"):
+            data = self.backend.read(stat.name)
+            envelope = None if data is None else self._parse_envelope(data)
+            if envelope is not None and not self._self_consistent(
+                    envelope, PurePosixPath(stat.name).stem):
+                envelope = None
+            yield stat, envelope
 
     # -- garbage collection ----------------------------------------------
 
     #: Temp files *and quarantined objects* younger than this are left
     #: alone by the default ``gc`` pass: a young temp file may belong
-    #: to a live writer mid-``_atomic_write``, and young quarantine is
-    #: forensic evidence someone may still want to inspect.
+    #: to a live writer mid-write, and young quarantine is forensic
+    #: evidence someone may still want to inspect.
     TEMP_GRACE_S = 3600.0
 
     def gc(self, *, remove_all: bool = False,
@@ -444,9 +375,7 @@ class ResultStore:
         removed = 0
         freed = 0
         cutoff = time.time() - self.TEMP_GRACE_S
-        temp_files = list(self.objects.glob("*/.tmp-*")) \
-            + list(self.root.glob(".tmp-*"))  # manifest rebuild temps
-        for path in temp_files:
+        for path in self.objects.glob("*/.tmp-*"):
             try:
                 stat = path.stat()
                 if stat.st_mtime >= cutoff:
@@ -478,36 +407,26 @@ class ResultStore:
                 else:
                     candidates.append((0, stat.st_mtime, path,
                                        stat.st_size))
-        for path in sorted(self.objects.glob("*/*.json")):
-            try:
-                size = path.stat().st_size
-            except OSError:
-                continue
-            envelope = self._read_envelope(path)
-            dead = envelope is None \
-                or not self._self_consistent(envelope, path) \
-                or self._stale(envelope)
+        for obj, envelope in self._scan():
+            dead = envelope is None or self._stale(envelope)
             kind = (envelope or {}).get("key", {}).get("kind")
             if remove_all and (kinds is None or kind in kinds):
                 dead = True
             if dead:
-                try:
-                    path.unlink()
-                except OSError:
+                if not self.backend.delete(obj.name):
                     continue
                 removed += 1
-                freed += size
+                freed += obj.size
             else:
                 candidates.append((
                     2 if kind in pin_kinds else 1,
-                    float((envelope or {}).get("created_unix", 0.0)),
-                    path, size))
+                    float(envelope.get("created_unix", 0.0)),
+                    self._fs.root / obj.name, obj.size))
         if max_bytes is not None:
             evicted, evicted_bytes = self._evict_lru(candidates,
                                                      max_bytes)
             removed += evicted
             freed += evicted_bytes
-        self.rebuild_manifest()
         return removed, freed
 
     def _evict_lru(self, candidates: list[tuple[int, float, Path, int]],
@@ -538,26 +457,6 @@ class ResultStore:
 
     # -- internals -------------------------------------------------------
 
-    @staticmethod
-    def _atomic_write(path: Path, text: str) -> None:
-        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=path.parent)
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-                if fsync_enabled():
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            os.replace(tmp, path)
-            if fsync_enabled():
-                # Persist the rename itself: without the directory
-                # fsync a machine crash can roll back an acknowledged
-                # write even though the file data hit the platter.
-                fsync_dir(path.parent)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
     @classmethod
     def _parse_envelope(cls, data: bytes) -> dict | None:
         try:
@@ -571,19 +470,11 @@ class ResultStore:
             return None
         return envelope
 
-    @classmethod
-    def _read_envelope(cls, path: Path) -> dict | None:
-        try:
-            data = path.read_bytes()
-        except OSError:
-            return None
-        return cls._parse_envelope(data)
-
     @staticmethod
-    def _self_consistent(envelope: dict, path: Path) -> bool:
+    def _self_consistent(envelope: dict, stem: str) -> bool:
         """Entry's own key must hash to its file name."""
         try:
-            return key_hash(envelope["key"]) == path.stem
+            return key_hash(envelope["key"]) == stem
         except TypeError:
             return False
 
@@ -607,44 +498,3 @@ class ResultStore:
             created_unix=float(envelope.get("created_unix", 0.0)),
             n_bytes=n_bytes,
         )
-
-    def _manifest_add(self, entry: StoreEntry) -> None:
-        """Append one index line (O(1); duplicate shas resolve to the
-        newest line on read, vanished objects are filtered by ls)."""
-        line = json.dumps(entry.__dict__, sort_keys=True) + "\n"
-        mode = faults.fire("store.manifest_append")
-        if mode == "oserror":
-            raise OSError(
-                "injected transient OSError at store.manifest_append")
-        if mode == "torn":
-            line = line[:len(line) // 2]  # killed mid-append
-        with self._lock():
-            with open(self.manifest_path, "a") as handle:
-                handle.write(line)
-                if fsync_enabled():
-                    handle.flush()
-                    os.fsync(handle.fileno())
-
-    def _lock(self):
-        return _FileLock(self.root / ".lock")
-
-
-class _FileLock:
-    """Exclusive advisory lock on a file (no-op where flock is absent)."""
-
-    def __init__(self, path: Path):
-        self._path = path
-        self._handle = None
-
-    def __enter__(self):
-        if fcntl is not None:
-            self._handle = open(self._path, "a+")
-            fcntl.flock(self._handle, fcntl.LOCK_EX)
-        return self
-
-    def __exit__(self, *exc):
-        if self._handle is not None:
-            fcntl.flock(self._handle, fcntl.LOCK_UN)
-            self._handle.close()
-            self._handle = None
-        return False

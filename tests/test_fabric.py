@@ -295,8 +295,8 @@ def _fake_units(n):
 class TestFabricDispatch:
     def test_batches_are_deterministic_and_content_addressed(self):
         units = _fake_units(5)
-        first = plan_batches(units, [0, 1, 2, 3, 4], batch_units=2)
-        again = plan_batches(units, [0, 1, 2, 3, 4], batch_units=2)
+        first = plan_batches(units, [0, 1, 2, 3, 4])
+        again = plan_batches(units, [0, 1, 2, 3, 4])
         assert first == again
         assert [batch.indices for batch in first] == \
             [(0, 1), (2, 3), (4,)]

@@ -59,7 +59,7 @@ class TestGrammar:
     def test_prefix_match(self):
         (rule,), _ = faults.parse_schedule("store.*:torn@p=1")
         assert rule.matches("store.object_write")
-        assert rule.matches("store.manifest_append")
+        assert rule.matches("store.object_read")
         assert not rule.matches("campaign.shard_dispatch")
 
 

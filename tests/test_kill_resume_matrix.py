@@ -3,10 +3,10 @@
 Satellite of the fault-injection harness: a real campaign process
 (tests/_chaos_driver.py) is SIGKILLed -- by the fault plane itself --
 at each stage of the unit pipeline (fork dispatch, mid-shard compute,
-a killed worker, manifest append).  Whatever the kill leaves behind
-(half-written shards, workers dead mid-unit, a torn store), a
-fault-free rerun of the driver must render byte-identical output to a
-never-killed baseline.
+a killed worker, inside a store object write).  Whatever the kill
+leaves behind (half-written shards, workers dead mid-unit, an object
+write that never landed), a fault-free rerun of the same campaign
+must render byte-identical output to a never-killed baseline.
 
 Sites that kill only *workers* are allowed to complete in one go (the
 parent backstops the dead worker's shard); their output must then
@@ -36,7 +36,7 @@ MATRIX = {
     "dispatch": "campaign.shard_dispatch:kill@after=1",
     "mid-shard": "campaign.unit_run:kill@after=3",
     "worker-kill": "campaign.worker.kill.w1:kill@after=2",
-    "manifest-append": "store.manifest_append:kill@after=2",
+    "object-write": "store.object_write:kill@after=2",
 }
 
 

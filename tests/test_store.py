@@ -252,19 +252,6 @@ class TestResultStore:
         assert removed >= 1
         assert not old_path.exists()
 
-    def test_ls_and_manifest_rebuild(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        store.put(_key(seed=1), _point("a"), label="one")
-        store.put(_key(seed=2), _point("b"), label="two")
-        entries = store.ls()
-        assert {entry.label for entry in entries} == {"one", "two"}
-        assert all(entry.kind == "mc_point" for entry in entries)
-        # A lost manifest is rebuilt from the objects directory.
-        store.manifest_path.unlink()
-        rebuilt = ResultStore(tmp_path / "store").ls()
-        assert {entry.sha256 for entry in rebuilt} == \
-            {entry.sha256 for entry in entries}
-
     def test_gc_all_wipes(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         store.put(_key(seed=1), _point())
@@ -316,20 +303,6 @@ class TestResultStore:
         assert store.contains(_key())
         assert store.get(_key()) is None
 
-    def test_manifest_tolerates_torn_line(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        store.put(_key(seed=1), _point(), label="kept")
-        with open(store.manifest_path, "a") as handle:
-            handle.write('{"sha256": "torn entr')  # killed mid-append
-        store.put(_key(seed=2), _point(), label="after")
-        labels = {entry.label for entry in store.ls()}
-        assert "kept" in labels
-        # The entry appended after the torn line may share its line;
-        # a rebuild recovers the full truth from the objects dir.
-        store.rebuild_manifest()
-        labels = {entry.label for entry in store.ls()}
-        assert labels == {"kept", "after"}
-
     def test_characterization_artifact_kind(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         char = TestCharacterizationJson()._characterization()
@@ -343,61 +316,100 @@ class TestResultStore:
                               char.cdfs["l.mul"].critical_rows)
 
 
-class TestManifestReconcile:
-    def test_ls_recovers_entry_lost_in_the_kill_window(self, tmp_path,
-                                                       monkeypatch):
-        # A writer killed between the object os.replace and the
-        # manifest append leaves an object that get() serves but the
-        # manifest never saw; ls must reconcile against the objects
-        # directory instead of under-reporting.
+class TestObjectScanLs:
+    """``ls`` lists straight from the objects directory."""
+
+    def test_ls_lists_objects_with_no_index_step(self, tmp_path):
+        # An envelope dropped into objects/ by hand -- no put(), no
+        # index file anywhere -- is listed like any other entry.
         store = ResultStore(tmp_path / "store")
-        store.put(_key(seed=1), _point("a"), label="seen")
-        monkeypatch.setattr(ResultStore, "_manifest_add",
-                            lambda self, entry: None)
-        store.put(_key(seed=2), _point("b"), label="lost")
-        monkeypatch.undo()
-        assert store.get(_key(seed=2)) is not None
-        labels = {entry.label for entry in store.ls()}
-        assert labels == {"seen", "lost"}
-        # The reconcile rewrote the manifest: a fresh handle reads the
-        # recovered entry without rescanning.
-        labels = {entry.label
-                  for entry in ResultStore(tmp_path / "store").ls()}
-        assert labels == {"seen", "lost"}
+        store.put(_key(seed=1), _point("a"), label="put")
+        source = store._object_path(store.key_of(_key(seed=1)))
+        envelope = json.loads(source.read_text())
+        envelope["key"] = _key(seed=2)
+        envelope["sha256"] = store.key_of(_key(seed=2))
+        envelope["label"] = "by-hand"
+        target = store._object_path(envelope["sha256"])
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(json.dumps(envelope))
+        entries = store.ls()
+        # Neither put() nor ls() wrote anything beside the objects.
+        assert sorted(path.name for path in store.root.iterdir()) == \
+            ["objects"]
+        assert {entry.label for entry in entries} == {"put", "by-hand"}
+        assert {entry.sha256 for entry in entries} == \
+            {store.key_of(_key(seed=1)), store.key_of(_key(seed=2))}
+        assert all(entry.kind == "mc_point" for entry in entries)
 
-    def test_ls_without_mismatch_trusts_the_manifest(self, tmp_path,
-                                                     monkeypatch):
+    def test_ls_skips_unlistable_objects_without_quarantine(self,
+                                                           tmp_path):
         store = ResultStore(tmp_path / "store")
-        store.put(_key(seed=1), _point("a"), label="one")
-        calls = {"n": 0}
-        original = ResultStore.rebuild_manifest
+        store.put(_key(seed=1), _point(), label="kept")
+        store.put(_key(seed=2), _point(), label="torn")
+        store.put(_key(seed=3), _point(), label="mismatched")
+        torn = store._object_path(store.key_of(_key(seed=2)))
+        torn.write_text(torn.read_text()[:40])  # killed mid-write
+        # A self-inconsistent object: its embedded key hashes to some
+        # other name than the one it sits under.
+        mismatched = store._object_path(store.key_of(_key(seed=3)))
+        envelope = json.loads(mismatched.read_text())
+        envelope["key"]["seed"] = 99
+        mismatched.write_text(json.dumps(envelope))
+        temp = store.objects / "ab" / ".tmp-inflight"
+        temp.parent.mkdir(exist_ok=True)
+        temp.write_text(json.dumps(envelope))
+        assert [entry.label for entry in store.ls()] == ["kept"]
+        # Listing is read-only: everything it skipped is still there.
+        assert torn.exists() and mismatched.exists() and temp.exists()
+        assert not store.quarantine_dir.exists()
 
-        def counting(self):
-            calls["n"] += 1
-            return original(self)
-
-        monkeypatch.setattr(ResultStore, "rebuild_manifest", counting)
-        assert len(store.ls()) == 1
-        assert calls["n"] == 0
-
-    def test_ls_recovers_truncated_final_manifest_line(self, tmp_path):
-        # A crash mid-append can leave the *last* manifest line torn
-        # with no trailing newline; the entry it described must still
-        # surface via the objects-directory reconcile.
+    def test_ls_orders_by_created_unix(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        store.put(_key(seed=1), _point("a"), label="one")
-        store.put(_key(seed=2), _point("b"), label="two")
-        lines = store.manifest_path.read_text().splitlines(keepends=True)
-        torn = lines[-1][:len(lines[-1]) // 2]
-        store.manifest_path.write_text("".join(lines[:-1]) + torn)
-        assert {entry.label for entry in store.ls()} == {"one", "two"}
-        # The reconcile persisted the recovery: a fresh handle agrees.
-        fresh = ResultStore(tmp_path / "store")
-        assert {entry.label for entry in fresh.ls()} == {"one", "two"}
+        for seed, created in ((1, 3000.0), (2, 1000.0), (3, 2000.0)):
+            _aged_put(store, _key(seed=seed), _point(), f"s{seed}",
+                      created)
+        entries = store.ls()
+        assert [entry.label for entry in entries] == ["s2", "s3", "s1"]
+        assert [entry.created_unix for entry in entries] == \
+            [1000.0, 2000.0, 3000.0]
+
+    def test_ls_reports_on_disk_n_bytes(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        sha = store.put(_key(), _point(), label="grown")
+        path = store._object_path(sha)
+        envelope = json.loads(path.read_text())
+        envelope["label"] = "grown" * 100
+        path.write_text(json.dumps(envelope, indent=2))
+        (entry,) = store.ls()
+        assert entry.n_bytes == path.stat().st_size
+
+    def test_ls_matches_between_fs_and_http(self, tmp_path):
+        import threading
+        from repro.fabric import serve
+        store = ResultStore(tmp_path / "store")
+        for seed in range(3):
+            _aged_put(store, _key(seed=seed), _point(f"p{seed}"),
+                      f"p{seed}", 1000.0 + seed)
+        torn = store._object_path(store.key_of(_key(seed=1)))
+        torn.write_text("{ torn")
+        svc = serve(store.root)
+        thread = threading.Thread(target=svc.serve_forever, daemon=True)
+        thread.start()
+        host, port = svc.server_address
+        try:
+            remote = ResultStore.remote(f"http://{host}:{port}",
+                                        spool_dir=tmp_path / "spool",
+                                        timeout_s=5.0)
+            listed = remote.ls()
+        finally:
+            svc.shutdown()
+            svc.server_close()
+        assert listed == store.ls()
+        assert [entry.label for entry in listed] == ["p0", "p2"]
 
 
 class TestFaultHardening:
-    """Injected store faults: retry, quarantine, and reconciliation."""
+    """Injected store faults: retry and quarantine."""
 
     @pytest.fixture(autouse=True)
     def _clean_plane(self, monkeypatch):
@@ -419,13 +431,6 @@ class TestFaultHardening:
         assert any("retrying" in record.message
                    for record in caplog.records)
         assert store.get(_key()) is not None
-
-    def test_transient_manifest_oserror_is_retried(self, tmp_path):
-        from repro import faults
-        faults.configure("store.manifest_append:oserror@after=1")
-        store = ResultStore(tmp_path / "store")
-        store.put(_key(), _point(), label="kept")
-        assert {entry.label for entry in store.ls()} == {"kept"}
 
     def test_persistent_oserror_exhausts_the_retry_budget(self,
                                                           tmp_path):
@@ -449,13 +454,6 @@ class TestFaultHardening:
         assert list(store.quarantine_dir.iterdir())  # evidence kept
         store.put(_key(), _point(), label="healed")  # hit 2: clean
         assert store.get(_key()) is not None
-
-    def test_torn_manifest_append_is_reconciled(self, tmp_path):
-        from repro import faults
-        faults.configure("store.manifest_append:torn@after=1")
-        store = ResultStore(tmp_path / "store")
-        store.put(_key(), _point(), label="recovered")
-        assert {entry.label for entry in store.ls()} == {"recovered"}
 
     def test_body_checksum_mismatch_quarantines(self, tmp_path, caplog):
         import logging
@@ -694,10 +692,7 @@ class TestPinnedEviction:
         # Without pin_kinds the characterizations are ordinary LRU
         # fodder: oldest goes first even though it is pinned-kind.
         store = self._mixed_store(tmp_path)
-        # On-disk sizes, not manifest ones: _aged_put rewrote the
-        # envelopes, so the manifest's n_bytes are slightly stale.
-        total = sum(path.stat().st_size
-                    for path in store.objects.glob("*/*.json"))
+        total = sum(entry.n_bytes for entry in store.ls())
         oldest = min(store.ls(), key=lambda entry: entry.created_unix)
         removed, _ = store.gc(max_bytes=total - 1)
         assert removed == 1
