@@ -27,7 +27,8 @@ from repro.bench.suite import build_kernel
 from repro.experiments import fig2, fig4, fig7
 from repro.experiments.context import ExperimentContext
 from repro.fi.base import FaultInjector
-from repro.mc.runner import run_point, run_trial
+from repro.fi.model_c import StatisticalInjector
+from repro.mc.runner import golden_run, run_point, run_trial
 from repro.netlist.plan import F32_ATOL, F32_RTOL
 from repro.store import ResultStore
 from repro.timing.dta import run_dta
@@ -335,3 +336,35 @@ def test_run_point_reuse(benchmark):
     _record(f"run_point[median,{n_trials}trials]",
             benchmark.stats.stats.min, reference_s)
 
+
+
+def test_run_point_scheduled(benchmark, ctx):
+    """Model-C point run on its fault schedule vs per-op fault masks.
+
+    At 690 MHz every trial of the quick 16-bit matmul faults several
+    times yet keeps the golden ALU mnemonic sequence, the regime the
+    schedule's counting hook serves; the reference is the same model
+    with ``next_fault`` returning None, so every ALU op calls
+    ``fault_mask``.
+    """
+    kernel = build_kernel("mat_mult_16bit", "quick")
+    characterization = ctx.characterization(0.7)
+    noise = ctx.noise(0.010)
+    per_op = type("PerOpStatisticalInjector", (StatisticalInjector,),
+                  {"next_fault": lambda self, mnemonic_ids, start: None})
+
+    def point(cls):
+        return run_point(kernel, lambda rng: cls(
+            characterization, 690e6, noise, vdd_model=ctx.vdd_model,
+            rng=rng), n_trials=10, seed=3)
+
+    scheduled = point(StatisticalInjector)
+    benchmark(lambda: point(StatisticalInjector))
+    reference_s = _time_best(lambda: point(per_op))
+    assert scheduled == point(per_op)
+    golden_ops = len(golden_run(kernel).mnemonic_ids)
+    assert all(trial.fault_count and trial.finished
+               and trial.alu_cycles == golden_ops
+               for trial in scheduled.trials)
+    _record("run_point[mat_mult_16bit,scheduled]",
+            benchmark.stats.stats.min, reference_s)

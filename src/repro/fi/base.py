@@ -17,13 +17,18 @@ flip-flop:
 The distinction is an extension knob for sensitivity studies; both
 corrupt only bits reported by the model's fault mask.
 
-Golden-run speculation: before a Monte-Carlo trial runs in the ISS, the
-runner hands :meth:`FaultInjector.speculate` the FI-window ALU mnemonic
-sequence of the kernel's fault-free run.  A model that can prove every
-``fault_mask`` call of that sequence returns 0 -- consuming its random
-streams exactly as those calls would -- returns True, and the trial is
-the golden run.  Otherwise it leaves its state untouched and returns
-False, and the trial runs live.
+Fault schedules: a model's masks depend only on the mnemonic and its
+own random streams, never on the ALU result, so the faults a trial
+would draw over the kernel's golden (fault-free) FI-window ALU sequence
+can be computed ahead of the ISS.  :meth:`FaultInjector.next_fault`
+returns the next one from a given op, consuming the streams exactly as
+the live ``fault_mask`` calls up to and including it would.  Between
+calls the streams stand where ``start`` live calls leave them, so the
+Monte-Carlo runner (:mod:`repro.mc.runner`) can run a trial through a
+counting hook that calls the model only around its faults, and fall
+back to per-op :meth:`~FaultInjector.on_alu` from any point where the
+live run leaves the golden sequence (after a :meth:`restore` and a
+replay of the hit-free golden ops since the search began).
 """
 
 from __future__ import annotations
@@ -34,10 +39,10 @@ import numpy as np
 
 MASK32 = 0xFFFFFFFF
 
-#: ALU ops a model examines in its first vectorized speculation step;
-#: each later step doubles, so a trial whose first fault comes early
-#: pays only for the steps up to it.
-SPECULATE_CHUNK = 256
+#: ALU ops a model examines in its first vectorized scan step; each
+#: later step doubles, so a search whose fault comes early pays only
+#: for the steps up to it.
+SCAN_CHUNK = 256
 
 FAULT_SEMANTICS = ("flip", "stale")
 
@@ -76,37 +81,44 @@ class FaultInjector(abc.ABC):
     def fault_mask(self, mnemonic: str) -> int:
         """Bit mask of endpoints violated this cycle (0 = no fault)."""
 
-    def speculate(self, mnemonic_ids: np.ndarray) -> bool:
-        """Settle a whole fault-free run without the ISS, if provable.
+    def next_fault(self, mnemonic_ids: np.ndarray,
+                   start: int) -> tuple[int, int] | None:
+        """The first fault at or after golden op ``start``, or None.
 
         ``mnemonic_ids`` indexes :data:`repro.isa.instructions.ALU_MNEMONICS`
-        in the order the golden run executed its FI-window ALU ops.  An
-        override returns True only after consuming its random state
-        exactly as ``fault_mask`` would over that sequence with every
-        mask 0 (and leaves the counters as the run would); if any mask
-        could be non-zero it restores its state and returns False.
-        The default proves nothing and touches nothing.
+        in the order the golden run executed its FI-window ALU ops, and
+        the random streams stand where ``start`` live ``fault_mask``
+        calls over it leave them.  Returns ``(index, mask)`` of the
+        first non-zero mask, with the streams advanced exactly as the
+        live calls over ``mnemonic_ids[start:index + 1]`` advance them,
+        or ``(len(mnemonic_ids), 0)`` with the streams past the whole
+        sequence when no op from ``start`` on faults.  The default
+        cannot schedule, touches nothing and returns None: every trial
+        of such a model runs per-op.
         """
-        return False
+        return None
 
-    def _settled(self, alu_cycles: int) -> bool:
-        """Counters of a fault-free run of ``alu_cycles`` ALU ops."""
-        self.begin_run()
-        self.alu_cycles = alu_cycles
-        return True
+    def snapshot(self) -> object:
+        """The random state ``fault_mask`` consumes, for :meth:`restore`."""
+        return None
+
+    def restore(self, snapshot: object) -> None:
+        """Roll the random state back to a :meth:`snapshot`."""
+
+    def corrupt(self, mask: int, result: int) -> int:
+        """Apply a non-zero fault mask to a result and count it."""
+        self.faulty_cycles += 1
+        self.fault_count += mask.bit_count()
+        if self.semantics == "flip":
+            return (result ^ mask) & MASK32
+        return ((result & ~mask) | (self._last_latched & mask)) & MASK32
 
     def on_alu(self, mnemonic: str, result: int) -> int:
         """CPU hook: pass an EX-stage result through the fault model."""
         self.alu_cycles += 1
         mask = self.fault_mask(mnemonic)
         if mask:
-            self.faulty_cycles += 1
-            self.fault_count += mask.bit_count()
-            if self.semantics == "flip":
-                result = (result ^ mask) & MASK32
-            else:
-                result = ((result & ~mask)
-                          | (self._last_latched & mask)) & MASK32
+            result = self.corrupt(mask, result)
         self._last_latched = result
         return result
 
@@ -119,5 +131,6 @@ class NullInjector(FaultInjector):
     def fault_mask(self, mnemonic: str) -> int:
         return 0
 
-    def speculate(self, mnemonic_ids: np.ndarray) -> bool:
-        return self._settled(len(mnemonic_ids))
+    def next_fault(self, mnemonic_ids: np.ndarray,
+                   start: int) -> tuple[int, int]:
+        return len(mnemonic_ids), 0

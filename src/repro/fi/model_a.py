@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fi.base import SPECULATE_CHUNK, FaultInjector
+from repro.fi.base import SCAN_CHUNK, FaultInjector
 from repro.fi.sampling import BitSampler
 from repro.netlist.alu import N_ENDPOINTS
 
@@ -45,16 +45,27 @@ class FixedProbabilityInjector(FaultInjector):
             return 0
         return self._sampler.sample_mask(self._rng)
 
-    def speculate(self, mnemonic_ids: np.ndarray) -> bool:
-        p_any = self._sampler.p_any
-        if p_any > 0.0:
+    def next_fault(self, mnemonic_ids: np.ndarray,
+                   start: int) -> tuple[int, int]:
+        n, p_any = len(mnemonic_ids), self._sampler.p_any
+        size = SCAN_CHUNK
+        while p_any > 0.0 and start < n:
             state = self._rng.bit_generator.state
-            left, size = len(mnemonic_ids), SPECULATE_CHUNK
-            while left > 0:
-                draws = self._rng.random(min(size, left))
-                if (draws < p_any).any():
-                    self._rng.bit_generator.state = state
-                    return False
-                left -= len(draws)
-                size *= 2
-        return self._settled(len(mnemonic_ids))
+            draws = self._rng.random(min(size, n - start))
+            hits = np.flatnonzero(draws < p_any)
+            if hits.size:
+                # Redraw up to the hit so the mask samples where the
+                # live call samples it.
+                hit = int(hits[0])
+                self._rng.bit_generator.state = state
+                self._rng.random(hit + 1)
+                return start + hit, self._sampler.sample_mask(self._rng)
+            start += len(draws)
+            size *= 2
+        return n, 0
+
+    def snapshot(self) -> object:
+        return self._rng.bit_generator.state
+
+    def restore(self, snapshot: object) -> None:
+        self._rng.bit_generator.state = snapshot

@@ -69,5 +69,8 @@ class StaInjector(FaultInjector):
     def fault_mask(self, mnemonic: str) -> int:
         return self._mask
 
-    def speculate(self, mnemonic_ids: np.ndarray) -> bool:
-        return self._mask == 0 and self._settled(len(mnemonic_ids))
+    def next_fault(self, mnemonic_ids: np.ndarray,
+                   start: int) -> tuple[int, int]:
+        if self._mask and start < len(mnemonic_ids):
+            return start, self._mask
+        return len(mnemonic_ids), 0

@@ -17,7 +17,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from repro.fi.base import SPECULATE_CHUNK, FaultInjector
+from repro.fi.base import SCAN_CHUNK, FaultInjector
 from repro.fi.model_b import endpoint_worst_sta
 from repro.fi.streams import EffectivePeriodStream
 from repro.netlist.alu import AluNetlist
@@ -76,19 +76,30 @@ class StaNoiseInjector(FaultInjector):
             rng=rng)
 
     def fault_mask(self, mnemonic: str) -> int:
-        period_eff = self._stream.next()
+        return self._mask_at(self._stream.next())
+
+    def _mask_at(self, period_eff: float) -> int:
         sorted_critical = self._sorted_critical
         violated = len(sorted_critical) - bisect_right(
             sorted_critical, period_eff)
         return self._masks_by_count[violated]
 
-    def speculate(self, mnemonic_ids: np.ndarray) -> bool:
+    def next_fault(self, mnemonic_ids: np.ndarray,
+                   start: int) -> tuple[int, int]:
         # No endpoint violates while the period clears the worst one.
-        saved = self._stream.snapshot()
         worst = self._sorted_critical[-1]
-        for periods in self._stream.take(len(mnemonic_ids),
-                                         SPECULATE_CHUNK):
-            if (periods < worst).any():
-                self._stream.restore(saved)
-                return False
-        return self._settled(len(mnemonic_ids))
+        for periods in self._stream.take(len(mnemonic_ids) - start,
+                                         SCAN_CHUNK):
+            hits = np.flatnonzero(periods < worst)
+            if hits.size:
+                hit = int(hits[0])
+                self._stream.give_back(len(periods) - hit - 1)
+                return start + hit, self._mask_at(periods[hit])
+            start += len(periods)
+        return len(mnemonic_ids), 0
+
+    def snapshot(self) -> object:
+        return self._stream.snapshot()
+
+    def restore(self, snapshot: object) -> None:
+        self._stream.restore(snapshot)

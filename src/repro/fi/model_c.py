@@ -22,16 +22,22 @@ Two endpoint-correlation modes are provided:
 
 The per-cycle fast path costs one stream read, one bisect into the
 period grid, and one uniform draw; the expensive conditional sampling
-only runs on actual fault cycles.  :meth:`StatisticalInjector.speculate`
-replays that fast path over a whole golden run in numpy slices.
+only runs on actual fault cycles.  :meth:`StatisticalInjector.next_fault`
+replays that fast path over the golden ALU sequence in numpy slices:
+it draws a slice's uniforms in one vector, and at the first one below
+its fault probability it rewinds the RNG to before the vector, redraws
+up to that uniform, samples the mask as the live call would, and gives
+the slice's unread periods back to the stream.  That needs one period
+grid shared by every ALU mnemonic; without it the model cannot
+schedule and its trials run per-op.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fi.base import SPECULATE_CHUNK, FaultInjector
-from repro.fi.sampling import BitSampler
+from repro.fi.base import SCAN_CHUNK, FaultInjector
+from repro.fi.sampling import BitSampler, any_probability
 from repro.fi.streams import EffectivePeriodStream
 from repro.isa.instructions import ALU_MNEMONICS
 from repro.netlist.alu import AluNetlist
@@ -100,21 +106,25 @@ class StatisticalInjector(FaultInjector):
             vdd_model=vdd_model,
             noise=noise,
             rng=self._rng)
-        # Lazily built conditional samplers, keyed by (mnemonic, row).
+        # Lazily built conditional samplers, and the any-endpoint fault
+        # probability the fast path tests (cheap to compute, unlike a
+        # sampler, which only a faulting cycle needs), keyed by
+        # (mnemonic, row).
         self._samplers: dict[tuple[str, int], BitSampler] = {}
-        self._row_grid, self._draw_limit = self._speculation_tables()
-        # (mnemonic id, row) -> the sampler's p_any, NaN until built.
+        self._p_any: dict[tuple[str, int], float] = {}
+        self._row_grid, self._draw_limit = self._schedule_tables()
+        # (mnemonic id, row) -> the sampler's p_any, NaN until computed.
         self._p_any_table = np.full(
             (len(ALU_MNEMONICS), len(self._row_grid.periods)
              if self._row_grid else 0), np.nan)
 
-    def _speculation_tables(self):
+    def _schedule_tables(self):
         """Shared period grid and per-mnemonic draw limits, or Nones.
 
-        Speculation maps a period to one grid row for every mnemonic,
+        A schedule maps a period to one grid row for every mnemonic,
         so it needs one period grid shared by all ALU mnemonics
         (characterizations compile them that way); without it, trials
-        run live.  A cycle's fast path draws a uniform exactly when its
+        run per-op.  A cycle's fast path draws a uniform exactly when its
         period is at most its mnemonic's limit: on the grid, and either
         mapping to a row before the grid's first quiet row (independent
         mode) or below the worst sampled cycle (joint mode).
@@ -175,12 +185,20 @@ class StatisticalInjector(FaultInjector):
             self._samplers[(mnemonic, row)] = sampler
         return sampler
 
+    def _any_fault_probability(self, mnemonic: str, row: int) -> float:
+        p_any = self._p_any.get((mnemonic, row))
+        if p_any is None:
+            p_any = self._p_any[(mnemonic, row)] = any_probability(
+                self._grids[mnemonic].probs[row])
+        return p_any
+
     def _independent_mask(self, mnemonic: str, row: int) -> int:
-        sampler = (self._samplers.get((mnemonic, row))
-                   or self._sampler(mnemonic, row))
-        if sampler.p_any <= 0.0 or self._rng.random() >= sampler.p_any:
+        p_any = self._p_any.get((mnemonic, row))
+        if p_any is None:
+            p_any = self._any_fault_probability(mnemonic, row)
+        if p_any <= 0.0 or self._rng.random() >= p_any:
             return 0
-        return sampler.sample_mask(self._rng)
+        return self._sampler(mnemonic, row).sample_mask(self._rng)
 
     def _joint_mask(self, mnemonic: str, period_eff: float) -> int:
         cdfs = self._cdfs[mnemonic]
@@ -190,34 +208,67 @@ class StatisticalInjector(FaultInjector):
         violating = n - first_violating
         if violating <= 0 or self._rng.random() >= violating / n:
             return 0
-        index = int(self._rng.integers(first_violating, n))
+        return self._joint_sample(cdfs, first_violating, period_eff)
+
+    def _joint_sample(self, cdfs, first_violating: int,
+                      period_eff: float) -> int:
+        """Resample one violating characterization cycle's mask."""
+        index = int(self._rng.integers(first_violating, cdfs.n_cycles))
         bits = np.flatnonzero(cdfs.critical_rows[index] > period_eff)
         mask = 0
         for bit in bits:
             mask |= 1 << int(bit)
         return mask
 
-    # -- golden-run speculation -----------------------------------------
+    # -- fault schedules --------------------------------------------------
 
-    def speculate(self, mnemonic_ids: np.ndarray) -> bool:
+    def next_fault(self, mnemonic_ids: np.ndarray,
+                   start: int) -> tuple[int, int] | None:
         if self._row_grid is None:
-            return False
-        saved = self._stream.snapshot()
-        start = 0
-        for periods in self._stream.take(len(mnemonic_ids),
-                                         SPECULATE_CHUNK):
+            return None
+        rng = self._rng
+        for periods in self._stream.take(len(mnemonic_ids) - start,
+                                         SCAN_CHUNK):
             ids = mnemonic_ids[start:start + len(periods)]
+            drawing, probs = self._draw_probs(ids, periods)
+            state = rng.bit_generator.state
+            hits = np.flatnonzero(rng.random(probs.size) < probs)
+            if hits.size:
+                # Redraw up to the faulting uniform, then sample the
+                # mask where the live call samples it.
+                draw = int(hits[0])
+                rng.bit_generator.state = state
+                rng.random(draw + 1)
+                hit = int(drawing[draw])
+                self._stream.give_back(len(periods) - hit - 1)
+                return start + hit, self._hit_mask(
+                    ALU_MNEMONICS[ids[hit]], periods[hit])
             start += len(periods)
-            probs = self._draw_probs(ids, periods)
-            if (self._rng.random(probs.size) < probs).any():
-                self._stream.restore(saved)
-                return False
-        return self._settled(len(mnemonic_ids))
+        return len(mnemonic_ids), 0
+
+    def _hit_mask(self, mnemonic: str, period_eff: float) -> int:
+        """Mask of a cycle whose fast-path uniform fell below its odds."""
+        if self.correlation == "independent":
+            row = self._grids[mnemonic].row_index(period_eff)
+            return self._sampler(mnemonic, row).sample_mask(self._rng)
+        cdfs = self._cdfs[mnemonic]
+        return self._joint_sample(cdfs, int(np.searchsorted(
+            cdfs.row_max_sorted, period_eff, side="right")), period_eff)
+
+    def snapshot(self) -> object:
+        return self._stream.snapshot()
+
+    def restore(self, snapshot: object) -> None:
+        self._stream.restore(snapshot)
 
     def _draw_probs(self, ids: np.ndarray,
-                    periods: np.ndarray) -> np.ndarray:
-        """Fault probability of each fast-path uniform draw, in order."""
-        drawing = periods <= self._draw_limit[ids]
+                    periods: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ops whose fast path draws a uniform, and each one's odds.
+
+        Returns the drawing ops' positions in ``ids`` and the fault
+        probability each one's uniform is tested against, in order.
+        """
+        drawing = np.flatnonzero(periods <= self._draw_limit[ids])
         ids, periods = ids[drawing], periods[drawing]
         if self.correlation == "independent":
             rows = self._row_grid.row_indices(periods)
@@ -227,10 +278,10 @@ class StatisticalInjector(FaultInjector):
             if missing.any():
                 for mid, row in set(zip(ids[missing].tolist(),
                                         rows[missing].tolist())):
-                    table[mid, row] = self._sampler(
-                        ALU_MNEMONICS[mid], row).p_any
+                    table[mid, row] = self._any_fault_probability(
+                        ALU_MNEMONICS[mid], row)
                 p_any = table[ids, rows]
-            return p_any
+            return drawing, p_any
         probs = np.empty(len(ids))
         for mid in np.unique(ids).tolist():
             at = ids == mid
@@ -239,4 +290,4 @@ class StatisticalInjector(FaultInjector):
             violating = n - np.searchsorted(cdfs.row_max_sorted,
                                             periods[at], side="right")
             probs[at] = violating / n
-        return probs
+        return drawing, probs

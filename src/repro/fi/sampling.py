@@ -22,6 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def any_probability(p_bits: np.ndarray) -> float:
+    """Probability that at least one independent endpoint violates."""
+    return 1.0 - float(np.prod(1.0 - p_bits))
+
+
 @dataclass
 class BitSampler:
     """Conditional sampler for one fixed endpoint-probability vector.
@@ -47,7 +52,7 @@ class BitSampler:
             raise ValueError("probabilities must lie in [0, 1]")
         none_below = np.concatenate(([1.0], np.cumprod(1.0 - p_bits)[:-1]))
         first_probs = none_below * p_bits
-        p_any = 1.0 - float(np.prod(1.0 - p_bits))
+        p_any = any_probability(p_bits)
         if p_any > 0.0:
             first_cdf = np.cumsum(first_probs) / p_any
         else:

@@ -13,10 +13,13 @@ voltage-overscaling at fixed frequency), the same fitted curve provides
 the offset's scale factor.
 
 Values are produced in vectorized blocks; the per-cycle cost inside the
-injector is one array index.  :meth:`EffectivePeriodStream.take` hands
-out the same values in slices for golden-run speculation, and
-:meth:`~EffectivePeriodStream.snapshot` / ``restore`` roll the stream
-(and its RNG) back when a speculation fails.
+injector is one array index.  For fault schedules,
+:meth:`EffectivePeriodStream.take` hands out the same values in slices,
+:meth:`~EffectivePeriodStream.give_back` returns the unread tail of the
+last slice once a scan has found its fault (so the stream sits right
+after the faulting cycle), and :meth:`~EffectivePeriodStream.snapshot` /
+``restore`` roll the stream and its RNG back when a live run leaves the
+scanned sequence.
 """
 
 from __future__ import annotations
@@ -108,6 +111,18 @@ class EffectivePeriodStream:
             n -= len(chunk)
             size *= 2
             yield chunk
+
+    def give_back(self, count: int) -> None:
+        """Unread the last ``count`` values of the latest :meth:`take` slice.
+
+        A slice never spans a block seam, so the values are still in
+        the current block; afterwards the stream stands as ``count``
+        fewer calls to :meth:`next` would leave it.
+        """
+        if self._constant is None:
+            if not 0 <= count <= self._cursor:
+                raise ValueError(f"cannot give back {count} values")
+            self._cursor -= count
 
     def snapshot(self) -> tuple:
         """Stream position plus RNG state, for :meth:`restore`."""

@@ -5,17 +5,29 @@ injector RNG stream, and a cycle budget tied to the fault-free
 execution length of the kernel (the infinite-loop detector of the
 paper's ISS) bounds every trial.
 
-Golden-run speculation: one fault-free run per (kernel, machine
-config) -- :func:`golden_run`, cached on the kernel -- records the
-judged :class:`TrialResult` and the FI-window ALU mnemonic sequence.
-Before a trial enters the ISS, the injector is asked to *prove* from
-that sequence that every fault mask the live run would draw is 0
-(:meth:`FaultInjector.speculate`).  The proof consumes the injector's
-random streams exactly as the live run would, so a proven trial *is*
-the golden result and the streams continue bit-identically; an
-unproven one rolls the injector back and runs live.  The CPU is built
-lazily, on the first trial that runs live, so a fully fault-free point
-builds none.
+Fault schedules: one fault-free run per (kernel, machine config) --
+:func:`golden_run`, cached on the kernel -- records the judged
+:class:`TrialResult` and the FI-window ALU mnemonic sequence.  Before a
+trial enters the ISS the injector is asked for its first fault over
+that sequence (:meth:`FaultInjector.next_fault`), which consumes its
+random streams exactly as the live run would up to that fault:
+
+* none before the end -- the trial *is* the golden result and runs no
+  ISS (``mc.trials.speculated``);
+* a fault -- the trial runs in the ISS under a counting hook that
+  applies each scheduled mask at its ALU op, draws the next
+  :data:`PER_OP_AFTER_FAULT` ops' masks per-op, and only then asks the
+  model for the next fault (``mc.trials.scheduled``).  Where the live run
+  leaves the golden sequence (another mnemonic, or more ALU ops than
+  golden) the hook restores the injector to the start of its current
+  search, replays the hit-free golden ops up to that point, and goes on
+  per-op (``mc.trials.diverged``); a run that stops early gets the same
+  repair, so the streams always continue as a per-op run leaves them;
+* None (the model cannot schedule) -- the trial runs per-op from the
+  start (``mc.trials.live``).
+
+The CPU is built lazily, on the first trial that runs in the ISS, so a
+fully fault-free point builds none.
 
 One execution scheme: one injector serves all trials of a point and
 its random stream continues across trials.  The CPU is constructed at
@@ -33,6 +45,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -48,6 +61,15 @@ from repro.sim.machine import MachineConfig
 #: Multiplier on the fault-free cycle count used as the cycle budget;
 #: a run exceeding it is aborted as an infinite loop.
 BUDGET_FACTOR = 4
+
+#: ALU ops after each fault whose masks a fault-schedule hook draws
+#: per-op before it asks the model to scan for the next fault.  A model-C
+#: scan costs about as much as this many per-op draws, so wherever the
+#: next fault falls the hook pays at most about twice the cheaper of
+#: the two; faults can come every few ops (model C under ``stale``
+#: semantics at 730 MHz faults every ~13), where a scan per fault would
+#: cost more than the per-op draws it replaces.
+PER_OP_AFTER_FAULT = 32
 
 InjectorFactory = Callable[[np.random.Generator], FaultInjector]
 
@@ -69,6 +91,11 @@ class GoldenRun:
     cycles: int
     mnemonic_ids: np.ndarray
     result: TrialResult
+
+    @cached_property
+    def mnemonics(self) -> list[str]:
+        """:attr:`mnemonic_ids` as mnemonics (built for the first schedule)."""
+        return [ALU_MNEMONICS[index] for index in self.mnemonic_ids.tolist()]
 
 
 class _TraceRecorder(NullInjector):
@@ -147,34 +174,130 @@ def _judge(cpu: Cpu, kernel: KernelInstance, result) -> TrialResult:
     )
 
 
-def _speculate(kernel: KernelInstance, injector: FaultInjector,
-               config: MachineConfig) -> TrialResult | None:
-    """The golden result if the injector proves the trial fault-free."""
-    golden = golden_run(kernel, config)
-    if injector.speculate(golden.mnemonic_ids):
-        obs.counter("mc.trials.speculated")
-        return golden.result
-    obs.counter("mc.trials.live")
-    return None
+def _schedule(injector: FaultInjector, golden: GoldenRun, saved: object,
+              fault: tuple[int, int]
+              ) -> tuple[Callable[[str, int], int], Callable[[], bool]]:
+    """The FI hook that runs a trial on its fault schedule, and its settle.
+
+    After each fault the hook draws the next :data:`PER_OP_AFTER_FAULT`
+    golden ops' masks per-op, where the streams stay exact at every op;
+    past that window it asks the model for the next fault.  ``pos`` is
+    where that search began and ``saved`` the injector's random state
+    there: the last point at which the streams are known exactly.
+    Where the run leaves the golden sequence outside a window,
+    ``rewind`` restores them and replays the golden ops since (none
+    faults: the search found its fault no earlier), and the hook goes
+    on per-op.  ``settle()``, called after the run, repairs a run that
+    stopped before the scanned frontier the same way and returns
+    whether the run diverged.
+    """
+    ids = golden.mnemonic_ids
+    names = golden.mnemonics
+    n = len(ids)
+    on_alu, fault_mask = injector.on_alu, injector.fault_mask
+    stale = injector.semantics == "stale"
+    pos = 0
+    at, mask = fault
+    until = 0  # ops before this one are drawn per-op
+    diverged = False
+
+    def rewind(k: int) -> None:
+        """Put the streams where ``k`` per-op golden calls leave them."""
+        if k >= until and k != (at + 1 if at < n else n):
+            injector.restore(saved)
+            for mnemonic in names[pos:k]:
+                fault_mask(mnemonic)
+
+    def hook(mnemonic: str, result: int) -> int:
+        nonlocal pos, saved, at, mask, until, diverged
+        i = injector.alu_cycles
+        if i != at and mnemonic == names[i]:
+            injector.alu_cycles = i + 1
+            if stale:
+                injector._last_latched = result
+            return result
+        if not diverged:
+            if i < n and mnemonic == names[i]:
+                if i < until:
+                    mask = fault_mask(mnemonic)
+                if mask:
+                    result = injector.corrupt(mask, result)
+                    until = i + 1 + PER_OP_AFTER_FAULT
+                injector.alu_cycles = i + 1
+                injector._last_latched = result
+                if i + 1 < until:
+                    at = i + 1
+                else:
+                    pos, saved = i + 1, injector.snapshot()
+                    at, mask = injector.next_fault(ids, pos)
+                return result
+            rewind(i)
+            diverged = True
+        at = i + 1  # keeps the fast path shut: per-op from here on
+        return on_alu(mnemonic, result)
+
+    def settle() -> bool:
+        if not diverged:
+            rewind(injector.alu_cycles)
+        return diverged
+
+    return hook, settle
 
 
-def _run_live(kernel: KernelInstance, injector: FaultInjector,
-              config: MachineConfig, budget: int,
-              cpu: Cpu | None) -> TrialResult:
-    """Execute one trial in the ISS, on a fresh or a reset CPU."""
-    if cpu is None:
-        cpu = Cpu(kernel.program, config=config.with_max_cycles(budget),
-                  injector=injector)
+def _run_iss(kernel: KernelInstance, injector: FaultInjector,
+             config: MachineConfig, budget: int, cpu: Cpu,
+             schedule: tuple | None) -> TrialResult:
+    """Execute one trial in the ISS on a reset CPU."""
+    if cpu.config.with_max_cycles(budget) != \
+            config.with_max_cycles(budget):
+        raise ValueError(
+            "reused cpu was built with a different MachineConfig "
+            f"({cpu.config}) than requested ({config})")
+    cpu.reset()
+    cpu.injector = injector
+    if schedule is None:
+        result = cpu.run(kernel.entry, max_cycles=budget)
+        obs.counter("mc.trials.live")
     else:
-        if cpu.config.with_max_cycles(budget) != \
-                config.with_max_cycles(budget):
-            raise ValueError(
-                "reused cpu was built with a different MachineConfig "
-                f"({cpu.config}) than requested ({config})")
-        cpu.reset()
-        cpu.injector = injector
-    result = cpu.run(kernel.entry, max_cycles=budget)
+        hook, settle = schedule
+        result = cpu.run(kernel.entry, max_cycles=budget, fi_hook=hook)
+        obs.counter("mc.trials.diverged" if settle()
+                    else "mc.trials.scheduled")
     return _judge(cpu, kernel, result)
+
+
+def _run_trials(kernel: KernelInstance, injector: FaultInjector,
+                n_trials: int, config: MachineConfig | None,
+                budget: int, cpu: Cpu | None = None
+                ) -> Iterator[TrialResult]:
+    """Run ``n_trials`` trials on one injector and a lazily built CPU.
+
+    Each trial first asks the injector for its first fault over the
+    golden sequence; a trial with none is the golden result.  The CPU
+    calls ``begin_run()`` before every run, which resets the injector's
+    per-run counters while its random stream continues across trials.
+    The CPU is built once (unless passed in) and reset between the
+    trials that run in the ISS, and it keeps the slots it compiled; a
+    point whose every trial is the golden result builds none.
+    """
+    base_config = config or MachineConfig()
+    golden = golden_run(kernel, base_config)
+    ids = golden.mnemonic_ids
+    for _ in range(n_trials):
+        saved = injector.snapshot()
+        fault = injector.next_fault(ids, 0)
+        if fault is not None and fault[0] == len(ids):
+            obs.counter("mc.trials.speculated")
+            yield golden.result
+            continue
+        if cpu is None:
+            cpu = Cpu(kernel.program,
+                      config=base_config.with_max_cycles(budget),
+                      injector=injector)
+        schedule = None if fault is None \
+            else _schedule(injector, golden, saved, fault)
+        yield _run_iss(kernel, injector, base_config, budget, cpu,
+                       schedule)
 
 
 def run_trial(kernel: KernelInstance, injector: FaultInjector,
@@ -183,8 +306,8 @@ def run_trial(kernel: KernelInstance, injector: FaultInjector,
               cpu: Cpu | None = None) -> TrialResult:
     """Execute one fault-injected run and judge its outputs.
 
-    The trial is first offered to the injector's golden-run
-    speculation; only an unproven trial reaches the ISS.
+    The trial is first offered to the injector's fault schedule; only
+    a trial with a fault before the golden end reaches the ISS.
 
     Args:
         kernel: the benchmark instance.
@@ -200,37 +323,8 @@ def run_trial(kernel: KernelInstance, injector: FaultInjector,
             mismatch raises ``ValueError`` rather than silently running
             with the old memory map).
     """
-    base_config = config or MachineConfig()
-    trial = _speculate(kernel, injector, base_config)
-    if trial is None:
-        budget = trial_budget(kernel, base_config, budget_factor)
-        trial = _run_live(kernel, injector, base_config, budget, cpu)
-    return trial
-
-
-def _run_trials(kernel: KernelInstance, injector: FaultInjector,
-                n_trials: int,
-                config: MachineConfig | None) -> Iterator[TrialResult]:
-    """Run ``n_trials`` trials on one injector and a lazily built CPU.
-
-    The CPU calls ``begin_run()`` before every run, which resets the
-    injector's per-run counters while its random stream continues
-    across trials.  The CPU is built once and reset between the trials
-    that run live, and it keeps the slots it compiled; a point whose
-    every trial is speculated builds none.
-    """
-    base_config = config or MachineConfig()
-    budget = trial_budget(kernel, base_config)
-    cpu: Cpu | None = None
-    for _ in range(n_trials):
-        trial = _speculate(kernel, injector, base_config)
-        if trial is None:
-            if cpu is None:
-                cpu = Cpu(kernel.program,
-                          config=base_config.with_max_cycles(budget),
-                          injector=injector)
-            trial = _run_live(kernel, injector, base_config, budget, cpu)
-        yield trial
+    budget = trial_budget(kernel, config, budget_factor)
+    return next(_run_trials(kernel, injector, 1, config, budget, cpu))
 
 
 def run_point(kernel: KernelInstance, injector_factory: InjectorFactory,
@@ -267,6 +361,7 @@ def run_point(kernel: KernelInstance, injector_factory: InjectorFactory,
     # One injector serves all trials of the point: construction (CDF
     # grids, noise blocks) is much more expensive than a trial.
     injector = injector_factory(*injector_args, np.random.default_rng(seed))
-    for trial in _run_trials(kernel, injector, n_trials, config):
+    budget = trial_budget(kernel, config)
+    for trial in _run_trials(kernel, injector, n_trials, config, budget):
         point.add(trial)
     return point

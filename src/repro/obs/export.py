@@ -258,11 +258,16 @@ def render_stats(records: list[dict], limit: int = 20) -> str:
         if hits or misses:
             lines.append(f"{'store hit rate':28s} "
                          f"{hits / (hits + misses):>11.1%}")
-        speculated = totals.get("mc.trials.speculated", 0)
-        live = totals.get("mc.trials.live", 0)
-        if speculated or live:
+        trials = {kind: totals.get(f"mc.trials.{kind}", 0) for kind
+                  in ("speculated", "scheduled", "diverged", "live")}
+        if any(trials.values()):
+            hit_rate = trials["speculated"] / sum(trials.values())
             lines.append(f"{'mc speculation hit rate':28s} "
-                         f"{speculated / (speculated + live):>11.1%}")
+                         f"{hit_rate:>11.1%}")
+        ran_scheduled = trials["scheduled"] + trials["diverged"]
+        if ran_scheduled:
+            lines.append(f"{'mc divergence rate':28s} "
+                         f"{trials['diverged'] / ran_scheduled:>11.1%}")
     fabric = fabric_split(records)
     if fabric is not None:
         lines.append("")

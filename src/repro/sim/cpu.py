@@ -62,18 +62,19 @@ class _Core:
     and snapshot, as soon as its last user drops it.
     """
 
-    __slots__ = ("injector", "hook", "flag", "fi_window")
+    __slots__ = ("injector", "alu_hook", "hook", "flag", "fi_window")
 
     def __init__(self, injector) -> None:
         self.injector = injector
+        #: The hook the FI window arms (chosen per run).
+        self.alu_hook: Callable[[str, int], int] | None = None
         self.hook: Callable[[str, int], int] | None = None
         self.flag = False
         self.fi_window = False
 
     def fi_on(self) -> None:
         self.fi_window = True
-        if self.injector is not None:
-            self.hook = self.injector.on_alu
+        self.hook = self.alu_hook
 
     def fi_off(self) -> None:
         self.fi_window = False
@@ -193,13 +194,17 @@ class Cpu:
     # Execution
     # ------------------------------------------------------------------
 
-    def run(self, entry: int | str = 0,
-            max_cycles: int | None = None) -> ExecutionResult:
+    def run(self, entry: int | str = 0, max_cycles: int | None = None,
+            fi_hook: Callable[[str, int], int] | None = None
+            ) -> ExecutionResult:
         """Execute from ``entry`` until exit or a fatal condition.
 
         Args:
             entry: byte address or symbol name to start at.
             max_cycles: overrides the configured cycle budget.
+            fi_hook: FI hook for this run in place of the injector's
+                ``on_alu`` (it keeps the injector's counters; the
+                Monte-Carlo runner's fault-schedule hook).
 
         Returns:
             An :class:`ExecutionResult`; fatal conditions are reported
@@ -210,9 +215,13 @@ class Cpu:
             entry = self.program.symbol(entry)
         budget = max_cycles if max_cycles is not None else \
             self.config.max_cycles
-        injector = self._core.injector
+        core = self._core
+        injector = core.injector
         if injector is not None:
             injector.begin_run()
+            core.alu_hook = fi_hook or injector.on_alu
+        else:
+            core.alu_hook = None
         finished = False
         abort_reason: str | None = None
         exit_code: int | None = None

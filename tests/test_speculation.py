@@ -1,20 +1,27 @@
-"""Golden-run speculation: speculated trials equal live ones, exactly.
+"""Fault schedules: scheduled trials equal per-op ones, exactly.
 
-A speculating injector settles a fault-free trial without the ISS; the
-live reference is the same injector class with ``speculate`` returning
-False, so every one of its trials runs in the ISS.  Both must produce
-the same :class:`McPoint` field for field, and leave the random streams
-where the live run leaves them (checked indirectly: later trials of a
-serial point would diverge otherwise).
+A model's :meth:`~repro.fi.base.FaultInjector.next_fault` settles a
+fault-free trial without the ISS and runs a faulted one under the
+runner's counting hook; the per-op reference is the same injector
+class with ``next_fault`` returning None, so every one of its trials
+calls ``fault_mask`` on every ALU op.  Both must produce the same
+:class:`McPoint` field for field, and leave the random streams where
+the per-op run leaves them (checked indirectly: later trials of a
+serial point would differ otherwise).  :class:`TestPaths` pins each
+way a scheduled trial can end -- and asserts from counters that it
+happened, so the suite cannot pass vacuously.
 """
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro import obs
+from repro.bench.kernel import assemble_kernel, source_header
 from repro.bench.suite import build_kernel
 from repro.fi.base import FAULT_SEMANTICS, NullInjector
 from repro.fi.model_a import FixedProbabilityInjector
@@ -29,17 +36,17 @@ from repro.mc.runner import golden_run, run_point
 from repro.timing.noise import VoltageNoise
 
 #: Noise clipped at 3 sigma: the clip atom is small enough that points
-#: near the onset mix speculated and live trials.
+#: near the onset mix speculated and scheduled trials.
 NOISE = VoltageNoise(0.010, clip_sigmas=3.0)
 QUIET = VoltageNoise(0.0)
 
 SLOW = settings(max_examples=6, deadline=None)
 
 
-def _live(cls):
-    """``cls`` with speculation off: every trial runs in the ISS."""
-    return type(f"Live{cls.__name__}", (cls,),
-                {"speculate": lambda self, mnemonic_ids: False})
+def _per_op(cls):
+    """``cls`` without a schedule: every trial runs per-op in the ISS."""
+    return type(f"PerOp{cls.__name__}", (cls,),
+                {"next_fault": lambda self, mnemonic_ids, start: None})
 
 
 @pytest.fixture(scope="module")
@@ -49,15 +56,88 @@ def kernel():
     return instance
 
 
+def _countdown_kernel(count: int = 300):
+    """A loop of one ``l.addi`` per pass, its count loaded from memory.
+
+    A fault that raises the count keeps every ALU mnemonic golden and
+    runs past the golden sequence (until the cycle budget aborts it).
+    """
+    source = source_header() + f"""
+start:
+    l.movhi r4, hi(count)
+    l.ori   r4, r4, lo(count)
+    l.lwz   r5, 0(r4)
+    l.nop   FI_ON
+loop:
+    l.addi  r5, r5, -1
+    l.sfgts r5, r0
+    l.bf    loop
+    l.nop
+    l.nop   FI_OFF
+    l.sw    4(r4), r5
+    l.nop   0x1
+
+.org DATA
+count:
+    .word {count}
+result:
+    .space 4
+"""
+    return assemble_kernel(
+        "countdown", source, "start", "result", 1, [0], "wrong",
+        lambda outputs, golden: float(outputs != golden),
+        lambda outputs, golden: float(outputs != golden),
+        {"count": count})
+
+
+@pytest.fixture()
+def paths(monkeypatch):
+    """Counts how the scheduled trials of a test end.
+
+    ``completed`` ran the whole golden sequence on the schedule;
+    ``stopped early`` ended (abort or exit) before the golden end
+    without leaving it; ``diverged`` met another mnemonic mid-run;
+    ``outlived`` kept every golden mnemonic and ran past the end.
+    """
+    seen = collections.Counter()
+    schedule = runner._schedule
+
+    def spy(injector, golden, saved, fault):
+        hook, settle = schedule(injector, golden, saved, fault)
+        names = golden.mnemonics
+        off = []
+
+        def spy_hook(mnemonic, result):
+            i = injector.alu_cycles
+            if not off and (i == len(names) or mnemonic != names[i]):
+                off.append(i)
+            return hook(mnemonic, result)
+
+        def spy_settle():
+            stopped = injector.alu_cycles
+            diverged = settle()
+            if diverged:
+                seen["outlived" if off[0] == len(names)
+                     else "diverged"] += 1
+            else:
+                seen["completed" if stopped == len(names)
+                     else "stopped early"] += 1
+            return diverged
+        return spy_hook, spy_settle
+
+    monkeypatch.setattr(runner, "_schedule", spy)
+    return seen
+
+
 def _assert_exact(kernel, make, n_trials, seed):
-    """Speculating and live points of one injector recipe agree."""
-    fast = run_point(kernel, lambda rng: make(False, rng), n_trials,
-                     seed=seed)
-    live = run_point(kernel, lambda rng: make(True, rng), n_trials,
-                     seed=seed)
-    assert fast.trials == live.trials
-    assert fast.to_json() == live.to_json()
-    return fast
+    """Scheduled and per-op points of one injector recipe agree."""
+    scheduled = run_point(kernel, lambda rng: make(False, rng), n_trials,
+                          seed=seed)
+    per_op = run_point(kernel, lambda rng: make(True, rng), n_trials,
+                       seed=seed)
+    assert scheduled == per_op
+    assert scheduled.to_json() == per_op.to_json()
+    return scheduled
 
 
 class TestExactness:
@@ -67,8 +147,8 @@ class TestExactness:
            seed=st.integers(0, 2**16))
     @example(p_bit=2e-5, semantics="stale", seed=3)
     def test_model_a(self, kernel, p_bit, semantics, seed):
-        def make(live, rng):
-            cls = _live(FixedProbabilityInjector) if live \
+        def make(per_op, rng):
+            cls = _per_op(FixedProbabilityInjector) if per_op \
                 else FixedProbabilityInjector
             return cls(p_bit, rng=rng, semantics=semantics)
         _assert_exact(kernel, make, 6, seed)
@@ -77,8 +157,8 @@ class TestExactness:
     @given(mhz=st.floats(600.0, 800.0),
            semantics=st.sampled_from(FAULT_SEMANTICS))
     def test_model_b(self, kernel, alu, mhz, semantics):
-        def make(live, rng):
-            cls = _live(StaInjector) if live else StaInjector
+        def make(per_op, rng):
+            cls = _per_op(StaInjector) if per_op else StaInjector
             return cls(alu, mhz * 1e6, semantics=semantics)
         _assert_exact(kernel, make, 3, 0)
 
@@ -88,10 +168,12 @@ class TestExactness:
            semantics=st.sampled_from(FAULT_SEMANTICS),
            seed=st.integers(0, 2**16))
     @example(mhz=626.0, noise=NOISE, semantics="flip", seed=1)
+    @example(mhz=700.0, noise=QUIET, semantics="stale", seed=1)
     def test_model_bplus(self, kernel, alu, vdd_model, mhz, noise,
                          semantics, seed):
-        def make(live, rng):
-            cls = _live(StaNoiseInjector) if live else StaNoiseInjector
+        def make(per_op, rng):
+            cls = _per_op(StaNoiseInjector) if per_op \
+                else StaNoiseInjector
             return cls(alu, mhz * 1e6, noise, vdd_model=vdd_model,
                        rng=rng, semantics=semantics)
         _assert_exact(kernel, make, 6, seed)
@@ -110,8 +192,8 @@ class TestExactness:
              semantics="flip", seed=1)
     def test_model_c(self, kernel, characterization, vdd_model, mhz,
                      noise, correlation, semantics, seed):
-        def make(live, rng):
-            cls = _live(StatisticalInjector) if live \
+        def make(per_op, rng):
+            cls = _per_op(StatisticalInjector) if per_op \
                 else StatisticalInjector
             return cls(characterization, mhz * 1e6, noise,
                        vdd_model=vdd_model, rng=rng,
@@ -125,13 +207,209 @@ class TestExactness:
         # Faulted trials may stop early, so budget half a block extra.
         n_trials = 3 * 65536 // (2 * len(golden_run(kernel).mnemonic_ids))
 
-        def make(live, rng):
-            cls = _live(StatisticalInjector) if live \
+        def make(per_op, rng):
+            cls = _per_op(StatisticalInjector) if per_op \
                 else StatisticalInjector
             return cls(characterization, mhz * 1e6, NOISE,
                        vdd_model=vdd_model, rng=rng)
         point = _assert_exact(kernel, make, n_trials, 5)
         assert sum(t.alu_cycles for t in point.trials) > 65536
+
+
+class _SeamWatch(StatisticalInjector):
+    """Model C that counts schedule steps straddling a block refill."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seams = collections.Counter()
+
+    def next_fault(self, mnemonic_ids, start):
+        block = self._stream._values
+        fault = super().next_fault(mnemonic_ids, start)
+        if fault[0] < len(mnemonic_ids) and self._stream._values is not block:
+            self.seams["hit"] += 1
+        return fault
+
+    def restore(self, snapshot):
+        if snapshot[1] is not self._stream._values:
+            self.seams["rewind"] += 1
+        super().restore(snapshot)
+
+
+class TestPaths:
+    """Every way a scheduled trial ends, each shown to happen."""
+
+    def _model_c(self, characterization, vdd_model, mhz, **kwargs):
+        def make(per_op, rng):
+            cls = _per_op(StatisticalInjector) if per_op \
+                else StatisticalInjector
+            return cls(characterization, mhz * 1e6, NOISE,
+                       vdd_model=vdd_model, rng=rng, **kwargs)
+        return make
+
+    def test_faulted_to_completion(self, kernel, characterization,
+                                   vdd_model, paths):
+        make = self._model_c(characterization, vdd_model, 700.0,
+                             semantics="stale")
+        point = _assert_exact(kernel, make, 8, 1)
+        assert paths["completed"] > 0
+        assert any(t.fault_count and t.finished for t in point.trials)
+
+    def test_divergence_mid_run(self, kernel, paths):
+        def make(per_op, rng):
+            cls = _per_op(FixedProbabilityInjector) if per_op \
+                else FixedProbabilityInjector
+            return cls(1e-3, rng=rng, semantics="stale")
+        _assert_exact(kernel, make, 8, 2)
+        assert paths["diverged"] > 0
+
+    def test_abort_before_golden_end(self, kernel, characterization,
+                                     vdd_model, paths):
+        make = self._model_c(characterization, vdd_model, 700.0)
+        point = _assert_exact(kernel, make, 8, 1)
+        assert paths["stopped early"] > 0
+        n = len(golden_run(kernel).mnemonic_ids)
+        assert any(not t.finished and t.alu_cycles < n
+                   for t in point.trials)
+
+    @pytest.mark.parametrize("semantics", FAULT_SEMANTICS)
+    def test_run_outlives_golden_sequence(self, paths, semantics):
+        countdown = _countdown_kernel()
+
+        def make(per_op, rng):
+            cls = _per_op(FixedProbabilityInjector) if per_op \
+                else FixedProbabilityInjector
+            return cls(1e-4, rng=rng, semantics=semantics)
+        point = _assert_exact(countdown, make, 12, 4)
+        assert paths["outlived"] > 0
+        n = len(golden_run(countdown).mnemonic_ids)
+        assert any(t.alu_cycles > n for t in point.trials)
+
+    @pytest.mark.parametrize("correlation,seed,n_trials",
+                             [("independent", 7, 30), ("joint", 14, 24)],
+                             ids=CORRELATION_MODES)
+    def test_hit_and_divergence_across_refill_seam(
+            self, characterization, vdd_model, paths, correlation, seed,
+            n_trials):
+        """A search and a rollback each span a 65,536-value refill."""
+        kmeans = build_kernel("kmeans", "quick")
+        injectors = []
+
+        def make(per_op, rng):
+            cls = _per_op(StatisticalInjector) if per_op else _SeamWatch
+            injector = cls(characterization, 675e6, NOISE,
+                           vdd_model=vdd_model, rng=rng,
+                           correlation=correlation)
+            injectors.append(injector)
+            return injector
+        _assert_exact(kmeans, make, n_trials, seed)
+        seams = injectors[0].seams
+        # No trial stops early, so every rollback is a divergence's.
+        assert paths["diverged"] > 0 and not paths["stopped early"]
+        assert seams["hit"] > 0 and seams["rewind"] > 0
+
+
+class TestHookCuts:
+    """The schedule hook equals per-op ``on_alu`` wherever a run leaves.
+
+    Drives the runner's hook directly with the golden mnemonics up to a
+    cut, then either stops, switches mnemonic, or runs past the golden
+    end; cuts include every op where a scan began and its neighbours,
+    the edges of the per-op stretch after each fault.
+    """
+
+    N_OPS = 300
+
+    @staticmethod
+    def _golden(seed):
+        ids = np.random.default_rng(seed).integers(
+            0, len(ALU_MNEMONICS), TestHookCuts.N_OPS).astype(np.uint8)
+        return runner.GoldenRun(cycles=0, mnemonic_ids=ids, result=None)
+
+    @staticmethod
+    def _scan_starts(make, golden):
+        """Ops where the hook starts a scan on the golden sequence."""
+        injector = make()
+        starts = [0]
+        scan = injector.next_fault
+        injector.next_fault = lambda ids, start: (
+            starts.append(start) or scan(ids, start))
+        fault = scan(golden.mnemonic_ids, 0)
+        hook, settle = runner._schedule(injector, golden, None, fault)
+        injector.begin_run()
+        for mnemonic in golden.mnemonics:
+            hook(mnemonic, 0)
+        return starts
+
+    def _assert_cut_exact(self, make, golden, cut, leave, data):
+        names = golden.mnemonics
+        n = len(names)
+        tail = data.draw(st.lists(st.sampled_from(ALU_MNEMONICS),
+                                  max_size=40))
+        ops = names[:cut]
+        if leave == "switch" and cut < n:
+            other = ALU_MNEMONICS[(ALU_MNEMONICS.index(names[cut]) + 1)
+                                  % len(ALU_MNEMONICS)]
+            ops = ops + [other] + tail
+        elif leave == "outlive":
+            ops = names + tail
+        results = data.draw(st.lists(st.integers(0, 2**32 - 1),
+                                     min_size=len(ops), max_size=len(ops)))
+        scheduled, per_op = make(), make()
+        saved = scheduled.snapshot()
+        fault = scheduled.next_fault(golden.mnemonic_ids, 0)
+        assume(fault[0] < n)  # a trial the runner runs on its schedule
+        hook, settle = runner._schedule(scheduled, golden, saved, fault)
+        scheduled.begin_run()
+        got = [hook(m, r) for m, r in zip(ops, results)]
+        settle()
+        per_op.begin_run()
+        assert got == [per_op.on_alu(m, r) for m, r in zip(ops, results)]
+        for field in ("alu_cycles", "fault_count", "faulty_cycles"):
+            assert getattr(scheduled, field) == getattr(per_op, field)
+        if scheduled.semantics == "stale":  # flip never reads it
+            assert scheduled._last_latched == per_op._last_latched
+        # The streams continue identically.
+        assert [scheduled.fault_mask(m) for m in names] == \
+            [per_op.fault_mask(m) for m in names]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16),
+           semantics=st.sampled_from(FAULT_SEMANTICS),
+           leave=st.sampled_from(["stop", "switch", "outlive"]),
+           data=st.data())
+    def test_model_a(self, seed, semantics, leave, data):
+        golden = self._golden(seed)
+
+        def make():
+            return FixedProbabilityInjector(
+                3e-4, rng=np.random.default_rng(seed), semantics=semantics)
+        starts = self._scan_starts(make, golden)
+        cut = data.draw(st.sampled_from(sorted(
+            {min(max(s + d, 0), self.N_OPS) for s in starts
+             for d in (-1, 0, 1)})))
+        self._assert_cut_exact(make, golden, cut, leave, data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16),
+           correlation=st.sampled_from(CORRELATION_MODES),
+           semantics=st.sampled_from(FAULT_SEMANTICS),
+           leave=st.sampled_from(["stop", "switch", "outlive"]),
+           data=st.data())
+    def test_model_c(self, characterization, vdd_model, seed, correlation,
+                     semantics, leave, data):
+        golden = self._golden(seed)
+
+        def make():
+            return StatisticalInjector(
+                characterization, 700e6, NOISE, vdd_model=vdd_model,
+                rng=np.random.default_rng(seed), correlation=correlation,
+                semantics=semantics)
+        starts = self._scan_starts(make, golden)
+        cut = data.draw(st.sampled_from(sorted(
+            {min(max(s + d, 0), self.N_OPS) for s in starts
+             for d in (-1, 0, 1)})))
+        self._assert_cut_exact(make, golden, cut, leave, data)
 
 
 class TestDrawProbabilities:
@@ -171,8 +449,10 @@ class TestDrawProbabilities:
             ids = np.full(len(candidates), mid, dtype=np.uint8)
             expected = [self._fast_path(injector, mnemonic, period)
                         for period in candidates.tolist()]
-            assert injector._draw_probs(ids, candidates).tolist() == \
-                [p for p in expected if p is not None]
+            drawing, probs = injector._draw_probs(ids, candidates)
+            assert drawing.tolist() == \
+                [at for at, p in enumerate(expected) if p is not None]
+            assert probs.tolist() == [p for p in expected if p is not None]
 
 
 class TestRandomStreams:
@@ -239,6 +519,33 @@ class TestRandomStreams:
         assert [stream.next() for _ in range(12)] == ahead
 
 
+    @given(seed=st.integers(0, 2**16), block=st.integers(1, 9),
+           n=st.integers(1, 40), first=st.integers(1, 5),
+           data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_take_and_give_back_match_next(self, vdd_model, seed, block,
+                                           n, first, data):
+        """Taking through value ``hit`` and giving the rest of its slice
+        back leaves the stream as ``hit + 1`` calls to next() do."""
+        def stream():
+            return EffectivePeriodStream(
+                1400.0, 0.7, 0.7, vdd_model, NOISE,
+                np.random.default_rng(seed), block=block)
+        hit = data.draw(st.integers(0, n - 1))
+        sliced, stepped = stream(), stream()
+        read = 0
+        for chunk in sliced.take(n, first):
+            read += len(chunk)
+            if read > hit:
+                sliced.give_back(read - hit - 1)
+                break
+        for _ in range(hit + 1):
+            stepped.next()
+        assert [sliced.next() for _ in range(2 * block)] == \
+            [stepped.next() for _ in range(2 * block)]
+        assert sliced._rng.random() == stepped._rng.random()
+
+
 class _CountingCpu(runner.Cpu):
     built = 0
 
@@ -291,10 +598,19 @@ class TestObservability:
         obs.configure(trace)
         run_point(kernel, lambda rng: NullInjector(), 3)
         run_point(kernel, lambda rng: StaInjector(alu, 900e6), 1)
+        run_point(kernel, lambda rng: _per_op(StaInjector)(alu, 900e6), 1)
+        run_point(kernel, lambda rng: FixedProbabilityInjector(
+            1e-3, rng=rng, semantics="stale"), 3, seed=2)
         obs.shutdown()
         records = obs.read_trace(trace)
         totals = obs.counter_totals(records)
         assert totals["mc.trials.speculated"] == 3
         assert totals["mc.trials.live"] == 1
-        assert "mc speculation hit rate" in obs.render_stats(records)
-        assert "75.0%" in obs.render_stats(records)
+        scheduled = totals.get("mc.trials.scheduled", 0)
+        diverged = totals["mc.trials.diverged"]
+        assert scheduled + diverged == 4
+        stats = obs.render_stats(records)
+        assert "mc speculation hit rate" in stats
+        assert f"{3 / 8:>11.1%}" in stats
+        assert "mc divergence rate" in stats
+        assert f"{diverged / 4:>11.1%}" in stats

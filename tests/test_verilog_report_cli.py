@@ -173,7 +173,8 @@ class TestCli:
         totals = obs.counter_totals(obs.read_trace(trace))
         units = campaign_status("fig7", TINY, 2016,
                                 ResultStore(store)).total
-        assert totals["mc.trials.speculated"] + totals["mc.trials.live"] \
+        assert sum(totals.get(f"mc.trials.{kind}", 0) for kind in (
+            "speculated", "scheduled", "diverged", "live")) \
             == units * TINY.trials
         capsys.readouterr()
         assert main(["stats", trace]) == 0
