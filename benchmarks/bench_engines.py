@@ -1,4 +1,4 @@
-"""Engine micro-benchmarks: compiled netlist plan and MC runner reuse.
+"""Engine micro-benchmarks: netlist plan, MC runner reuse and the ISS.
 
 Times the hot paths that PR "compiled structure-of-arrays netlist
 engine" optimized, against the retained per-gate / per-trial reference
@@ -30,6 +30,7 @@ from repro.fi.base import FaultInjector
 from repro.fi.model_c import StatisticalInjector
 from repro.mc.runner import golden_run, run_point, run_trial
 from repro.netlist.plan import F32_ATOL, F32_RTOL
+from repro.sim.cpu import Cpu
 from repro.store import ResultStore
 from repro.timing.dta import run_dta
 
@@ -368,3 +369,31 @@ def test_run_point_scheduled(benchmark, ctx):
                for trial in scheduled.trials)
     _record("run_point[mat_mult_16bit,scheduled]",
             benchmark.stats.stats.min, reference_s)
+
+
+def test_iss_blocks():
+    """Block-compiled ISS vs its per-instruction step path.
+
+    One hook-free run of the paper-size 16-bit matmul (44 k cycles);
+    the reference is the same program on a CPU that a no-op trace hook
+    keeps on the step path.  The two alternate, so load that drifts
+    during the measurement moves both minima alike.
+    """
+    kernel = build_kernel("mat_mult_16bit", "paper")
+    blocks = Cpu(kernel.program)
+    steps = Cpu(kernel.program, trace_hook=lambda address, decoded: None)
+
+    def run(cpu):
+        cpu.reset()
+        return cpu.run(kernel.entry)
+
+    expected = run(blocks)  # binds the blocks
+    block_s = reference_s = float("inf")
+    for _ in range(15):
+        block_s = min(block_s, _time_best(lambda: run(blocks), reps=1))
+        reference_s = min(reference_s,
+                          _time_best(lambda: run(steps), reps=1))
+    assert expected.finished
+    assert run(steps) == expected == run(blocks)
+    _record("iss[mat_mult_16bit,paper]", block_s, reference_s,
+            ns_per_cycle=round(1e9 * block_s / expected.cycles, 1))

@@ -6,10 +6,10 @@ width, only the engine rows -- the warm-store figure rows measure
 store plumbing, not engines) into a scratch JSON, then compares every
 re-measured row's speedup against the committed trajectory:
 
-every row (propagate/run_dta/run_point engine paths) must hold
-``speedup >= (1 - TOLERANCE) * committed`` with the default 20 %
-tolerance: an engine change that costs more than that fails the
-build.
+every row (propagate/run_dta/run_point engine paths and the ISS
+blocks) must hold ``speedup >= (1 - TOLERANCE) * committed`` with the
+default 20 % tolerance: an engine change that costs more than that
+fails the build.
 
 Reduced-size speedups are not identical to full-size ones (smaller
 blocks vectorize worse, which usually *raises* the ratio vs the
@@ -36,7 +36,8 @@ REPO = Path(__file__).resolve().parent.parent
 
 #: Rows rerun at reduced size (warm-store figure rows excluded: they
 #: benchmark the result store, which has its own smoke coverage).
-ROW_FILTER = "propagate or run_dta or run_point"
+ROW_TOKENS = ("propagate", "run_dta", "run_point", "iss")
+ROW_FILTER = " or ".join(ROW_TOKENS)
 
 TOLERANCE = float(os.environ.get("REPRO_BENCH_CHECK_TOL", "0.2"))
 REDUCED_BLOCK = os.environ.get("REPRO_BENCH_CHECK_BLOCK", "256")
@@ -92,8 +93,7 @@ def main() -> int:
     missing = []
     for name in sorted(baseline):
         if name in measured or not any(
-                token in name for token
-                in ("propagate", "run_dta", "run_point")):
+                token in name for token in ROW_TOKENS):
             continue
         if "native" in name and not native_here:
             skipped_native.append(name)

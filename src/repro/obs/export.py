@@ -268,6 +268,11 @@ def render_stats(records: list[dict], limit: int = 20) -> str:
         if ran_scheduled:
             lines.append(f"{'mc divergence rate':28s} "
                          f"{trials['diverged'] / ran_scheduled:>11.1%}")
+        cycles = totals.get("sim.cycles", 0)
+        if cycles:
+            stepped = totals.get("sim.cycles.stepped", 0)
+            lines.append(f"{'iss block share':28s} "
+                         f"{1 - stepped / cycles:>11.1%}")
     fabric = fabric_split(records)
     if fabric is not None:
         lines.append("")

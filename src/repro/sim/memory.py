@@ -97,8 +97,12 @@ class DataMemory:
         return [self.load_word(address + 4 * i) for i in range(count)]
 
     def clear(self) -> None:
-        """Zero the entire memory (fresh SRAM state between runs)."""
-        self._bytes = bytearray(self.size)
+        """Zero the entire memory in place (fresh SRAM state between runs).
+
+        Like :meth:`restore` it keeps the bytearray: the ISS's generated
+        code holds it.
+        """
+        self._bytes[:] = bytes(self.size)
 
     # -- snapshot/restore (the CPU-reuse fast path between MC trials) ----
 

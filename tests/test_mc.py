@@ -119,22 +119,30 @@ class TestRunner:
         assert np.array_equal(relaxed.mnemonic_ids, base.mnemonic_ids)
 
     def test_point_cpu_is_freed_without_the_cyclic_gc(self, monkeypatch):
-        built = []
+        cpus, memories, injectors = [], [], []
 
         class RecordingCpu(Cpu):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                built.append(weakref.ref(self))
+                cpus.append(weakref.ref(self))
+                memories.append(weakref.ref(self.dmem))
+
+        def factory(rng):
+            injector = _AggressiveInjector()
+            injectors.append(weakref.ref(injector))
+            return injector
 
         monkeypatch.setattr(runner, "Cpu", RecordingCpu)
         kernel = build_kernel("median", "quick")
         gc.disable()
         try:
-            point = run_point(kernel, lambda rng: _AggressiveInjector(),
-                              n_trials=3, seed=3)
+            point = run_point(kernel, factory, n_trials=3, seed=3)
             assert point.n_trials == 3 and point.p_correct == 0.0
-            assert built
-            assert all(ref() is None for ref in built)
+            # Trials that abort leave their exception behind; it must
+            # not keep the CPU alive either.
+            assert point.p_finished < 1.0
+            assert cpus and len(injectors) == 1
+            assert all(ref() is None for ref in cpus + memories + injectors)
         finally:
             gc.enable()
 

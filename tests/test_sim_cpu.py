@@ -1,14 +1,32 @@
 """Unit tests for the cycle-accurate CPU: semantics, control, faults."""
 
 import gc
+import random
 import weakref
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import obs
 from repro.fi.base import FaultInjector
 from repro.isa.assembler import assemble
+from repro.isa.encoding import Decoded, encode
+from repro.isa.instructions import INSTRUCTIONS, Format
+from repro.isa.program import Program
 from repro.sim.cpu import Cpu
+from repro.sim.exceptions import SimulationFault
 from repro.sim.machine import DATA_BASE, MachineConfig
+from repro.sim.memory import DataMemory
+
+MASK32 = 0xFFFFFFFF
+#: Cpu arguments of the block path and of the per-instruction step path
+#: (which any trace hook forces).
+NO_TRACE = {}
+STEP = {"trace_hook": lambda address, decoded: None}
+
+
+def _word(mnemonic, rd=0, ra=0, rb=0, imm=0):
+    return encode(Decoded(INSTRUCTIONS[mnemonic], rd, ra, rb, imm))
 
 
 def run_program(source: str, entry: str = "start", **cpu_kwargs):
@@ -172,6 +190,97 @@ class TestCompares:
         """) == 1
 
 
+def _signed(value):
+    return value - (1 << 32) if value & 0x80000000 else value
+
+
+#: Reference semantics of every ALU op: f(a, b) with b the second
+#: register or the immediate as decoded.
+REFERENCE_ALU = {
+    "l.add": lambda a, b: (a + b) & MASK32,
+    "l.addi": lambda a, b: (a + b) & MASK32,
+    "l.sub": lambda a, b: (a - b) & MASK32,
+    "l.mul": lambda a, b: (_signed(a) * _signed(b)) & MASK32,
+    "l.muli": lambda a, b: (_signed(a) * b) & MASK32,
+    "l.and": lambda a, b: a & b,
+    "l.andi": lambda a, b: a & b,
+    "l.or": lambda a, b: a | b,
+    "l.ori": lambda a, b: a | b,
+    "l.xor": lambda a, b: a ^ b,
+    "l.xori": lambda a, b: (a ^ b) & MASK32,
+    "l.sll": lambda a, b: (a << (b & 31)) & MASK32,
+    "l.slli": lambda a, b: (a << (b & 31)) & MASK32,
+    "l.srl": lambda a, b: a >> (b & 31),
+    "l.srli": lambda a, b: a >> (b & 31),
+    "l.sra": lambda a, b: (_signed(a) >> (b & 31)) & MASK32,
+    "l.srai": lambda a, b: (_signed(a) >> (b & 31)) & MASK32,
+}
+REFERENCE_COMPARE = {
+    "eq": lambda a, b: a == b, "ne": lambda a, b: a != b,
+    "gtu": lambda a, b: a > b, "geu": lambda a, b: a >= b,
+    "ltu": lambda a, b: a < b, "leu": lambda a, b: a <= b,
+    "gts": lambda a, b: _signed(a) > _signed(b),
+    "ges": lambda a, b: _signed(a) >= _signed(b),
+    "lts": lambda a, b: _signed(a) < _signed(b),
+    "les": lambda a, b: _signed(a) <= _signed(b),
+}
+_WORDS = st.one_of(st.integers(0, MASK32),
+                   st.sampled_from([0, 1, 31, 32, 0x7FFFFFFF, 0x80000000,
+                                    MASK32]))
+
+
+def _load_registers(a, b):
+    """Words setting r1 = a and r2 = b."""
+    return [_word("l.movhi", rd=1, imm=a >> 16),
+            _word("l.ori", rd=1, ra=1, imm=a & 0xFFFF),
+            _word("l.movhi", rd=2, imm=b >> 16),
+            _word("l.ori", rd=2, ra=2, imm=b & 0xFFFF)]
+
+
+def _immediate(spec, value):
+    """An immediate operand of ``spec`` drawn from ``value``."""
+    if spec.fmt is Format.RRL:
+        return value & 63
+    if spec.signed_imm:
+        return (value & 0xFFFF) - 0x10000 if value & 0x8000 \
+            else value & 0x7FFF
+    return value & 0xFFFF
+
+
+class TestReferenceSemantics:
+    """Each ALU op and compare against an independent reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mnemonic=st.sampled_from(sorted(REFERENCE_ALU)), a=_WORDS,
+           b=_WORDS, step=st.booleans())
+    def test_alu(self, mnemonic, a, b, step):
+        spec = INSTRUCTIONS[mnemonic]
+        if spec.fmt is Format.RRR:
+            op = _word(mnemonic, rd=3, ra=1, rb=2)
+        else:
+            b = _immediate(spec, b)
+            op = _word(mnemonic, rd=3, ra=1, imm=b)
+        words = _load_registers(a, 0 if spec.fmt is not Format.RRR
+                                else b) + [op, _word("l.nop", imm=1)]
+        result = Cpu(Program(words=words), **(STEP if step else {})).run(0)
+        assert result.exit_code == REFERENCE_ALU[mnemonic](a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(sorted(REFERENCE_COMPARE)), a=_WORDS,
+           b=_WORDS, immediate=st.booleans(), step=st.booleans())
+    def test_compare(self, kind, a, b, immediate, step):
+        if immediate:
+            b = _immediate(INSTRUCTIONS[f"l.sf{kind}i"], b)
+            op = _word(f"l.sf{kind}i", ra=1, imm=b)
+            b &= MASK32
+        else:
+            op = _word(f"l.sf{kind}", ra=1, rb=2)
+        words = _load_registers(a, b) + [op, _word("l.nop", imm=1)]
+        cpu = Cpu(Program(words=words), **(STEP if step else {}))
+        assert cpu.run(0).finished
+        assert cpu.flag == REFERENCE_COMPARE[kind](a, b)
+
+
 class TestControlFlow:
     def test_delay_slot_executes(self):
         assert run_and_report("""
@@ -207,6 +316,18 @@ class TestControlFlow:
         l.addi r3, r3, 1
     end:
         """) == 11
+
+    @pytest.mark.parametrize("path", [NO_TRACE, STEP],
+                             ids=["block", "step"])
+    def test_misaligned_jump_register_target_aborts(self, path):
+        cpu, result = run_program("""
+        start:
+            l.addi r1, r0, 6
+            l.jr   r1
+            l.nop
+        """, **path)
+        assert result.abort_reason == "pc-out-of-range"
+        assert result.cycles == 1  # the jump retires nothing
 
     def test_bnf(self):
         assert run_and_report("""
@@ -252,6 +373,49 @@ class TestMemoryInstructions:
         l.add   r3, r3, r2
         """) == 0x3344 + 0x11
 
+    ACCESS = {"l.lwz": "load_word", "l.lhz": "load_half",
+              "l.lbz": "load_byte", "l.sw": "store_word",
+              "l.sh": "store_half", "l.sb": "store_byte"}
+    DATA = [0x11223344, 0x55667788, 0x99AABBCC, 0xDDEEFF00]
+
+    @pytest.mark.parametrize("path", [NO_TRACE, STEP],
+                             ids=["block", "step"])
+    @pytest.mark.parametrize("mnemonic", sorted(ACCESS))
+    def test_access_matches_data_memory(self, path, mnemonic):
+        # Every offset around both edges of a 16-byte memory, against
+        # the DataMemory method as the reference.
+        config = MachineConfig(dmem_size=16)
+        store = mnemonic in ("l.sw", "l.sh", "l.sb")
+        access = (f"{mnemonic} 0(r4), r5" if store
+                  else f"{mnemonic} r3, 0(r4)")
+        for offset in range(-3, 20):
+            address = DATA_BASE + offset
+            reference = DataMemory(DATA_BASE, 16)
+            reference.write_words(DATA_BASE, self.DATA)
+            method = getattr(reference, self.ACCESS[mnemonic])
+            try:
+                loaded = method(address, 0xCAFEF00D) if store \
+                    else method(address)
+                reason = None
+            except SimulationFault as fault:
+                reason = fault.reason
+            cpu = Cpu(assemble(f"""
+            start:
+                l.movhi r4, hi({address})
+                l.ori   r4, r4, lo({address})
+                l.movhi r5, 0xcafe
+                l.ori   r5, r5, 0xf00d
+                {access}
+                l.nop 0x1
+            """), config=config, **path)
+            cpu.dmem.write_words(DATA_BASE, self.DATA)
+            result = cpu.run("start")
+            assert result.abort_reason == reason, offset
+            assert result.cycles == 4 + (reason is None)
+            assert cpu.dmem.snapshot() == reference.snapshot()
+            if reason is None and not store:
+                assert result.exit_code == loaded
+
     def test_store_outside_memory_aborts(self):
         cpu, result = run_program("""
         start:
@@ -283,6 +447,15 @@ class TestFatalConditions:
         """)
         assert not result.finished
         assert result.abort_reason == "infinite-loop"
+
+    @pytest.mark.parametrize("path", [NO_TRACE, STEP],
+                             ids=["block", "step"])
+    def test_jump_below_instruction_memory(self, path):
+        program = Program(words=[_word("l.j", imm=-3), _word("l.nop"),
+                                 _word("l.nop", imm=1)])
+        result = Cpu(program, **path).run(0)
+        assert result.abort_reason == "pc-out-of-range"
+        assert result.cycles == 2
 
     def test_pc_out_of_range(self):
         # Fall off the end of the program (no exit hook).
@@ -549,6 +722,39 @@ class TestLazyCompile:
         assert fetched == first_fetched
 
 
+class TestObservability:
+    WINDOW = """
+    start:
+        l.addi r1, r0, 0
+        l.nop 0x10
+        l.addi r1, r1, 1
+        l.addi r1, r1, 1
+        l.addi r1, r1, 1
+        l.nop 0x11
+        l.nop 0x1
+    """
+
+    @pytest.fixture(autouse=True)
+    def clean_plane(self):
+        obs.reset()
+        yield
+        obs.reset()
+
+    def test_cycle_counters_and_block_share(self, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        obs.configure(trace)
+        run_program(self.WINDOW)  # the two FI markers step
+        run_program(self.WINDOW, **STEP)  # all six cycles step
+        obs.shutdown()
+        records = obs.read_trace(trace)
+        totals = obs.counter_totals(records)
+        assert totals["sim.cycles"] == 12
+        assert totals["sim.cycles.stepped"] == 8
+        stats = obs.render_stats(records)
+        assert "iss block share" in stats
+        assert f"{1 - 8 / 12:>11.1%}" in stats
+
+
 class TestLifetime:
     def test_dead_cpu_is_freed_without_the_cyclic_gc(self):
         # The run ends with the FI window open, the injector's hook
@@ -561,11 +767,167 @@ class TestLifetime:
         """
         gc.disable()
         try:
-            cpu = Cpu(assemble(source), injector=_EveryCycleFlipper())
+            injector = _EveryCycleFlipper()
+            cpu = Cpu(assemble(source), injector=injector)
             result = cpu.run("start")
             assert result.fault_count == 1
-            ref = weakref.ref(cpu)
-            del cpu
-            assert ref() is None
+            refs = [weakref.ref(cpu), weakref.ref(cpu.dmem),
+                    weakref.ref(injector)]
+            del cpu, injector
+            assert [ref() for ref in refs] == [None, None, None]
         finally:
             gc.enable()
+
+    def test_cpu_aborted_mid_block_is_freed_without_the_cyclic_gc(self):
+        # The load (from 8 ^ 1) faults inside the block that starts at
+        # the addi.
+        source = """
+        start:
+            l.nop 0x10
+            l.addi r4, r0, 8
+            l.lwz  r3, 0(r4)
+            l.addi r3, r3, 1
+            l.nop 0x1
+        """
+        gc.disable()
+        try:
+            injector = _EveryCycleFlipper()
+            cpu = Cpu(assemble(source), injector=injector)
+            result = cpu.run("start")
+            assert result.abort_reason == "misaligned-access"
+            assert (result.cycles, result.kernel_cycles) == (2, 2)
+            assert cpu.regs[4] == 9 and result.fault_count == 1
+            refs = [weakref.ref(cpu), weakref.ref(cpu.dmem),
+                    weakref.ref(injector)]
+            del cpu, injector
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
+
+
+class TestBlocks:
+    """Block execution against the step path (a trace hook forces it)."""
+
+    LOOP = """
+    start:
+        l.addi r1, r0, 5
+    loop:
+        l.addi r2, r2, 3
+        l.addi r1, r1, -1
+        l.sfne r1, r0
+        l.bf   loop
+        l.nop
+        l.nop 0x1
+    """
+
+    @pytest.mark.parametrize("budget", range(1, 29))
+    def test_budget_cut_mid_block(self, budget):
+        results = [run_program(self.LOOP, config=MachineConfig(
+            max_cycles=budget), **path) for path in (NO_TRACE, STEP)]
+        (fast, fast_result), (step, step_result) = results
+        assert fast_result == step_result
+        assert fast.regs == step.regs
+        # 26 cycles to the exit hook, which takes none.
+        assert fast_result.cycles == min(budget, 26)
+        assert fast_result.finished == (budget > 26)
+
+
+# -- differential test: random programs, block path vs step path -------
+
+_DIFF_CONFIG = MachineConfig(dmem_size=64)
+_REGS = st.integers(0, 7)
+
+
+def _mnemonics(*formats):
+    return sorted(m for m, spec in INSTRUCTIONS.items()
+                  if spec.fmt in formats)
+
+
+_ALU_OPS = st.builds(_word, st.sampled_from(_mnemonics(Format.RRR)),
+                     _REGS, _REGS, _REGS)
+_ALU_IMM_OPS = st.builds(
+    lambda m, rd, ra, imm: _word(m, rd, ra, imm=imm & 0x7FFF if
+                                 INSTRUCTIONS[m].signed_imm is False
+                                 else imm),
+    st.sampled_from(_mnemonics(Format.RRI)), _REGS, _REGS,
+    st.integers(-40, 40))
+_SHIFT_IMM_OPS = st.builds(
+    lambda m, rd, ra, imm: _word(m, rd, ra, imm=imm),
+    st.sampled_from(_mnemonics(Format.RRL)), _REGS, _REGS,
+    st.integers(0, 63))
+_COMPARES = st.one_of(
+    st.builds(lambda m, ra, rb: _word(m, ra=ra, rb=rb),
+              st.sampled_from(_mnemonics(Format.SF_RR)), _REGS, _REGS),
+    st.builds(lambda m, ra, imm: _word(m, ra=ra, imm=imm),
+              st.sampled_from(_mnemonics(Format.SF_RI)), _REGS,
+              st.integers(-3, 3)))
+# Offsets around the 64-byte memory: in range, misaligned and outside.
+_MEMORY = st.one_of(
+    st.builds(lambda m, rd, ra, imm: _word(m, rd, ra, imm=imm),
+              st.sampled_from(_mnemonics(Format.LOAD)), _REGS, _REGS,
+              st.integers(-6, 70)),
+    st.builds(lambda m, ra, rb, imm: _word(m, ra=ra, rb=rb, imm=imm),
+              st.sampled_from(_mnemonics(Format.STORE)), _REGS, _REGS,
+              st.integers(-6, 70)))
+_BRANCHES = st.builds(lambda m, imm: _word(m, imm=imm),
+                      st.sampled_from(_mnemonics(Format.JUMP)),
+                      st.integers(-6, 6))
+# Register jumps go wherever r1-r7 point: mostly misaligned or outside
+# the program; r9 holds a link after an l.jal.
+_REGISTER_JUMPS = st.builds(lambda m, rb: _word(m, rb=rb),
+                            st.sampled_from(_mnemonics(Format.JUMP_REG)),
+                            st.sampled_from([0, 1, 2, 9]))
+_NOPS = st.builds(lambda code: _word("l.nop", imm=code),
+                  st.sampled_from([0x0, 0x0, 0x2, 0x10, 0x11, 0x1]))
+_ILLEGAL = st.sampled_from([0xFC000000, 0xE4000000])
+_INSTRUCTION = st.one_of(
+    _ALU_OPS, _ALU_IMM_OPS, _SHIFT_IMM_OPS, _COMPARES, _MEMORY, _MEMORY,
+    _BRANCHES, _REGISTER_JUMPS, _NOPS, _ILLEGAL,
+    st.integers(0, 0xFFFFFFFF))
+
+
+class _RandomFlipper(FaultInjector):
+    """Flips a random mask on about a third of the ALU results."""
+
+    def __init__(self, seed):
+        super().__init__()
+        self.rng = random.Random(seed)
+
+    def fault_mask(self, mnemonic):
+        if self.rng.random() < 0.3:
+            return self.rng.getrandbits(32) & self.rng.getrandbits(32)
+        return 0
+
+
+def _run_both(words, pointers, data, seed, budget):
+    outcomes = []
+    for trace_hook in (None, lambda address, decoded: None):
+        # r1-r3 point into (or just around) the data memory.
+        prologue = [_word("l.nop", imm=0x10)]
+        for reg, offset in zip((1, 2, 3), pointers):
+            prologue += [_word("l.movhi", rd=reg, imm=DATA_BASE >> 16),
+                         _word("l.ori", rd=reg, ra=reg, imm=offset)]
+        injector = _RandomFlipper(seed)
+        cpu = Cpu(Program(words=prologue + words), config=_DIFF_CONFIG,
+                  injector=injector, trace_hook=trace_hook)
+        cpu.dmem.write_words(DATA_BASE, data)
+        result = cpu.run(0, max_cycles=budget)
+        outcomes.append((result, list(cpu.regs), cpu.flag,
+                         cpu.dmem.snapshot(), injector.fault_count,
+                         injector.faulty_cycles, injector.alu_cycles,
+                         injector.rng.getstate()))
+    return outcomes
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(words=st.lists(_INSTRUCTION, min_size=1, max_size=40),
+       pointers=st.lists(st.integers(0, 72), min_size=3, max_size=3),
+       data=st.lists(st.integers(0, 0xFFFFFFFF), min_size=16,
+                     max_size=16),
+       seed=st.integers(0, 2**32 - 1),
+       budget=st.integers(1, 400))
+def test_block_execution_matches_per_instruction(words, pointers, data,
+                                                 seed, budget):
+    block, step = _run_both(words, pointers, data, seed, budget)
+    assert block == step

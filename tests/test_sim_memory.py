@@ -86,5 +86,8 @@ class TestBulk:
 
     def test_clear(self, mem):
         mem.store_word(0x1000, 99)
+        cells = mem._bytes
         mem.clear()
         assert mem.load_word(0x1000) == 0
+        # In place: code bound to the bytearray stays connected.
+        assert mem._bytes is cells
