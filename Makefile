@@ -10,7 +10,7 @@ PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 .PHONY: tier1 test lint bench-engines bench-engines-scratch \
         bench-baseline bench-check bench-figures campaign-smoke \
         native-smoke sanitize-smoke chaos-smoke \
-        obs-smoke fabric-smoke trace-baseline
+        obs-smoke fabric-smoke
 
 # tier1 runs the bench suite into a scratch file (its bit-identity
 # asserts still gate) so the *committed* median-anchored
@@ -97,12 +97,6 @@ fabric-smoke:
 # vs a no-telemetry no-op baseline.
 obs-smoke:
 	$(PYTHON) scripts/obs_smoke.py
-
-# Refresh the committed BENCH_trace.jsonl (serial native-f32 propagate,
-# traced through the telemetry plane) and print the ceiling-analysis
-# numbers ROADMAP.md quotes from it.
-trace-baseline:
-	$(PYTHON) scripts/trace_baseline.py
 
 # Full figure/table reproduction benches (slow; scale via REPRO_BENCH_SCALE).
 bench-figures:

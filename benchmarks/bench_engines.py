@@ -29,7 +29,6 @@ from repro.experiments.context import ExperimentContext
 from repro.fi.base import FaultInjector
 from repro.fi.model_c import StatisticalInjector
 from repro.mc.runner import golden_run, run_point, run_trial
-from repro.netlist.plan import F32_ATOL, F32_RTOL
 from repro.sim.cpu import Cpu
 from repro.store import ResultStore
 from repro.timing.dta import run_dta
@@ -118,79 +117,37 @@ def test_propagate_block(benchmark, ctx, mnemonic, glitch_model):
     assert compiled is not None
 
 
+@needs_native
 @pytest.mark.parametrize("mnemonic", ["l.add", "l.mul"])
-@pytest.mark.parametrize("glitch_model", ["sensitized", "value-change"])
-def test_propagate_block_f32(benchmark, ctx, mnemonic, glitch_model):
-    """float32 timing view vs the f64 compiled engine and the reference.
+def test_propagate_block_native(benchmark, ctx, mnemonic):
+    """Fused C level kernels vs the numpy engine and the reference.
 
-    Halved settle-pipeline traffic on the bandwidth-bound path;
-    ``vs_serial`` is the gain over compiled f64.  Values must stay
-    bit-identical; arrivals must hold the relaxed-identity contract.
+    The PR 1 acceptance row, finally: one pass per gate computes
+    values + events + settles together, so the level pipeline stops
+    paying one memory trip per numpy op.  ``vs_serial`` is the gain
+    over the numpy engine (the >= 1.4x gate); ``speedup`` is vs the
+    per-gate reference (the 10x target).  The native engine must stay
+    bit-identical to compiled.
     """
     alu = ctx.alu
     a, b = _operand_block()
     prev, new = (a[:BLOCK], b[:BLOCK]), (a[1:], b[1:])
 
     def run(engine):
-        return alu.propagate(mnemonic, prev, new, 0.7, glitch_model,
+        return alu.propagate(mnemonic, prev, new, 0.7, "sensitized",
                              engine=engine)
 
-    run("compiled-f32")  # warm plan, f32 workspace and delay tiles
-    benchmark(lambda: run("compiled-f32"))
+    run("compiled-native")  # warm plan, descriptor, kernels, workspace
+    benchmark(lambda: run("compiled-native"))
     run("compiled")
     serial_s = _time_best(lambda: run("compiled"))
     reference_s = _time_best(lambda: run("reference"))
-    values32, arrivals32 = run("compiled-f32")
-    values64, arrivals64 = run("compiled")
-    assert np.array_equal(values32, values64)
-    np.testing.assert_allclose(arrivals32, arrivals64,
-                               rtol=F32_RTOL, atol=F32_ATOL)
-    f32_s = benchmark.stats.stats.min
-    _record(f"propagate[{mnemonic},{glitch_model},f32]", f32_s,
-            reference_s, serial_ms=round(serial_s * 1e3, 3),
-            vs_serial=round(serial_s / f32_s, 2))
-
-
-@needs_native
-@pytest.mark.parametrize("mnemonic", ["l.add", "l.mul"])
-@pytest.mark.parametrize("engine", ["compiled-native", "native-f32"])
-def test_propagate_block_native(benchmark, ctx, mnemonic, engine):
-    """Fused C level kernels vs the numpy engines and the reference.
-
-    The PR 1 acceptance row, finally: one pass per gate computes
-    values + events + settles together, so the level pipeline stops
-    paying one memory trip per numpy op.  ``vs_serial`` is the gain
-    over the *same-dtype* numpy engine (the >= 1.4x gate for f64);
-    ``speedup`` is vs the per-gate reference (the 10x target).
-    native-f64 must stay bit-identical to compiled-f64; native-f32
-    holds the relaxed-identity contract against it.
-    """
-    alu = ctx.alu
-    a, b = _operand_block()
-    prev, new = (a[:BLOCK], b[:BLOCK]), (a[1:], b[1:])
-
-    def run(eng):
-        return alu.propagate(mnemonic, prev, new, 0.7, "sensitized",
-                             engine=eng)
-
-    numpy_engine = "compiled" if engine == "compiled-native" \
-        else "compiled-f32"
-    run(engine)  # warm plan, descriptor, kernels and workspace
-    benchmark(lambda: run(engine))
-    run(numpy_engine)
-    serial_s = _time_best(lambda: run(numpy_engine))
-    reference_s = _time_best(lambda: run("reference"))
-    values_n, arrivals_n = run(engine)
+    values_n, arrivals_n = run("compiled-native")
     values_c, arrivals_c = run("compiled")
     assert np.array_equal(values_n, values_c)
-    if engine == "compiled-native":
-        assert np.array_equal(arrivals_n, arrivals_c)
-    else:
-        np.testing.assert_allclose(arrivals_n, arrivals_c,
-                                   rtol=F32_RTOL, atol=F32_ATOL)
+    assert np.array_equal(arrivals_n, arrivals_c)
     native_s = benchmark.stats.stats.min
-    tag = "native" if engine == "compiled-native" else "native-f32"
-    _record(f"propagate[{mnemonic},sensitized,{tag}]", native_s,
+    _record(f"propagate[{mnemonic},sensitized,native]", native_s,
             reference_s, serial_ms=round(serial_s * 1e3, 3),
             vs_serial=round(serial_s / native_s, 2))
 

@@ -3,7 +3,7 @@
 
 Proves, in a throwaway cache directory, the backend's whole lifecycle:
 
-1. **Build**: a cold cache compiles the f64 kernel library exactly
+1. **Build**: a cold cache compiles the kernel library exactly
    once (``BuildResult.built`` is True, the .so lands under the cache
    dir with its source hash in the name).
 2. **Run**: ``engine="compiled-native"`` produces bit-identical
@@ -14,7 +14,7 @@ Proves, in a throwaway cache directory, the backend's whole lifecycle:
    pointed at the same cache dir also reuses it (the cross-invocation
    story).
 4. **Mask**: a subprocess with ``REPRO_NO_CC=1`` reports the backend
-   unavailable and still runs the numpy engines -- the toolchain-free
+   unavailable and still runs the numpy engine -- the toolchain-free
    fallback that tier-1 relies on.
 
 Where this machine has no working C compiler at all, the smoke prints
@@ -63,7 +63,7 @@ def main() -> int:
         os.environ["REPRO_NATIVE_CACHE"] = tmp
 
         # 1. cold build
-        first = build_mod.ensure_library("float64")
+        first = build_mod.ensure_library()
         assert first.built, "cold cache must compile"
         assert first.path.exists() and first.sha256[:16] in first.path.name
         print(f"native-smoke: built {first.path.name} "
@@ -76,12 +76,12 @@ def main() -> int:
                                                         numpy_out):
             assert np.array_equal(values_n, values_c)
             assert np.array_equal(arr_n, arr_c)
-        print("native-smoke: propagate bit-identical to compiled-f64 "
+        print("native-smoke: propagate bit-identical to compiled "
               "(both glitch models)")
 
         # 3. cache hits: same process, second circuit, fresh process
         count = build_mod.build_count
-        again = build_mod.ensure_library("float64")
+        again = build_mod.ensure_library()
         assert not again.built and again.path == first.path
         _propagate("compiled-native")  # a second ALU instance
         assert build_mod.build_count == count, \
@@ -89,7 +89,7 @@ def main() -> int:
         fresh = subprocess.run(
             [sys.executable, "-c",
              "from repro.native import build;"
-             "r = build.ensure_library('float64');"
+             "r = build.ensure_library();"
              "raise SystemExit(1 if r.built else 0)"],
             env={**os.environ,
                  "PYTHONPATH": str(REPO / "src")
@@ -108,12 +108,12 @@ def main() -> int:
              "from repro.netlist.circuit import Circuit;"
              "import numpy as np;"
              "assert not native.native_available();"
-             "assert native.engine_for('float64', 'native') "
-             "== 'compiled';"
+             "native.set_backend('native');"
+             "assert native.engine_for() == 'compiled';"
              "c = Circuit('m'); a = c.input_bus('a', 1)[0];"
              "c.output_bus('y', [c.gate('INV', a)]);"
              "c.propagate({'a': [0]}, {'a': [1]}, np.array([1.0]),"
-             " engine=native.engine_for('float64', 'native'))"],
+             " engine=native.engine_for())"],
             env={**os.environ, "REPRO_NO_CC": "1",
                  "PYTHONPATH": str(REPO / "src")
                  + (os.pathsep + os.environ["PYTHONPATH"]

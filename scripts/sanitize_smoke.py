@@ -98,7 +98,7 @@ def main() -> int:
         built = subprocess.run(
             [sys.executable, "-c",
              "from repro.native import build;"
-             "r = build.ensure_library('float64');"
+             "r = build.ensure_library();"
              "assert r.built and '-san-' in r.path.name, r.path.name;"
              "print(r.path.name)"],
             env=_env(tmp), cwd=REPO, capture_output=True, text=True)
@@ -107,7 +107,7 @@ def main() -> int:
         loaded = subprocess.run(
             [sys.executable, "-c",
              "from repro.native import build;"
-             "build.load_kernels('float64')"],
+             "build.load_kernels()"],
             env=_env(tmp, preload_path), cwd=REPO,
             capture_output=True, text=True)
         if loaded.returncode != 0:

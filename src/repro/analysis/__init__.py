@@ -6,7 +6,7 @@ analyzer the natural independent oracle for the dynamic engines: a
 classical min/max arrival-time pass over the already-levelized
 :class:`~repro.netlist.plan.CompiledPlan` yields, per net, a sound
 envelope that every dynamic arrival must fall inside, no matter which
-of the five engines (or glitch models) produced it.
+of the three engines (or glitch models) produced it.
 
 Three coordinated layers:
 
@@ -19,8 +19,7 @@ Three coordinated layers:
   nets, dead gates, fanout histogram) behind ``repro lint``.
 * :mod:`repro.analysis.oracle` -- the opt-in runtime bounds check
   (``REPRO_CHECK_BOUNDS=1``): every :meth:`Circuit.propagate` asserts
-  its arrivals against the static envelope, f32 engines under the
-  PR 4 tolerance contract.
+  its arrivals against the static envelope, exactly.
 """
 
 from repro.analysis.oracle import BoundsViolation, bounds_check_enabled

@@ -7,18 +7,16 @@ against the static envelope of
 
     every arrival is exactly 0.0 (no event) or inside [min, max].
 
-Float64 engines are held to the envelope *exactly* (IEEE add/max are
+Every engine is held to the envelope *exactly* (IEEE add/max are
 monotone, so the dynamic recurrence can never produce a value outside
-the static one); float32 engines are checked under the PR 4
-relaxed-identity contract (:data:`~repro.netlist.plan.F32_RTOL` /
-:data:`~repro.netlist.plan.F32_ATOL` around the float64 envelope).
+the static one).
 
 The check is deliberately independent of the engines: it reuses the
 compiled plan's structure but none of the event kernels, so a silent
-kernel bug (native C, f32 views) trips it instead of only shifting
+kernel bug (native C included) trips it instead of only shifting
 engine-vs-engine diffs.  Envelopes are cached per plan
-(delays and launch compared by value), so test suites that sweep five
-engines over one circuit pay for one static pass, not five.
+(delays and launch compared by value), so test suites that sweep the
+three engines over one circuit pay for one static pass, not three.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from repro.analysis.sta import Envelope, compute_envelope
-from repro.netlist.plan import F32_ATOL, F32_RTOL, CompiledPlan
+from repro.netlist.plan import CompiledPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netlist.circuit import Circuit
@@ -75,25 +73,15 @@ def envelope_for(circuit: "Circuit", delays: np.ndarray,
 def check_bounds(circuit: "Circuit", delays: np.ndarray,
                  input_arrival: float,
                  arrivals: Mapping[str, np.ndarray],
-                 timing_dtype: type = np.float64,
                  engine: str = "?", glitch_model: str = "?") -> None:
     """Assert propagate output against the envelope; raise on escape."""
     envelope = envelope_for(circuit, delays, input_arrival)
     plan = circuit.plan
-    f32 = np.dtype(timing_dtype) == np.float32
     for name in circuit.output_names:
         rows = plan.rows[circuit.output_nets(name)]
         lo = envelope.min_rows[rows][:, None]
         hi = envelope.max_rows[rows][:, None]
         observed = np.asarray(arrivals[name], dtype=np.float64)
-        if f32:
-            # The f32 contract is relative to the f64 value, which
-            # itself lies in [lo, hi]; widen both edges by the worst
-            # allowed deviation at the interval's magnitude.
-            pad = F32_ATOL + F32_RTOL * np.where(np.isfinite(hi),
-                                                 np.abs(hi), 0.0)
-            lo = lo - pad
-            hi = hi + pad
         ok = (observed == 0.0) | ((observed >= lo) & (observed <= hi))
         if bool(ok.all()):
             continue
@@ -103,19 +91,16 @@ def check_bounds(circuit: "Circuit", delays: np.ndarray,
             f"{name}[{int(bit)}] (vector {int(vector)}) escapes the "
             f"static envelope [{envelope.min_rows[rows][bit]!r}, "
             f"{envelope.max_rows[rows][bit]!r}] "
-            f"(engine={engine}, glitch_model={glitch_model}, "
-            f"dtype={'float32' if f32 else 'float64'})")
+            f"(engine={engine}, glitch_model={glitch_model})")
 
 
 def maybe_check_bounds(circuit: "Circuit", delays: np.ndarray,
                        input_arrival: float,
                        arrivals: Mapping[str, np.ndarray],
-                       timing_dtype: type = np.float64,
                        engine: str = "?",
                        glitch_model: str = "?") -> None:
     """The propagate hook: no-op unless ``REPRO_CHECK_BOUNDS`` is set."""
     if not bounds_check_enabled():
         return
     check_bounds(circuit, delays, input_arrival, arrivals,
-                 timing_dtype=timing_dtype, engine=engine,
-                 glitch_model=glitch_model)
+                 engine=engine, glitch_model=glitch_model)

@@ -36,11 +36,9 @@ the recurrence self-maintaining (``+inf + d = +inf``,
 ``-inf + d = -inf``), so the whole pass is one vectorized
 minimum/maximum-reduce per plan op.
 
-Because IEEE-754 addition and max are monotone, the float64 engines'
+Because IEEE-754 addition and max are monotone, every engine's
 arrivals satisfy the envelope *exactly* -- the oracle applies zero
-tolerance at f64 -- while the f32 engines are checked under the PR 4
-relaxed-identity contract (:data:`~repro.netlist.plan.F32_RTOL` /
-:data:`~repro.netlist.plan.F32_ATOL`).
+tolerance.
 
 Critical paths
 --------------

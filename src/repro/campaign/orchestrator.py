@@ -181,9 +181,8 @@ def plan_campaign(experiment: str, ctx: ExperimentContext,
             fig7.assemble(ctx, points))
     elif experiment == "ablations":
         semantics_units = ablations.semantics_point_units(ctx, seed=seed)
-        adder_units = ablations.adder_topology_units(
-            ctx.scale, seed=seed, timing_dtype=ctx.timing_dtype,
-            engine=ctx.dta_engine)
+        adder_units = ablations.adder_topology_units(ctx.scale,
+                                                     seed=seed)
         units = semantics_units + adder_units
         n_semantics = len(semantics_units)
 
@@ -237,9 +236,8 @@ def _plan_characterization_configs(experiment: str,
 
 
 def campaign_status(experiment: str, scale: str | Scale, seed: int,
-                    store, log: Callable[[str], None] | None = None,
-                    timing_dtype: str = "float64",
-                    engine: str | None = None) -> CampaignStatus:
+                    store, log: Callable[[str], None] | None = None) \
+        -> CampaignStatus:
     """Report which units of a campaign are already in the store.
 
     Planning needs the experiment's DTA characterizations (frequency
@@ -249,9 +247,7 @@ def campaign_status(experiment: str, scale: str | Scale, seed: int,
     the store.
     """
     resolved = get_scale(scale)
-    ctx = ExperimentContext.create(resolved, seed, store=store,
-                                   timing_dtype=timing_dtype,
-                                   engine=engine)
+    ctx = ExperimentContext.create(resolved, seed, store=store)
     if log is not None:
         missing = [config for config
                    in _plan_characterization_configs(experiment, ctx)
@@ -480,8 +476,6 @@ RETRY_BACKOFF_S = 0.05
 def run_campaign(experiment: str, scale: str | Scale = "default",
                  seed: int = 2016, store=None, jobs: int = 1,
                  log: Callable[[str], None] | None = None,
-                 timing_dtype: str = "float64",
-                 engine: str | None = None,
                  max_retries: int = 0,
                  fabric_workers: int | None = None) -> CampaignReport:
     """Run (or resume) a campaign to its rendered figure output.
@@ -497,12 +491,6 @@ def run_campaign(experiment: str, scale: str | Scale = "default",
         jobs: worker processes for pending units (1 = in-process);
             ``jobs >= 2`` forks one child per static shard.
         log: optional progress sink (e.g. stderr writer).
-        timing_dtype: settle-pipeline dtype of the context's DTA runs
-            (``"float32"`` caches under its own keys).
-        engine: backend preference for the context's DTA engine
-            (``"native"`` selects the fused C kernels when a compiler
-            exists, falling back to numpy otherwise; never part of
-            unit keys).
         max_retries: extra rounds for units whose compute raised.
             Retries run serially in the parent with exponential
             backoff between rounds; units still failing afterwards
@@ -526,9 +514,7 @@ def run_campaign(experiment: str, scale: str | Scale = "default",
         raise ValueError("jobs must be positive")
     emit = log or (lambda message: None)
     resolved = get_scale(scale)
-    ctx = ExperimentContext.create(resolved, seed, store=store,
-                                   timing_dtype=timing_dtype,
-                                   engine=engine)
+    ctx = ExperimentContext.create(resolved, seed, store=store)
     plans = []
     for name in _campaign_experiments(experiment):
         with obs.span("campaign.plan", experiment=name) as rec:

@@ -80,10 +80,8 @@ _EXPERIMENTS = {
                                                 context=ctx),
             ablations.run_semantics_ablation(scale, seed, context=ctx,
                                              store=store),
-            ablations.run_adder_topology_ablation(
-                scale, seed, store=store,
-                timing_dtype=ctx.timing_dtype,
-                engine=ctx.dta_engine)),
+            ablations.run_adder_topology_ablation(scale, seed,
+                                                  store=store)),
 }
 
 
@@ -122,22 +120,14 @@ def _add_store(parser: argparse.ArgumentParser,
                                  "forked children (fig commands run "
                                  "as campaigns; output does not "
                                  "depend on N)")
-    parser.add_argument("--timing-dtype", default="float64",
-                        choices=("float64", "float32"),
-                        help="settle-pipeline dtype of the DTA "
-                             "engine; float32 halves its memory "
-                             "traffic under a relaxed-identity "
-                             "contract and caches under its own "
-                             "store keys")
     parser.add_argument("--engine", default="numpy",
                         choices=native.BACKENDS,
                         help="engine backend: 'native' runs the DTA "
                              "hot loop through on-demand-compiled "
-                             "fused C kernels (bit-identical at "
-                             "float64, same tolerance class and store "
-                             "keys at float32) and falls back to "
-                             "numpy when no C compiler is available "
-                             "-- 'repro engines' shows why")
+                             "fused C kernels (bit-identical to "
+                             "numpy) and falls back to numpy when no "
+                             "C compiler is available -- 'repro "
+                             "engines' shows why")
     parser.add_argument("--faults", default=None, metavar="SPEC",
                         help="deterministic fault-injection schedule "
                              "(same grammar as $REPRO_FAULTS, e.g. "
@@ -382,11 +372,10 @@ def main(argv: list[str] | None = None) -> int:
         # *reads* an existing trace (configure would clear it).
         obs.configure(args.trace)
 
-    timing_dtype = getattr(args, "timing_dtype", "float64")
     engine = getattr(args, "engine", None)
     if engine is not None:
-        # The process-global default: forked campaign workers and
-        # every config-implied engine resolution inherit it.
+        # The one engine preference: forked campaign workers and every
+        # engine resolution (native.engine_for) inherit it.
         native.set_backend(engine)
         if engine == "native" and not native.native_available():
             print(f"--engine native unavailable "
@@ -401,9 +390,7 @@ def main(argv: list[str] | None = None) -> int:
             print("--jobs shards campaign units over the result store "
                   "(drop --no-store)", file=sys.stderr)
             return 2
-        ctx = ExperimentContext.create(args.scale, args.seed, store=store,
-                                       timing_dtype=timing_dtype,
-                                       engine=engine)
+        ctx = ExperimentContext.create(args.scale, args.seed, store=store)
         names = (list(_EXPERIMENTS) if args.command == "all"
                  else [args.command])
         failed = False
@@ -416,9 +403,7 @@ def main(argv: list[str] | None = None) -> int:
                 # so the figure and its store entries do not depend on
                 # the worker count.
                 report = run_campaign(name, args.scale, args.seed,
-                                      store=store, jobs=args.jobs,
-                                      timing_dtype=timing_dtype,
-                                      engine=engine)
+                                      store=store, jobs=args.jobs)
                 failed = failed or bool(report.failed)
                 print(report.rendered)
             else:
@@ -434,9 +419,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         if args.campaign_command == "status":
             status = campaign_status(args.experiment, args.scale,
-                                     args.seed, store, log=stderr_log,
-                                     timing_dtype=timing_dtype,
-                                     engine=engine)
+                                     args.seed, store, log=stderr_log)
             print(status.summary())
             for label in status.failed:
                 print(f"  FAILED  {label}")
@@ -462,8 +445,6 @@ def main(argv: list[str] | None = None) -> int:
         report = run_campaign(args.experiment, args.scale, args.seed,
                               store=store, jobs=args.jobs or 1,
                               log=stderr_log,
-                              timing_dtype=timing_dtype,
-                              engine=engine,
                               max_retries=args.max_retries,
                               fabric_workers=fabric_workers)
         print(report.summary(), file=sys.stderr)
@@ -599,48 +580,38 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "engines":
-        print(f"{'engine':16s} {'dtype':8s} status")
-        print(f"{'reference':16s} {'float64':8s} available "
+        print(f"{'engine':16s} status")
+        print(f"{'reference':16s} available "
               f"(per-gate python loop, the executable spec)")
-        print(f"{'compiled':16s} {'float64':8s} available "
+        print(f"{'compiled':16s} available "
               f"(numpy SoA plan, bit-identical to reference)")
-        print(f"{'compiled-f32':16s} {'float32':8s} available "
-              f"(numpy SoA plan, relaxed-identity contract)")
+        name = native.NATIVE_ENGINE
         degraded = native.runtime_failure()
-        strict_fail = False
-        for name, dtype in sorted(native.NATIVE_ENGINES.items()):
-            status = native.native_status(dtype)
-            if status["available"] and degraded is not None:
-                strict_fail = True
-                print(f"{name:16s} {dtype:8s} DEGRADED to numpy: "
-                      f"{degraded}")
-                print(f"{'':16s} {'':8s}   cache dir "
-                      f"{status['cache_dir']} (restart clears the "
-                      f"degradation latch)")
-            elif status["available"]:
-                cached = "cached" if status["cached"] else "not built yet"
-                print(f"{name:16s} {dtype:8s} available "
-                      f"({status['compiler_version']})")
-                print(f"{'':16s} {'':8s}   library {status['library']} "
-                      f"[{cached}]")
-                print(f"{'':16s} {'':8s}   cflags {status['cflags']}")
-                print(f"{'':16s} {'':8s}   source hash "
-                      f"{status['source_hash'][:16]}")
-            else:
-                strict_fail = True
-                print(f"{name:16s} {dtype:8s} UNAVAILABLE: "
-                      f"{status['reason']}")
-                print(f"{'':16s} {'':8s}   cache dir "
-                      f"{status['cache_dir']} (numpy engines serve "
-                      f"this dtype instead)")
+        status = native.native_status()
+        strict_fail = not status["available"] or degraded is not None
+        if status["available"] and degraded is not None:
+            print(f"{name:16s} DEGRADED to numpy: {degraded}")
+            print(f"{'':16s}   cache dir {status['cache_dir']} "
+                  f"(restart clears the degradation latch)")
+        elif status["available"]:
+            cached = "cached" if status["cached"] else "not built yet"
+            print(f"{name:16s} available ({status['compiler_version']})")
+            print(f"{'':16s}   library {status['library']} [{cached}]")
+            print(f"{'':16s}   cflags {status['cflags']}")
+            print(f"{'':16s}   source hash "
+                  f"{status['source_hash'][:16]}")
+        else:
+            print(f"{name:16s} UNAVAILABLE: {status['reason']}")
+            print(f"{'':16s}   cache dir {status['cache_dir']} "
+                  f"(the compiled engine serves instead)")
         if analysis.bounds_check_enabled():
-            print(f"{'oracle':16s} {'':8s} ACTIVE: every propagate "
-                  f"checked against the static STA envelope "
+            print(f"{'oracle':16s} ACTIVE: every propagate checked "
+                  f"against the static STA envelope "
                   f"(REPRO_CHECK_BOUNDS)")
         else:
-            print(f"{'oracle':16s} {'':8s} off (set "
-                  f"REPRO_CHECK_BOUNDS=1 to assert every propagate "
-                  f"against the static STA envelope)")
+            print(f"{'oracle':16s} off (set REPRO_CHECK_BOUNDS=1 to "
+                  f"assert every propagate against the static STA "
+                  f"envelope)")
         if args.strict and strict_fail:
             print("strict: native backend not fully available",
                   file=sys.stderr)

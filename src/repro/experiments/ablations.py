@@ -26,12 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import native
 from repro.bench.suite import build_kernel
 from repro.fi.model_c import StatisticalInjector
 from repro.mc.results import McPoint
 from repro.mc.runner import run_point
-from repro.mc.units import PointUnit, mc_point_key, resolve_units, \
+from repro.mc.units import WorkUnit, mc_point_key, resolve_units, \
     work_unit_key
 from repro.netlist.adders import ADDER_KINDS
 from repro.netlist.alu import AluConfig, AluNetlist
@@ -92,7 +91,7 @@ class SemanticsAblation:
 
 def semantics_point_units(ctx: ExperimentContext, seed: int = 2016,
                           frequency_hz: float = 730e6,
-                          sigma_v: float = 0.010) -> list[PointUnit]:
+                          sigma_v: float = 0.010) -> list[WorkUnit]:
     """One Monte-Carlo unit per fault-semantics variant (flip, stale)."""
     characterization = ctx.characterization(NOMINAL_VDD)
     kernel = build_kernel("mat_mult_8bit", ctx.scale.kernel_scale)
@@ -108,7 +107,7 @@ def semantics_point_units(ctx: ExperimentContext, seed: int = 2016,
                     semantics=semantics),
                 n_trials=ctx.scale.trials, seed=seed)
 
-        units.append(PointUnit(
+        units.append(WorkUnit(
             label=f"ablations:semantics/{semantics}",
             key=mc_point_key(
                 "ablations", ctx.scale, seed, kernel,
@@ -219,8 +218,8 @@ def _adder_study_fingerprint() -> dict:
     }
 
 
-def _compute_adder_poffs(kind: str, n_samples: int, seed: int,
-                         engine: str = "compiled") -> tuple[float, float]:
+def _compute_adder_poffs(kind: str, n_samples: int,
+                         seed: int) -> tuple[float, float]:
     """Measure one topology's (16-bit, 32-bit) add PoFFs."""
     alu = AluNetlist(AluConfig(adder_kind=kind))
     calibrate_alu(alu)
@@ -231,36 +230,25 @@ def _compute_adder_poffs(kind: str, n_samples: int, seed: int,
             rng.integers(0, 1 << bits, n_samples + 1, dtype=np.uint64)
             for _ in range(2))
         dta = run_dta(alu, "l.add", n_samples, vdd=NOMINAL_VDD,
-                      seed=seed, operands=operands, engine=engine)
+                      seed=seed, operands=operands)
         results.append(1e12 / float(dta.critical_ps.max()))
     return (results[0], results[1])
 
 
-def adder_topology_units(scale: str | Scale, seed: int = 2016,
-                         timing_dtype: str = "float64",
-                         engine: str | None = None) -> list[PointUnit]:
-    """One work unit per adder topology (planning runs no DTA).
-
-    ``timing_dtype="float32"`` runs the per-topology DTA on the f32
-    settle pipeline and keys the units separately (the f64 default
-    adds no key field, so historical entries keep serving).
-    ``engine`` overrides the dtype-implied circuit engine (e.g. the
-    native backend); it never enters the unit keys.
-    """
+def adder_topology_units(scale: str | Scale,
+                         seed: int = 2016) -> list[WorkUnit]:
+    """One work unit per adder topology (planning runs no DTA)."""
     scale = get_scale(scale)
     fingerprint = _adder_study_fingerprint()
-    engine = engine or native.engine_for(timing_dtype)
-    dtype_fields = {} if timing_dtype == "float64" \
-        else {"timing_dtype": timing_dtype}
     units = []
     for index, kind in enumerate(ADDER_KINDS):
         def compute(kind=kind, index=index):
             return AdderTopologyAblation(poffs_hz={
                 kind: _compute_adder_poffs(
                     kind, scale.fig4_samples,
-                    seed + ADDER_SEED_STRIDE * index, engine=engine)})
+                    seed + ADDER_SEED_STRIDE * index)})
 
-        units.append(PointUnit(
+        units.append(WorkUnit(
             label=f"ablations:adder/{kind}",
             key=work_unit_key(
                 "adder_ablation", "ablations", scale, seed,
@@ -268,8 +256,7 @@ def adder_topology_units(scale: str | Scale, seed: int = 2016,
                  "topology_index": index,
                  "operand_bits": [15, 32], "vdd": NOMINAL_VDD,
                  "n_samples": scale.fig4_samples,
-                 "glitch_model": "sensitized", **fingerprint,
-                 **dtype_fields}),
+                 "glitch_model": "sensitized", **fingerprint}),
             compute=compute))
     return units
 
@@ -284,9 +271,7 @@ def assemble_adders(parts: list[AdderTopologyAblation]) \
 
 
 def run_adder_topology_ablation(scale: str | Scale = "default",
-                                seed: int = 2016, store=None,
-                                timing_dtype: str = "float64",
-                                engine: str | None = None) \
+                                seed: int = 2016, store=None) \
         -> AdderTopologyAblation:
     """Measure the 16-vs-32-bit add PoFF spread for each topology.
 
@@ -295,9 +280,7 @@ def run_adder_topology_ablation(scale: str | Scale = "default",
     endpoint bits) differs.  With a ``store``, previously measured
     topologies reload exactly and the rerun performs zero DTA work.
     """
-    units = adder_topology_units(scale, seed=seed,
-                                 timing_dtype=timing_dtype,
-                                 engine=engine)
+    units = adder_topology_units(scale, seed=seed)
     parts, _, _ = resolve_units(units, store)
     return assemble_adders(parts)
 

@@ -15,11 +15,10 @@ bit-identically everywhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro import native
 from repro.netlist.alu import AluNetlist
 from repro.netlist.calibrate import calibrated_alu
 from repro.timing.characterize import (
@@ -27,7 +26,6 @@ from repro.timing.characterize import (
     CharacterizationConfig,
     alu_fingerprint,
     characterization_key,
-    config_key_fields,
     get_characterization,
 )
 from repro.timing.noise import VoltageNoise
@@ -52,16 +50,6 @@ class ExperimentContext:
     scale: Scale
     seed: int = 2016
     store: object | None = None
-    #: Settle-pipeline dtype of every DTA run this context drives
-    #: ("float64" = bit-exact, "float32" = relaxed-identity, cached
-    #: under distinct store keys).
-    timing_dtype: str = "float64"
-    #: Engine backend preference ("numpy", "native", or None for the
-    #: process-global default set by the CLI's ``--engine``).  Never
-    #: part of any cache key: native f64 is bit-identical to numpy
-    #: f64, and native f32 shares the f32 tolerance class, so results
-    #: are interchangeable across backends.
-    engine: str | None = None
     _alu: AluNetlist | None = None
     _vdd_model: VddDelayModel | None = None
     _characterizations: dict[CharacterizationConfig,
@@ -70,40 +58,8 @@ class ExperimentContext:
 
     @classmethod
     def create(cls, scale: str | Scale = "default",
-               seed: int = 2016, store=None,
-               timing_dtype: str = "float64",
-               engine: str | None = None) -> "ExperimentContext":
-        if timing_dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"timing_dtype must be float64 or float32, "
-                f"got {timing_dtype!r}")
-        if engine is not None and engine not in native.BACKENDS:
-            raise ValueError(
-                f"engine must be one of {native.BACKENDS} (or None for "
-                f"the process default), got {engine!r}")
-        return cls(scale=get_scale(scale), seed=seed, store=store,
-                   timing_dtype=timing_dtype, engine=engine)
-
-    @property
-    def dta_engine(self) -> str:
-        """Circuit engine for the DTA this context drives.
-
-        Resolves the dtype and the backend preference (context-level,
-        else process-global) to a concrete engine name; a ``native``
-        preference silently falls back to the numpy engine when no
-        compiler is available (``repro engines`` shows why).
-        """
-        return native.engine_for(self.timing_dtype, self.engine)
-
-    def dtype_key_fields(self) -> dict:
-        """Extra cache-key fields for dtype-sensitive DTA artifacts.
-
-        Empty at the bit-exact float64 default, so historical keys
-        stay valid; float32 results key separately.
-        """
-        if self.timing_dtype == "float64":
-            return {}
-        return {"timing_dtype": self.timing_dtype}
+               seed: int = 2016, store=None) -> "ExperimentContext":
+        return cls(scale=get_scale(scale), seed=seed, store=store)
 
     @property
     def alu(self) -> AluNetlist:
@@ -125,8 +81,7 @@ class ExperimentContext:
             vdd=vdd,
             n_cycles_per_instr=self.scale.char_cycles,
             seed=self.seed,
-            glitch_model=glitch_model,
-            timing_dtype=self.timing_dtype)
+            glitch_model=glitch_model)
 
     def char_fingerprint(self, vdd: float = NOMINAL_VDD,
                          glitch_model: str = "sensitized") -> dict:
@@ -136,7 +91,7 @@ class ExperimentContext:
         so netlist or cell-library changes invalidate persisted points
         instead of silently serving stale figures."""
         return {
-            "characterization": config_key_fields(self.char_config(
+            "characterization": asdict(self.char_config(
                 vdd, glitch_model)),
             "alu": alu_fingerprint(self.alu),
         }
@@ -159,18 +114,7 @@ class ExperimentContext:
         if found is None and self.store is not None:
             found = self.store.get(characterization_key(self.alu, config))
         if found is None:
-            # Resolve the engine from the *config's* dtype (with this
-            # context's backend preference), not from the context's:
-            # an explicit config may carry a different timing dtype
-            # (e.g. the glitch-model ablation characterizes at the
-            # float64 default inside a float32 context), and its
-            # results are keyed by that dtype -- running them on the
-            # other pipeline would file tolerance-level data under a
-            # bit-exact key.
-            found = get_characterization(
-                self.alu, config,
-                engine=native.engine_for(config.timing_dtype,
-                                         self.engine))
+            found = get_characterization(self.alu, config)
             if self.store is not None:
                 self.store.put(
                     characterization_key(self.alu, config), found,

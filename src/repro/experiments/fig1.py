@@ -25,7 +25,7 @@ from repro.fi.model_b import StaInjector
 from repro.fi.model_bplus import StaNoiseInjector
 from repro.mc.results import McPoint
 from repro.mc.sweep import FrequencySweep, sweep_units
-from repro.mc.units import PointUnit, resolve_units
+from repro.mc.units import WorkUnit, resolve_units
 from repro.timing.characterize import alu_fingerprint
 
 #: Noise sigmas of the three sub-figures [V] (0 = model B's cliff).
@@ -77,7 +77,7 @@ def _sub_figures(ctx: ExperimentContext) -> list[tuple]:
     return subs
 
 
-def point_units(ctx: ExperimentContext, seed: int = 2016) -> list[PointUnit]:
+def point_units(ctx: ExperimentContext, seed: int = 2016) -> list[WorkUnit]:
     """Decompose the three sub-figures into per-frequency MC units.
 
     Unit order is sub-figure major, ascending frequency minor,
@@ -86,7 +86,7 @@ def point_units(ctx: ExperimentContext, seed: int = 2016) -> list[PointUnit]:
     driver-resolved figures share store entries byte for byte.
     """
     kernel = build_kernel(BENCHMARK, ctx.scale.kernel_scale)
-    units: list[PointUnit] = []
+    units: list[WorkUnit] = []
     for sigma, model, onset, factory in _sub_figures(ctx):
         units.extend(sweep_units(
             kernel, factory,

@@ -164,7 +164,7 @@ def _compute_curve(ctx: ExperimentContext, index: int, seed: int,
             rng.integers(0, 1 << bits, n_samples + 1, dtype=np.uint64)
             for _ in range(2))
     dta = run_dta(ctx.alu, mnemonic, n_samples, vdd=NOMINAL_VDD,
-                  seed=seed, operands=operands, engine=ctx.dta_engine)
+                  seed=seed, operands=operands)
     critical = dta.critical_ps  # (n, 32)
     correct = dta.values.astype(np.uint64)
     bit_weights = (np.uint64(1) << np.arange(32, dtype=np.uint64))
@@ -212,8 +212,7 @@ def curve_units(ctx: ExperimentContext, seed: int = 2016,
                  "freq_axis": [float(f) for f in FREQ_AXIS],
                  "n_samples": ctx.scale.fig4_samples,
                  "glitch_model": "sensitized",
-                 "alu": alu_fingerprint(ctx.alu),
-                 **ctx.dtype_key_fields()}),
+                 "alu": alu_fingerprint(ctx.alu)}),
             compute=compute))
     return units
 

@@ -31,7 +31,7 @@ from repro.experiments.scale import Scale, get_scale
 from repro.fi.model_c import StatisticalInjector
 from repro.mc.results import McPoint
 from repro.mc.sweep import FrequencySweep, sweep_units
-from repro.mc.units import PointUnit, resolve_units
+from repro.mc.units import WorkUnit, resolve_units
 
 #: Supply voltages of the six sub-figures.
 PLOT_VDDS = (0.7, 0.8)
@@ -95,7 +95,7 @@ def conditions() -> list[Fig5Config]:
 
 
 def point_units(ctx: ExperimentContext, seed: int = 2016,
-                benchmark: str = "median") -> list[PointUnit]:
+                benchmark: str = "median") -> list[WorkUnit]:
     """Decompose the figure into per-frequency Monte-Carlo units.
 
     Units are ordered by condition then ascending frequency, matching
@@ -104,7 +104,7 @@ def point_units(ctx: ExperimentContext, seed: int = 2016,
     workers fork with the expensive substrate already in place.
     """
     kernel = build_kernel(benchmark, ctx.scale.kernel_scale)
-    units: list[PointUnit] = []
+    units: list[WorkUnit] = []
     for config in conditions():
         characterization = ctx.characterization(config.vdd)
         noise = ctx.noise(config.sigma_v)

@@ -32,7 +32,7 @@ from repro.experiments.scale import Scale, get_scale
 from repro.fi.model_c import StatisticalInjector
 from repro.mc.results import McPoint
 from repro.mc.sweep import FrequencySweep, sweep_units
-from repro.mc.units import PointUnit, resolve_units
+from repro.mc.units import WorkUnit, resolve_units
 
 #: Benchmarks of the figure (median is covered by Fig. 5).
 FIG6_BENCHMARKS = ("mat_mult_8bit", "mat_mult_16bit", "kmeans", "dijkstra")
@@ -71,12 +71,12 @@ def _grid(ctx: ExperimentContext, sigma_v: float) -> list[float]:
 
 def point_units(ctx: ExperimentContext, seed: int = 2016,
                 benchmarks: tuple[str, ...] = FIG6_BENCHMARKS,
-                sigma_v: float = SIGMA_V) -> list[PointUnit]:
+                sigma_v: float = SIGMA_V) -> list[WorkUnit]:
     """Per-frequency Monte-Carlo units, grouped by benchmark."""
     characterization = ctx.characterization(NOMINAL_VDD)
     noise = ctx.noise(sigma_v)
     grid = _grid(ctx, sigma_v)
-    units: list[PointUnit] = []
+    units: list[WorkUnit] = []
     for salt, name in enumerate(benchmarks):
         kernel = build_kernel(name, ctx.scale.kernel_scale)
 

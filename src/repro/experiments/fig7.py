@@ -32,7 +32,7 @@ from repro.experiments.scale import Scale, get_scale
 from repro.fi.model_c import StatisticalInjector
 from repro.mc.results import McPoint
 from repro.mc.runner import run_point
-from repro.mc.units import PointUnit, mc_point_key, resolve_units
+from repro.mc.units import WorkUnit, mc_point_key, resolve_units
 from repro.power.model import CorePowerModel
 
 #: Swept supply-voltage range [V] (below the nominal 0.7 V).
@@ -94,12 +94,12 @@ def _voltages(ctx: ExperimentContext) -> np.ndarray:
 
 
 def point_units(ctx: ExperimentContext, seed: int = 2016,
-                benchmark: str = "median") -> list[PointUnit]:
+                benchmark: str = "median") -> list[WorkUnit]:
     """One Monte-Carlo unit per (sigma, Vdd) configuration."""
     kernel = build_kernel(benchmark, ctx.scale.kernel_scale)
     characterization = ctx.characterization(NOMINAL_VDD)
     frequency = ctx.sta_limit_hz(NOMINAL_VDD)
-    units: list[PointUnit] = []
+    units: list[WorkUnit] = []
     for sigma in NOISE_SIGMAS:
         noise = ctx.noise(sigma)
         for index, vdd in enumerate(_voltages(ctx)):
@@ -117,7 +117,7 @@ def point_units(ctx: ExperimentContext, seed: int = 2016,
                     seed=point_seed,
                     label=f"{kernel.name}@{vdd:.3f}V")
 
-            units.append(PointUnit(
+            units.append(WorkUnit(
                 label=f"fig7:{kernel.name}@{vdd:.3f}V/"
                       f"{sigma * 1e3:.0f}mV",
                 key=mc_point_key(

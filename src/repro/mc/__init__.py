@@ -19,7 +19,6 @@ from repro.mc.sweep import (
     sweep_units,
 )
 from repro.mc.units import (
-    PointUnit,
     WorkUnit,
     mc_point_key,
     resolve_units,
@@ -33,7 +32,6 @@ __all__ = [
     "GoldenRun",
     "MC_POINT_SCHEMA",
     "McPoint",
-    "PointUnit",
     "TrialResult",
     "WorkUnit",
     "frequency_grid",

@@ -19,7 +19,7 @@ from repro.bench.kernel import KernelInstance
 from repro.fi.base import FaultInjector
 from repro.mc.results import McPoint
 from repro.mc.runner import run_point
-from repro.mc.units import PointUnit, mc_point_key, resolve_units
+from repro.mc.units import WorkUnit, mc_point_key, resolve_units
 
 #: Builds an injector for (frequency_hz, rng).
 FrequencyInjectorFactory = Callable[
@@ -125,7 +125,7 @@ def sweep_units(kernel: KernelInstance,
                 seed: int = 0,
                 experiment: str = "",
                 scale=None,
-                condition: dict | None = None) -> list[PointUnit]:
+                condition: dict | None = None) -> list[WorkUnit]:
     """Decompose a frequency sweep into per-point work units.
 
     One unit per swept frequency, in ascending-frequency order, each
@@ -157,7 +157,7 @@ def sweep_units(kernel: KernelInstance,
             point.config = {"frequency_hz": f}
             return point
 
-        units.append(PointUnit(
+        units.append(WorkUnit(
             label=f"{experiment or kernel.name}:"
                   f"{kernel.name}@{frequency / 1e6:.1f}MHz",
             key=mc_point_key(experiment, scale, point_seed, kernel,

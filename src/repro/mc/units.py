@@ -100,11 +100,6 @@ class WorkUnit:
     compute: Callable[[], object]
 
 
-#: Backwards-compatible alias from when units were hard-wired to
-#: :class:`~repro.mc.results.McPoint`.
-PointUnit = WorkUnit
-
-
 def resolve_units(units: list[WorkUnit], store=None,
                   progress: Callable[[str], None] | None = None) \
         -> tuple[list, int, int]:

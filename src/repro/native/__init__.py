@@ -4,24 +4,20 @@ This package turns the compiled SoA plan's per-level numpy pipeline
 into one fused C pass per gate (values + events + settles in a single
 loop over memory), compiled on demand with whatever C compiler the
 machine has and cached as a shared library under the store directory.
-It is wired into the engine selection as two additional engines:
-
-* ``"compiled-native"`` -- float64, **bit-identical** to
-  ``"compiled"`` (same ops, same order, select-vs-multiply masking
-  proven equivalent for the non-negative settles both produce);
-* ``"native-f32"`` -- float32, inheriting the relaxed-identity
-  contract (and the distinct store keys) of ``"compiled-f32"``.
+It is wired into the engine selection as one additional engine,
+``"compiled-native"``, **bit-identical** to ``"compiled"`` (same ops,
+same order, select-vs-multiply masking proven equivalent for the
+non-negative settles both produce).
 
 Availability is a property of the machine, not the repo: no compiler
 (or ``REPRO_NO_CC=1``) means :func:`native_available` is False, the
 ``repro engines`` diagnostic says why, and :func:`engine_for` resolves
-every request to the numpy engines.  Nothing hard-depends on a
+every request to the numpy engine.  Nothing hard-depends on a
 toolchain.
 
-Engine preference is explicit at every API level (``engine=`` on the
-contexts and campaign calls, ``--engine`` on the CLI) plus one
-process-global default (:func:`set_backend`) that forked campaign
-workers inherit.
+The engine preference lives in this module alone: one process-global
+backend (:func:`set_backend`, which the CLI's ``--engine`` calls once)
+that forked campaign workers inherit, read by :func:`engine_for`.
 """
 
 from __future__ import annotations
@@ -53,7 +49,7 @@ __all__ = [
     "CompilerProbe",
     "KERNEL_ABI",
     "Kernels",
-    "NATIVE_ENGINES",
+    "NATIVE_ENGINE",
     "NativeBuildError",
     "NativeDesc",
     "bus_tables",
@@ -78,11 +74,8 @@ __all__ = [
     "unavailable_reason",
 ]
 
-#: Native engine name -> timing dtype it runs.
-NATIVE_ENGINES = {"compiled-native": "float64", "native-f32": "float32"}
-
-#: Numpy engine serving each timing dtype (the fallback targets).
-_NUMPY_ENGINES = {"float64": "compiled", "float32": "compiled-f32"}
+#: The engine executed by the C backend.
+NATIVE_ENGINE = "compiled-native"
 
 BACKENDS = ("numpy", "native")
 
@@ -90,10 +83,10 @@ _BACKEND = "numpy"
 
 #: First runtime native failure of this process (compile error behind
 #: a passing probe, unloadable library after the rebuild retry, ...).
-#: Once latched, engine selection stops offering the native engines --
+#: Once latched, engine selection stops offering the native engine --
 #: every later propagate runs numpy -- and ``repro engines`` surfaces
-#: the reason.  f64 native is bit-identical to numpy, so a mid-run
-#: degrade never changes rendered results.
+#: the reason.  Native is bit-identical to numpy, so a mid-run degrade
+#: never changes rendered results.
 _RUNTIME_FAILURE: str | None = None
 
 
@@ -149,31 +142,22 @@ def native_available() -> bool:
     return unavailable_reason() is None
 
 
-def engine_for(timing_dtype: str, backend: str | None = None) -> str:
-    """Concrete engine name for a dtype under a backend preference.
+def engine_for() -> str:
+    """Concrete engine name under the process-global preference.
 
-    ``backend=None`` uses the process-global preference.  A
-    ``"native"`` preference falls back to the numpy engine of the same
-    dtype when the backend is unavailable -- selection-level fallback
-    is what keeps toolchain-free environments running, and the
-    ``repro engines`` diagnostic is what makes it visible.
+    A ``"native"`` preference falls back to the numpy engine when the
+    backend is unavailable -- selection-level fallback is what keeps
+    toolchain-free environments running, and the ``repro engines``
+    diagnostic is what makes it visible.
     """
-    if timing_dtype not in _NUMPY_ENGINES:
-        raise ValueError(
-            f"timing_dtype must be float64 or float32, "
-            f"got {timing_dtype!r}")
-    backend = backend if backend is not None else _BACKEND
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
-    if backend == "native" and native_available() \
+    if _BACKEND == "native" and native_available() \
             and _RUNTIME_FAILURE is None:
-        return {"float64": "compiled-native",
-                "float32": "native-f32"}[timing_dtype]
-    return _NUMPY_ENGINES[timing_dtype]
+        return NATIVE_ENGINE
+    return "compiled"
 
 
-def native_status(timing_dtype: str = "float64") -> dict:
-    """Diagnostic record for one native engine (``repro engines``).
+def native_status() -> dict:
+    """Diagnostic record for the native engine (``repro engines``).
 
     Always answers -- available or not -- with the compiler probe
     outcome, the cache path the library would live at, the source
@@ -200,9 +184,9 @@ def native_status(timing_dtype: str = "float64") -> dict:
             record["compiler"] = probe.exe
             record["compiler_version"] = probe.version
             record["cflags"] = " ".join(probe.cflags)
-            sha = source_hash(render_source(timing_dtype),
-                              probe.version or "", probe.cflags)
-            path = cache_dir() / library_name(timing_dtype, sha)
+            sha = source_hash(render_source(), probe.version or "",
+                              probe.cflags)
+            path = cache_dir() / library_name(sha)
             record["source_hash"] = sha
             record["library"] = str(path)
             record["cached"] = path.exists()

@@ -2,7 +2,7 @@
 
 No binary is ever vendored: the C source is rendered from the template
 in :mod:`repro.native.source` and compiled *once per (source hash,
-compiler, dtype)* into a shared library cached under the result-store
+compiler)* into a shared library cached under the result-store
 directory (``$REPRO_NATIVE_CACHE`` overrides, tests point it at a
 tmpdir).  Every later process -- including forked campaign workers -- just
 ``dlopen``\\ s the cached file; a template edit, compiler upgrade or
@@ -224,16 +224,15 @@ def _try_compiler(exe: str) -> CompilerProbe:
     return CompilerProbe(ok=False, reason=reason)
 
 
-def library_name(timing_dtype: str, sha256: str) -> str:
-    tag = {"float64": "f64", "float32": "f32"}[timing_dtype]
-    if sanitize_enabled():
-        tag += "-san"
+def library_name(sha256: str) -> str:
+    # "f64" names the double settle pipeline; keeping the tag keeps
+    # the names of libraries already in the cache.
+    tag = "f64-san" if sanitize_enabled() else "f64"
     return f"levelkern-{tag}-{sha256[:16]}.so"
 
 
-def ensure_library(timing_dtype: str,
-                   directory: Path | None = None) -> BuildResult:
-    """Compile (or reuse) the kernel library for one timing dtype.
+def ensure_library(directory: Path | None = None) -> BuildResult:
+    """Compile (or reuse) the kernel library.
 
     Raises :class:`NativeBuildError` when the toolchain is masked or
     absent, or when the compile itself fails.  The write is atomic
@@ -253,17 +252,17 @@ def ensure_library(timing_dtype: str,
     if mode is not None:
         raise NativeBuildError(
             f"injected {mode} fault at native.compile")
-    with obs.span("native.cache_probe", dtype=timing_dtype) as rec:
-        source = render_source(timing_dtype)
+    with obs.span("native.cache_probe") as rec:
+        source = render_source()
         sha = source_hash(source, probe.version or "", probe.cflags)
         directory = Path(directory) if directory is not None \
             else cache_dir()
-        path = directory / library_name(timing_dtype, sha)
+        path = directory / library_name(sha)
         cached = path.exists()
         rec.set(cached=cached)
     if cached:
         return BuildResult(path=path, sha256=sha, built=False)
-    with obs.span("native.compile", dtype=timing_dtype, sha=sha[:16]):
+    with obs.span("native.compile", sha=sha[:16]):
         directory.mkdir(parents=True, exist_ok=True)
         src_path = directory / f"levelkern-{sha[:16]}.c"
         # The source file is shared between concurrent cold-cache
@@ -331,35 +330,33 @@ _KERNELS: dict[str, Kernels] = {}
 _WARM: dict[tuple, Kernels] = {}
 
 
-def _warm_key(timing_dtype: str, directory: Path | None) -> tuple:
+def _warm_key(directory: Path | None) -> tuple:
     """Everything that can change which library a load resolves to.
 
     The warm fast path may only skip :func:`ensure_library` while the
-    answer is provably the same: the dtype + explicit directory, plus
+    answer is provably the same: the explicit directory, plus
     every environment knob the ensure step reads (cache location,
     toolchain mask, compiler choice, sanitize variant).  A changed
     knob changes the key, so the next load takes the slow path and
     re-resolves honestly.
     """
-    return (timing_dtype,
-            str(directory) if directory is not None else None,
+    return (str(directory) if directory is not None else None,
             os.environ.get("REPRO_NATIVE_CACHE"),
             os.environ.get("REPRO_NO_CC"),
             os.environ.get("CC"),
             sanitize_enabled())
 
 
-def load_kernels(timing_dtype: str,
-                 directory: Path | None = None) -> Kernels:
-    """Ensure + dlopen the kernels for one dtype (cached per path).
+def load_kernels(directory: Path | None = None) -> Kernels:
+    """Ensure + dlopen the kernels (cached per path).
 
     Safe in forked workers: a worker either inherits the parent's
     already-loaded handle through fork or lazily opens the cached file
     itself -- the build step was completed by whoever ran first.
 
-    Warm loads are memoized on (dtype, directory, toolchain
-    environment): the ensure step re-renders and re-hashes the kernel
-    source (~0.1 ms), which would otherwise tax every propagate call.
+    Warm loads are memoized on (directory, toolchain environment): the
+    ensure step re-renders and re-hashes the kernel source (~0.1 ms),
+    which would otherwise tax every propagate call.
     The memo is bypassed whenever a fault plane is active, so injected
     ``native.compile`` / ``native.dlopen`` faults keep their per-call
     hit semantics under chaos schedules.
@@ -370,13 +367,13 @@ def load_kernels(timing_dtype: str,
     for forensics) and the compile re-runs against the now-empty cache
     slot; a second failure propagates as :class:`NativeBuildError`.
     """
-    warm_key = _warm_key(timing_dtype, directory)
+    warm_key = _warm_key(directory)
     faulted = faults.get_plane() is not None
     if not faulted:
         warm = _WARM.get(warm_key)
         if warm is not None:
             return warm
-    result = ensure_library(timing_dtype, directory)
+    result = ensure_library(directory)
     key = str(result.path)
     kernels = _KERNELS.get(key)
     if kernels is not None:
@@ -395,7 +392,7 @@ def load_kernels(timing_dtype: str,
                        result.path.with_name(result.path.name + ".corrupt"))
         except OSError:  # pragma: no cover - already reclaimed
             pass
-        result = ensure_library(timing_dtype, directory)
+        result = ensure_library(directory)
         kernels = Kernels(result.path)
     _KERNELS[key] = kernels
     if not faulted:

@@ -58,22 +58,19 @@ class NativeDesc:
                 self.flags[lo:lo + n] |= pin[n:].astype(np.uint8) << 1
             if op.po is not None:
                 self.flags[lo:lo + n] |= op.po[:, 0].astype(np.uint8) << 2
-        #: Per-dtype one-slot delay cache, mirroring
-        #: ``CompiledPlan.delay_mats``: identity plus defensive value
-        #: comparison, so recycled ids and in-place mutations both
-        #: miss correctly.
-        self._delay_cache: dict[str, tuple] = {}
+        #: One-slot delay cache, mirroring ``CompiledPlan.delay_mats``:
+        #: identity plus defensive value comparison, so recycled ids
+        #: and in-place mutations both miss correctly.
+        self._delay_cache: tuple | None = None
 
-    def delays_rowed(self, delays: np.ndarray, dtype) -> np.ndarray:
-        """Per-output-row delay vector of one dtype (size-1 cache)."""
-        dtype = np.dtype(dtype)
-        cached = self._delay_cache.get(dtype.str)
+    def delays_rowed(self, delays: np.ndarray) -> np.ndarray:
+        """Per-output-row delay vector (size-1 cache)."""
+        cached = self._delay_cache
         if (cached is None or cached[0] is not delays
                 or not np.array_equal(cached[1], delays)):
-            rowed = np.ascontiguousarray(
-                delays[self.gidx].astype(dtype, copy=False))
+            rowed = np.ascontiguousarray(delays[self.gidx])
             cached = (delays, delays.copy(), rowed)
-            self._delay_cache[dtype.str] = cached
+            self._delay_cache = cached
         return cached[2]
 
 
@@ -220,18 +217,16 @@ def run_fused(plan, ws, tables: BusTables, prev_words: np.ndarray,
         ws.prev  # noqa: B018  (allocate before the layout is cached)
     new_ptr, events_ptr, settles_ptr, prev_ptr = _layout(ws)
     desc = native_desc(plan)
-    rowed = desc.delays_rowed(np.asarray(delays, dtype=float),
-                              ws.timing_dtype)
+    rowed = desc.delays_rowed(np.asarray(delays, dtype=float))
     cached = getattr(ws, "_native_arrival", None)
     if cached is None:
-        buf = np.empty(1, dtype=ws.timing_dtype)
+        buf = np.empty(1)
         cached = (buf, buf.ctypes.data)
         ws._native_arrival = cached
     arr, arr_ptr = cached
     arr[0] = arrival
     out_words = np.empty((tables.n_out_buses, n_cols), dtype=np.uint64)
-    out_arrivals = np.empty((tables.n_out_bits, n_cols),
-                            dtype=ws.timing_dtype)
+    out_arrivals = np.empty((tables.n_out_bits, n_cols))
     kernels.run(tables.n_in_bits, *tables.in_ptrs,
                 prev_words.ctypes.data, new_words.ctypes.data,
                 words_stride, arr_ptr, desc.n_ops, desc.family.ctypes.data,

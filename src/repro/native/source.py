@@ -10,9 +10,9 @@ gate over its input rows computes values, events and settles together,
 so every byte of the level's state is touched exactly once.
 
 The source is *generated* from the template here (no vendored binary
-or hand-maintained .so): :func:`render_source` instantiates it for one
-timing dtype (``double`` / ``float``), and the build layer compiles it
-on demand, keyed by the SHA-256 of exactly what the compiler saw (see
+or hand-maintained .so): :func:`render_source` instantiates it, with
+``double`` settles, and the build layer compiles it on demand, keyed
+by the SHA-256 of exactly what the compiler saw (see
 :func:`source_hash`).  The semantics are line-for-line the compiled
 numpy engines':
 
@@ -33,9 +33,8 @@ The stage kernels (stimulus unpack, the two propagate models, output
 extract) are ``static``: the library exports exactly one entry point,
 ``repro_run``, which composes them over one column range.  ABI 3
 gives that range an output row stride; a propagate passes the one
-range covering the whole block.  The float64 kernels are bit-identical
-to ``engine="compiled"``; the float32 kernels inherit the
-relaxed-identity contract of ``engine="compiled-f32"``.
+range covering the whole block.  The kernels are bit-identical to
+``engine="compiled"``.
 """
 
 from __future__ import annotations
@@ -46,12 +45,9 @@ import hashlib
 #: changes; part of the source text, so it also rotates the cache key.
 KERNEL_ABI = 3
 
-#: dtype name -> C scalar type of the settle pipeline.
-REAL_TYPES = {"float64": "double", "float32": "float"}
-
 _TEMPLATE = r"""
 /* Fused per-level family kernels over the CompiledPlan SoA arrays.
- * Generated by repro.native.source (ABI {abi}); timing dtype: {real}.
+ * Generated by repro.native.source (ABI {abi}); timing dtype: double.
  *
  * Layout contract (see repro.native.lowering.NativeDesc):
  *   - state matrices are (n_nets, N) with a common row stride
@@ -67,7 +63,7 @@ _TEMPLATE = r"""
  */
 #include <stdint.h>
 
-#define REAL {real}
+#define REAL double
 
 static inline REAL rmax(REAL a, REAL b) {{ return a > b ? a : b; }}
 
@@ -385,15 +381,9 @@ void repro_run(
 """
 
 
-def render_source(timing_dtype: str) -> str:
-    """Instantiate the kernel template for one timing dtype."""
-    try:
-        real = REAL_TYPES[timing_dtype]
-    except KeyError:
-        raise ValueError(
-            f"no native kernel for timing dtype {timing_dtype!r}; "
-            f"known: {sorted(REAL_TYPES)}") from None
-    return _TEMPLATE.format(real=real, abi=KERNEL_ABI)
+def render_source() -> str:
+    """Instantiate the kernel template."""
+    return _TEMPLATE.format(abi=KERNEL_ABI)
 
 
 def source_hash(source: str, compiler_version: str,

@@ -50,20 +50,13 @@ argument of :meth:`Circuit.evaluate` / :meth:`Circuit.propagate`:
   O(1) per gate) and are rebuilt on next use.  Scratch matrices are
   recycled per block width, so e.g. the DTA loop reuses one workspace
   across all of its chunks.
-* ``"compiled-f32"`` -- the compiled plan with a **float32 timing
-  view**: the settle pipeline (settle matrices, gathered settle
-  planes, delay tiles) runs at half the memory traffic.  Output
-  values and events are still bit-identical to float64 (the value/
-  event network is boolean); arrivals follow the relaxed-identity
-  contract of :data:`repro.netlist.plan.F32_RTOL` /
-  :data:`~repro.netlist.plan.F32_ATOL` instead of being bit-exact.
 * ``"reference"`` -- the original per-gate loops, kept as the
   executable specification; the property suite asserts the compiled
   engine is bit-identical to it on random circuits.
 
-The native engines (``"compiled-native"`` / ``"native-f32"``, see
-:mod:`repro.native`) run the same plan as one C call per
-:meth:`propagate`, over the whole block.
+The native engine (``"compiled-native"``, see :mod:`repro.native`)
+runs the same plan as one C call per :meth:`propagate`, over the
+whole block, bit-identical to ``"compiled"``.
 """
 
 from __future__ import annotations
@@ -78,20 +71,7 @@ from repro.netlist import plan as plan_mod
 from repro.netlist.gates import GATE_KINDS, arity_of
 from repro.netlist.library import CellLibrary, VDD_REF
 
-#: Engines executed by the on-demand-compiled C backend, with their
-#: timing dtypes -- the single source of truth lives in
-#: :mod:`repro.native` (``compiled-native`` is bit-identical to
-#: ``compiled``, ``native-f32`` shares the relaxed-identity contract
-#: of ``compiled-f32``).
-_NATIVE_ENGINES = frozenset(native_mod.NATIVE_ENGINES)
-
-ENGINES = ("compiled", "compiled-f32", *sorted(_NATIVE_ENGINES),
-           "reference")
-
-#: Timing dtype of each compiled engine variant.
-_ENGINE_DTYPES = {"compiled": np.float64, "compiled-f32": np.float32,
-                  **{name: np.dtype(dtype).type
-                     for name, dtype in native_mod.NATIVE_ENGINES.items()}}
+ENGINES = ("compiled", native_mod.NATIVE_ENGINE, "reference")
 
 
 def bits_from_ints(values: np.ndarray, width: int) -> np.ndarray:
@@ -140,7 +120,7 @@ class Circuit:
         self._driven: set[int] = {0, 1}
         self._delay_cache: dict[tuple[float, float], np.ndarray] = {}
         self._plan: plan_mod.CompiledPlan | None = None
-        self._workspaces: dict[tuple, plan_mod.Workspace] = {}
+        self._workspaces: dict[int, plan_mod.Workspace] = {}
         self._dirty = False
 
     # -- construction ---------------------------------------------------
@@ -265,20 +245,12 @@ class Circuit:
                 self.gate_outputs, self._input_net_set)
         return self._plan
 
-    def _workspace(self, n_vectors: int,
-                   timing_dtype=np.float64) -> plan_mod.Workspace:
-        """Reusable ``(n_nets, N)`` scratch matrices for one block width.
-
-        One workspace is kept per (width, timing dtype) so a float32
-        view never clobbers the buffers of a float64 run at the same
-        width.
-        """
-        key = (n_vectors, np.dtype(timing_dtype).str)
-        workspace = self._workspaces.get(key)
+    def _workspace(self, n_vectors: int) -> plan_mod.Workspace:
+        """Reusable ``(n_nets, N)`` scratch matrices for one block width."""
+        workspace = self._workspaces.get(n_vectors)
         if workspace is None:
-            workspace = plan_mod.Workspace(self.n_nets, n_vectors,
-                                           timing_dtype=timing_dtype)
-            self._workspaces[key] = workspace
+            workspace = plan_mod.Workspace(self.n_nets, n_vectors)
+            self._workspaces[n_vectors] = workspace
         return workspace
 
     def gate_delays(self, library: CellLibrary, vdd: float = VDD_REF,
@@ -444,16 +416,10 @@ class Circuit:
                 default) or ``"value-change"`` (optimistic, settled
                 toggles only).
             engine: ``"compiled"`` (bucketed plan, default),
-                ``"compiled-f32"`` (same plan, float32 timing view
-                under the relaxed-identity contract),
-                ``"compiled-native"`` / ``"native-f32"`` (the same
-                plan through the fused C kernels of
-                :mod:`repro.native`; f64 is bit-identical to
-                ``compiled``, f32 shares the ``compiled-f32``
-                contract; raises when no compiler is available) or
-                ``"reference"`` (per-gate loop); ``"compiled"``,
-                ``"compiled-native"`` and ``"reference"`` are
-                bit-identical.
+                ``"compiled-native"`` (the same plan through the
+                fused C kernels of :mod:`repro.native`; raises when
+                no compiler is available) or ``"reference"``
+                (per-gate loop); all three are bit-identical.
 
         Returns:
             ``(outputs, arrivals)``: per output bus, the new integer
@@ -468,11 +434,10 @@ class Circuit:
             raise CircuitError(f"unknown glitch model {glitch_model!r}")
         if engine not in ENGINES:
             raise CircuitError(f"unknown engine {engine!r}")
-        if engine in _ENGINE_DTYPES:
+        if engine != "reference":
             result = self._propagate_compiled(
                 prev_inputs, new_inputs, delays, input_arrival,
-                glitch_model, _ENGINE_DTYPES[engine],
-                native=engine in _NATIVE_ENGINES, engine_name=engine)
+                glitch_model, engine)
         else:
             with obs.span("circuit.propagate", circuit=self.name,
                           engine=engine, glitch_model=glitch_model):
@@ -485,10 +450,8 @@ class Circuit:
         # path's import graph; the enabled check itself is one O(nets)
         # STA pass (cached per plan/delay/arrival) plus vector compares.
         from repro.analysis.oracle import maybe_check_bounds
-        maybe_check_bounds(
-            self, delays, input_arrival, result[1],
-            timing_dtype=_ENGINE_DTYPES.get(engine, np.float64),
-            engine=engine, glitch_model=glitch_model)
+        maybe_check_bounds(self, delays, input_arrival, result[1],
+                           engine=engine, glitch_model=glitch_model)
         return result
 
     def _propagate_reference(self, prev_inputs, new_inputs, delays,
@@ -529,15 +492,13 @@ class Circuit:
 
     def _propagate_compiled(self, prev_inputs, new_inputs, delays,
                             input_arrival, glitch_model,
-                            timing_dtype=np.float64,
-                            native: bool = False,
-                            engine_name: str = "compiled") -> \
+                            engine: str = "compiled") -> \
             tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
         """Bucketed two-vector simulation on the compiled plan.
 
-        ``native`` selects the fused C kernel over the same plan and
-        workspace contract; the caller asked for a native engine
-        explicitly, so an unavailable backend is a
+        ``engine="compiled-native"`` selects the fused C kernel over
+        the same plan and workspace contract; the caller asked for the
+        native engine explicitly, so an unavailable backend is a
         :class:`CircuitError` here -- silent fallback happens one
         level up, in :func:`repro.native.engine_for`.
 
@@ -546,9 +507,8 @@ class Circuit:
         Whether the call runs native at all is decided once, at entry:
         a circuit whose buses cannot pack into 64-bit words, or a
         kernel library that fails to build or load (latched as the
-        process's runtime failure), runs the whole call on the numpy
-        engine of the same dtype -- bit-identical at f64, same relaxed
-        contract at f32.
+        process's runtime failure), runs the whole call on the
+        bit-identical numpy engine.
 
         The numpy route carries per-stage telemetry spans
         (``propagate.stimulus`` / ``propagate.kernel`` /
@@ -557,6 +517,7 @@ class Circuit:
         single ``propagate.kernel`` span (mode ``native-fused``) --
         there are no Python-side stages left to time.
         """
+        native = engine == native_mod.NATIVE_ENGINE
         if native:
             reason = native_mod.unavailable_reason()
             if reason is not None:
@@ -565,8 +526,7 @@ class Circuit:
                     f"(use repro.native.engine_for for fallback "
                     f"selection)")
         with obs.span("circuit.propagate", circuit=self.name,
-                      engine=engine_name,
-                      glitch_model=glitch_model) as top:
+                      engine=engine, glitch_model=glitch_model) as top:
             plan = self.plan
             kernels = None
             if native:
@@ -578,9 +538,7 @@ class Circuit:
                      for name, bus in self._output_buses.items()})
                 if tables.packable:
                     try:
-                        kernels = native_mod.load_kernels(
-                            "float32" if timing_dtype == np.float32
-                            else "float64")
+                        kernels = native_mod.load_kernels()
                     except native_mod.NativeBuildError as error:
                         native_mod.record_runtime_failure(str(error))
             delays = np.asarray(delays, dtype=float)
@@ -594,7 +552,7 @@ class Circuit:
             if n_prev != n_new:
                 raise CircuitError("prev/new stimulus lengths differ")
             top.set(n_vectors=n_new)
-            ws = self._workspace(n_new, timing_dtype)
+            ws = self._workspace(n_new)
             if kernels is not None:
                 with obs.span("propagate.kernel", mode="native-fused"):
                     return native_mod.run_fused(

@@ -49,24 +49,9 @@ are invisible at the API boundary but worth knowing:
   finite non-negative ``s``).
 * **Delay matrix cache.**  The broadcast of the per-bucket delay
   column against the block is materialized once per (delay vector,
-  block width, timing dtype) and cached by *object identity* (a strong
-  reference is kept, so the id cannot be recycled); repeated blocks of
-  one DTA corner reuse it.
-
-Timing dtype
-------------
-
-The value/event network is boolean and dtype-free; only the settle
-(max-plus) pipeline carries floats.  Both timing engines read their
-working dtype from the workspace's settle matrix, so a
-:class:`Workspace` built with ``timing_dtype=np.float32`` runs the
-whole bandwidth-bound pipeline -- settle matrices, gathered settle
-planes and delay tiles -- at half the memory traffic.  float32 is a
-*relaxed-identity* view: output values and events stay bit-identical
-to float64 (they are boolean), while arrivals agree within
-:data:`F32_RTOL`/:data:`F32_ATOL` (each level adds one rounding step
-of 2^-24 relative error; tens of levels stay orders of magnitude
-inside the contract).
+  block width) and cached by *object identity* (a strong reference is
+  kept, so the id cannot be recycled); repeated blocks of one DTA
+  corner reuse it.
 """
 
 from __future__ import annotations
@@ -76,17 +61,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.netlist.graph import find_combinational_cycle
-
-#: Relative tolerance of the float32 settle pipeline vs float64.
-#: An arrival is a max-plus chain of at most ``n_levels`` roundings,
-#: so the relative error is bounded by ``n_levels * 2**-24`` -- about
-#: 4e-6 for the deepest unit (the multiplier, ~65 levels).  1e-4 gives
-#: a 25x documented margin.
-F32_RTOL = 1e-4
-
-#: Absolute tolerance [ps] of the float32 settle pipeline vs float64
-#: (covers arrivals near zero, where rtol alone is vacuous).
-F32_ATOL = 0.05
 
 #: and-family kind -> (pa, pb, po) inversion masks for
 #: ``((a ^ pa) & (b ^ pb)) ^ po``.
@@ -180,40 +154,36 @@ class CompiledPlan:
             self._net_of_row = inverse
         return inverse
 
-    def row_delays(self, delays: np.ndarray,
-                   dtype=np.float64) -> np.ndarray:
+    def row_delays(self, delays: np.ndarray) -> np.ndarray:
         """Per-row delay view: ``out[row] = delays[gate]`` (0 elsewhere).
 
         Constants, primary inputs and any other non-gate rows carry
         delay 0.  Uncached -- analyzers call this once per report, not
         per propagated block.
         """
-        out = np.zeros(self.n_nets, dtype=np.dtype(dtype))
-        typed = delays.astype(np.dtype(dtype), copy=False)
+        out = np.zeros(self.n_nets)
         for op in self.ops:
-            out[op.lo:op.hi] = typed[op.gidx]
+            out[op.lo:op.hi] = delays[op.gidx]
         return out
 
-    def delay_mats(self, delays: np.ndarray, n_vectors: int,
-                   dtype=np.float64) -> list[np.ndarray]:
-        """Per-op ``(n, N)`` delay tiles of one dtype (size-1 cache).
+    def delay_mats(self, delays: np.ndarray,
+                   n_vectors: int) -> list[np.ndarray]:
+        """Per-op ``(n, N)`` delay tiles (size-1 cache).
 
         The cache key is the delay array's identity plus a defensive
         value comparison, so both a new array under a recycled id and
         an in-place mutation of the cached array miss correctly.  The
         comparison is O(n_gates), noise next to one level kernel.
         """
-        dtype = np.dtype(dtype)
-        key = (id(delays), n_vectors, dtype.str)
+        key = (id(delays), n_vectors)
         if (self._dmat_key != key or self._dmat_delays is not delays
                 or self._dmat_values is None
                 or not np.array_equal(self._dmat_values, delays)):
             # Materialized (not stride-0 broadcast) tiles: the inner
             # np.add then runs at contiguous speed on every block.
-            typed = delays.astype(dtype, copy=False)
             self._dmats = [
                 np.ascontiguousarray(np.broadcast_to(
-                    typed[op.gidx][:, None], (op.n_gates, n_vectors)))
+                    delays[op.gidx][:, None], (op.n_gates, n_vectors)))
                 for op in self.ops
             ]
             self._dmat_delays = delays
@@ -334,16 +304,10 @@ class Workspace:
     ``prev`` is only allocated when the value-change engine needs it --
     the sensitized engine never touches previous-cycle gate values, so
     a sensitized-only workspace never pays for the matrix.
-
-    ``timing_dtype`` selects the dtype of the settle matrix (and, via
-    the engines, of the gathered settle planes and delay tiles); the
-    boolean value/event matrices are dtype-independent.
     """
 
-    def __init__(self, n_nets: int, n_vectors: int,
-                 timing_dtype=np.float64):
+    def __init__(self, n_nets: int, n_vectors: int):
         self.n_vectors = n_vectors
-        self.timing_dtype = np.dtype(timing_dtype)
         self.new = np.empty((n_nets, n_vectors), dtype=bool)
         self._events: np.ndarray | None = None
         self._settles: np.ndarray | None = None
@@ -388,7 +352,7 @@ class Workspace:
     @property
     def settles(self) -> np.ndarray:
         if self._settles is None:
-            self._settles = np.empty(self.new.shape, self.timing_dtype)
+            self._settles = np.empty(self.new.shape)
         return self._settles
 
 
@@ -478,11 +442,11 @@ def propagate_sensitized(plan: CompiledPlan, ws: Workspace,
     caller masks by the event matrix at extraction.
     """
     new, events, settles = ws.new, ws.events, ws.settles
-    dmats = plan.delay_mats(delays, ws.n_vectors, ws.timing_dtype)
+    dmats = plan.delay_mats(delays, ws.n_vectors)
     rows = plan.max_gather_rows
     vbuf = ws.scratch("values", rows)
     ebuf = ws.scratch("events", rows)
-    sbuf = ws.scratch("settles", rows, dtype=ws.timing_dtype)
+    sbuf = ws.scratch("settles", rows, dtype=np.float64)
     for op, dmat in zip(plan.ops, dmats):
         n = op.n_gates
         legs = _values_op(op, new, vbuf)
@@ -528,10 +492,10 @@ def propagate_value_change(plan: CompiledPlan, ws: Workspace,
     the output value did not toggle), exactly like the reference.
     """
     prev, new, events, settles = ws.prev, ws.new, ws.events, ws.settles
-    dmats = plan.delay_mats(delays, ws.n_vectors, ws.timing_dtype)
+    dmats = plan.delay_mats(delays, ws.n_vectors)
     rows = plan.max_gather_rows
     vbuf = ws.scratch("values", rows)
-    sbuf = ws.scratch("settles", rows, dtype=ws.timing_dtype)
+    sbuf = ws.scratch("settles", rows, dtype=np.float64)
     for op, dmat in zip(plan.ops, dmats):
         n = op.n_gates
         _values_op(op, prev, vbuf)

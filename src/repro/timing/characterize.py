@@ -13,7 +13,7 @@ the most expensive step of the flow).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,11 +42,9 @@ class CharacterizationConfig:
         seed: base RNG seed (each instruction derives its own stream).
         glitch_model: event model for the timing simulation.
         grid_points: resolution of the compiled period grid.
-        timing_dtype: settle-pipeline dtype of the DTA engine.  The
-            default ``"float64"`` is bit-exact; ``"float32"`` halves
-            the DTA memory traffic under the engine's relaxed-identity
-            contract and caches under its own store keys (see
-            :func:`config_key_fields`).
+
+    Every field enters the store key (:func:`characterization_key`),
+    so adding one re-keys every stored characterization.
     """
 
     vdd: float = VDD_REF
@@ -54,35 +52,6 @@ class CharacterizationConfig:
     seed: int = 2016
     glitch_model: str = "sensitized"
     grid_points: int = 2048
-    timing_dtype: str = "float64"
-
-    @property
-    def engine(self) -> str:
-        """Circuit engine implied by the timing dtype.
-
-        Resolves through the process-global backend preference
-        (:func:`repro.native.engine_for`): the native engines are
-        execution details, never part of the config identity or any
-        cache key -- native f64 is bit-identical to numpy f64, and
-        native f32 shares the f32 tolerance class.
-        """
-        from repro import native
-        return native.engine_for(self.timing_dtype)
-
-
-def config_key_fields(config: CharacterizationConfig) -> dict:
-    """Cache-key fields of a characterization config.
-
-    ``timing_dtype`` is dropped at its default: every float64 key --
-    characterizations and the Monte-Carlo points fingerprinting them
-    -- stays byte-identical to the pre-dtype era, so existing stores
-    keep serving.  float32 runs produce different (tolerance-level)
-    numbers and get distinct keys by keeping the field.
-    """
-    fields = asdict(config)
-    if fields.get("timing_dtype", "float64") == "float64":
-        del fields["timing_dtype"]
-    return fields
 
 
 @dataclass
@@ -96,14 +65,13 @@ class AluCharacterization:
 
     @classmethod
     def run(cls, alu: "AluNetlist",
-            config: CharacterizationConfig | None = None,
-            engine: str | None = None) -> "AluCharacterization":
+            config: CharacterizationConfig | None = None) \
+            -> "AluCharacterization":
         """Characterize every FI-eligible instruction of an ALU.
 
-        ``engine`` overrides the config-implied circuit engine (e.g. a
-        context with an explicit backend preference); it must serve
-        the config's timing dtype and never affects the result
-        identity.
+        The DTA runs on the engine of the process-global backend
+        preference (:func:`repro.native.engine_for`); every engine
+        gives bit-identical tables.
         """
         config = config or CharacterizationConfig()
         cdfs: dict[str, EndpointCdfs] = {}
@@ -114,8 +82,7 @@ class AluCharacterization:
                 n_cycles=config.n_cycles_per_instr,
                 vdd=config.vdd,
                 seed=config.seed + 7919 * index,
-                glitch_model=config.glitch_model,
-                engine=engine or config.engine)
+                glitch_model=config.glitch_model)
             cdfs[mnemonic] = EndpointCdfs.from_critical(
                 mnemonic, config.vdd, result.critical_ps)
             max_critical = max(max_critical,
@@ -153,12 +120,16 @@ class AluCharacterization:
             self.worst_sta_period_ps,
         ])
         arrays["glitch_model"] = np.array(self.config.glitch_model)
-        arrays["timing_dtype"] = np.array(self.config.timing_dtype)
         np.savez_compressed(Path(path), **arrays)
 
     @classmethod
     def load(cls, path: str | Path) -> "AluCharacterization":
-        """Load a characterization persisted by :meth:`save`."""
+        """Load a characterization persisted by :meth:`save`.
+
+        Files from older builds also carry the settle-pipeline dtype,
+        which was ``"float64"`` for every characterization the current
+        code can ask for; only the arrays read below matter.
+        """
         data = np.load(Path(path), allow_pickle=False)
         meta = data["meta"]
         config = CharacterizationConfig(
@@ -167,9 +138,6 @@ class AluCharacterization:
             seed=int(meta[2]),
             glitch_model=str(data["glitch_model"]),
             grid_points=int(meta[3]),
-            timing_dtype=(str(data["timing_dtype"])
-                          if "timing_dtype" in data.files
-                          else "float64"),  # pre-dtype files
         )
         criticals = {
             key.split("::", 1)[1]: data[key]
@@ -243,7 +211,13 @@ class AluCharacterization:
                 f"AluCharacterization schema mismatch: stored "
                 f"{payload.get('schema')}, current "
                 f"{ALU_CHARACTERIZATION_SCHEMA}")
-        config = CharacterizationConfig(**payload["config"])
+        # Bodies written by older builds also carry the settle-pipeline
+        # dtype, which was "float64" under every key the current code
+        # builds; fields the config no longer has are dropped.
+        known = {f.name for f in fields(CharacterizationConfig)}
+        config = CharacterizationConfig(**{
+            name: value for name, value in payload["config"].items()
+            if name in known})
         criticals = {mnemonic: decode(encoded) for mnemonic, encoded
                      in payload["critical_ps"].items()}
         return cls._rebuild(config, criticals,
@@ -278,26 +252,23 @@ def characterization_key(alu: "AluNetlist",
         "kind": "alu_characterization",
         "schema": ALU_CHARACTERIZATION_SCHEMA,
         "alu": alu_fingerprint(alu),
-        "config": config_key_fields(config),
+        "config": asdict(config),
     }
 
 
 def get_characterization(alu: "AluNetlist",
-                         config: CharacterizationConfig | None = None,
-                         engine: str | None = None) -> \
-        AluCharacterization:
+                         config: CharacterizationConfig | None = None) \
+        -> AluCharacterization:
     """Cached characterization lookup (runs DTA on first use).
 
-    The cache key is (ALU identity, config) only: ``engine`` is an
-    execution detail -- native f64 is bit-identical to numpy f64, and
-    the two f32 engines share one tolerance class -- so results are
-    interchangeable across backends.
+    The cache key is (ALU identity, config) only: the engine is an
+    execution detail, bit-identical across backends.
     """
     config = config or CharacterizationConfig()
     key = (alu_fingerprint(alu), config)
     found = _CACHE.get(key)
     if found is None:
-        found = AluCharacterization.run(alu, config, engine=engine)
+        found = AluCharacterization.run(alu, config)
         _CACHE[key] = found
     return found
 

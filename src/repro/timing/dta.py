@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import native
 from repro.isa.instructions import spec_for
 from typing import TYPE_CHECKING
 
@@ -93,7 +94,7 @@ def run_dta(alu: "AluNetlist", mnemonic: str, n_cycles: int,
             vdd: float = VDD_REF, seed: int = 2016,
             block: int = 512, glitch_model: str = "sensitized",
             operands: tuple[np.ndarray, np.ndarray] | None = None,
-            engine: str = "compiled") -> DtaResult:
+            engine: str | None = None) -> DtaResult:
     """Characterize one instruction's endpoint arrival statistics.
 
     Args:
@@ -108,7 +109,9 @@ def run_dta(alu: "AluNetlist", mnemonic: str, n_cycles: int,
             ``n_cycles + 1`` (overrides the default random sampling;
             used e.g. for restricted operand ranges in the
             instruction-characterization study, paper Section 4.1).
-        engine: circuit engine, see :meth:`Circuit.propagate`.
+        engine: circuit engine, see :meth:`Circuit.propagate`;
+            None runs the engine of the process-global backend
+            preference (:func:`repro.native.engine_for`).
 
     Returns:
         A :class:`DtaResult` with the (n_cycles, 32) critical periods
@@ -133,6 +136,8 @@ def run_dta(alu: "AluNetlist", mnemonic: str, n_cycles: int,
         raise RuntimeError(
             "DTA simulation attempted while REPRO_FORBID_DTA is set "
             "-- expected a result-store hit")
+    if engine is None:
+        engine = native.engine_for()
     unit = alu.unit_of(mnemonic)
     if operands is None:
         rng = np.random.default_rng(seed)

@@ -44,14 +44,10 @@ from test_engine_equivalence import needs_native, random_circuits
 
 
 def _engines():
-    engines = ["reference", "compiled", "compiled-f32"]
+    engines = ["reference", "compiled"]
     if native.native_available():
-        engines += ["compiled-native", "native-f32"]
+        engines.append("compiled-native")
     return engines
-
-
-def _dtype(engine):
-    return np.float32 if engine.endswith("f32") else np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +59,7 @@ def _dtype(engine):
 def test_every_engine_inside_static_envelope(case):
     """Dynamic arrivals never escape the static [min, max] envelope.
 
-    f64 engines are held to the bounds exactly (zero tolerance); f32
-    engines under the documented relaxed-identity contract.
+    Every engine is held to the bounds exactly (zero tolerance).
     check_bounds raising is the failure mode.
     """
     circuit, prev, new, delays, arrival = case
@@ -73,8 +68,7 @@ def test_every_engine_inside_static_envelope(case):
             _, arrivals = circuit.propagate(prev, new, delays, arrival,
                                             glitch_model, engine=engine)
             check_bounds(circuit, delays, arrival, arrivals,
-                         timing_dtype=_dtype(engine), engine=engine,
-                         glitch_model=glitch_model)
+                         engine=engine, glitch_model=glitch_model)
 
 
 @given(random_circuits())

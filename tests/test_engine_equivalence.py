@@ -21,7 +21,6 @@ from repro.fi.base import FaultInjector
 from repro.mc.runner import run_trial
 from repro.netlist.circuit import Circuit, CircuitError
 from repro.netlist.gates import GATE_KINDS, arity_of
-from repro.netlist.plan import F32_ATOL, F32_RTOL
 from repro.sim.cpu import Cpu
 from repro.sim.machine import MachineConfig
 
@@ -42,8 +41,8 @@ needs_native = pytest.mark.skipif(
 def _bounds_oracle(monkeypatch):
     """Arm the static bounds oracle for every equivalence test.
 
-    With ``REPRO_CHECK_BOUNDS=1`` each propagate in this file -- five
-    engines, both glitch models -- is additionally checked against the
+    With ``REPRO_CHECK_BOUNDS=1`` each propagate in this file -- every
+    engine, both glitch models -- is additionally checked against the
     independent STA envelope, so the suite cross-checks engines
     against each other *and* against the static bounds at once.
     """
@@ -112,40 +111,11 @@ def test_compiled_engine_bit_identical(case):
         assert np.array_equal(arr_c["y"], arr_r["y"]), glitch_model
 
 
-@given(random_circuits())
-@settings(max_examples=40, deadline=None)
-def test_f32_engine_within_documented_tolerance(case):
-    """compiled-f32 vs compiled: values/events exact, arrivals close.
-
-    The value/event network is boolean, so outputs must stay
-    bit-identical; arrivals follow the relaxed-identity contract
-    (F32_RTOL/F32_ATOL) on both glitch models.
-    """
-    circuit, prev, new, delays, arrival = case
-    for glitch_model in ("sensitized", "value-change"):
-        out64, arr64 = circuit.propagate(prev, new, delays, arrival,
-                                         glitch_model, engine="compiled")
-        out32, arr32 = circuit.propagate(prev, new, delays, arrival,
-                                         glitch_model,
-                                         engine="compiled-f32")
-        assert np.array_equal(out32["y"], out64["y"]), glitch_model
-        np.testing.assert_allclose(arr32["y"], arr64["y"],
-                                   rtol=F32_RTOL, atol=F32_ATOL,
-                                   err_msg=glitch_model)
-
-
-def _compiled_engines():
-    engines = ["compiled", "compiled-f32"]
-    if native.native_available():
-        engines += ["compiled-native", "native-f32"]
-    return engines
-
-
 @needs_native
 @given(random_circuits())
 @settings(max_examples=40, deadline=None)
 def test_native_engine_bit_identical(case):
-    """compiled-native must be a pure backend swap of compiled-f64.
+    """compiled-native must be a pure backend swap of compiled.
 
     Same ops, same order, select-vs-multiply masking equivalent for
     the non-negative settles both engines produce: values, events and
@@ -162,29 +132,6 @@ def test_native_engine_bit_identical(case):
         assert np.array_equal(arr_n["y"], arr_c["y"]), glitch_model
 
 
-@needs_native
-@given(random_circuits())
-@settings(max_examples=25, deadline=None)
-def test_native_f32_within_documented_tolerance(case):
-    """native-f32 inherits the PR 4 relaxed-identity contract.
-
-    Values/events bit-identical to float64; arrivals within
-    F32_RTOL/F32_ATOL -- the same contract (and the same store-key
-    class) as compiled-f32.
-    """
-    circuit, prev, new, delays, arrival = case
-    for glitch_model in ("sensitized", "value-change"):
-        out64, arr64 = circuit.propagate(prev, new, delays, arrival,
-                                         glitch_model, engine="compiled")
-        out32, arr32 = circuit.propagate(prev, new, delays, arrival,
-                                         glitch_model,
-                                         engine="native-f32")
-        assert np.array_equal(out32["y"], out64["y"]), glitch_model
-        np.testing.assert_allclose(arr32["y"], arr64["y"],
-                                   rtol=F32_RTOL, atol=F32_ATOL,
-                                   err_msg=glitch_model)
-
-
 def test_native_engine_unavailable_is_a_clean_error(monkeypatch):
     """Explicit native selection without a toolchain: clear error."""
     monkeypatch.setenv("REPRO_NO_CC", "1")
@@ -196,8 +143,11 @@ def test_native_engine_unavailable_is_a_clean_error(monkeypatch):
         circuit.propagate({"a": [0]}, {"a": [1]}, np.array([1.0]),
                           engine="compiled-native")
     # Selection-level resolution falls back instead of raising.
-    assert native.engine_for("float64", "native") == "compiled"
-    assert native.engine_for("float32", "native") == "compiled-f32"
+    native.set_backend("native")
+    try:
+        assert native.engine_for() == "compiled"
+    finally:
+        native.set_backend("numpy")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ working C compiler exists or ``REPRO_NO_CC`` masks it; the
 availability/fallback tests themselves run everywhere.
 """
 
+import contextlib
 import multiprocessing
 import os
 
@@ -26,6 +27,16 @@ needs_native = pytest.mark.skipif(
            f"({native.unavailable_reason()})")
 
 
+@contextlib.contextmanager
+def native_preference():
+    """Set the process-global backend to native for one block."""
+    native.set_backend("native")
+    try:
+        yield
+    finally:
+        native.set_backend("numpy")
+
+
 # ---------------------------------------------------------------------------
 # Build cache
 # ---------------------------------------------------------------------------
@@ -33,11 +44,11 @@ needs_native = pytest.mark.skipif(
 @needs_native
 def test_build_cache_hit_and_source_hash_rebuild(tmp_path, monkeypatch):
     """Second build is a cache hit; a source change keys a rebuild."""
-    first = build_mod.ensure_library("float64", tmp_path)
+    first = build_mod.ensure_library(tmp_path)
     assert first.built and first.path.exists()
     count = build_mod.build_count
 
-    again = build_mod.ensure_library("float64", tmp_path)
+    again = build_mod.ensure_library(tmp_path)
     assert not again.built  # served from the cache ...
     assert again.path == first.path and again.sha256 == first.sha256
     assert build_mod.build_count == count  # ... without a compile
@@ -47,8 +58,8 @@ def test_build_cache_hit_and_source_hash_rebuild(tmp_path, monkeypatch):
     original = build_mod.render_source
     monkeypatch.setattr(
         build_mod, "render_source",
-        lambda dtype: original(dtype) + "\n/* edited */\n")
-    changed = build_mod.ensure_library("float64", tmp_path)
+        lambda: original() + "\n/* edited */\n")
+    changed = build_mod.ensure_library(tmp_path)
     assert changed.built
     assert changed.sha256 != first.sha256
     assert changed.path != first.path
@@ -79,19 +90,6 @@ def test_second_circuit_reuses_cached_library(tmp_path, monkeypatch):
     assert out["y"].tolist() == [2]
 
 
-@needs_native
-def test_f32_and_f64_libraries_are_distinct(tmp_path):
-    f64 = build_mod.ensure_library("float64", tmp_path)
-    f32 = build_mod.ensure_library("float32", tmp_path)
-    assert f64.path != f32.path
-    assert f64.path.exists() and f32.path.exists()
-
-
-def test_unknown_dtype_rejected(tmp_path):
-    with pytest.raises(ValueError, match="timing dtype"):
-        native.render_source("float16")
-
-
 # ---------------------------------------------------------------------------
 # Availability and fallback
 # ---------------------------------------------------------------------------
@@ -101,36 +99,29 @@ def test_no_cc_masks_the_whole_backend(monkeypatch):
     assert not native.native_available()
     assert "REPRO_NO_CC" in native.unavailable_reason()
     with pytest.raises(native.NativeBuildError, match="REPRO_NO_CC"):
-        build_mod.ensure_library("float64")
-    status = native.native_status("float64")
+        build_mod.ensure_library()
+    status = native.native_status()
     assert status["available"] is False
     assert "REPRO_NO_CC" in status["reason"]
-    # Selection helpers resolve to the numpy engines.
-    assert native.engine_for("float64", "native") == "compiled"
-    assert native.engine_for("float32", "native") == "compiled-f32"
+    # Selection resolves a native preference to the numpy engine.
+    with native_preference():
+        assert native.engine_for() == "compiled"
 
 
 def test_engine_for_backend_resolution():
-    assert native.engine_for("float64", "numpy") == "compiled"
-    assert native.engine_for("float32", "numpy") == "compiled-f32"
-    with pytest.raises(ValueError, match="backend"):
-        native.engine_for("float64", "turbo")
-    with pytest.raises(ValueError, match="timing_dtype"):
-        native.engine_for("float16", "numpy")
-    if native.native_available():
-        assert native.engine_for("float64", "native") == "compiled-native"
-        assert native.engine_for("float32", "native") == "native-f32"
+    assert native.engine_for() == "compiled"
+    with native_preference():
+        expected = "compiled-native" if native.native_available() \
+            else "compiled"
+        assert native.engine_for() == expected
+    assert native.engine_for() == "compiled"
 
 
 def test_backend_default_is_numpy_and_settable():
     assert native.get_backend() == "numpy"
-    try:
-        native.set_backend("native")
-        expected = "compiled-native" if native.native_available() \
-            else "compiled"
-        assert native.engine_for("float64") == expected
-    finally:
-        native.set_backend("numpy")
+    with native_preference():
+        assert native.get_backend() == "native"
+    assert native.get_backend() == "numpy"
     with pytest.raises(ValueError, match="backend"):
         native.set_backend("turbo")
 
@@ -138,56 +129,27 @@ def test_backend_default_is_numpy_and_settable():
 def test_engines_cli_lists_every_engine(capsys):
     assert main(["engines"]) == 0
     out = capsys.readouterr().out
-    for engine in ("reference", "compiled", "compiled-f32",
-                   "compiled-native", "native-f32"):
-        assert engine in out
-    # Whatever the machine has, the native rows say *why*.
+    listed = [line.split()[0] for line in out.splitlines()[1:]
+              if line and not line[0].isspace()]
+    assert listed == ["reference", "compiled", "compiled-native",
+                      "oracle"]
+    # Whatever the machine has, the native row says *why*.
     assert ("available" in out)
     if not native.native_available():
         assert "UNAVAILABLE" in out
     elif native.runtime_failure() is None:
-        # Each available native row names the flags its build used,
+        # The available native row names the flags its build used,
         # so a fallback to a plain CFLAG_SETS entry is visible.
         probe = native.probe_compiler()
-        assert out.count(f"cflags {' '.join(probe.cflags)}\n") == 2
+        assert out.count(f"cflags {' '.join(probe.cflags)}\n") == 1
 
 
 def test_engines_cli_reports_masked_toolchain(capsys, monkeypatch):
     monkeypatch.setenv("REPRO_NO_CC", "1")
     assert main(["engines"]) == 0
     out = capsys.readouterr().out
-    assert out.count("UNAVAILABLE") == 2
+    assert out.count("UNAVAILABLE") == 1
     assert "REPRO_NO_CC" in out
-
-
-def test_characterized_engine_follows_config_dtype(monkeypatch):
-    """An explicit config's dtype, not the context's, picks the engine.
-
-    A float32 context asked to characterize a float64 config (the
-    glitch-model ablation does exactly this) must run the float64
-    pipeline: its result is cached and persisted under the float64
-    key, so computing it with a tolerance-level engine would file
-    relaxed-identity data under a bit-exact key.
-    """
-    from repro.experiments.context import ExperimentContext
-    from repro.timing import characterize as char_mod
-
-    ctx = ExperimentContext.create("quick", seed=1,
-                                   timing_dtype="float32")
-    seen = {}
-
-    def fake_get(alu, config, engine=None):
-        seen[config.timing_dtype] = engine
-        return object()
-
-    monkeypatch.setattr("repro.experiments.context.get_characterization",
-                        fake_get)
-    ctx.characterized(char_mod.CharacterizationConfig(
-        n_cycles_per_instr=8, seed=1))  # dtype defaults to float64
-    ctx.characterized(char_mod.CharacterizationConfig(
-        n_cycles_per_instr=8, seed=1, timing_dtype="float32"))
-    assert seen["float64"] == native.engine_for("float64", "numpy")
-    assert seen["float32"] == native.engine_for("float32", "numpy")
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +242,9 @@ def test_injected_compile_fault_surfaces_as_build_error(tmp_path,
                                                         clean_faults):
     clean_faults.configure("native.compile:fail@after=1")
     with pytest.raises(native.NativeBuildError, match="injected"):
-        build_mod.ensure_library("float64", tmp_path)
+        build_mod.ensure_library(tmp_path)
     # The fault fired once; the next attempt compiles normally.
-    result = build_mod.ensure_library("float64", tmp_path)
+    result = build_mod.ensure_library(tmp_path)
     assert result.path.exists()
 
 
@@ -290,7 +252,7 @@ def test_injected_compile_fault_surfaces_as_build_error(tmp_path,
 def test_corrupt_cached_library_rebuilds_once(tmp_path, clean_faults):
     clean_faults.configure("native.dlopen:corrupt@after=1")
     count = build_mod.build_count
-    kernels = build_mod.load_kernels("float64", tmp_path)
+    kernels = build_mod.load_kernels(tmp_path)
     # dlopen hit the injected garbage, moved it aside and rebuilt.
     assert kernels.path.exists()
     assert build_mod.build_count == count + 2  # first build + rebuild
@@ -305,9 +267,9 @@ def test_runtime_failure_latch_degrades_engine_selection():
         native.record_runtime_failure("kernel exploded mid-run")
         assert native.runtime_failure() == "kernel exploded mid-run"
         # Even an available toolchain must not be re-selected.
-        assert native.engine_for("float64", "native") == "compiled"
-        assert native.engine_for("float32", "native") == "compiled-f32"
-        status = native.native_status("float64")
+        with native_preference():
+            assert native.engine_for() == "compiled"
+        status = native.native_status()
         assert status["runtime_failure"] == "kernel exploded mid-run"
         # First reason wins; later failures do not overwrite it.
         native.record_runtime_failure("second reason")

@@ -78,3 +78,42 @@ class TestPersistence:
             assert np.allclose(
                 loaded.cdfs[mnemonic].error_probs(period),
                 original.cdfs[mnemonic].error_probs(period))
+
+
+class TestOlderStoredData:
+    """Bodies and files written while the DTA also had a float settle
+    pipeline carry a ``timing_dtype`` config field; they must keep
+    decoding into bit-identical tables."""
+
+    @staticmethod
+    def _assert_identical(loaded, original):
+        assert loaded.config == original.config
+        assert loaded.worst_sta_period_ps == original.worst_sta_period_ps
+        assert set(loaded.mnemonics) == set(original.mnemonics)
+        for mnemonic in original.mnemonics:
+            for name in ("critical_rows", "critical_sorted",
+                         "row_max_sorted"):
+                want = getattr(original.cdfs[mnemonic], name)
+                got = getattr(loaded.cdfs[mnemonic], name)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            for name in ("periods", "probs", "p_any", "tail_products"):
+                assert np.array_equal(
+                    getattr(loaded.grids[mnemonic], name),
+                    getattr(original.grids[mnemonic], name))
+
+    def test_body_and_npz_with_timing_dtype_reload(self, characterization,
+                                                   tmp_path):
+        body = characterization.to_json()
+        body["config"] = {**body["config"], "timing_dtype": "float64"}
+        self._assert_identical(AluCharacterization.from_json(body),
+                               characterization)
+
+        path = tmp_path / "char.npz"
+        characterization.save(path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays["timing_dtype"] = np.array("float64")
+        np.savez_compressed(path, **arrays)
+        self._assert_identical(AluCharacterization.load(path),
+                               characterization)
