@@ -9,16 +9,14 @@ PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 .PHONY: tier1 test lint bench-engines bench-engines-scratch \
         bench-baseline bench-check bench-figures campaign-smoke \
-        native-smoke sanitize-smoke chaos-smoke \
-        obs-smoke fabric-smoke
+        chaos-smoke obs-smoke fabric-smoke
 
 # tier1 runs the bench suite into a scratch file (its bit-identity
 # asserts still gate) so the *committed* median-anchored
 # BENCH_engines.json stays what bench-check compares against --
 # otherwise the single run just written would overwrite the baseline
-# seconds before the gate reads it (and, under REPRO_NO_CC, silently
-# drop every native row from the committed file).
-tier1: lint test native-smoke sanitize-smoke bench-engines-scratch bench-check campaign-smoke chaos-smoke obs-smoke fabric-smoke
+# seconds before the gate reads it.
+tier1: lint test bench-engines-scratch bench-check campaign-smoke chaos-smoke obs-smoke fabric-smoke
 
 # Static checks: ruff + mypy per pyproject.toml (strict on
 # src/repro/analysis/, permissive elsewhere).  Where those tools are
@@ -49,22 +47,6 @@ bench-baseline:
 bench-check:
 	$(PYTHON) scripts/bench_check.py
 
-# Build the native C kernel backend into a throwaway cache, prove it
-# bit-identical to the compiled numpy engine, assert the second use is
-# a cache hit (in-process, across circuits, across processes), and
-# prove REPRO_NO_CC falls back to numpy.  Skips (exit 0) with the
-# probe's reason when the machine has no working C compiler.
-native-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) scripts/native_smoke.py
-
-# Rebuild the native kernels with -fsanitize=address,undefined
-# (REPRO_CC_SANITIZE=1, own cache key) and rerun the native
-# equivalence tests under the instrumented library with the ASan
-# runtime preloaded.  Skips (exit 0) with a notice when the toolchain
-# lacks libasan or the runtime can't be injected into python.
-sanitize-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) scripts/sanitize_smoke.py
-
 # Kill a quick-scale `campaign run all` mid-run, resume it, and require
 # the rendered output to be byte-identical to an uninterrupted run;
 # prove warm fig2/fig4/fig5 reruns perform zero DTA and zero Monte-
@@ -76,9 +58,9 @@ campaign-smoke:
 
 # Run the full quick-scale campaign under a standing fault-injection
 # schedule (failing and torn store writes, raising unit computes, a
-# SIGKILLed campaign worker, broken native compiles): the run
-# must exit 0, render byte-identically to a clean run, and its fired-
-# fault log must replay exactly (scripts/fault_replay.py pins it).
+# SIGKILLed campaign worker): the run must exit 0, render
+# byte-identically to a clean run, and its fired-fault log must
+# replay exactly (scripts/fault_replay.py pins it).
 chaos-smoke:
 	$(PYTHON) scripts/chaos_smoke.py
 
@@ -92,7 +74,7 @@ fabric-smoke:
 
 # Trace a quick-scale --jobs 2 campaign, require byte-identical
 # rendered output vs untraced, validate the Chrome export (store/
-# campaign/circuit/native spans from >= 2 pids) and `repro stats`,
+# campaign/circuit/propagate spans from >= 2 pids) and `repro stats`,
 # then gate the disabled telemetry path at <= 2% propagate overhead
 # vs a no-telemetry no-op baseline.
 obs-smoke:

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro import native
 from repro.bench.suite import build_kernel
 from repro.experiments import fig2, fig4, fig7
 from repro.experiments.context import ExperimentContext
@@ -38,16 +38,6 @@ from repro.timing.dta import run_dta
 #: gate (``make bench-check``).
 BLOCK = int(os.environ.get("REPRO_BENCH_BLOCK", "512"))
 
-#: Native rows only exist where a working C compiler does; the JSON
-#: records availability + the compiler identity so ``bench-check``
-#: (and readers) can tell "no native on this machine" from "rows
-#: silently lost".
-NATIVE_AVAILABLE = native.native_available()
-needs_native = pytest.mark.skipif(
-    not NATIVE_AVAILABLE,
-    reason=f"native backend unavailable "
-           f"({native.unavailable_reason()})")
-
 RESULTS: dict[str, dict] = {}
 
 
@@ -61,11 +51,13 @@ def _time_best(fn, reps: int = 3) -> float:
 
 
 def _record(name: str, compiled_s: float, reference_s: float,
-            **extra) -> None:
+            speedup: float | None = None, **extra) -> None:
+    if speedup is None:
+        speedup = reference_s / compiled_s
     RESULTS[name] = {
         "compiled_ms": round(compiled_s * 1e3, 3),
         "reference_ms": round(reference_s * 1e3, 3),
-        "speedup": round(reference_s / compiled_s, 2),
+        "speedup": round(speedup, 2),
         **extra,
     }
 
@@ -77,11 +69,7 @@ def emit_summary():
         default = Path(__file__).resolve().parent.parent \
             / "BENCH_engines.json"
         path = Path(os.environ.get("REPRO_BENCH_OUT", default))
-        probe = native.probe_compiler() if NATIVE_AVAILABLE else None
         payload = {"block": BLOCK, "cpu_count": os.cpu_count(),
-                   "native_available": NATIVE_AVAILABLE,
-                   "native_compiler":
-                       probe.version if probe is not None else None,
                    "results": RESULTS}
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -115,63 +103,6 @@ def test_propagate_block(benchmark, ctx, mnemonic, glitch_model):
     _record(f"propagate[{mnemonic},{glitch_model}]",
             benchmark.stats.stats.min, reference_s)
     assert compiled is not None
-
-
-@needs_native
-@pytest.mark.parametrize("mnemonic", ["l.add", "l.mul"])
-def test_propagate_block_native(benchmark, ctx, mnemonic):
-    """Fused C level kernels vs the numpy engine and the reference.
-
-    The PR 1 acceptance row, finally: one pass per gate computes
-    values + events + settles together, so the level pipeline stops
-    paying one memory trip per numpy op.  ``vs_serial`` is the gain
-    over the numpy engine (the >= 1.4x gate); ``speedup`` is vs the
-    per-gate reference (the 10x target).  The native engine must stay
-    bit-identical to compiled.
-    """
-    alu = ctx.alu
-    a, b = _operand_block()
-    prev, new = (a[:BLOCK], b[:BLOCK]), (a[1:], b[1:])
-
-    def run(engine):
-        return alu.propagate(mnemonic, prev, new, 0.7, "sensitized",
-                             engine=engine)
-
-    run("compiled-native")  # warm plan, descriptor, kernels, workspace
-    benchmark(lambda: run("compiled-native"))
-    run("compiled")
-    serial_s = _time_best(lambda: run("compiled"))
-    reference_s = _time_best(lambda: run("reference"))
-    values_n, arrivals_n = run("compiled-native")
-    values_c, arrivals_c = run("compiled")
-    assert np.array_equal(values_n, values_c)
-    assert np.array_equal(arrivals_n, arrivals_c)
-    native_s = benchmark.stats.stats.min
-    _record(f"propagate[{mnemonic},sensitized,native]", native_s,
-            reference_s, serial_ms=round(serial_s * 1e3, 3),
-            vs_serial=round(serial_s / native_s, 2))
-
-
-@needs_native
-@pytest.mark.parametrize("mnemonic", ["l.mul"])
-def test_run_dta_native(benchmark, ctx, mnemonic):
-    """DTA characterization end to end on the native engine."""
-    alu = ctx.alu
-    n_cycles = 2 * BLOCK
-
-    def run(engine):
-        return run_dta(alu, mnemonic, n_cycles, vdd=0.7, seed=11,
-                       block=BLOCK, engine=engine)
-
-    run("compiled-native")
-    benchmark(lambda: run("compiled-native"))
-    reference_s = _time_best(lambda: run("reference"))
-    native_res = run("compiled-native")
-    compiled_res = run("compiled")
-    assert np.array_equal(native_res.critical_ps,
-                          compiled_res.critical_ps)
-    _record(f"run_dta[{mnemonic},1024cyc,native]",
-            benchmark.stats.stats.min, reference_s)
 
 
 @pytest.mark.parametrize("mnemonic", ["l.add", "l.mul"])
@@ -328,13 +259,20 @@ def test_run_point_scheduled(benchmark, ctx):
             benchmark.stats.stats.min, reference_s)
 
 
+#: Alternating block/step pairs behind the ISS row's median ratio.
+ISS_PAIRS = 31
+
+
 def test_iss_blocks():
     """Block-compiled ISS vs its per-instruction step path.
 
     One hook-free run of the paper-size 16-bit matmul (44 k cycles);
     the reference is the same program on a CPU that a no-op trace hook
-    keeps on the step path.  The two alternate, so load that drifts
-    during the measurement moves both minima alike.
+    keeps on the step path.  Each pair times one block run and one
+    step run back to back, so load that drifts during the measurement
+    moves both sides of a pair alike; the row's speedup is the median
+    of the per-pair ratios, which a few slow runs on either side
+    cannot move the way they move a ratio of two minima.
     """
     kernel = build_kernel("mat_mult_16bit", "paper")
     blocks = Cpu(kernel.program)
@@ -345,12 +283,16 @@ def test_iss_blocks():
         return cpu.run(kernel.entry)
 
     expected = run(blocks)  # binds the blocks
-    block_s = reference_s = float("inf")
-    for _ in range(15):
-        block_s = min(block_s, _time_best(lambda: run(blocks), reps=1))
-        reference_s = min(reference_s,
-                          _time_best(lambda: run(steps), reps=1))
+    run(steps)
+    block_runs, step_runs = [], []
+    for _ in range(ISS_PAIRS):
+        block_runs.append(_time_best(lambda: run(blocks), reps=1))
+        step_runs.append(_time_best(lambda: run(steps), reps=1))
     assert expected.finished
     assert run(steps) == expected == run(blocks)
-    _record("iss[mat_mult_16bit,paper]", block_s, reference_s,
+    block_s = statistics.median(block_runs)
+    _record("iss[mat_mult_16bit,paper]", block_s,
+            statistics.median(step_runs),
+            speedup=statistics.median(
+                step / block for block, step in zip(block_runs, step_runs)),
             ns_per_cycle=round(1e9 * block_s / expected.cycles, 1))

@@ -63,20 +63,9 @@ def _reduced_results(out_path: Path) -> dict:
 
 def main() -> int:
     baseline_path = REPO / "BENCH_engines.json"
-    baseline_payload = json.loads(baseline_path.read_text())
-    baseline = baseline_payload["results"]
+    baseline = json.loads(baseline_path.read_text())["results"]
     with tempfile.TemporaryDirectory(prefix="bench-check-") as tmp:
-        measured_payload = _reduced_results(Path(tmp) / "reduced.json")
-    measured = measured_payload["results"]
-
-    # Native rows exist only where a working C compiler does.  When
-    # the *committed* JSON says the baseline machine had none, there
-    # is nothing to gate; when this machine has none, the committed
-    # native rows are skipped (announced, not failed) -- the numpy
-    # rows still gate the build.
-    native_here = bool(measured_payload.get("native_available"))
-    native_committed = bool(baseline_payload.get("native_available"))
-    skipped_native = []
+        measured = _reduced_results(Path(tmp) / "reduced.json")["results"]
 
     regressions = []
     print(f"bench-check: block={REDUCED_BLOCK}, tolerance="
@@ -90,20 +79,9 @@ def main() -> int:
               f"measured={fresh:7.2f}x floor={floor:6.2f}x {status}")
         if fresh < floor:
             regressions.append(name)
-    missing = []
-    for name in sorted(baseline):
-        if name in measured or not any(
-                token in name for token in ROW_TOKENS):
-            continue
-        if "native" in name and not native_here:
-            skipped_native.append(name)
-            continue
-        missing.append(name)
-    if skipped_native:
-        print(f"bench-check: no native backend here "
-              f"(committed native_available={native_committed}); "
-              f"skipping {len(skipped_native)} native row(s): "
-              f"{skipped_native}")
+    missing = [name for name in sorted(baseline)
+               if name not in measured
+               and any(token in name for token in ROW_TOKENS)]
     if missing:
         # A row the trajectory promises but the rerun no longer
         # produces is a silent loss of coverage, not a pass.

@@ -10,7 +10,7 @@ scratch files and commits, per row, the *whole row dict* from the run
 with the median speedup -- every row stays internally consistent
 (``speedup == reference_ms / compiled_ms`` from one measurement), only
 the choice of run varies per row.  Top-level fields (block,
-cpu_count, native availability, compiler) come from the first run.
+cpu_count) come from the first run.
 
 Wired as ``make bench-baseline``; plain ``make bench-engines`` remains
 the fast single-run refresh for local iteration.
@@ -77,8 +77,6 @@ def main() -> int:
         chosen["speedup_runs"] = [row["speedup"] for row in rows]
         results[name] = chosen
     merged["results"] = results
-    merged["native_available"] = any(run.get("native_available")
-                                     for run in runs)
     out = REPO / "BENCH_engines.json"
     out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
     for name in sorted(results):

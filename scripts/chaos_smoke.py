@@ -4,15 +4,14 @@
 Runs the full quick-scale ``campaign run all`` three times:
 
 1. **clean** into store A -- the reference output, no faults;
-2. **chaos** into store B, ``--jobs 2`` with ``--engine native``,
-   under a standing ``REPRO_FAULTS`` schedule that fails and tears
-   store object writes, raises inside unit computes, SIGKILLs a
-   forked campaign worker and breaks the native kernel compile.  The
-   run must still exit 0 (the store retries the failed writes,
+2. **chaos** into store B, ``--jobs 2``, under a standing
+   ``REPRO_FAULTS`` schedule that fails and tears store object writes,
+   raises inside unit computes and SIGKILLs a forked campaign worker.
+   The run must still exit 0 (the store retries the failed writes,
    ``--max-retries`` absorbs the unit raises, the parent backstops
    the dead worker's shard, torn artifacts are quarantined and
-   recomputed, the native engine degrades to numpy), both object-write
-   modes must have fired, and its rendered output must be
+   recomputed), both object-write modes must have fired, and its
+   rendered output must be
    **byte-identical** to the clean run;
 3. **replay** into store C under the *same* schedule: the identical
    faults must fire at the identical per-site hit indices (the fired
@@ -56,7 +55,6 @@ CHAOS_SCHEDULE = (
     ";store.object_write:torn@p=0.09"
     ";campaign.unit_run:raise@p=0.08"
     ";campaign.worker.kill.w1:kill@after=3"
-    ";native.compile:fail@after=1"
 )
 
 
@@ -80,7 +78,6 @@ def scaled(args: list[str]) -> list[str]:
 
 def chaos_args() -> list[str]:
     return scaled(["campaign", "run", "all", "--jobs", JOBS,
-                   "--engine", "native",
                    "--max-retries", MAX_RETRIES])
 
 
@@ -98,7 +95,6 @@ def main() -> int:
         store_c = tmp_path / "store-c"
         log_b = tmp_path / "faults-b.jsonl"
         log_c = tmp_path / "faults-c.jsonl"
-        native_cache = tmp_path / "native-cache"
 
         print("[1/3] clean `campaign run all` into store A ...",
               flush=True)
@@ -115,7 +111,6 @@ def main() -> int:
         chaos = repro(chaos_args(), store_b, env_extra={
             "REPRO_FAULTS": CHAOS_SCHEDULE,
             "REPRO_FAULT_LOG": str(log_b),
-            "REPRO_NATIVE_CACHE": str(native_cache),
         })
         if chaos.returncode != 0:
             sys.stderr.write(chaos.stdout + chaos.stderr)
@@ -153,7 +148,6 @@ def main() -> int:
         replay = repro(chaos_args(), store_c, env_extra={
             "REPRO_FAULTS": CHAOS_SCHEDULE,
             "REPRO_FAULT_LOG": str(log_c),
-            "REPRO_NATIVE_CACHE": str(native_cache),
         })
         if replay.returncode != 0:
             sys.stderr.write(replay.stdout + replay.stderr)

@@ -5,17 +5,16 @@ Proves the observability layer's two load-bearing promises with real
 processes:
 
 1. **Telemetry never changes results.**  A quick-scale
-   ``repro campaign run all --trace`` (``--jobs 2`` fork dispatch,
-   native engine where available) must produce **byte-identical**
-   rendered stdout to the same campaign without ``--trace``.
+   ``repro campaign run all --trace`` (``--jobs 2`` fork dispatch)
+   must produce **byte-identical** rendered stdout to the same
+   campaign without ``--trace``.
 2. **The merged trace is real.**  ``repro trace export`` on the
    recorded trace must yield well-formed Chrome ``trace_event`` JSON
    whose complete events cover the store, campaign, circuit and
-   propagate layers (plus native when a C compiler exists), coming
-   from the parent *and* at least one forked worker pid; ``repro
-   stats`` must render it.
+   propagate layers, coming from the parent *and* at least one forked
+   worker pid; ``repro stats`` must render it.
 3. **Disabled means free.**  With the plane off, a sensitized
-   propagate on the fastest available engine must cost within
+   propagate on the compiled engine must cost within
    :data:`OVERHEAD_LIMIT` (2%) of a no-telemetry baseline -- measured
    in-process by interleaving min-of-k timings of the normal disabled
    path against ``repro.obs`` monkeypatched to unconditional no-ops
@@ -73,12 +72,11 @@ def repro(args: list[str],
 def campaign(store: Path, extra: list[str]) -> str:
     result = repro(["campaign", "run", "all", "--scale", SCALE,
                     "--seed", SEED, "--jobs", JOBS,
-                    "--engine", "native",
                     "--store", str(store), *extra])
     return result.stdout
 
 
-def check_export(trace: Path, native_expected: bool) -> None:
+def check_export(trace: Path) -> None:
     out = trace.with_suffix(".chrome.json")
     repro(["trace", "export", str(trace), "--out", str(out)])
     chrome = json.loads(out.read_text())  # must parse: well-formed
@@ -95,8 +93,6 @@ def check_export(trace: Path, native_expected: bool) -> None:
                                  f"{event}")
     cats = {e["cat"] for e in complete}
     required = {"store", "campaign", "circuit", "propagate"}
-    if native_expected:
-        required.add("native")
     missing = required - cats
     if missing:
         raise SystemExit(f"FAIL: trace lacks span categories "
@@ -126,7 +122,6 @@ def measure_overhead() -> float:
     but off* costs.
     """
     import repro.obs as obs
-    from repro import native
     from repro.netlist.calibrate import calibrated_alu
     import numpy as np
 
@@ -136,12 +131,9 @@ def measure_overhead() -> float:
     a = rng.integers(0, 1 << 32, 513, dtype=np.uint64)
     b = rng.integers(0, 1 << 32, 513, dtype=np.uint64)
     prev, new = (a[:512], b[:512]), (a[1:], b[1:])
-    engine = "compiled-native" if native.native_available() \
-        else "compiled"
-
     def call() -> None:
         alu.propagate("l.add", prev, new, 0.7, "sensitized",
-                      engine=engine)
+                      engine="compiled")
 
     null_span = obs.span("warmup")  # the shared no-op (plane is off)
     real = (obs.span, obs.counter, obs.flush)
@@ -156,7 +148,7 @@ def measure_overhead() -> float:
         return time.perf_counter() - start
 
     for _ in range(3):
-        call()  # warm plan, workspace, kernels
+        call()  # warm plan, workspace, delay tiles
     best_on = best_off = float("inf")
     for _ in range(OVERHEAD_SAMPLES):
         best_on = min(best_on, sample())
@@ -169,13 +161,6 @@ def measure_overhead() -> float:
 
 
 def main() -> int:
-    from repro import native
-    native_expected = native.native_available()
-    if not native_expected:
-        print(f"note: native backend unavailable "
-              f"({native.unavailable_reason()}); skipping the native "
-              f"span-category check", flush=True)
-
     with tempfile.TemporaryDirectory(prefix="repro-obs-smoke-") as tmp:
         trace = Path(tmp) / "t.jsonl"
 
@@ -198,7 +183,7 @@ def main() -> int:
                              "rendered output")
 
         print("[3/4] export to Chrome JSON + stats ...", flush=True)
-        check_export(trace, native_expected)
+        check_export(trace)
 
     print("[4/4] disabled-path overhead gate ...", flush=True)
     overheads = []

@@ -13,10 +13,10 @@ the static one).
 
 The check is deliberately independent of the engines: it reuses the
 compiled plan's structure but none of the event kernels, so a silent
-kernel bug (native C included) trips it instead of only shifting
-engine-vs-engine diffs.  Envelopes are cached per plan
-(delays and launch compared by value), so test suites that sweep the
-three engines over one circuit pay for one static pass, not three.
+kernel bug trips it instead of only shifting engine-vs-engine diffs.
+Envelopes are cached per plan (delays and launch compared by value),
+so test suites that sweep both engines over one circuit pay for one
+static pass, not two.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ never depends on worker liveness.  Children are independent and their
 shards static, so a campaign's fired-fault sequence is deterministic.
 Fork is required for both; without it dispatch runs serially.  Forked
 children are the repo's one parallel substrate: inside a unit, every
-propagate runs serially (one native C call per block).
+propagate runs serially.
 """
 
 from __future__ import annotations

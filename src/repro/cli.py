@@ -4,7 +4,6 @@ Examples::
 
     python -m repro table1 --scale paper
     python -m repro fig5 --scale default --jobs 4
-    python -m repro fig2 --scale paper --engine native
     python -m repro all --scale quick
     python -m repro campaign run fig5 --scale paper --jobs 8
     python -m repro campaign run all --scale paper --jobs 8
@@ -26,7 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro import analysis, faults, native, obs
+from repro import analysis, faults, obs
 from repro.analysis import lint as lint_mod
 from repro.bench.suite import BENCHMARK_NAMES, build_kernel
 from repro.campaign import ALL_TARGET, CAMPAIGN_EXPERIMENTS, \
@@ -120,14 +119,6 @@ def _add_store(parser: argparse.ArgumentParser,
                                  "forked children (fig commands run "
                                  "as campaigns; output does not "
                                  "depend on N)")
-    parser.add_argument("--engine", default="numpy",
-                        choices=native.BACKENDS,
-                        help="engine backend: 'native' runs the DTA "
-                             "hot loop through on-demand-compiled "
-                             "fused C kernels (bit-identical to "
-                             "numpy) and falls back to numpy when no "
-                             "C compiler is available -- 'repro "
-                             "engines' shows why")
     parser.add_argument("--faults", default=None, metavar="SPEC",
                         help="deterministic fault-injection schedule "
                              "(same grammar as $REPRO_FAULTS, e.g. "
@@ -222,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "unreachable or this client is "
                                "degraded (unflushed local spool) -- "
                                "for scripts that need a healthy "
-                               "fabric, like 'repro engines --strict'")
+                               "fabric")
 
     cache = subparsers.add_parser(
         "cache", help="inspect or clean the result store")
@@ -327,16 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     kernels.add_argument("--scale", default="paper",
                          choices=("quick", "paper"))
 
-    engines = subparsers.add_parser(
-        "engines", help="list circuit engines with availability "
-                        "(compiler probe, kernel cache, source hash) "
-                        "-- makes native fallback visible")
-    engines.add_argument("--strict", action="store_true",
-                         help="exit nonzero when the native backend "
-                              "is unavailable or has degraded to "
-                              "numpy after a runtime failure -- for "
-                              "scripts that require the requested "
-                              "engine rather than a silent fallback")
+    subparsers.add_parser(
+        "engines", help="list the circuit engines and the bounds "
+                        "oracle's state")
     return parser
 
 
@@ -355,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     if getattr(args, "faults", None):
-        # Before any store/native work: forked workers inherit
+        # Before any store work: forked workers inherit
         # the configured plane, so one schedule governs the process
         # tree.
         faults.configure(args.faults)
@@ -371,17 +355,6 @@ def main(argv: list[str] | None = None) -> int:
         # the whole tree records into one trace.  `campaign status`
         # *reads* an existing trace (configure would clear it).
         obs.configure(args.trace)
-
-    engine = getattr(args, "engine", None)
-    if engine is not None:
-        # The one engine preference: forked campaign workers and every
-        # engine resolution (native.engine_for) inherit it.
-        native.set_backend(engine)
-        if engine == "native" and not native.native_available():
-            print(f"--engine native unavailable "
-                  f"({native.unavailable_reason()}); falling back to "
-                  f"the numpy engines -- see 'repro engines'",
-                  file=sys.stderr)
 
     if args.command in _EXPERIMENTS or args.command == "all":
         store = _resolve_store(args)
@@ -585,25 +558,6 @@ def main(argv: list[str] | None = None) -> int:
               f"(per-gate python loop, the executable spec)")
         print(f"{'compiled':16s} available "
               f"(numpy SoA plan, bit-identical to reference)")
-        name = native.NATIVE_ENGINE
-        degraded = native.runtime_failure()
-        status = native.native_status()
-        strict_fail = not status["available"] or degraded is not None
-        if status["available"] and degraded is not None:
-            print(f"{name:16s} DEGRADED to numpy: {degraded}")
-            print(f"{'':16s}   cache dir {status['cache_dir']} "
-                  f"(restart clears the degradation latch)")
-        elif status["available"]:
-            cached = "cached" if status["cached"] else "not built yet"
-            print(f"{name:16s} available ({status['compiler_version']})")
-            print(f"{'':16s}   library {status['library']} [{cached}]")
-            print(f"{'':16s}   cflags {status['cflags']}")
-            print(f"{'':16s}   source hash "
-                  f"{status['source_hash'][:16]}")
-        else:
-            print(f"{name:16s} UNAVAILABLE: {status['reason']}")
-            print(f"{'':16s}   cache dir {status['cache_dir']} "
-                  f"(the compiled engine serves instead)")
         if analysis.bounds_check_enabled():
             print(f"{'oracle':16s} ACTIVE: every propagate checked "
                   f"against the static STA envelope "
@@ -612,10 +566,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{'oracle':16s} off (set REPRO_CHECK_BOUNDS=1 to "
                   f"assert every propagate against the static STA "
                   f"envelope)")
-        if args.strict and strict_fail:
-            print("strict: native backend not fully available",
-                  file=sys.stderr)
-            return 2
         return 0
 
     if args.command == "kernels":

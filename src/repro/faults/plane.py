@@ -5,7 +5,7 @@ and characterizing what breaks; this module applies the same idea to
 the runtime itself.  Every layer that can fail in production declares
 **named injection sites** (``store.object_write`` /
 ``store.object_read``, ``campaign.shard_dispatch``,
-``campaign.unit_run``, ``native.compile`` / ``native.dlopen``, ...)
+``campaign.unit_run``, ...)
 and asks the plane on each pass whether a fault should fire there.  Forked campaign workers fire ``campaign.worker.kill.w<i>``
 before each unit of worker *i*'s shard.  The distributed fabric adds
 its network surface as first-class sites: ``fabric.http.put`` /
@@ -36,7 +36,7 @@ prefix match.  Params:
   ``after``, unlimited otherwise).
 
 Modes are interpreted by the site that declares them (``torn`` tears a
-store write, ``corrupt`` garbles a cached kernel library, ...) except
+store write, ``corrupt`` garbles a fabric HTTP response body, ...) except
 for three the plane handles uniformly: ``kill`` SIGKILLs the current
 process at the site, ``raise``/any mode reaching :func:`trip` raises
 :class:`InjectedFault`, and ``oserror`` is raised as a transient

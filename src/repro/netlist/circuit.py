@@ -53,10 +53,6 @@ argument of :meth:`Circuit.evaluate` / :meth:`Circuit.propagate`:
 * ``"reference"`` -- the original per-gate loops, kept as the
   executable specification; the property suite asserts the compiled
   engine is bit-identical to it on random circuits.
-
-The native engine (``"compiled-native"``, see :mod:`repro.native`)
-runs the same plan as one C call per :meth:`propagate`, over the
-whole block, bit-identical to ``"compiled"``.
 """
 
 from __future__ import annotations
@@ -66,12 +62,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro import native as native_mod
 from repro.netlist import plan as plan_mod
 from repro.netlist.gates import GATE_KINDS, arity_of
 from repro.netlist.library import CellLibrary, VDD_REF
 
-ENGINES = ("compiled", native_mod.NATIVE_ENGINE, "reference")
+ENGINES = ("compiled", "reference")
 
 
 def bits_from_ints(values: np.ndarray, width: int) -> np.ndarray:
@@ -289,37 +284,6 @@ class Circuit:
         assert n_vectors is not None
         return planes, n_vectors
 
-    def _stimulus_words(self, inputs: dict[str, np.ndarray]) -> \
-            tuple[np.ndarray, int]:
-        """Validate bus stimulus and pack it into one uint64 matrix.
-
-        Row ``i`` is the ``(N,)`` integer stimulus of the ``i``-th
-        input bus in canonical bus order.  The native kernel unpacks
-        bits straight from these words into the workspace planes, so
-        the numpy bit-plane stage (:meth:`_stimulus_planes`) never
-        materializes on that path.
-        """
-        missing = set(self._input_buses) - set(inputs)
-        if missing:
-            raise CircuitError(f"missing stimulus for inputs {sorted(missing)}")
-        extra = set(inputs) - set(self._input_buses)
-        if extra:
-            raise CircuitError(f"unknown input buses {sorted(extra)}")
-        n_vectors = None
-        stacked = []
-        for name in self._input_buses:
-            stimulus = np.atleast_1d(np.asarray(inputs[name]))
-            if n_vectors is None:
-                n_vectors = stimulus.shape[0]
-            elif stimulus.shape[0] != n_vectors:
-                raise CircuitError("stimulus arrays differ in length")
-            stacked.append(stimulus.astype(np.uint64, copy=False))
-        assert n_vectors is not None
-        words = np.empty((len(stacked), n_vectors), dtype=np.uint64)
-        for i, row in enumerate(stacked):
-            words[i] = row
-        return words, n_vectors
-
     def _seed_workspace(self, ws, rows, prev_planes, new_planes,
                         sensitized: bool, arrival: float) -> None:
         """Numpy stimulus stage: scatter planes, seed events/settles."""
@@ -415,11 +379,9 @@ class Circuit:
             glitch_model: ``"sensitized"`` (events + static masking,
                 default) or ``"value-change"`` (optimistic, settled
                 toggles only).
-            engine: ``"compiled"`` (bucketed plan, default),
-                ``"compiled-native"`` (the same plan through the
-                fused C kernels of :mod:`repro.native`; raises when
-                no compiler is available) or ``"reference"``
-                (per-gate loop); all three are bit-identical.
+            engine: ``"compiled"`` (bucketed plan, default) or
+                ``"reference"`` (per-gate loop); the two are
+                bit-identical.
 
         Returns:
             ``(outputs, arrivals)``: per output bus, the new integer
@@ -434,10 +396,10 @@ class Circuit:
             raise CircuitError(f"unknown glitch model {glitch_model!r}")
         if engine not in ENGINES:
             raise CircuitError(f"unknown engine {engine!r}")
-        if engine != "reference":
+        if engine == "compiled":
             result = self._propagate_compiled(
                 prev_inputs, new_inputs, delays, input_arrival,
-                glitch_model, engine)
+                glitch_model)
         else:
             with obs.span("circuit.propagate", circuit=self.name,
                           engine=engine, glitch_model=glitch_model):
@@ -491,105 +453,48 @@ class Circuit:
         return outputs, out_arrivals
 
     def _propagate_compiled(self, prev_inputs, new_inputs, delays,
-                            input_arrival, glitch_model,
-                            engine: str = "compiled") -> \
+                            input_arrival, glitch_model) -> \
             tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
         """Bucketed two-vector simulation on the compiled plan.
 
-        ``engine="compiled-native"`` selects the fused C kernel over
-        the same plan and workspace contract; the caller asked for the
-        native engine explicitly, so an unavailable backend is a
-        :class:`CircuitError` here -- silent fallback happens one
-        level up, in :func:`repro.native.engine_for`.
-
-        The native engine has one route: a single ``repro_run`` call
-        (stimulus -> every level -> extract) over the whole block.
-        Whether the call runs native at all is decided once, at entry:
-        a circuit whose buses cannot pack into 64-bit words, or a
-        kernel library that fails to build or load (latched as the
-        process's runtime failure), runs the whole call on the
-        bit-identical numpy engine.
-
-        The numpy route carries per-stage telemetry spans
-        (``propagate.stimulus`` / ``propagate.kernel`` /
-        ``propagate.extract``) so "where did the time go" inside one
-        call is answerable from a trace; the native route emits a
-        single ``propagate.kernel`` span (mode ``native-fused``) --
-        there are no Python-side stages left to time.
+        Each stage carries a telemetry span (``propagate.stimulus`` /
+        ``propagate.kernel`` / ``propagate.extract``) so "where did the
+        time go" inside one call is answerable from a trace.
         """
-        native = engine == native_mod.NATIVE_ENGINE
-        if native:
-            reason = native_mod.unavailable_reason()
-            if reason is not None:
-                raise CircuitError(
-                    f"native engine unavailable: {reason} "
-                    f"(use repro.native.engine_for for fallback "
-                    f"selection)")
         with obs.span("circuit.propagate", circuit=self.name,
-                      engine=engine, glitch_model=glitch_model) as top:
+                      engine="compiled", glitch_model=glitch_model) as top:
             plan = self.plan
-            kernels = None
-            if native:
-                tables = native_mod.bus_tables(
-                    plan,
-                    {name: bus.nets
-                     for name, bus in self._input_buses.items()},
-                    {name: bus.nets
-                     for name, bus in self._output_buses.items()})
-                if tables.packable:
-                    try:
-                        kernels = native_mod.load_kernels()
-                    except native_mod.NativeBuildError as error:
-                        native_mod.record_runtime_failure(str(error))
             delays = np.asarray(delays, dtype=float)
-            arrival = float(input_arrival)
-            if kernels is not None:
-                prev_words, n_prev = self._stimulus_words(prev_inputs)
-                new_words, n_new = self._stimulus_words(new_inputs)
-            else:
-                prev_planes, n_prev = self._stimulus_planes(prev_inputs)
-                new_planes, n_new = self._stimulus_planes(new_inputs)
+            prev_planes, n_prev = self._stimulus_planes(prev_inputs)
+            new_planes, n_new = self._stimulus_planes(new_inputs)
             if n_prev != n_new:
                 raise CircuitError("prev/new stimulus lengths differ")
             top.set(n_vectors=n_new)
+            sensitized = glitch_model == "sensitized"
+            rows = plan.rows
             ws = self._workspace(n_new)
-            if kernels is not None:
-                with obs.span("propagate.kernel", mode="native-fused"):
-                    return native_mod.run_fused(
-                        plan, ws, tables, prev_words, new_words,
-                        arrival, delays, glitch_model, kernels)
-            return self._propagate_numpy(plan, ws, prev_planes,
-                                         new_planes, delays, arrival,
-                                         glitch_model)
-
-    def _propagate_numpy(self, plan, ws, prev_planes, new_planes, delays,
-                         arrival, glitch_model) -> \
-            tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """The numpy stages: seed the workspace, run levels, extract."""
-        sensitized = glitch_model == "sensitized"
-        rows = plan.rows
-        with obs.span("propagate.stimulus", mode="numpy"):
-            self._seed_workspace(ws, rows, prev_planes, new_planes,
-                                 sensitized, arrival)
-        with obs.span("propagate.kernel", mode="numpy"):
-            if sensitized:
-                plan_mod.propagate_sensitized(plan, ws, delays)
-            else:
-                plan_mod.propagate_value_change(plan, ws, delays)
-        with obs.span("propagate.extract", mode="numpy"):
-            outputs = {}
-            out_arrivals = {}
-            for name, bus in self._output_buses.items():
-                bus_rows = rows[bus.nets]
-                outputs[name] = ints_from_bits(ws.new[bus_rows])
+            with obs.span("propagate.stimulus", mode="numpy"):
+                self._seed_workspace(ws, rows, prev_planes, new_planes,
+                                     sensitized, float(input_arrival))
+            with obs.span("propagate.kernel", mode="numpy"):
                 if sensitized:
-                    # Settle rows are raw arrivals; event-mask on the
-                    # way out.
-                    out_arrivals[name] = ws.settles[bus_rows] \
-                        * ws.events[bus_rows]
+                    plan_mod.propagate_sensitized(plan, ws, delays)
                 else:
-                    out_arrivals[name] = ws.settles[bus_rows]
-        return outputs, out_arrivals
+                    plan_mod.propagate_value_change(plan, ws, delays)
+            with obs.span("propagate.extract", mode="numpy"):
+                outputs = {}
+                out_arrivals = {}
+                for name, bus in self._output_buses.items():
+                    bus_rows = rows[bus.nets]
+                    outputs[name] = ints_from_bits(ws.new[bus_rows])
+                    if sensitized:
+                        # Settle rows are raw arrivals; event-mask on
+                        # the way out.
+                        out_arrivals[name] = ws.settles[bus_rows] \
+                            * ws.events[bus_rows]
+                    else:
+                        out_arrivals[name] = ws.settles[bus_rows]
+            return outputs, out_arrivals
 
     def _propagate_value_change(self, prev_values, new_values, events,
                                 settles, delays) -> None:

@@ -333,11 +333,6 @@ class Workspace:
         return buffer
 
     @property
-    def has_prev(self) -> bool:
-        """Whether the previous-cycle value matrix exists yet."""
-        return self._prev is not None
-
-    @property
     def prev(self) -> np.ndarray:
         if self._prev is None:
             self._prev = np.empty(self.new.shape, dtype=bool)

@@ -64,7 +64,7 @@ from repro.store.backend import FsBackend, ObjectStat, StoreBackend
 from repro.store.retry import RetryPolicy
 from repro.store.schema import artifact_from_json, artifact_to_json, \
     current_schema
-from repro.store.serialize import canonical_json, key_hash
+from repro.store.serialize import canonical_json, json_hash, key_hash
 
 FORMAT = "repro-store/1"
 
@@ -219,7 +219,7 @@ class ResultStore:
         name, envelope = found
         body_sha = envelope.get("body_sha256")
         if body_sha is not None \
-                and key_hash(envelope["artifact"]) != body_sha:
+                and json_hash(envelope["artifact"]) != body_sha:
             self._quarantine(name, "artifact body checksum mismatch")
             return None
         try:

@@ -69,9 +69,8 @@ class AluCharacterization:
             -> "AluCharacterization":
         """Characterize every FI-eligible instruction of an ALU.
 
-        The DTA runs on the engine of the process-global backend
-        preference (:func:`repro.native.engine_for`); every engine
-        gives bit-identical tables.
+        The DTA runs on the compiled engine, which is bit-identical
+        to the per-gate reference.
         """
         config = config or CharacterizationConfig()
         cdfs: dict[str, EndpointCdfs] = {}
@@ -262,7 +261,7 @@ def get_characterization(alu: "AluNetlist",
     """Cached characterization lookup (runs DTA on first use).
 
     The cache key is (ALU identity, config) only: the engine is an
-    execution detail, bit-identical across backends.
+    execution detail, bit-identical across engines.
     """
     config = config or CharacterizationConfig()
     key = (alu_fingerprint(alu), config)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import native
 from repro.isa.instructions import spec_for
 from typing import TYPE_CHECKING
 
@@ -94,7 +93,7 @@ def run_dta(alu: "AluNetlist", mnemonic: str, n_cycles: int,
             vdd: float = VDD_REF, seed: int = 2016,
             block: int = 512, glitch_model: str = "sensitized",
             operands: tuple[np.ndarray, np.ndarray] | None = None,
-            engine: str | None = None) -> DtaResult:
+            engine: str = "compiled") -> DtaResult:
     """Characterize one instruction's endpoint arrival statistics.
 
     Args:
@@ -109,9 +108,7 @@ def run_dta(alu: "AluNetlist", mnemonic: str, n_cycles: int,
             ``n_cycles + 1`` (overrides the default random sampling;
             used e.g. for restricted operand ranges in the
             instruction-characterization study, paper Section 4.1).
-        engine: circuit engine, see :meth:`Circuit.propagate`;
-            None runs the engine of the process-global backend
-            preference (:func:`repro.native.engine_for`).
+        engine: circuit engine, see :meth:`Circuit.propagate`.
 
     Returns:
         A :class:`DtaResult` with the (n_cycles, 32) critical periods
@@ -122,10 +119,9 @@ def run_dta(alu: "AluNetlist", mnemonic: str, n_cycles: int,
     per unit, see :mod:`repro.netlist.plan`) and the per-corner delay
     tile cache, steady-state chunks run allocation-free.
 
-    Every block is one serial propagate (one ``repro_run`` call on the
-    native engines); parallelism lives one level up, in the forked
-    campaign workers.  ``block`` is a pure memory/scheduling knob,
-    never a results knob.
+    Every block is one serial propagate; parallelism lives one level
+    up, in the forked campaign workers.  ``block`` is a pure
+    memory/scheduling knob, never a results knob.
     """
     if n_cycles <= 0:
         raise ValueError("n_cycles must be positive")
@@ -136,8 +132,6 @@ def run_dta(alu: "AluNetlist", mnemonic: str, n_cycles: int,
         raise RuntimeError(
             "DTA simulation attempted while REPRO_FORBID_DTA is set "
             "-- expected a result-store hit")
-    if engine is None:
-        engine = native.engine_for()
     unit = alu.unit_of(mnemonic)
     if operands is None:
         rng = np.random.default_rng(seed)

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro import native
 from repro.analysis.lint import (
     ERROR,
     WARNING,
@@ -37,17 +36,10 @@ from repro.analysis.sta import (
     compute_envelope,
 )
 from repro.cli import main
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import ENGINES, Circuit
 from repro.netlist.plan import compile_plan
 from repro.store.schema import KINDS, artifact_from_json, current_schema
-from test_engine_equivalence import needs_native, random_circuits
-
-
-def _engines():
-    engines = ["reference", "compiled"]
-    if native.native_available():
-        engines.append("compiled-native")
-    return engines
+from test_engine_equivalence import random_circuits
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +55,7 @@ def test_every_engine_inside_static_envelope(case):
     check_bounds raising is the failure mode.
     """
     circuit, prev, new, delays, arrival = case
-    for engine in _engines():
+    for engine in ENGINES:
         for glitch_model in ("sensitized", "value-change"):
             _, arrivals = circuit.propagate(prev, new, delays, arrival,
                                             glitch_model, engine=engine)
@@ -174,12 +166,11 @@ def test_propagate_runs_the_oracle_when_armed(monkeypatch):
     """The hook is wired into Circuit.propagate itself, every engine."""
     circuit, delays = _inv_chain()
     monkeypatch.setenv("REPRO_CHECK_BOUNDS", "1")
-    for engine in _engines():
+    for engine in ENGINES:
         circuit.propagate({"a": [0]}, {"a": [1]}, delays, 1.0,
                           engine=engine)  # oracle green end-to-end
 
 
-@needs_native
 def test_oracle_catches_a_corrupted_engine(monkeypatch):
     """A kernel that returned wrong settles would trip the oracle.
 
@@ -189,11 +180,10 @@ def test_oracle_catches_a_corrupted_engine(monkeypatch):
     """
     circuit, delays = _inv_chain()
     _, arrivals = circuit.propagate({"a": [0]}, {"a": [1]}, delays, 1.0,
-                                    engine="compiled-native")
+                                    engine="compiled")
     corrupted = {"y": arrivals["y"] + 0.25}
     with pytest.raises(BoundsViolation):
-        check_bounds(circuit, delays, 1.0, corrupted,
-                     engine="compiled-native")
+        check_bounds(circuit, delays, 1.0, corrupted, engine="compiled")
 
 
 # ---------------------------------------------------------------------------
@@ -347,3 +337,21 @@ def test_cli_engines_reports_the_oracle(monkeypatch, capsys):
     monkeypatch.setenv("REPRO_CHECK_BOUNDS", "1")
     assert main(["engines"]) == 0
     assert "ACTIVE" in capsys.readouterr().out
+
+
+def test_cli_engines_lists_exactly_the_two_engines_and_the_oracle(capsys):
+    assert main(["engines"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows[1:]] == \
+        ["reference", "compiled", "oracle"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig2", "--engine", "native"],
+    ["engines", "--strict"],
+])
+def test_cli_retired_engine_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import native
 from repro.bench.suite import build_kernel
 from repro.fi.base import FaultInjector
 from repro.mc.runner import run_trial
@@ -23,19 +22,6 @@ from repro.netlist.circuit import Circuit, CircuitError
 from repro.netlist.gates import GATE_KINDS, arity_of
 from repro.sim.cpu import Cpu
 from repro.sim.machine import MachineConfig
-
-#: Marker of every test that executes the native C backend: skipped
-#: (never failed) where no working compiler exists or REPRO_NO_CC
-#: masks it -- the toolchain is optional by contract.  Deliberately
-#: defined per file: ``from conftest import ...`` is ambiguous under
-#: whole-repo collection (tests/ and benchmarks/ both own a conftest
-#: module named ``conftest``), and the condition/reason already
-#: delegate to the one implementation in :mod:`repro.native`.
-needs_native = pytest.mark.skipif(
-    not native.native_available(),
-    reason=f"native backend unavailable "
-           f"({native.unavailable_reason()})")
-
 
 @pytest.fixture(autouse=True)
 def _bounds_oracle(monkeypatch):
@@ -111,63 +97,17 @@ def test_compiled_engine_bit_identical(case):
         assert np.array_equal(arr_c["y"], arr_r["y"]), glitch_model
 
 
-@needs_native
-@given(random_circuits())
-@settings(max_examples=40, deadline=None)
-def test_native_engine_bit_identical(case):
-    """compiled-native must be a pure backend swap of compiled.
-
-    Same ops, same order, select-vs-multiply masking equivalent for
-    the non-negative settles both engines produce: values, events and
-    arrivals are bit-identical on random circuits, both glitch models.
-    """
-    circuit, prev, new, delays, arrival = case
-    for glitch_model in ("sensitized", "value-change"):
-        out_c, arr_c = circuit.propagate(prev, new, delays, arrival,
-                                         glitch_model, engine="compiled")
-        out_n, arr_n = circuit.propagate(prev, new, delays, arrival,
-                                         glitch_model,
-                                         engine="compiled-native")
-        assert np.array_equal(out_n["y"], out_c["y"]), glitch_model
-        assert np.array_equal(arr_n["y"], arr_c["y"]), glitch_model
-
-
-def test_native_engine_unavailable_is_a_clean_error(monkeypatch):
-    """Explicit native selection without a toolchain: clear error."""
-    monkeypatch.setenv("REPRO_NO_CC", "1")
-    assert not native.native_available()
-    circuit = Circuit("masked")
-    a = circuit.input_bus("a", 1)[0]
-    circuit.output_bus("y", [circuit.gate("INV", a)])
-    with pytest.raises(CircuitError, match="REPRO_NO_CC"):
-        circuit.propagate({"a": [0]}, {"a": [1]}, np.array([1.0]),
-                          engine="compiled-native")
-    # Selection-level resolution falls back instead of raising.
-    native.set_backend("native")
-    try:
-        assert native.engine_for() == "compiled"
-    finally:
-        native.set_backend("numpy")
-
-
 # ---------------------------------------------------------------------------
 # Width-1 levels and single-gate circuits (flat-descriptor regressions)
 # ---------------------------------------------------------------------------
-
-def _engines_under_test():
-    engines = ["compiled"]
-    if native.native_available():
-        engines.append("compiled-native")
-    return engines
-
 
 @pytest.mark.parametrize("kind", sorted(GATE_KINDS))
 def test_single_gate_circuit_all_engines(kind):
     """One gate, width-1 buses: every level path at its minimum size.
 
     Locks in the in-place XOR mask path and the MUX three-leg split of
-    the compiled plan -- and the native lowering's per-level records --
-    at n=1, where a ``>= 2 ops per level`` assumption would break.
+    the compiled plan at n=1, where a ``>= 2 ops per level``
+    assumption would break.
     """
     circuit = Circuit(f"single-{kind}")
     inputs = [circuit.input_bus(f"i{index}", 1)[0]
@@ -184,13 +124,10 @@ def test_single_gate_circuit_all_engines(kind):
     for glitch_model in ("sensitized", "value-change"):
         out_r, arr_r = circuit.propagate(prev, new, delays, 1.5,
                                          glitch_model, engine="reference")
-        for engine in _engines_under_test():
-            out_e, arr_e = circuit.propagate(prev, new, delays, 1.5,
-                                             glitch_model, engine=engine)
-            assert np.array_equal(out_e["y"], out_r["y"]), \
-                (kind, glitch_model, engine)
-            assert np.array_equal(arr_e["y"], arr_r["y"]), \
-                (kind, glitch_model, engine)
+        out_c, arr_c = circuit.propagate(prev, new, delays, 1.5,
+                                         glitch_model, engine="compiled")
+        assert np.array_equal(out_c["y"], out_r["y"]), (kind, glitch_model)
+        assert np.array_equal(arr_c["y"], arr_r["y"]), (kind, glitch_model)
 
 
 def test_width_one_levels_chain_all_engines():
@@ -218,13 +155,10 @@ def test_width_one_levels_chain_all_engines():
     for glitch_model in ("sensitized", "value-change"):
         out_r, arr_r = circuit.propagate(prev, new, delays, 2.0,
                                          glitch_model, engine="reference")
-        for engine in _engines_under_test():
-            out_e, arr_e = circuit.propagate(prev, new, delays, 2.0,
-                                             glitch_model, engine=engine)
-            assert np.array_equal(out_e["y"], out_r["y"]), \
-                (glitch_model, engine)
-            assert np.array_equal(arr_e["y"], arr_r["y"]), \
-                (glitch_model, engine)
+        out_c, arr_c = circuit.propagate(prev, new, delays, 2.0,
+                                         glitch_model, engine="compiled")
+        assert np.array_equal(out_c["y"], out_r["y"]), glitch_model
+        assert np.array_equal(arr_c["y"], arr_r["y"]), glitch_model
 
 
 def _wide_xor_chain(n_vectors=160):
@@ -245,24 +179,22 @@ def _wide_xor_chain(n_vectors=160):
     return circuit, prev, new
 
 
-@needs_native
-def test_pooled_propagate_sees_in_place_delay_mutation():
-    """Mutating a delay array in place must reach the native engine.
+def test_compiled_sees_in_place_delay_mutation():
+    """Mutating a delay array in place must reach the compiled engine.
 
-    The native per-row delay cache compares delays by value (like the
-    numpy delay-tile cache); keying by object identity alone would
-    serve stale delays after an in-place ``*=``.  The name predates
-    the removal of the thread-shard pool; the cache it guards remains.
+    The numpy delay-tile cache compares delays by value; keying it by
+    object identity alone would serve stale delays after an in-place
+    ``*=``.
     """
     circuit, prev, new = _wide_xor_chain()
     delays = np.full(circuit.n_gates, 2.0)
-    circuit.propagate(prev, new, delays, 1.0, engine="compiled-native")
+    circuit.propagate(prev, new, delays, 1.0, engine="compiled")
     delays *= 3.0  # same object, new values
-    _, native_arr = circuit.propagate(prev, new, delays, 1.0,
-                                      engine="compiled-native")
-    _, numpy_arr = circuit.propagate(prev, new, delays, 1.0,
-                                     engine="compiled")
-    assert np.array_equal(native_arr["y"], numpy_arr["y"])
+    _, compiled_arr = circuit.propagate(prev, new, delays, 1.0,
+                                        engine="compiled")
+    _, reference_arr = circuit.propagate(prev, new, delays, 1.0,
+                                         engine="reference")
+    assert np.array_equal(compiled_arr["y"], reference_arr["y"])
 
 
 def test_thread_sharded_edge_shapes():
@@ -292,14 +224,13 @@ def test_thread_sharded_edge_shapes():
             out_r, arr_r = circuit.propagate(prev, new, delays, 1.5,
                                              glitch_model,
                                              engine="reference")
-            for engine in _engines_under_test():
-                out_e, arr_e = circuit.propagate(prev, new, delays, 1.5,
-                                                 glitch_model,
-                                                 engine=engine)
-                assert np.array_equal(out_e["y"], out_r["y"]), \
-                    (circuit.name, len(prev["a"]), glitch_model, engine)
-                assert np.array_equal(arr_e["y"], arr_r["y"]), \
-                    (circuit.name, len(prev["a"]), glitch_model, engine)
+            out_c, arr_c = circuit.propagate(prev, new, delays, 1.5,
+                                             glitch_model,
+                                             engine="compiled")
+            assert np.array_equal(out_c["y"], out_r["y"]), \
+                (circuit.name, len(prev["a"]), glitch_model)
+            assert np.array_equal(arr_c["y"], arr_r["y"]), \
+                (circuit.name, len(prev["a"]), glitch_model)
 
 
 def test_gather_scratch_fast_path_contiguity(monkeypatch):

@@ -26,7 +26,7 @@ class TestGrammar:
             "seed=7;store.object_write:torn@p=0.1;"
             "campaign.worker.kill.w1:kill@after=3;"
             "campaign.unit_run:raise@hits=2+5+9,times=2;"
-            "native.*:fail@p=1.0")
+            "campaign.*:fail@p=1.0")
         assert seed == 7
         assert len(rules) == 4
         assert rules[0].site == "store.object_write"
@@ -35,7 +35,7 @@ class TestGrammar:
         assert rules[1].after == 3
         assert rules[2].hits == (2, 5, 9)
         assert rules[2].times == 2
-        assert rules[3].site == "native.*"
+        assert rules[3].site == "campaign.*"
 
     def test_empty_clauses_are_skipped(self):
         rules, seed = faults.parse_schedule(";;seed=3;;a.b:kill@p=1;")

@@ -9,6 +9,7 @@ from repro.mc.results import MC_POINT_SCHEMA, McPoint, TrialResult
 from repro.mc.sweep import FrequencySweep
 from repro.store import ResultStore, canonical_json, decode, encode, \
     key_hash
+from repro.store.serialize import NDARRAY_TAG, json_hash
 from repro.timing.cdf import CdfGrid, EndpointCdfs
 from repro.timing.characterize import (
     ALU_CHARACTERIZATION_SCHEMA,
@@ -278,6 +279,23 @@ class TestResultStore:
         assert fresh.exists() and not abandoned.exists()
         assert store.get(_key()) is not None
 
+    def test_stale_native_cache_dir_is_ignored(self, tmp_path):
+        """A kernel cache left by the retired native backend is inert.
+
+        Older stores kept compiled libraries in ``<root>/native/``;
+        ``ls`` and ``gc`` walk only ``objects/``, so the directory is
+        neither listed, read nor removed.
+        """
+        store = ResultStore(tmp_path / "store")
+        store.put(_key(), _point())
+        stale = store.root / "native" / "librepro-kernels-0.so"
+        stale.parent.mkdir()
+        stale.write_bytes(b"\x7fELF not a store object")
+        assert len(store.ls()) == 1
+        assert store.gc() == (0, 0)
+        assert store.gc(remove_all=True)[0] == 1
+        assert stale.exists()
+
     def test_gc_by_kind(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         store.put(_key(seed=1), _point())
@@ -454,6 +472,31 @@ class TestFaultHardening:
         assert list(store.quarantine_dir.iterdir())  # evidence kept
         store.put(_key(), _point(), label="healed")  # hit 2: clean
         assert store.get(_key()) is not None
+
+    @pytest.mark.parametrize("kind", ["mc_point", "alu_characterization"])
+    def test_stored_body_hashes_directly_to_its_checksum(self, tmp_path,
+                                                         kind):
+        """A body read back from disk needs no ``encode`` walk to hash.
+
+        Both bodies carry ``__ndarray__`` tags (the point's numpy
+        frequency, the characterization's arrays): the direct hash of
+        the parsed body equals ``key_hash`` of the body before ``put``
+        and the stored checksum.
+        """
+        if kind == "mc_point":
+            key, artifact = _key(), _point()
+        else:
+            key = _char_key()
+            artifact = TestCharacterizationJson()._characterization()
+        body = artifact.to_json()
+        store = ResultStore(tmp_path / "store")
+        store.put(key, artifact)
+        path = store._object_path(store.key_of(key))
+        envelope = json.loads(path.read_text())
+        assert NDARRAY_TAG in json.dumps(envelope["artifact"])
+        assert json_hash(envelope["artifact"]) == key_hash(body) \
+            == envelope["body_sha256"]
+        assert store.get(key) is not None
 
     def test_body_checksum_mismatch_quarantines(self, tmp_path, caplog):
         import logging
