@@ -9,7 +9,9 @@ future PRs have a perf trajectory.  Run with::
 
 The pytest-benchmark fixture times the optimized path; the reference
 path is measured once per test with ``perf_counter`` (it is 5-30x
-slower, timing it with full rounds would dominate the suite).
+slower, timing it with full rounds would dominate the suite).  The
+scheduled ``run_point`` and ISS rows, whose two sides are closer, time
+alternating pairs instead (:func:`_paired_medians`).
 """
 
 from __future__ import annotations
@@ -226,15 +228,37 @@ def test_run_point_reuse(benchmark):
             benchmark.stats.stats.min, reference_s)
 
 
+def _paired_medians(fast, slow, pairs: int) -> tuple[float, float, float]:
+    """Median seconds of each side over alternating runs, and the
+    median of the per-pair slow/fast ratios.
 
-def test_run_point_scheduled(benchmark, ctx):
+    Each pair times one fast run and one slow run back to back, so load
+    that drifts during the measurement moves both sides of a pair
+    alike; a few slow runs on either side cannot move the median ratio
+    the way they move a ratio of two minima.
+    """
+    fast_runs, slow_runs = [], []
+    for _ in range(pairs):
+        fast_runs.append(_time_best(fast, reps=1))
+        slow_runs.append(_time_best(slow, reps=1))
+    return (statistics.median(fast_runs), statistics.median(slow_runs),
+            statistics.median(slow / fast
+                              for fast, slow in zip(fast_runs, slow_runs)))
+
+
+#: Alternating scheduled/per-op pairs behind the run_point row's ratio.
+RUN_POINT_PAIRS = 15
+
+
+def test_run_point_scheduled(ctx):
     """Model-C point run on its fault schedule vs per-op fault masks.
 
     At 690 MHz every trial of the quick 16-bit matmul faults several
     times yet keeps the golden ALU mnemonic sequence, the regime the
     schedule's counting hook serves; the reference is the same model
     with ``next_fault`` returning None, so every ALU op calls
-    ``fault_mask``.
+    ``fault_mask``.  The row's speedup is the median of
+    ``RUN_POINT_PAIRS`` paired ratios (see :func:`_paired_medians`).
     """
     kernel = build_kernel("mat_mult_16bit", "quick")
     characterization = ctx.characterization(0.7)
@@ -248,15 +272,16 @@ def test_run_point_scheduled(benchmark, ctx):
             rng=rng), n_trials=10, seed=3)
 
     scheduled = point(StatisticalInjector)
-    benchmark(lambda: point(StatisticalInjector))
-    reference_s = _time_best(lambda: point(per_op))
     assert scheduled == point(per_op)
     golden_ops = len(golden_run(kernel).mnemonic_ids)
     assert all(trial.fault_count and trial.finished
                and trial.alu_cycles == golden_ops
                for trial in scheduled.trials)
-    _record("run_point[mat_mult_16bit,scheduled]",
-            benchmark.stats.stats.min, reference_s)
+    scheduled_s, per_op_s, speedup = _paired_medians(
+        lambda: point(StatisticalInjector), lambda: point(per_op),
+        RUN_POINT_PAIRS)
+    _record("run_point[mat_mult_16bit,scheduled]", scheduled_s, per_op_s,
+            speedup=speedup)
 
 
 #: Alternating block/step pairs behind the ISS row's median ratio.
@@ -268,11 +293,8 @@ def test_iss_blocks():
 
     One hook-free run of the paper-size 16-bit matmul (44 k cycles);
     the reference is the same program on a CPU that a no-op trace hook
-    keeps on the step path.  Each pair times one block run and one
-    step run back to back, so load that drifts during the measurement
-    moves both sides of a pair alike; the row's speedup is the median
-    of the per-pair ratios, which a few slow runs on either side
-    cannot move the way they move a ratio of two minima.
+    keeps on the step path.  The row's speedup is the median of
+    ``ISS_PAIRS`` paired ratios (see :func:`_paired_medians`).
     """
     kernel = build_kernel("mat_mult_16bit", "paper")
     blocks = Cpu(kernel.program)
@@ -284,15 +306,9 @@ def test_iss_blocks():
 
     expected = run(blocks)  # binds the blocks
     run(steps)
-    block_runs, step_runs = [], []
-    for _ in range(ISS_PAIRS):
-        block_runs.append(_time_best(lambda: run(blocks), reps=1))
-        step_runs.append(_time_best(lambda: run(steps), reps=1))
+    block_s, step_s, speedup = _paired_medians(
+        lambda: run(blocks), lambda: run(steps), ISS_PAIRS)
     assert expected.finished
     assert run(steps) == expected == run(blocks)
-    block_s = statistics.median(block_runs)
-    _record("iss[mat_mult_16bit,paper]", block_s,
-            statistics.median(step_runs),
-            speedup=statistics.median(
-                step / block for block, step in zip(block_runs, step_runs)),
+    _record("iss[mat_mult_16bit,paper]", block_s, step_s, speedup=speedup,
             ns_per_cycle=round(1e9 * block_s / expected.cycles, 1))

@@ -6,7 +6,7 @@ analyzer the natural independent oracle for the dynamic engines: a
 classical min/max arrival-time pass over the already-levelized
 :class:`~repro.netlist.plan.CompiledPlan` yields, per net, a sound
 envelope that every dynamic arrival must fall inside, no matter which
-of the three engines (or glitch models) produced it.
+of the two engines (or glitch models) produced it.
 
 Three coordinated layers:
 

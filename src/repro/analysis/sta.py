@@ -3,7 +3,7 @@
 No simulation happens here: the analyzer is pure per-gate delay
 algebra over the levelized rows of a
 :class:`~repro.netlist.plan.CompiledPlan`, which makes it an
-*independent* check on the five dynamic engines -- it shares their
+*independent* check on the two dynamic engines -- it shares their
 netlist compilation but none of their event machinery.
 
 Envelope semantics

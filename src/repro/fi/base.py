@@ -47,6 +47,26 @@ SCAN_CHUNK = 256
 FAULT_SEMANTICS = ("flip", "stale")
 
 
+def first_hit(rng: np.random.Generator, count: int,
+              probs: np.ndarray | float) -> int | None:
+    """Index of the first of ``count`` uniforms below its probability.
+
+    Draws the uniforms as one vector.  On a hit, rewinds the generator
+    and redraws up to and including the hit's uniform, so it stands
+    where scalar draws stopping at the hit leave it and the caller can
+    sample the fault's mask where the live call samples it.  Returns
+    None, with all ``count`` uniforms drawn, when none hits.
+    """
+    state = rng.bit_generator.state
+    hits = np.flatnonzero(rng.random(count) < probs)
+    if not hits.size:
+        return None
+    hit = int(hits[0])
+    rng.bit_generator.state = state
+    rng.random(hit + 1)
+    return hit
+
+
 class FaultInjector(abc.ABC):
     """Base class for all timing-error injection models.
 

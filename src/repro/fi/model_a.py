@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fi.base import SCAN_CHUNK, FaultInjector
+from repro.fi.base import SCAN_CHUNK, FaultInjector, first_hit
 from repro.fi.sampling import BitSampler
 from repro.netlist.alu import N_ENDPOINTS
 
@@ -50,17 +50,11 @@ class FixedProbabilityInjector(FaultInjector):
         n, p_any = len(mnemonic_ids), self._sampler.p_any
         size = SCAN_CHUNK
         while p_any > 0.0 and start < n:
-            state = self._rng.bit_generator.state
-            draws = self._rng.random(min(size, n - start))
-            hits = np.flatnonzero(draws < p_any)
-            if hits.size:
-                # Redraw up to the hit so the mask samples where the
-                # live call samples it.
-                hit = int(hits[0])
-                self._rng.bit_generator.state = state
-                self._rng.random(hit + 1)
+            count = min(size, n - start)
+            hit = first_hit(self._rng, count, p_any)
+            if hit is not None:
                 return start + hit, self._sampler.sample_mask(self._rng)
-            start += len(draws)
+            start += count
             size *= 2
         return n, 0
 

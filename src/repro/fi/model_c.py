@@ -21,23 +21,23 @@ Two endpoint-correlation modes are provided:
   CDFs exactly either way).
 
 The per-cycle fast path costs one stream read, one bisect into the
-period grid, and one uniform draw; the expensive conditional sampling
-only runs on actual fault cycles.  :meth:`StatisticalInjector.next_fault`
-replays that fast path over the golden ALU sequence in numpy slices:
-it draws a slice's uniforms in one vector, and at the first one below
-its fault probability it rewinds the RNG to before the vector, redraws
-up to that uniform, samples the mask as the live call would, and gives
-the slice's unread periods back to the stream.  That needs one period
-grid shared by every ALU mnemonic; without it the model cannot
-schedule and its trials run per-op.
+period grid every ALU mnemonic shares, one read of the characterization's
+any-endpoint fault probability, and one uniform draw; the conditional
+sampling only runs on actual fault cycles, with the row's sampler the
+characterization keeps for all its injectors.
+:meth:`StatisticalInjector.next_fault` replays that fast path over the
+golden ALU sequence in numpy slices: it reads a slice's fault
+probabilities from one dense (mnemonic, row) table, finds the first
+faulting op with :func:`~repro.fi.base.first_hit`, samples the mask as
+the live call would, and gives the slice's unread periods back to the
+stream.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fi.base import SCAN_CHUNK, FaultInjector
-from repro.fi.sampling import BitSampler, any_probability
+from repro.fi.base import SCAN_CHUNK, FaultInjector, first_hit
 from repro.fi.streams import EffectivePeriodStream
 from repro.isa.instructions import ALU_MNEMONICS
 from repro.netlist.alu import AluNetlist
@@ -106,34 +106,32 @@ class StatisticalInjector(FaultInjector):
             vdd_model=vdd_model,
             noise=noise,
             rng=self._rng)
-        # Lazily built conditional samplers, and the any-endpoint fault
-        # probability the fast path tests (cheap to compute, unlike a
-        # sampler, which only a faulting cycle needs), keyed by
-        # (mnemonic, row).
-        self._samplers: dict[tuple[str, int], BitSampler] = {}
-        self._p_any: dict[tuple[str, int], float] = {}
-        self._row_grid, self._draw_limit = self._schedule_tables()
-        # (mnemonic id, row) -> the sampler's p_any, NaN until computed.
-        self._p_any_table = np.full(
-            (len(ALU_MNEMONICS), len(self._row_grid.periods)
-             if self._row_grid else 0), np.nan)
-
-    def _schedule_tables(self):
-        """Shared period grid and per-mnemonic draw limits, or Nones.
-
-        A schedule maps a period to one grid row for every mnemonic,
-        so it needs one period grid shared by all ALU mnemonics
-        (characterizations compile them that way); without it, trials
-        run per-op.  A cycle's fast path draws a uniform exactly when its
-        period is at most its mnemonic's limit: on the grid, and either
-        mapping to a row before the grid's first quiet row (independent
-        mode) or below the worst sampled cycle (joint mode).
-        """
+        # One row index serves every mnemonic, per op and in a scan, so
+        # every ALU mnemonic needs a grid and all grids one period grid
+        # (characterizations compile them that way).
         grids = [self._grids.get(mnemonic) for mnemonic in ALU_MNEMONICS]
-        if not all(grid is not None and np.array_equal(
-                grid.periods, grids[0].periods) for grid in grids):
-            return None, None
-        periods = grids[0].periods
+        missing = [mnemonic for mnemonic, grid
+                   in zip(ALU_MNEMONICS, grids) if grid is None]
+        if missing:
+            raise ValueError(f"no CDF grid for {missing}")
+        if not all(np.array_equal(grid.periods, grids[0].periods)
+                   for grid in grids):
+            raise ValueError("the ALU mnemonics' CDF grids must share "
+                             "one period grid")
+        self._row_grid = grids[0]
+        # (mnemonic id, row) -> the any-endpoint fault probability.
+        self._p_any = np.stack([grid.p_any for grid in grids])
+        self._draw_limit = self._draw_limits(grids)
+
+    def _draw_limits(self, grids) -> np.ndarray:
+        """Per-mnemonic longest period whose fast path draws a uniform.
+
+        A cycle draws exactly when its period is at most its mnemonic's
+        limit: on the grid, and either mapping to a row before the
+        grid's first quiet row (independent mode) or below the worst
+        sampled cycle (joint mode).
+        """
+        periods = self._row_grid.periods
         limits = []
         for mnemonic, grid in zip(ALU_MNEMONICS, grids):
             if self.correlation == "independent":
@@ -143,7 +141,7 @@ class StatisticalInjector(FaultInjector):
                 worst = self._cdfs[mnemonic].row_max_sorted[-1]
                 limit = np.nextafter(worst, -np.inf)
             limits.append(min(limit, np.nextafter(periods[-1], -np.inf)))
-        return grids[0], np.array(limits)
+        return np.array(limits)
 
     @classmethod
     def for_alu(cls, alu: AluNetlist, frequency_hz: float,
@@ -170,35 +168,16 @@ class StatisticalInjector(FaultInjector):
 
     def fault_mask(self, mnemonic: str) -> int:
         period_eff = self._stream.next()
-        grid = self._grids[mnemonic]
-        row = grid.row_index(period_eff)
+        row = self._row_grid.row_index(period_eff)
         if row < 0:
             return 0
-        if self.correlation == "independent":
-            return self._independent_mask(mnemonic, row)
-        return self._joint_mask(mnemonic, period_eff)
-
-    def _sampler(self, mnemonic: str, row: int) -> BitSampler:
-        sampler = self._samplers.get((mnemonic, row))
-        if sampler is None:
-            sampler = BitSampler.from_probs(self._grids[mnemonic].probs[row])
-            self._samplers[(mnemonic, row)] = sampler
-        return sampler
-
-    def _any_fault_probability(self, mnemonic: str, row: int) -> float:
-        p_any = self._p_any.get((mnemonic, row))
-        if p_any is None:
-            p_any = self._p_any[(mnemonic, row)] = any_probability(
-                self._grids[mnemonic].probs[row])
-        return p_any
-
-    def _independent_mask(self, mnemonic: str, row: int) -> int:
-        p_any = self._p_any.get((mnemonic, row))
-        if p_any is None:
-            p_any = self._any_fault_probability(mnemonic, row)
+        if self.correlation == "joint":
+            return self._joint_mask(mnemonic, period_eff)
+        grid = self._grids[mnemonic]
+        p_any = grid.p_any[row]
         if p_any <= 0.0 or self._rng.random() >= p_any:
             return 0
-        return self._sampler(mnemonic, row).sample_mask(self._rng)
+        return grid.sampler(row).sample_mask(self._rng)
 
     def _joint_mask(self, mnemonic: str, period_eff: float) -> int:
         cdfs = self._cdfs[mnemonic]
@@ -223,22 +202,13 @@ class StatisticalInjector(FaultInjector):
     # -- fault schedules --------------------------------------------------
 
     def next_fault(self, mnemonic_ids: np.ndarray,
-                   start: int) -> tuple[int, int] | None:
-        if self._row_grid is None:
-            return None
-        rng = self._rng
+                   start: int) -> tuple[int, int]:
         for periods in self._stream.take(len(mnemonic_ids) - start,
                                          SCAN_CHUNK):
             ids = mnemonic_ids[start:start + len(periods)]
             drawing, probs = self._draw_probs(ids, periods)
-            state = rng.bit_generator.state
-            hits = np.flatnonzero(rng.random(probs.size) < probs)
-            if hits.size:
-                # Redraw up to the faulting uniform, then sample the
-                # mask where the live call samples it.
-                draw = int(hits[0])
-                rng.bit_generator.state = state
-                rng.random(draw + 1)
+            draw = first_hit(self._rng, len(probs), probs)
+            if draw is not None:
                 hit = int(drawing[draw])
                 self._stream.give_back(len(periods) - hit - 1)
                 return start + hit, self._hit_mask(
@@ -249,8 +219,8 @@ class StatisticalInjector(FaultInjector):
     def _hit_mask(self, mnemonic: str, period_eff: float) -> int:
         """Mask of a cycle whose fast-path uniform fell below its odds."""
         if self.correlation == "independent":
-            row = self._grids[mnemonic].row_index(period_eff)
-            return self._sampler(mnemonic, row).sample_mask(self._rng)
+            row = self._row_grid.row_index(period_eff)
+            return self._grids[mnemonic].sampler(row).sample_mask(self._rng)
         cdfs = self._cdfs[mnemonic]
         return self._joint_sample(cdfs, int(np.searchsorted(
             cdfs.row_max_sorted, period_eff, side="right")), period_eff)
@@ -272,16 +242,7 @@ class StatisticalInjector(FaultInjector):
         ids, periods = ids[drawing], periods[drawing]
         if self.correlation == "independent":
             rows = self._row_grid.row_indices(periods)
-            table = self._p_any_table
-            p_any = table[ids, rows]
-            missing = np.isnan(p_any)
-            if missing.any():
-                for mid, row in set(zip(ids[missing].tolist(),
-                                        rows[missing].tolist())):
-                    table[mid, row] = self._any_fault_probability(
-                        ALU_MNEMONICS[mid], row)
-                p_any = table[ids, rows]
-            return drawing, p_any
+            return drawing, self._p_any[ids, rows]
         probs = np.empty(len(ids))
         for mid in np.unique(ids).tolist():
             at = ids == mid

@@ -8,7 +8,7 @@ from repro.timing.characterize import (
     get_characterization,
 )
 from repro.timing.dta import DtaResult, run_dta, sample_operands
-from repro.timing.noise import NoiseStream, VoltageNoise
+from repro.timing.noise import VoltageNoise
 from repro.timing.report import EndpointSlack, TimingReport, timing_report
 from repro.timing.sta import max_frequency_hz, static_arrivals, worst_arrival
 from repro.timing.voltage import VddDelayModel
@@ -20,7 +20,6 @@ __all__ = [
     "DtaResult",
     "EndpointCdfs",
     "EndpointSlack",
-    "NoiseStream",
     "TimingReport",
     "VddDelayModel",
     "VoltageNoise",

@@ -10,19 +10,26 @@ Two views are provided:
 * :class:`EndpointCdfs` -- the exact empirical CDFs, queried by period
   or frequency (used for plots, tables and tests);
 * :class:`CdfGrid` -- a dense period-grid compilation used by the
-  statistical fault injector on its per-cycle fast path: one bisect
-  finds the grid row, which holds the per-endpoint probabilities, the
-  any-endpoint violation probability and the tail products needed for
-  conditional sampling.
+  statistical fault injector: a grid row holds the per-endpoint
+  probabilities and the any-endpoint fault probability the injector's
+  per-cycle fast path tests, and the grid caches the row's conditional
+  sampler, which only a faulting cycle needs.  A characterization
+  compiles every instruction onto one period grid, so one row index
+  serves every instruction, and every injector built on the
+  characterization shares the grid's samplers.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.fi.sampling import BitSampler
 
 
 @dataclass
@@ -102,16 +109,13 @@ class CdfGrid:
     Attributes:
         periods: (G,) ascending clock-period grid [ps].
         probs: (G, 32) per-endpoint violation probabilities.
-        p_any: (G,) any-endpoint violation probability.
-        tail_products: (G, 33) suffix products of (1 - p_bit), i.e.
-            ``tail_products[g, i] = prod_{j >= i} (1 - probs[g, j])``;
-            used for exact conditional sampling in independent mode.
+        p_any: (G,) probability that at least one endpoint violates,
+            endpoints independent: ``1 - prod(1 - probs[g])``.
     """
 
     periods: np.ndarray
     probs: np.ndarray
-    p_any: np.ndarray
-    tail_products: np.ndarray
+    p_any: np.ndarray = field(init=False)
 
     @classmethod
     def compile(cls, cdfs: EndpointCdfs, period_min_ps: float,
@@ -128,19 +132,16 @@ class CdfGrid:
             n - np.searchsorted(row, periods, side="right")
             for row in cdfs.critical_sorted
         ]).T / n
-        p_any = (n - np.searchsorted(cdfs.row_max_sorted, periods,
-                                     side="right")) / n
-        one_minus = 1.0 - probs
-        tails = np.ones((points, probs.shape[1] + 1))
-        tails[:, :-1] = np.cumprod(one_minus[:, ::-1], axis=1)[:, ::-1]
-        return cls(periods=periods, probs=probs, p_any=p_any,
-                   tail_products=tails)
+        return cls(periods=periods, probs=probs)
 
     def __post_init__(self) -> None:
+        # Equals repro.fi.sampling.any_probability(probs[g]) bit for
+        # bit on every row, the value a row's sampler carries.
+        self.p_any = 1.0 - np.prod(1.0 - self.probs, axis=1)
         # The injector's fast path uses plain-Python bisect on a list,
         # which is faster than numpy for scalar lookups.
         self._period_list = self.periods.tolist()
-        self._p_any_list = self.p_any.tolist()
+        self._samplers: dict[int, BitSampler] = {}
 
     @cached_property
     def first_quiet_row(self) -> int:
@@ -170,5 +171,16 @@ class CdfGrid:
             self.periods, periods_ps[on_grid], "left") - 1, 0)
         return rows
 
-    def p_any_at(self, row: int) -> float:
-        return self._p_any_list[row]
+    def sampler(self, row: int) -> BitSampler:
+        """The row's conditional :class:`~repro.fi.sampling.BitSampler`.
+
+        Built on first use and kept, so a characterization builds each
+        row's sampler at most once for all its injectors.
+        """
+        sampler = self._samplers.get(row)
+        if sampler is None:
+            # Imported here: repro.fi imports this module's package.
+            from repro.fi.sampling import BitSampler
+            sampler = self._samplers[row] = BitSampler.from_probs(
+                self.probs[row])
+        return sampler

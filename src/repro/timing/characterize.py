@@ -6,15 +6,16 @@ operands (the paper uses 8 kCycles total) produces per-instruction,
 per-endpoint arrival statistics, which are compiled into the CDF
 tables the statistical fault injector consumes.
 
-Characterizations are cached in-process by configuration key and can
-be persisted to ``.npz`` files (the gate-level timing simulation is
-the most expensive step of the flow).
+Characterizations are cached in-process by configuration key, and
+the result store persists them through :meth:`AluCharacterization.to_json`
+(the gate-level timing simulation is the most expensive step of the
+flow).  Every instruction's CDFs are compiled onto one period grid, so
+one grid row index serves every instruction.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -74,7 +75,6 @@ class AluCharacterization:
         """
         config = config or CharacterizationConfig()
         cdfs: dict[str, EndpointCdfs] = {}
-        max_critical = 0.0
         for index, mnemonic in enumerate(alu.mnemonics):
             result = run_dta(
                 alu, mnemonic,
@@ -84,9 +84,20 @@ class AluCharacterization:
                 glitch_model=config.glitch_model)
             cdfs[mnemonic] = EndpointCdfs.from_critical(
                 mnemonic, config.vdd, result.critical_ps)
-            max_critical = max(max_critical,
-                               float(result.critical_ps.max()))
-        worst_sta = alu.worst_sta_period_ps(config.vdd)
+        return cls._compiled(config, cdfs,
+                             alu.worst_sta_period_ps(config.vdd))
+
+    @classmethod
+    def _compiled(cls, config: CharacterizationConfig,
+                  cdfs: dict[str, EndpointCdfs],
+                  worst_sta: float) -> "AluCharacterization":
+        """Compile every instruction's CDFs onto one shared period grid.
+
+        The grid spans 0.35x the worst STA period up to 5% past the
+        slowest of that period and every sampled cycle.
+        """
+        max_critical = max(float(table.critical_rows.max())
+                           for table in cdfs.values())
         grid_min = 0.35 * worst_sta
         grid_max = 1.05 * max(max_critical, worst_sta)
         grids = {
@@ -107,43 +118,6 @@ class AluCharacterization:
 
     # -- persistence -----------------------------------------------------
 
-    def save(self, path: str | Path) -> None:
-        """Persist the raw arrival statistics to an ``.npz`` file."""
-        arrays = {
-            f"critical::{m}": table.critical_rows
-            for m, table in self.cdfs.items()
-        }
-        arrays["meta"] = np.array([
-            self.config.vdd, self.config.n_cycles_per_instr,
-            self.config.seed, self.config.grid_points,
-            self.worst_sta_period_ps,
-        ])
-        arrays["glitch_model"] = np.array(self.config.glitch_model)
-        np.savez_compressed(Path(path), **arrays)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "AluCharacterization":
-        """Load a characterization persisted by :meth:`save`.
-
-        Files from older builds also carry the settle-pipeline dtype,
-        which was ``"float64"`` for every characterization the current
-        code can ask for; only the arrays read below matter.
-        """
-        data = np.load(Path(path), allow_pickle=False)
-        meta = data["meta"]
-        config = CharacterizationConfig(
-            vdd=float(meta[0]),
-            n_cycles_per_instr=int(meta[1]),
-            seed=int(meta[2]),
-            glitch_model=str(data["glitch_model"]),
-            grid_points=int(meta[3]),
-        )
-        criticals = {
-            key.split("::", 1)[1]: data[key]
-            for key in data.files if key.startswith("critical::")
-        }
-        return cls._rebuild(config, criticals, float(meta[4]))
-
     @classmethod
     def _rebuild(cls, config: CharacterizationConfig,
                  criticals: dict[str, np.ndarray],
@@ -157,7 +131,6 @@ class AluCharacterization:
         interchangeable with freshly computed ones.
         """
         cdfs = {}
-        max_critical = 0.0
         for mnemonic, critical in criticals.items():
             # The persisted matrix is critical_rows, i.e. already in
             # row-max ascending order; rebuilding the views directly
@@ -172,23 +145,14 @@ class AluCharacterization:
                 row_max_sorted=critical.max(axis=1),
                 critical_rows=critical,
             )
-            max_critical = max(max_critical, float(critical.max()))
-        grid_min = 0.35 * worst_sta
-        grid_max = 1.05 * max(max_critical, worst_sta)
-        grids = {
-            mnemonic: CdfGrid.compile(table, grid_min, grid_max,
-                                      config.grid_points)
-            for mnemonic, table in cdfs.items()
-        }
-        return cls(config=config, cdfs=cdfs, grids=grids,
-                   worst_sta_period_ps=worst_sta)
+        return cls._compiled(config, cdfs, worst_sta)
 
     def to_json(self) -> dict:
         """Lossless JSON body (schema ``ALU_CHARACTERIZATION_SCHEMA``).
 
         Only the raw per-instruction critical-period matrices travel
         (exact dtype preserved); CDFs and grids are rebuilt
-        deterministically on load, exactly like :meth:`load`.
+        deterministically on load.
         """
         from repro.store.serialize import encode
         return {

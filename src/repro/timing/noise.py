@@ -6,8 +6,9 @@ variable with zero mean and standard deviation sigma, clipped at
 Each cycle's noise value modulates every path delay of that cycle
 through the fitted Vdd-delay curve.
 
-Noise is sampled in pre-generated blocks so the per-cycle cost inside
-the instruction set simulator stays negligible.
+Noise is sampled in pre-generated blocks
+(:class:`repro.fi.streams.EffectivePeriodStream`) so the per-cycle
+cost inside the instruction set simulator stays negligible.
 """
 
 from __future__ import annotations
@@ -48,29 +49,3 @@ class VoltageNoise:
         bound = self.max_droop_v
         return np.clip(values, -bound, bound)
 
-
-class NoiseStream:
-    """Blocked sampler handing out one noise value per simulated cycle.
-
-    Refills from the underlying :class:`VoltageNoise` in blocks to keep
-    per-cycle overhead to an array index.
-    """
-
-    def __init__(self, noise: VoltageNoise, rng: np.random.Generator,
-                 block: int = 65536):
-        if block <= 0:
-            raise ValueError("block size must be positive")
-        self._noise = noise
-        self._rng = rng
-        self._block = block
-        self._values = noise.sample(block, rng)
-        self._cursor = 0
-
-    def next(self) -> float:
-        """Noise value [V] for the next cycle."""
-        if self._cursor >= self._block:
-            self._values = self._noise.sample(self._block, self._rng)
-            self._cursor = 0
-        value = self._values[self._cursor]
-        self._cursor += 1
-        return value

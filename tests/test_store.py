@@ -161,8 +161,8 @@ class TestCharacterizationJson:
                                   original.row_max_sorted)
             assert np.array_equal(back.grids[mnemonic].probs,
                                   char.grids[mnemonic].probs)
-            assert np.array_equal(back.grids[mnemonic].tail_products,
-                                  char.grids[mnemonic].tail_products)
+            assert np.array_equal(back.grids[mnemonic].p_any,
+                                  char.grids[mnemonic].p_any)
 
     def test_schema_guard(self):
         payload = self._characterization().to_json()

@@ -1,15 +1,22 @@
 """Tests for the characterization flow: coverage, caching, persistence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.experiments.context import ExperimentContext
+from repro.fi.model_c import StatisticalInjector
+from repro.fi.sampling import BitSampler, any_probability
 from repro.isa.instructions import ALU_MNEMONICS
+from repro.timing.cdf import CdfGrid
 from repro.timing.characterize import (
     AluCharacterization,
     CharacterizationConfig,
     clear_cache,
     get_characterization,
 )
+from repro.timing.noise import VoltageNoise
 
 
 class TestCoverage:
@@ -51,39 +58,10 @@ class TestCaching:
         assert first is not second
 
 
-class TestPersistence:
-    def test_save_load_roundtrip(self, alu, tmp_path):
-        config = CharacterizationConfig(n_cycles_per_instr=64, seed=21)
-        original = AluCharacterization.run(alu, config)
-        path = tmp_path / "char.npz"
-        original.save(path)
-        loaded = AluCharacterization.load(path)
-        assert loaded.config == config
-        assert set(loaded.mnemonics) == set(original.mnemonics)
-        for mnemonic in original.mnemonics:
-            assert np.allclose(
-                loaded.cdfs[mnemonic].critical_rows,
-                original.cdfs[mnemonic].critical_rows)
-        assert loaded.worst_sta_period_ps == pytest.approx(
-            original.worst_sta_period_ps)
-
-    def test_loaded_grids_behave_identically(self, alu, tmp_path):
-        config = CharacterizationConfig(n_cycles_per_instr=64, seed=22)
-        original = AluCharacterization.run(alu, config)
-        path = tmp_path / "char.npz"
-        original.save(path)
-        loaded = AluCharacterization.load(path)
-        period = 1e12 / 800e6
-        for mnemonic in original.mnemonics:
-            assert np.allclose(
-                loaded.cdfs[mnemonic].error_probs(period),
-                original.cdfs[mnemonic].error_probs(period))
-
-
 class TestOlderStoredData:
-    """Bodies and files written while the DTA also had a float settle
-    pipeline carry a ``timing_dtype`` config field; they must keep
-    decoding into bit-identical tables."""
+    """Bodies written while the DTA also had a float settle pipeline
+    carry a ``timing_dtype`` config field; they must keep decoding into
+    bit-identical tables."""
 
     @staticmethod
     def _assert_identical(loaded, original):
@@ -97,23 +75,64 @@ class TestOlderStoredData:
                 got = getattr(loaded.cdfs[mnemonic], name)
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
-            for name in ("periods", "probs", "p_any", "tail_products"):
+            for name in ("periods", "probs", "p_any"):
                 assert np.array_equal(
                     getattr(loaded.grids[mnemonic], name),
                     getattr(original.grids[mnemonic], name))
 
-    def test_body_and_npz_with_timing_dtype_reload(self, characterization,
-                                                   tmp_path):
+    def test_body_with_timing_dtype_reloads(self, characterization):
         body = characterization.to_json()
         body["config"] = {**body["config"], "timing_dtype": "float64"}
         self._assert_identical(AluCharacterization.from_json(body),
                                characterization)
 
-        path = tmp_path / "char.npz"
-        characterization.save(path)
-        with np.load(path) as data:
-            arrays = {name: data[name] for name in data.files}
-        arrays["timing_dtype"] = np.array("float64")
-        np.savez_compressed(path, **arrays)
-        self._assert_identical(AluCharacterization.load(path),
-                               characterization)
+
+class TestSharedTables:
+    """Model C reads one fault table per characterization."""
+
+    def test_p_any_is_the_independent_any_endpoint_probability(self, alu):
+        quick = get_characterization(
+            alu, ExperimentContext.create("quick").char_config())
+        for grid in quick.grids.values():
+            assert grid.p_any.tolist() == [
+                any_probability(probs) for probs in grid.probs]
+
+    def test_injectors_share_row_samplers(self, characterization,
+                                          vdd_model, monkeypatch):
+        fresh = AluCharacterization.from_json(characterization.to_json())
+
+        def masks():
+            injector = StatisticalInjector(
+                fresh, 720e6, VoltageNoise(0.010), vdd_model=vdd_model,
+                rng=np.random.default_rng(5))
+            return [injector.fault_mask("l.mul") for _ in range(2000)]
+
+        first = masks()
+        assert any(first)
+
+        def unbuilt(probs):
+            raise AssertionError("a second injector built a sampler")
+        monkeypatch.setattr(BitSampler, "from_probs", unbuilt)
+        assert masks() == first
+
+    def test_injector_rejects_a_missing_mnemonic(self, characterization,
+                                                 vdd_model):
+        grids = dict(characterization.grids)
+        del grids["l.mul"]
+        with pytest.raises(ValueError, match="l.mul"):
+            StatisticalInjector(replace(characterization, grids=grids),
+                                700e6, VoltageNoise(0.010),
+                                vdd_model=vdd_model)
+
+    def test_injector_rejects_unshared_periods(self, characterization,
+                                               vdd_model):
+        cdfs = characterization.cdfs["l.add"]
+        periods = characterization.grids["l.add"].periods
+        grids = dict(characterization.grids)
+        grids["l.add"] = CdfGrid.compile(cdfs, periods[0],
+                                         1.01 * periods[-1],
+                                         len(periods))
+        with pytest.raises(ValueError, match="period grid"):
+            StatisticalInjector(replace(characterization, grids=grids),
+                                700e6, VoltageNoise(0.010),
+                                vdd_model=vdd_model)

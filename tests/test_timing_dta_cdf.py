@@ -118,15 +118,6 @@ class TestCdfGrid:
         row = grid.row_index(305.0)
         assert grid.periods[row] <= 305.0
 
-    def test_tail_products(self):
-        cdfs = _synthetic_cdfs()
-        grid = CdfGrid.compile(cdfs, 50.0, 450.0, points=101)
-        row = grid.row_index(175.0)
-        p = grid.probs[row]
-        expected = np.concatenate((
-            np.cumprod((1 - p)[::-1])[::-1], [1.0]))
-        assert np.allclose(grid.tail_products[row], expected)
-
     def test_p_any_monotone_decreasing(self):
         cdfs = _synthetic_cdfs()
         grid = CdfGrid.compile(cdfs, 50.0, 450.0, points=101)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.library import CHARACTERIZED_VDDS, CellLibrary, VDD_REF
-from repro.timing.noise import NoiseStream, VoltageNoise
+from repro.timing.noise import VoltageNoise
 from repro.timing.sta import max_frequency_hz, static_arrivals, worst_arrival
 from repro.timing.voltage import VddDelayModel
 
@@ -160,15 +160,6 @@ class TestVoltageNoise:
 
     def test_max_droop(self):
         assert VoltageNoise(0.025).max_droop_v == pytest.approx(0.05)
-
-    def test_stream_refills(self, rng):
-        stream = NoiseStream(VoltageNoise(0.010), rng, block=16)
-        values = [stream.next() for _ in range(50)]
-        assert len(set(values)) > 20  # fresh randomness across refills
-
-    def test_stream_block_validation(self, rng):
-        with pytest.raises(ValueError):
-            NoiseStream(VoltageNoise(0.01), rng, block=0)
 
 
 class TestStatisticalClipBehavior:
