@@ -1,22 +1,23 @@
 # Developer entry points.  `make tier1` is the gate every PR must keep
 # green: the full unit/property suite, the quick-scale engine benches
 # (bench_engines asserts compiled/reference bit-identity and refreshes
-# BENCH_engines.json), and the campaign smoke test (run -> kill ->
-# resume -> diff over the persistent result store).
+# BENCH_engines.json), the campaign smoke test (run -> kill ->
+# resume -> diff over the persistent result store) and the perfbench
+# self-test (its tracer must still reach every wrapped binding).
 
 PYTHON ?= python
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 .PHONY: tier1 test lint bench-engines bench-engines-scratch \
         bench-baseline bench-check bench-figures campaign-smoke \
-        chaos-smoke obs-smoke fabric-smoke
+        chaos-smoke obs-smoke fabric-smoke perfbench-selftest
 
 # tier1 runs the bench suite into a scratch file (its bit-identity
 # asserts still gate) so the *committed* median-anchored
 # BENCH_engines.json stays what bench-check compares against --
 # otherwise the single run just written would overwrite the baseline
 # seconds before the gate reads it.
-tier1: lint test bench-engines-scratch bench-check campaign-smoke chaos-smoke obs-smoke fabric-smoke
+tier1: lint test bench-engines-scratch bench-check campaign-smoke chaos-smoke obs-smoke fabric-smoke perfbench-selftest
 
 # Static checks: ruff + mypy per pyproject.toml (strict on
 # src/repro/analysis/, permissive elsewhere).  Where those tools are
@@ -79,6 +80,13 @@ fabric-smoke:
 # vs a no-telemetry no-op baseline.
 obs-smoke:
 	$(PYTHON) scripts/obs_smoke.py
+
+# Tiny-scale self-test of the end-to-end benchmark (about a minute):
+# every workload passes its output checks and prints exactly the
+# metrics BENCHMARK.json names, traced and untraced, and the tracer's
+# wrappers reach every binding of the functions it times.
+perfbench-selftest:
+	$(PYTHON) perfbench/selftest.py
 
 # Full figure/table reproduction benches (slow; scale via REPRO_BENCH_SCALE).
 bench-figures:

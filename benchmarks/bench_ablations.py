@@ -1,18 +1,13 @@
 """Ablation bench: design-choice studies called out in DESIGN.md."""
 
+from repro import experiments
 from repro.experiments import ablations
 
 
 def test_ablations(benchmark, scale, ctx, capsys):
-    def run_all():
-        return (
-            ablations.run_glitch_model_ablation(scale, context=ctx),
-            ablations.run_semantics_ablation(scale, context=ctx),
-            ablations.run_adder_topology_ablation(scale),
-        )
-
     glitch, semantics, adders = benchmark.pedantic(
-        run_all, rounds=1, iterations=1)
+        lambda: experiments.run("ablations", scale, context=ctx),
+        rounds=1, iterations=1)
     with capsys.disabled():
         print("\n" + ablations.render_all(glitch, semantics, adders))
     assert glitch.headroom_inflation("l.mul") > 0.0

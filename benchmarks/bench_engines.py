@@ -10,8 +10,9 @@ future PRs have a perf trajectory.  Run with::
 The pytest-benchmark fixture times the optimized path; the reference
 path is measured once per test with ``perf_counter`` (it is 5-30x
 slower, timing it with full rounds would dominate the suite).  The
-scheduled ``run_point`` and ISS rows, whose two sides are closer, time
-alternating pairs instead (:func:`_paired_medians`).
+propagate, scheduled ``run_point`` and ISS rows, whose ratios swing
+between processes on a loaded host, time alternating pairs instead
+(:func:`_paired_medians`).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import experiments
 from repro.bench.suite import build_kernel
 from repro.experiments import fig2, fig4, fig7
 from repro.experiments.context import ExperimentContext
@@ -83,10 +85,18 @@ def _operand_block(seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+#: Alternating compiled/reference pairs behind each propagate row.
+PROPAGATE_PAIRS = 15
+
+
 @pytest.mark.parametrize("mnemonic", ["l.add", "l.mul"])
 @pytest.mark.parametrize("glitch_model", ["sensitized", "value-change"])
-def test_propagate_block(benchmark, ctx, mnemonic, glitch_model):
-    """Circuit.propagate on one ALU unit at block=512, both engines."""
+def test_propagate_block(ctx, mnemonic, glitch_model):
+    """Circuit.propagate on one ALU unit at block=512, both engines.
+
+    The row's speedup is the median of ``PROPAGATE_PAIRS`` paired
+    ratios (see :func:`_paired_medians`).
+    """
     alu = ctx.alu
     a, b = _operand_block()
     prev, new = (a[:BLOCK], b[:BLOCK]), (a[1:], b[1:])
@@ -96,15 +106,15 @@ def test_propagate_block(benchmark, ctx, mnemonic, glitch_model):
                              engine=engine)
 
     run("compiled")  # warm the plan, workspace and delay tiles
-    compiled = benchmark(lambda: run("compiled"))
-    reference_s = _time_best(lambda: run("reference"))
     values, arrivals = run("compiled")
     ref_values, ref_arrivals = run("reference")
     assert np.array_equal(values, ref_values)
     assert np.array_equal(arrivals, ref_arrivals)
-    _record(f"propagate[{mnemonic},{glitch_model}]",
-            benchmark.stats.stats.min, reference_s)
-    assert compiled is not None
+    compiled_s, reference_s, speedup = _paired_medians(
+        lambda: run("compiled"), lambda: run("reference"),
+        PROPAGATE_PAIRS)
+    _record(f"propagate[{mnemonic},{glitch_model}]", compiled_s,
+            reference_s, speedup=speedup)
 
 
 @pytest.mark.parametrize("mnemonic", ["l.add", "l.mul"])
@@ -147,12 +157,15 @@ def test_fig7_warm_store(benchmark, ctx, scale, tmp_path):
     """
     store = ResultStore(tmp_path / "warm-store")
     start = time.perf_counter()
-    cold_result = fig7.run(scale, context=ctx, store=store)
+    cold_result = experiments.run("fig7", scale, context=ctx,
+                                  store=store)
     cold_s = time.perf_counter() - start
 
-    warm_result = fig7.run(scale, context=ctx, store=store)
+    warm_result = experiments.run("fig7", scale, context=ctx,
+                                  store=store)
     assert fig7.render(warm_result) == fig7.render(cold_result)
-    benchmark(lambda: fig7.run(scale, context=ctx, store=store))
+    benchmark(lambda: experiments.run("fig7", scale, context=ctx,
+                                      store=store))
     _record(f"fig7[{scale.name},warm-store]", benchmark.stats.stats.min,
             cold_s)
 
@@ -169,15 +182,15 @@ def test_fig2_warm_store(benchmark, scale, tmp_path):
     store = ResultStore(tmp_path / "warm-store")
     start = time.perf_counter()
     cold_ctx = ExperimentContext.create(scale, seed=2016, store=store)
-    cold_result = fig2.run(scale, context=cold_ctx)
+    cold_result = experiments.run("fig2", scale, context=cold_ctx)
     cold_s = time.perf_counter() - start
 
     warm_ctx = ExperimentContext.create(scale, seed=2016, store=store)
-    warm_result = fig2.run(scale, context=warm_ctx)
+    warm_result = experiments.run("fig2", scale, context=warm_ctx)
     assert fig2.render(warm_result) == fig2.render(cold_result)
-    benchmark(lambda: fig2.run(
-        scale, context=ExperimentContext.create(scale, seed=2016,
-                                                store=store)))
+    benchmark(lambda: experiments.run(
+        "fig2", scale, context=ExperimentContext.create(
+            scale, seed=2016, store=store)))
     _record(f"fig2[{scale.name},warm-store]", benchmark.stats.stats.min,
             cold_s)
 
@@ -186,12 +199,15 @@ def test_fig4_warm_store(benchmark, ctx, scale, tmp_path):
     """Store-served fig4 rerun vs the cold per-variant DTA sweep."""
     store = ResultStore(tmp_path / "warm-store")
     start = time.perf_counter()
-    cold_result = fig4.run(scale, context=ctx, store=store)
+    cold_result = experiments.run("fig4", scale, context=ctx,
+                                  store=store)
     cold_s = time.perf_counter() - start
 
-    warm_result = fig4.run(scale, context=ctx, store=store)
+    warm_result = experiments.run("fig4", scale, context=ctx,
+                                  store=store)
     assert fig4.render(warm_result) == fig4.render(cold_result)
-    benchmark(lambda: fig4.run(scale, context=ctx, store=store))
+    benchmark(lambda: experiments.run("fig4", scale, context=ctx,
+                                      store=store))
     _record(f"fig4[{scale.name},warm-store]", benchmark.stats.stats.min,
             cold_s)
 

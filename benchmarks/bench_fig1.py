@@ -1,11 +1,13 @@
 """Fig. 1 bench: models B / B+ on the median benchmark."""
 
+from repro import experiments
 from repro.experiments import fig1
 
 
 def test_fig1(benchmark, scale, ctx, capsys):
     results = benchmark.pedantic(
-        lambda: fig1.run(scale, context=ctx), rounds=1, iterations=1)
+        lambda: experiments.run("fig1", scale, context=ctx),
+        rounds=1, iterations=1)
     with capsys.disabled():
         print("\n" + fig1.render(results))
     by_sigma = {r.sigma_v: r for r in results}

@@ -2,12 +2,14 @@
 
 import numpy as np
 
+from repro import experiments
 from repro.experiments import fig2
 
 
 def test_fig2(benchmark, scale, ctx, capsys):
     result = benchmark.pedantic(
-        lambda: fig2.run(scale, context=ctx), rounds=1, iterations=1)
+        lambda: experiments.run("fig2", scale, context=ctx),
+        rounds=1, iterations=1)
     with capsys.disabled():
         print("\n" + fig2.render(result))
     for curve in result.curves:

@@ -1,11 +1,13 @@
 """Fig. 4 bench: per-instruction MSE versus frequency."""
 
+from repro import experiments
 from repro.experiments import fig4
 
 
 def test_fig4(benchmark, scale, ctx, capsys):
     result = benchmark.pedantic(
-        lambda: fig4.run(scale, context=ctx), rounds=1, iterations=1)
+        lambda: experiments.run("fig4", scale, context=ctx),
+        rounds=1, iterations=1)
     with capsys.disabled():
         print("\n" + fig4.render(result))
     mul = result.curve("l.mul 32-bit").poff_hz()

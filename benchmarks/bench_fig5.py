@@ -1,11 +1,13 @@
 """Fig. 5 bench: median benchmark under model C, 6 operating points."""
 
+from repro import experiments
 from repro.experiments import fig5
 
 
 def test_fig5(benchmark, scale, ctx, capsys):
     results = benchmark.pedantic(
-        lambda: fig5.run(scale, context=ctx), rounds=1, iterations=1)
+        lambda: experiments.run("fig5", scale, context=ctx),
+        rounds=1, iterations=1)
     with capsys.disabled():
         print("\n" + fig5.render(results))
     assert len(results) == 6

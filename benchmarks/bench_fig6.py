@@ -1,11 +1,13 @@
 """Fig. 6 bench: benchmark comparison under model C vs the B+ cliff."""
 
+from repro import experiments
 from repro.experiments import fig6
 
 
 def test_fig6(benchmark, scale, ctx, capsys):
     results = benchmark.pedantic(
-        lambda: fig6.run(scale, context=ctx), rounds=1, iterations=1)
+        lambda: experiments.run("fig6", scale, context=ctx),
+        rounds=1, iterations=1)
     with capsys.disabled():
         print("\n" + fig6.render(results))
     by_name = {r.benchmark: r for r in results}

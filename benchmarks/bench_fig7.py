@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro import experiments
 from repro.experiments import fig7
 
 
 def test_fig7(benchmark, scale, ctx, capsys):
     result = benchmark.pedantic(
-        lambda: fig7.run(scale, context=ctx), rounds=1, iterations=1)
+        lambda: experiments.run("fig7", scale, context=ctx),
+        rounds=1, iterations=1)
     with capsys.disabled():
         print("\n" + fig7.render(result))
     no_noise = result.curve(0.0)

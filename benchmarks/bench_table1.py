@@ -1,11 +1,12 @@
 """Table 1 bench: regenerate the benchmark-properties table."""
 
+from repro import experiments
 from repro.experiments import table1
 
 
 def test_table1(benchmark, scale, capsys):
     rows = benchmark.pedantic(
-        lambda: table1.run(scale), rounds=1, iterations=1)
+        lambda: experiments.run("table1", scale), rounds=1, iterations=1)
     with capsys.disabled():
         print("\n" + table1.render(rows))
     by_name = {row.name: row for row in rows}

@@ -16,6 +16,7 @@ point -- expect hours.  ``quick`` finishes in about a minute.
 
 import sys
 
+from repro import experiments
 from repro.experiments import ExperimentContext, fig5, fig6
 
 
@@ -26,7 +27,7 @@ def main() -> None:
     print("=" * 72)
     print(f"Fig. 5 -- median benchmark, model C (scale: {scale})")
     print("=" * 72)
-    results5 = fig5.run(scale, context=ctx)
+    results5 = experiments.run("fig5", scale, context=ctx)
     print(fig5.render(results5))
     print("\nPoFF summary (paper: +11.4 % / +3.3 % / none at 0.7 V):")
     for result in results5:
@@ -38,7 +39,7 @@ def main() -> None:
     print("=" * 72)
     print(f"Fig. 6 -- benchmark comparison @ 0.7 V, sigma = 10 mV")
     print("=" * 72)
-    results6 = fig6.run(scale, context=ctx)
+    results6 = experiments.run("fig6", scale, context=ctx)
     print(fig6.render(results6))
 
 

@@ -13,6 +13,7 @@ Run:
 
 import sys
 
+from repro import experiments
 from repro.experiments import ExperimentContext, fig7
 from repro.power import CorePowerModel
 
@@ -21,7 +22,7 @@ def main() -> None:
     scale = sys.argv[1] if len(sys.argv) > 1 else "quick"
     ctx = ExperimentContext.create(scale)
 
-    result = fig7.run(scale, context=ctx)
+    result = experiments.run("fig7", scale, context=ctx)
     print(fig7.render(result))
 
     print("\nPaper reference points: PoFF ~0 % error at 0.93x power "

@@ -4,7 +4,6 @@ resumable sweeps of store-addressed Monte-Carlo work units."""
 from repro.campaign.orchestrator import (
     ALL_TARGET,
     CAMPAIGN_EXPERIMENTS,
-    CampaignPlan,
     CampaignReport,
     CampaignStatus,
     campaign_status,
@@ -15,7 +14,6 @@ from repro.campaign.orchestrator import (
 __all__ = [
     "ALL_TARGET",
     "CAMPAIGN_EXPERIMENTS",
-    "CampaignPlan",
     "CampaignReport",
     "CampaignStatus",
     "campaign_status",

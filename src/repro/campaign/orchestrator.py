@@ -1,9 +1,10 @@
 """Sharded campaign orchestration over the result store.
 
-A *campaign* is one figure-level experiment decomposed into its
-store-addressable work units (see :mod:`repro.mc.units` -- Monte-Carlo
-points for fig5/6/7/ablations, DTA curve artifacts for fig2/fig4), run
-with three guarantees:
+A *campaign* is one experiment of the :data:`repro.experiments.EXPERIMENTS`
+registry, decomposed by its module's ``plan`` into store-addressable
+work units (see :mod:`repro.mc.units` -- Monte-Carlo points for
+fig5/6/7/ablations, DTA curve artifacts for fig2/fig4, ...), run with
+three guarantees:
 
 * **Idempotence** -- units already in the store are never recomputed;
   a campaign restarted after a kill (``resume``) picks up exactly the
@@ -16,10 +17,10 @@ with three guarantees:
 * **Kill-safety** -- workers persist each unit atomically the moment
   it completes; at worst the unit in flight at kill time is redone.
 
-The ``all`` target plans every campaign experiment into one combined
-unit list, shards it over the dispatch, and renders each figure from
-its own units -- one store-served pass over everything the repo can
-render.
+Every CLI experiment command is a campaign (``--no-store`` gives it a
+throwaway store).  The ``all`` target plans every
+:data:`CAMPAIGN_EXPERIMENTS` entry into one combined unit list, shards
+it over the dispatch, and renders each figure from its own units.
 
 Dispatch has three modes:
 
@@ -56,38 +57,22 @@ from typing import Callable
 
 from repro import faults, obs
 from repro.campaign.failures import UnitFailure, failure_key
-from repro.experiments import ablations, fig1, fig2, fig4, fig5, fig6, \
-    fig7, table1
-from repro.experiments.context import ExperimentContext, NOMINAL_VDD
+from repro.experiments import EXPERIMENTS
+from repro.experiments.context import ExperimentContext
 from repro.experiments.scale import Scale, get_scale
-from repro.mc.units import WorkUnit
+from repro.mc.units import ExperimentPlan, WorkUnit
 from repro.timing.characterize import characterization_key
 
 _LOG = logging.getLogger("repro.campaign")
 
-#: Experiments that decompose into campaigns -- every paper artifact
-#: with expensive substance (table2 is a static matrix and has none).
+#: Experiments the ``all`` target and the ``campaign`` command cover --
+#: every registered one with expensive substance (table2 is a static
+#: matrix, fig-sta-margin four cheap STA reports).
 CAMPAIGN_EXPERIMENTS = ("table1", "fig1", "fig2", "fig4", "fig5",
                         "fig6", "fig7", "ablations")
 
 #: Pseudo-experiment: every campaign experiment in one sharded pass.
 ALL_TARGET = "all"
-
-
-@dataclass
-class CampaignPlan:
-    """An experiment decomposed into units plus its renderer.
-
-    ``prepare`` (optional) forces expensive shared substrate --
-    e.g. fig2's characterizations -- and is invoked by the
-    orchestrator only when the plan actually has pending units, so a
-    fully warm campaign (or status call) never touches it.
-    """
-
-    experiment: str
-    units: list[WorkUnit]
-    render: Callable[[list], str]
-    prepare: Callable[[], None] | None = None
 
 
 @dataclass
@@ -141,67 +126,21 @@ class CampaignStatus:
 
 
 def plan_campaign(experiment: str, ctx: ExperimentContext,
-                  seed: int) -> CampaignPlan:
-    """Decompose an experiment into units and a render function.
+                  seed: int) -> ExperimentPlan:
+    """Decompose an experiment into units and its assemble/render recipe.
 
-    Planning forces the experiment's characterizations where the unit
-    grids (fig5/6/7, ablations) or the worker substrate (fig2) depend
-    on them; with a store attached to ``ctx`` they persist, so a
-    resumed campaign replans without re-running DTA.  fig4 plans
-    without any DTA work -- each variant unit runs its own.
+    Planning forces the characterizations of the module's
+    ``PLAN_VDDS`` (unit grids derive from them); with a store attached
+    to ``ctx`` they persist, so a resumed campaign replans without
+    re-running DTA.
     """
-    prepare = None
-    if experiment == "table1":
-        units = table1.row_units(ctx.scale)
-        render = lambda rows: table1.render(list(rows))  # noqa: E731
-    elif experiment == "fig1":
-        units = fig1.point_units(ctx, seed=seed)
-        render = lambda points: fig1.render(  # noqa: E731
-            fig1.assemble(ctx, points))
-    elif experiment == "fig2":
-        units = fig2.curve_units(ctx, seed=seed)
-        render = lambda curves: fig2.render(  # noqa: E731
-            fig2.assemble(curves))
-        prepare = lambda: fig2.prepare(ctx)  # noqa: E731
-    elif experiment == "fig4":
-        units = fig4.curve_units(ctx, seed=seed)
-        render = lambda curves: fig4.render(  # noqa: E731
-            fig4.assemble(curves))
-    elif experiment == "fig5":
-        units = fig5.point_units(ctx, seed=seed)
-        render = lambda points: fig5.render(  # noqa: E731
-            fig5.assemble(ctx, points))
-    elif experiment == "fig6":
-        units = fig6.point_units(ctx, seed=seed)
-        render = lambda points: fig6.render(  # noqa: E731
-            fig6.assemble(ctx, points))
-    elif experiment == "fig7":
-        units = fig7.point_units(ctx, seed=seed)
-        render = lambda points: fig7.render(  # noqa: E731
-            fig7.assemble(ctx, points))
-    elif experiment == "ablations":
-        semantics_units = ablations.semantics_point_units(ctx, seed=seed)
-        adder_units = ablations.adder_topology_units(ctx.scale,
-                                                     seed=seed)
-        units = semantics_units + adder_units
-        n_semantics = len(semantics_units)
-
-        def render(artifacts):
-            # The glitch-model study is store-served through the
-            # context's characterizations; semantics points and
-            # per-topology adder PoFFs arrive as resolved units -- a
-            # warm render runs no DTA and no Monte-Carlo.
-            return ablations.render_all(
-                ablations.run_glitch_model_ablation(
-                    ctx.scale, seed=seed, context=ctx),
-                ablations.assemble_semantics(artifacts[:n_semantics]),
-                ablations.assemble_adders(artifacts[n_semantics:]))
-    else:
+    try:
+        module = EXPERIMENTS[experiment]
+    except KeyError:
         raise KeyError(
-            f"unknown campaign experiment {experiment!r}; known: "
-            f"{CAMPAIGN_EXPERIMENTS + (ALL_TARGET,)}")
-    return CampaignPlan(experiment=experiment, units=units,
-                        render=render, prepare=prepare)
+            f"unknown experiment {experiment!r}; known: "
+            f"{tuple(EXPERIMENTS) + (ALL_TARGET,)}") from None
+    return module.plan(ctx, seed)
 
 
 def _campaign_experiments(experiment: str) -> tuple[str, ...]:
@@ -211,28 +150,26 @@ def _campaign_experiments(experiment: str) -> tuple[str, ...]:
     return (experiment,)
 
 
-def _plan_characterization_configs(experiment: str,
-                                   ctx: ExperimentContext) -> list:
-    """Characterization configs that *planning* an experiment forces.
+def _cold_store_notice(experiment: str, names: tuple[str, ...],
+                       ctx: ExperimentContext, store) -> str | None:
+    """Say which characterizations planning is about to compute.
 
-    Used by :func:`campaign_status` to warn precisely when a status
-    call is about to run DTA: the check is ``store.contains`` on this
-    context's actual characterization keys, so a characterization
-    persisted for a different scale/seed/ALU never suppresses the
-    warning.
+    Reads the modules' declared ``PLAN_VDDS`` and checks this
+    context's own characterization keys with ``store.contains``, so a
+    characterization persisted for a different scale/seed/ALU never
+    suppresses the notice.  None when every one is stored.
     """
-    vdds: dict[float, None] = {}  # insertion-ordered de-dup
-    for name in _campaign_experiments(experiment):
-        if name in ("table1", "fig1", "fig2", "fig4"):
-            continue  # plan without DTA: table1 profiles the ISS,
-            # fig1 needs only STA + the Vdd fit, fig2 characterizes
-            # lazily (prepare hook), fig4 units run their own DTA
-        elif name == "fig5":
-            for vdd in fig5.PLOT_VDDS:
-                vdds.setdefault(vdd)
-        else:  # fig6, fig7, ablations: nominal-voltage grids
-            vdds.setdefault(NOMINAL_VDD)
-    return [ctx.char_config(vdd) for vdd in vdds]
+    # Insertion-ordered de-dup of the voltages planning forces.
+    vdds = dict.fromkeys(vdd for name in names for vdd
+                         in getattr(EXPERIMENTS[name], "PLAN_VDDS", ()))
+    missing = [vdd for vdd in vdds if not store.contains(
+        characterization_key(ctx.alu, ctx.char_config(vdd)))]
+    if not missing:
+        return None
+    return (f"cold store: planning {experiment} will run the DTA "
+            f"characterization first for "
+            f"{', '.join(f'{vdd:.2f}V' for vdd in missing)} "
+            f"(persisted for every later call)")
 
 
 def campaign_status(experiment: str, scale: str | Scale, seed: int,
@@ -248,18 +185,11 @@ def campaign_status(experiment: str, scale: str | Scale, seed: int,
     """
     resolved = get_scale(scale)
     ctx = ExperimentContext.create(resolved, seed, store=store)
-    if log is not None:
-        missing = [config for config
-                   in _plan_characterization_configs(experiment, ctx)
-                   if not store.contains(
-                       characterization_key(ctx.alu, config))]
-        if missing:
-            log(f"cold store: planning {experiment} will run the DTA "
-                f"characterization first for "
-                f"{', '.join(f'{c.vdd:.2f}V' for c in missing)} "
-                f"(persisted for every later call)")
-    plans = [plan_campaign(name, ctx, seed)
-             for name in _campaign_experiments(experiment)]
+    names = _campaign_experiments(experiment)
+    notice = _cold_store_notice(experiment, names, ctx, store)
+    if notice is not None and log is not None:
+        log(notice)
+    plans = [plan_campaign(name, ctx, seed) for name in names]
     units = [unit for plan in plans for unit in plan.units]
     pending = []
     failed = []
@@ -319,7 +249,8 @@ def _compute_one(unit: WorkUnit, store) -> str | None:
 
 def _compute_pending(units: list[WorkUnit], store,
                      indices: list[int],
-                     kill_site: str | None = None) -> dict:
+                     kill_site: str | None = None,
+                     emit: Callable[[str], None] | None = None) -> dict:
     """Compute and persist the units at ``indices``.
 
     Returns ``{"computed": [...], "failed": [...]}`` index lists.
@@ -328,7 +259,7 @@ def _compute_pending(units: list[WorkUnit], store,
     recheck keeps the work unique) and must not be reported as
     computed.  ``failed`` units have failure markers in the store.
     ``kill_site`` is a forked worker's chaos hook, fired before each
-    unit.
+    unit; ``emit`` (serial dispatch only) is told about each unit.
     """
     computed: list[int] = []
     failed: list[int] = []
@@ -340,8 +271,12 @@ def _compute_pending(units: list[WorkUnit], store,
             continue
         if _compute_one(unit, store) is None:
             computed.append(index)
+            if emit is not None:
+                emit(f"computed {unit.label}")
         else:
             failed.append(index)
+            if emit is not None:
+                emit(f"FAILED {unit.label}")
     # Shard workers exit via os._exit (no atexit): flush counter
     # snapshots at this barrier so the merged trace sees them.
     obs.flush()
@@ -477,13 +412,16 @@ def run_campaign(experiment: str, scale: str | Scale = "default",
                  seed: int = 2016, store=None, jobs: int = 1,
                  log: Callable[[str], None] | None = None,
                  max_retries: int = 0,
-                 fabric_workers: int | None = None) -> CampaignReport:
+                 fabric_workers: int | None = None,
+                 context: ExperimentContext | None = None) \
+        -> CampaignReport:
     """Run (or resume) a campaign to its rendered figure output.
 
     Args:
-        experiment: one of :data:`CAMPAIGN_EXPERIMENTS`, or ``"all"``
-            to plan every campaign experiment into one combined unit
-            list, dispatched once and rendered per figure.
+        experiment: a :data:`repro.experiments.EXPERIMENTS` name, or
+            ``"all"`` to plan every :data:`CAMPAIGN_EXPERIMENTS` entry
+            into one combined unit list, dispatched once and rendered
+            per figure.
         scale: fidelity preset (name or :class:`Scale`).
         seed: master seed (every unit derives its own).
         store: the :class:`repro.store.ResultStore` holding results;
@@ -502,6 +440,9 @@ def run_campaign(experiment: str, scale: str | Scale = "default",
             remote) store, crash-resuming each other via lease steals
             (:mod:`repro.fabric.worker`).  Requires fork; falls back
             to serial dispatch where unavailable.
+        context: the context to plan on (same scale, seed and store),
+            so consecutive campaigns share its characterizations and
+            Vdd fit; default: a fresh one.
 
     Resuming is the same call again: completed units are store hits
     and only the missing ones execute, with byte-identical rendered
@@ -514,18 +455,23 @@ def run_campaign(experiment: str, scale: str | Scale = "default",
         raise ValueError("jobs must be positive")
     emit = log or (lambda message: None)
     resolved = get_scale(scale)
-    ctx = ExperimentContext.create(resolved, seed, store=store)
+    ctx = context or ExperimentContext.create(resolved, seed, store=store)
+    names = _campaign_experiments(experiment)
+    notice = _cold_store_notice(experiment, names, ctx, store)
+    if notice is not None:
+        emit(notice)
     plans = []
-    for name in _campaign_experiments(experiment):
+    for name in names:
         with obs.span("campaign.plan", experiment=name) as rec:
             plan = plan_campaign(name, ctx, seed)
             rec.set(units=len(plan.units))
         plans.append(plan)
     units = [unit for plan in plans for unit in plan.units]
-    # Envelope-level existence scan: no artifact decoding here, the
-    # single full decode per unit happens in the collection loop below.
-    pending = [index for index, unit in enumerate(units)
-               if not store.contains(unit.key)]
+    # The pending scan is the read: every stored unit is decoded once
+    # here and kept; an undecodable one reads as a miss and recomputes.
+    artifacts = [store.get(unit.key) for unit in units]
+    pending = [index for index, artifact in enumerate(artifacts)
+               if artifact is None]
     obs.counter("campaign.units_cached", len(units) - len(pending))
     emit(f"{experiment}: {len(units)} units, "
          f"{len(units) - len(pending)} cached, "
@@ -571,65 +517,44 @@ def run_campaign(experiment: str, scale: str | Scale = "default",
     else:
         with obs.span("campaign.dispatch", mode="serial",
                       pending=len(pending)):
-            for index in pending:
-                unit = units[index]
-                if store.contains(unit.key):
-                    continue
-                if _compute_one(unit, store) is None:
-                    computed_indices.add(index)
-                    emit(f"computed {unit.label}")
-                else:
-                    failed_indices.add(index)
-                    emit(f"FAILED {unit.label}")
+            absorb(_compute_pending(units, store, pending, emit=emit))
 
-    # Retry rounds for crashed units: serial in the parent (a worker
-    # may be part of the problem), exponential backoff between rounds.
+    def read_back(indices) -> None:
+        """Load what dispatch persisted; an undecodable unit fails."""
+        for index in indices:
+            if index in failed_indices:
+                continue
+            artifacts[index] = store.get(units[index].key)
+            if artifacts[index] is None:
+                emit(f"undecodable unit {units[index].label}")
+                failed_indices.add(index)
+                computed_indices.discard(index)
+
+    read_back(pending)
+    # Retry rounds for crashed or undecodable units: serial in the
+    # parent (a worker may be part of the problem), exponential
+    # backoff between rounds.
     for attempt in range(1, max_retries + 1):
         if not failed_indices:
             break
         time.sleep(RETRY_BACKOFF_S * (1 << (attempt - 1)))
         emit(f"retry round {attempt}/{max_retries}: "
              f"{len(failed_indices)} failed unit(s)")
-        still_failed: set[int] = set()
-        for index in sorted(failed_indices):
+        retry = sorted(failed_indices)
+        failed_indices.clear()
+        for index in retry:
             unit = units[index]
             if store.contains(unit.key) \
                     or _compute_one(unit, store) is None:
                 computed_indices.add(index)
                 emit(f"computed {unit.label} (retry {attempt})")
             else:
-                still_failed.add(index)
-        failed_indices = still_failed
-
-    artifacts = []
-    for index, unit in enumerate(units):
-        if index in failed_indices:
-            artifacts.append(None)
-            continue
-        artifact = store.get(unit.key)
-        if artifact is None:
-            # A unit that passed the envelope scan but fails to decode
-            # (corrupted artifact body): self-heal by recomputing,
-            # under the same retry budget as the main rounds -- the
-            # heal itself can crash or be corrupted again.
-            emit(f"recomputing undecodable unit {unit.label}")
-            for heal in range(max_retries + 1):
-                if _compute_one(unit, store) is None:
-                    artifact = store.get(unit.key)
-                    if artifact is not None:
-                        computed_indices.add(index)
-                        break
-                if heal < max_retries:
-                    time.sleep(RETRY_BACKOFF_S * (1 << heal))
-            if artifact is None:
                 failed_indices.add(index)
-                computed_indices.discard(index)
-                emit(f"FAILED {unit.label}")
-        artifacts.append(artifact)
+        read_back(retry)
 
     sections = []
     offset = 0
-    for plan in plans:
+    for name, plan in zip(names, plans):
         plan_units = units[offset:offset + len(plan.units)]
         plan_artifacts = artifacts[offset:offset + len(plan.units)]
         offset += len(plan.units)
@@ -640,16 +565,15 @@ def run_campaign(experiment: str, scale: str | Scale = "default",
             # Failure isolation at render time too: a plan with failed
             # units reports them instead of poisoning its renderer
             # (and the other plans still render normally).
-            rendered = (f"{plan.experiment}: NOT RENDERED -- "
+            rendered = (f"{name}: NOT RENDERED -- "
                         f"{len(missing)} unit(s) failed "
                         f"(see `campaign status`):\n"
                         + "\n".join(f"  {label}" for label in missing))
         else:
-            with obs.span("campaign.render",
-                          experiment=plan.experiment):
-                rendered = plan.render(plan_artifacts)
+            with obs.span("campaign.render", experiment=name):
+                rendered = plan.render(plan.assemble(plan_artifacts))
         if len(plans) > 1:
-            rendered = (f"{'=' * 72}\n{plan.experiment} "
+            rendered = (f"{'=' * 72}\n{name} "
                         f"(scale: {resolved.name})\n{'=' * 72}\n"
                         f"{rendered}")
         sections.append(rendered)

@@ -14,16 +14,18 @@ Examples::
     python -m repro verilog --unit multiplier --out mul32.v
     python -m repro kernels
 
-Experiment and campaign commands persist Monte-Carlo points and DTA
-characterizations in a content-addressed result store (``REPRO_STORE``
-or the XDG cache dir by default), so reruns at the same configuration
-are served without re-simulating; ``--no-store`` opts out.
+Every experiment command (``all`` included) runs as a campaign of the
+experiment's plan (:data:`repro.experiments.EXPERIMENTS`) over a
+content-addressed result store (``REPRO_STORE`` or the XDG cache dir
+by default), so reruns at the same configuration are served without
+re-simulating; ``--no-store`` computes into a throwaway store instead.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 
 from repro import analysis, faults, obs
 from repro.analysis import lint as lint_mod
@@ -31,58 +33,12 @@ from repro.bench.suite import BENCHMARK_NAMES, build_kernel
 from repro.campaign import ALL_TARGET, CAMPAIGN_EXPERIMENTS, \
     campaign_status, run_campaign
 from repro.campaign.orchestrator import stderr_log
-from repro.experiments import (
-    ExperimentContext,
-    ablations,
-    fig1,
-    fig2,
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    fig_sta_margin,
-    table1,
-    table2,
-)
+from repro.experiments import EXPERIMENTS, ExperimentContext
 from repro.mc.runner import golden_cycles
 from repro.netlist.calibrate import calibrated_alu
 from repro.netlist.verilog import to_verilog
 from repro.store import ResultStore
 from repro.timing.report import timing_report
-
-#: Experiment name -> callable(scale, seed, ctx, store) -> rendered
-#: text.  The seed is forwarded to the drivers so fig runs and
-#: campaigns at the same --seed share store entries and render
-#: identical output.
-_EXPERIMENTS = {
-    "table1": lambda scale, seed, ctx, store: table1.render(
-        table1.run(scale, store=store)),
-    "table2": lambda scale, seed, ctx, store: table2.render(),
-    "fig1": lambda scale, seed, ctx, store: fig1.render(
-        fig1.run(scale, seed, context=ctx, store=store)),
-    "fig2": lambda scale, seed, ctx, store: fig2.render(
-        fig2.run(scale, seed, context=ctx, store=store)),
-    "fig4": lambda scale, seed, ctx, store: fig4.render(
-        fig4.run(scale, seed, context=ctx, store=store)),
-    "fig5": lambda scale, seed, ctx, store: fig5.render(
-        fig5.run(scale, seed, context=ctx, store=store)),
-    "fig6": lambda scale, seed, ctx, store: fig6.render(
-        fig6.run(scale, seed, context=ctx, store=store)),
-    "fig7": lambda scale, seed, ctx, store: fig7.render(
-        fig7.run(scale, seed, context=ctx, store=store)),
-    "fig-sta-margin": lambda scale, seed, ctx, store:
-        fig_sta_margin.render(
-            fig_sta_margin.run(scale, seed, context=ctx, store=store)),
-    "ablations": lambda scale, seed, ctx, store:
-        ablations.render_all(
-            ablations.run_glitch_model_ablation(scale, seed,
-                                                context=ctx),
-            ablations.run_semantics_ablation(scale, seed, context=ctx,
-                                             store=store),
-            ablations.run_adder_topology_ablation(scale, seed,
-                                                  store=store)),
-}
-
 
 def _positive_int(text: str) -> int:
     """argparse type for worker counts: a bad count is a usage error."""
@@ -110,14 +66,14 @@ def _add_store(parser: argparse.ArgumentParser,
                         help="result-store directory (default: "
                              "$REPRO_STORE or the user cache dir)")
     parser.add_argument("--no-store", action="store_true",
-                        help="compute everything fresh; do not read or "
-                             "write the result store")
+                        help="compute everything fresh into a "
+                             "throwaway store; do not read or write "
+                             "the result store")
     if with_jobs:
         parser.add_argument("--jobs", type=_positive_int, default=None,
                             help="worker processes: shard the "
                                  "experiment's store units over N "
-                                 "forked children (fig commands run "
-                                 "as campaigns; output does not "
+                                 "forked children (output does not "
                                  "depend on N)")
     parser.add_argument("--faults", default=None, metavar="SPEC",
                         help="deterministic fault-injection schedule "
@@ -144,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "impact evaluation (DAC 2016 reproduction)")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    for name in list(_EXPERIMENTS) + ["all"]:
+    for name in list(EXPERIMENTS) + ["all"]:
         sub = subparsers.add_parser(
             name, help=f"regenerate {name}" if name != "all"
             else "regenerate every table and figure")
@@ -334,6 +290,24 @@ def _resolve_store(args) -> ResultStore | None:
     return ResultStore.default()
 
 
+def _run_experiments(args, store: ResultStore) -> int:
+    """Run ``args.command`` (one experiment, or ``all`` of them) as
+    campaigns over ``store`` and print each render."""
+    names = list(EXPERIMENTS) if args.command == "all" \
+        else [args.command]
+    ctx = ExperimentContext.create(args.scale, args.seed, store=store)
+    failed = False
+    for name in names:
+        if len(names) > 1:
+            print(f"\n{'=' * 72}\n{name} (scale: {args.scale})\n"
+                  f"{'=' * 72}")
+        report = run_campaign(name, args.scale, args.seed, store=store,
+                              jobs=args.jobs or 1, context=ctx)
+        failed = failed or bool(report.failed)
+        print(report.rendered)
+    return 1 if failed else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -356,33 +330,11 @@ def main(argv: list[str] | None = None) -> int:
         # *reads* an existing trace (configure would clear it).
         obs.configure(args.trace)
 
-    if args.command in _EXPERIMENTS or args.command == "all":
-        store = _resolve_store(args)
-        sharded = args.jobs is not None and args.jobs >= 2
-        if sharded and store is None:
-            print("--jobs shards campaign units over the result store "
-                  "(drop --no-store)", file=sys.stderr)
-            return 2
-        ctx = ExperimentContext.create(args.scale, args.seed, store=store)
-        names = (list(_EXPERIMENTS) if args.command == "all"
-                 else [args.command])
-        failed = False
-        for name in names:
-            if len(names) > 1:
-                print(f"\n{'=' * 72}\n{name} (scale: {args.scale})\n"
-                      f"{'=' * 72}")
-            if sharded and name in CAMPAIGN_EXPERIMENTS:
-                # The campaign resolves the same units as the driver,
-                # so the figure and its store entries do not depend on
-                # the worker count.
-                report = run_campaign(name, args.scale, args.seed,
-                                      store=store, jobs=args.jobs)
-                failed = failed or bool(report.failed)
-                print(report.rendered)
-            else:
-                print(_EXPERIMENTS[name](args.scale, args.seed, ctx,
-                                         store))
-        return 1 if failed else 0
+    if args.command in EXPERIMENTS or args.command == "all":
+        if args.no_store:
+            with tempfile.TemporaryDirectory(prefix="repro-") as tmp:
+                return _run_experiments(args, ResultStore(tmp))
+        return _run_experiments(args, _resolve_store(args))
 
     if args.command == "campaign":
         store = _resolve_store(args)

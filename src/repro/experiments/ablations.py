@@ -30,7 +30,7 @@ from repro.bench.suite import build_kernel
 from repro.fi.model_c import StatisticalInjector
 from repro.mc.results import McPoint
 from repro.mc.runner import run_point
-from repro.mc.units import WorkUnit, mc_point_key, resolve_units, \
+from repro.mc.units import ExperimentPlan, WorkUnit, mc_point_key, \
     work_unit_key
 from repro.netlist.adders import ADDER_KINDS
 from repro.netlist.alu import AluConfig, AluNetlist
@@ -53,6 +53,11 @@ class GlitchModelAblation:
         claims for one instruction (>= 0)."""
         return (self.poff_value_change_hz[mnemonic]
                 / self.poff_sensitized_hz[mnemonic]) - 1.0
+
+
+#: Voltages whose characterizations planning forces (the semantics
+#: study's injector tables).
+PLAN_VDDS = (NOMINAL_VDD,)
 
 
 def run_glitch_model_ablation(scale: str | Scale = "default",
@@ -127,24 +132,6 @@ def assemble_semantics(points: list[McPoint],
         frequency_hz=frequency_hz,
         summary_flip=points[0].summary(),
         summary_stale=points[1].summary())
-
-
-def run_semantics_ablation(scale: str | Scale = "default",
-                           seed: int = 2016,
-                           context: ExperimentContext | None = None,
-                           frequency_hz: float = 730e6,
-                           sigma_v: float = 0.010,
-                           store=None) -> SemanticsAblation:
-    """Compare fault semantics on the 8-bit matmul benchmark."""
-    scale = get_scale(scale)
-    ctx = context or ExperimentContext.create(scale, seed, store=store)
-    if store is None:
-        store = ctx.store
-    units = semantics_point_units(ctx, seed=seed,
-                                  frequency_hz=frequency_hz,
-                                  sigma_v=sigma_v)
-    points, _, _ = resolve_units(units, store)
-    return assemble_semantics(points, frequency_hz=frequency_hz)
 
 
 #: Schema version of the AdderTopologyAblation JSON representation;
@@ -237,7 +224,12 @@ def _compute_adder_poffs(kind: str, n_samples: int,
 
 def adder_topology_units(scale: str | Scale,
                          seed: int = 2016) -> list[WorkUnit]:
-    """One work unit per adder topology (planning runs no DTA)."""
+    """One work unit per adder topology (planning runs no DTA).
+
+    Each topology gets its own ALU, calibrated to identical unit timing
+    targets, so only the *structure* (the arrival-time profile across
+    endpoint bits) differs.
+    """
     scale = get_scale(scale)
     fingerprint = _adder_study_fingerprint()
     units = []
@@ -270,19 +262,24 @@ def assemble_adders(parts: list[AdderTopologyAblation]) \
     return AdderTopologyAblation(poffs_hz=merged)
 
 
-def run_adder_topology_ablation(scale: str | Scale = "default",
-                                seed: int = 2016, store=None) \
-        -> AdderTopologyAblation:
-    """Measure the 16-vs-32-bit add PoFF spread for each topology.
+def plan(ctx: ExperimentContext, seed: int = 2016) -> ExperimentPlan:
+    """The three studies as one plan.
 
-    Each topology gets its own ALU, calibrated to identical unit timing
-    targets, so only the *structure* (the arrival-time profile across
-    endpoint bits) differs.  With a ``store``, previously measured
-    topologies reload exactly and the rerun performs zero DTA work.
+    Semantics points and per-topology adder PoFFs are units; the
+    glitch-model study is served through the context's
+    characterizations when the result assembles -- so a warm run
+    performs no DTA and no Monte-Carlo.
     """
-    units = adder_topology_units(scale, seed=seed)
-    parts, _, _ = resolve_units(units, store)
-    return assemble_adders(parts)
+    semantics_units = semantics_point_units(ctx, seed=seed)
+    n_semantics = len(semantics_units)
+    return ExperimentPlan(
+        units=semantics_units + adder_topology_units(ctx.scale,
+                                                     seed=seed),
+        assemble=lambda artifacts: (
+            run_glitch_model_ablation(ctx.scale, seed=seed, context=ctx),
+            assemble_semantics(artifacts[:n_semantics]),
+            assemble_adders(artifacts[n_semantics:])),
+        render=lambda studies: render_all(*studies))
 
 
 def render_all(glitch: GlitchModelAblation, semantics: SemanticsAblation,

@@ -20,12 +20,11 @@ import numpy as np
 
 from repro.bench.suite import build_kernel
 from repro.experiments.context import ExperimentContext, NOMINAL_VDD
-from repro.experiments.scale import Scale, get_scale
 from repro.fi.model_b import StaInjector
 from repro.fi.model_bplus import StaNoiseInjector
 from repro.mc.results import McPoint
 from repro.mc.sweep import FrequencySweep, sweep_units
-from repro.mc.units import WorkUnit, resolve_units
+from repro.mc.units import ExperimentPlan, WorkUnit
 from repro.timing.characterize import alu_fingerprint
 
 #: Noise sigmas of the three sub-figures [V] (0 = model B's cliff).
@@ -82,7 +81,7 @@ def point_units(ctx: ExperimentContext, seed: int = 2016) -> list[WorkUnit]:
 
     Unit order is sub-figure major, ascending frequency minor,
     matching :func:`assemble`; keys and computations are exactly those
-    :func:`run` has always produced, so campaign-resolved and
+    :func:`plan` has always produced, so campaign-resolved and
     driver-resolved figures share store entries byte for byte.
     """
     kernel = build_kernel(BENCHMARK, ctx.scale.kernel_scale)
@@ -122,17 +121,12 @@ def assemble(ctx: ExperimentContext,
     return results
 
 
-def run(scale: str | Scale = "default", seed: int = 2016,
-        context: ExperimentContext | None = None,
-        store=None) -> list[Fig1Result]:
-    """Run the three sub-figures on the median benchmark."""
-    scale = get_scale(scale)
-    ctx = context or ExperimentContext.create(scale, seed, store=store)
-    if store is None:
-        store = ctx.store
-    units = point_units(ctx, seed=seed)
-    points, _, _ = resolve_units(units, store)
-    return assemble(ctx, points)
+def plan(ctx: ExperimentContext, seed: int = 2016) -> ExperimentPlan:
+    """The three sub-figures on the median benchmark."""
+    return ExperimentPlan(
+        units=point_units(ctx, seed=seed),
+        assemble=lambda points: assemble(ctx, points),
+        render=lambda results: render(results))
 
 
 def render(results: list[Fig1Result]) -> str:

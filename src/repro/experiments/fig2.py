@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.context import ExperimentContext
-from repro.experiments.scale import Scale, get_scale
-from repro.mc.units import WorkUnit, resolve_units, work_unit_key
+from repro.mc.units import ExperimentPlan, WorkUnit, work_unit_key
 
 #: Endpoint bits plotted by the paper.
 PLOT_BITS = (3, 24)
@@ -168,24 +167,20 @@ def assemble(curves: list[CdfCurve]) -> Fig2Result:
     return Fig2Result(curves=list(curves))
 
 
-def run(scale: str | Scale = "default", seed: int = 2016,
-        context: ExperimentContext | None = None,
-        mnemonics: tuple[str, ...] = ("l.mul", "l.add"),
-        points: int = 241, store=None) -> Fig2Result:
-    """Extract the Fig. 2 CDF curves from DTA characterizations.
+def plan(ctx: ExperimentContext, seed: int = 2016,
+         mnemonics: tuple[str, ...] = ("l.mul", "l.add"),
+         points: int = 241) -> ExperimentPlan:
+    """The Fig. 2 CDF curves, extracted from DTA characterizations.
 
-    With a ``store`` (or a store-attached context), previously
-    computed curves are reloaded bit-identically and the rerun
-    performs zero DTA work.
+    Against a store, previously computed curves reload bit-identically
+    and a rerun performs zero DTA work.
     """
-    scale = get_scale(scale)
-    ctx = context or ExperimentContext.create(scale, seed, store=store)
-    if store is None:
-        store = ctx.store
-    units = curve_units(ctx, seed=seed, mnemonics=mnemonics,
-                        points=points)
-    curves, _, _ = resolve_units(units, store)
-    return assemble(curves)
+    return ExperimentPlan(
+        units=curve_units(ctx, seed=seed, mnemonics=mnemonics,
+                          points=points),
+        assemble=lambda curves: assemble(curves),
+        render=lambda result: render(result),
+        prepare=lambda: prepare(ctx))
 
 
 def render(result: Fig2Result) -> str:

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.context import ExperimentContext, NOMINAL_VDD
-from repro.experiments.scale import Scale, get_scale
-from repro.mc.units import WorkUnit, resolve_units, work_unit_key
+from repro.mc.units import ExperimentPlan, WorkUnit, work_unit_key
 from repro.timing.characterize import alu_fingerprint
 from repro.timing.dta import run_dta
 from repro.timing.noise import VoltageNoise
@@ -224,23 +223,19 @@ def assemble(curves: list[InstructionMseCurve],
                       sigma_v=sigma_v)
 
 
-def run(scale: str | Scale = "default", seed: int = 2016,
-        context: ExperimentContext | None = None,
-        sigma_v: float = SIGMA_V, points: int | None = None,
-        store=None) -> Fig4Result:
-    """Run the instruction MSE study.
+def plan(ctx: ExperimentContext, seed: int = 2016,
+         sigma_v: float = SIGMA_V,
+         points: int | None = None) -> ExperimentPlan:
+    """The instruction MSE study (planning runs no DTA).
 
-    With a ``store`` (or a store-attached context), previously
-    computed curves are reloaded bit-identically and the rerun
-    performs zero DTA work.
+    Against a store, previously computed curves reload bit-identically
+    and a rerun performs zero DTA work.
     """
-    scale = get_scale(scale)
-    ctx = context or ExperimentContext.create(scale, seed, store=store)
-    if store is None:
-        store = ctx.store
-    units = curve_units(ctx, seed=seed, sigma_v=sigma_v, points=points)
-    curves, _, _ = resolve_units(units, store)
-    return assemble(curves, sigma_v=sigma_v)
+    return ExperimentPlan(
+        units=curve_units(ctx, seed=seed, sigma_v=sigma_v,
+                          points=points),
+        assemble=lambda curves: assemble(curves, sigma_v=sigma_v),
+        render=lambda result: render(result))
 
 
 def render(result: Fig4Result) -> str:

@@ -27,14 +27,17 @@ from repro.experiments.context import (
     ExperimentContext,
     NOISE_SIGMAS,
 )
-from repro.experiments.scale import Scale, get_scale
 from repro.fi.model_c import StatisticalInjector
 from repro.mc.results import McPoint
 from repro.mc.sweep import FrequencySweep, sweep_units
-from repro.mc.units import WorkUnit, resolve_units
+from repro.mc.units import ExperimentPlan, WorkUnit
 
 #: Supply voltages of the six sub-figures.
 PLOT_VDDS = (0.7, 0.8)
+
+#: Voltages whose characterizations planning forces (the transition
+#: grids derive from them).
+PLAN_VDDS = PLOT_VDDS
 
 
 @dataclass
@@ -153,22 +156,14 @@ def assemble(ctx: ExperimentContext, points: list[McPoint],
     return results
 
 
-def run(scale: str | Scale = "default", seed: int = 2016,
-        context: ExperimentContext | None = None,
-        benchmark: str = "median",
-        store=None) -> list[Fig5Result]:
-    """Run all six sub-figures.
-
-    ``store`` serves already-computed points without re-simulating and
-    persists fresh ones.
-    """
-    scale = get_scale(scale)
-    ctx = context or ExperimentContext.create(scale, seed, store=store)
-    if store is None:
-        store = ctx.store
-    units = point_units(ctx, seed=seed, benchmark=benchmark)
-    points, _, _ = resolve_units(units, store)
-    return assemble(ctx, points, benchmark=benchmark)
+def plan(ctx: ExperimentContext, seed: int = 2016,
+         benchmark: str = "median") -> ExperimentPlan:
+    """All six sub-figures."""
+    return ExperimentPlan(
+        units=point_units(ctx, seed=seed, benchmark=benchmark),
+        assemble=lambda points: assemble(ctx, points,
+                                         benchmark=benchmark),
+        render=lambda results: render(results))
 
 
 def render(results: list[Fig5Result]) -> str:

@@ -28,17 +28,19 @@ import numpy as np
 from repro.bench.suite import build_kernel
 from repro.experiments.context import ExperimentContext, NOMINAL_VDD
 from repro.experiments.fig5 import model_c_onset_hz
-from repro.experiments.scale import Scale, get_scale
 from repro.fi.model_c import StatisticalInjector
 from repro.mc.results import McPoint
 from repro.mc.sweep import FrequencySweep, sweep_units
-from repro.mc.units import WorkUnit, resolve_units
+from repro.mc.units import ExperimentPlan, WorkUnit
 
 #: Benchmarks of the figure (median is covered by Fig. 5).
 FIG6_BENCHMARKS = ("mat_mult_8bit", "mat_mult_16bit", "kmeans", "dijkstra")
 
 #: Noise level of the figure.
 SIGMA_V = 0.010
+
+#: Voltages whose characterizations planning forces.
+PLAN_VDDS = (NOMINAL_VDD,)
 
 
 @dataclass
@@ -123,20 +125,16 @@ def assemble(ctx: ExperimentContext, points: list[McPoint],
     return results
 
 
-def run(scale: str | Scale = "default", seed: int = 2016,
-        context: ExperimentContext | None = None,
-        benchmarks: tuple[str, ...] = FIG6_BENCHMARKS,
-        sigma_v: float = SIGMA_V,
-        store=None) -> list[Fig6Result]:
-    """Sweep every benchmark at 0.7 V with sigma = 10 mV."""
-    scale = get_scale(scale)
-    ctx = context or ExperimentContext.create(scale, seed, store=store)
-    if store is None:
-        store = ctx.store
-    units = point_units(ctx, seed=seed, benchmarks=benchmarks,
-                        sigma_v=sigma_v)
-    points, _, _ = resolve_units(units, store)
-    return assemble(ctx, points, benchmarks=benchmarks, sigma_v=sigma_v)
+def plan(ctx: ExperimentContext, seed: int = 2016,
+         benchmarks: tuple[str, ...] = FIG6_BENCHMARKS,
+         sigma_v: float = SIGMA_V) -> ExperimentPlan:
+    """Every benchmark swept at 0.7 V with sigma = 10 mV."""
+    return ExperimentPlan(
+        units=point_units(ctx, seed=seed, benchmarks=benchmarks,
+                          sigma_v=sigma_v),
+        assemble=lambda points: assemble(
+            ctx, points, benchmarks=benchmarks, sigma_v=sigma_v),
+        render=lambda results: render(results))
 
 
 def render(results: list[Fig6Result]) -> str:

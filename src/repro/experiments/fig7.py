@@ -28,15 +28,17 @@ from repro.experiments.context import (
     NOISE_SIGMAS,
     NOMINAL_VDD,
 )
-from repro.experiments.scale import Scale, get_scale
 from repro.fi.model_c import StatisticalInjector
 from repro.mc.results import McPoint
 from repro.mc.runner import run_point
-from repro.mc.units import WorkUnit, mc_point_key, resolve_units
+from repro.mc.units import ExperimentPlan, WorkUnit, mc_point_key
 from repro.power.model import CorePowerModel
 
 #: Swept supply-voltage range [V] (below the nominal 0.7 V).
 VDD_RANGE = (0.64, 0.70)
+
+#: Voltages whose characterizations planning forces.
+PLAN_VDDS = (NOMINAL_VDD,)
 
 
 @dataclass
@@ -153,18 +155,14 @@ def assemble(ctx: ExperimentContext, points: list[McPoint],
     return Fig7Result(curves=curves, frequency_hz=frequency)
 
 
-def run(scale: str | Scale = "default", seed: int = 2016,
-        context: ExperimentContext | None = None,
-        benchmark: str = "median",
-        store=None) -> Fig7Result:
-    """Run the voltage-overscaling trade-off study."""
-    scale = get_scale(scale)
-    ctx = context or ExperimentContext.create(scale, seed, store=store)
-    if store is None:
-        store = ctx.store
-    units = point_units(ctx, seed=seed, benchmark=benchmark)
-    points, _, _ = resolve_units(units, store)
-    return assemble(ctx, points, benchmark=benchmark)
+def plan(ctx: ExperimentContext, seed: int = 2016,
+         benchmark: str = "median") -> ExperimentPlan:
+    """The voltage-overscaling trade-off study."""
+    return ExperimentPlan(
+        units=point_units(ctx, seed=seed, benchmark=benchmark),
+        assemble=lambda points: assemble(ctx, points,
+                                         benchmark=benchmark),
+        render=lambda result: render(result))
 
 
 def render(result: Fig7Result) -> str:

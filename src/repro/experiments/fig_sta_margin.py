@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 from repro.analysis.sta import StaReport, build_report
 from repro.experiments.context import NOMINAL_VDD, ExperimentContext
-from repro.experiments.scale import Scale, get_scale
-from repro.mc.units import WorkUnit, resolve_units, work_unit_key
+from repro.mc.units import ExperimentPlan, WorkUnit, work_unit_key
 from repro.timing.characterize import alu_fingerprint
 
 #: Representative mnemonic whose DTA distribution is compared against
@@ -112,17 +111,23 @@ def sta_report_units(ctx: ExperimentContext, seed: int,
     return units
 
 
-def run(scale: str | Scale = "default", seed: int = 2016,
-        context: ExperimentContext | None = None, store=None,
-        vdd: float = NOMINAL_VDD) -> FigStaMarginResult:
-    """Build per-unit STA reports and pair them with DTA quantiles."""
-    scale = get_scale(scale)
-    ctx = context or ExperimentContext.create(scale, seed, store=store)
-    if store is None:
-        store = ctx.store
+def plan(ctx: ExperimentContext, seed: int = 2016,
+         vdd: float = NOMINAL_VDD) -> ExperimentPlan:
+    """Per-unit STA report units, paired with DTA quantiles on assembly.
+
+    Planning runs only STA; the characterization the quantiles read
+    is forced when the reports assemble.
+    """
     clock_ps = ctx.alu.worst_sta_period_ps(vdd)
-    reports, _, _ = resolve_units(
-        sta_report_units(ctx, seed, vdd, clock_ps), store)
+    return ExperimentPlan(
+        units=sta_report_units(ctx, seed, vdd, clock_ps),
+        assemble=lambda reports: assemble(ctx, reports, vdd, clock_ps),
+        render=lambda result: render(result))
+
+
+def assemble(ctx: ExperimentContext, reports: list[StaReport],
+             vdd: float, clock_ps: float) -> FigStaMarginResult:
+    """Pair each unit's static report with its DTA quantiles."""
     characterization = ctx.characterization(vdd)
     rows: list[UnitMargin] = []
     for (name, mnemonic), report in zip(UNIT_MNEMONICS, reports):

@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from repro.bench.suite import BENCHMARK_NAMES, build_kernel
+from repro.experiments.context import ExperimentContext
 from repro.experiments.scale import Scale, get_scale
-from repro.mc.units import WorkUnit, resolve_units, work_unit_key
+from repro.mc.units import ExperimentPlan, WorkUnit, work_unit_key
 from repro.sim.cpu import Cpu
 from repro.sim.machine import MachineConfig
 
@@ -167,19 +168,16 @@ def row_units(scale: str | Scale = "default",
     return units
 
 
-def run(scale: str | Scale = "default", seed: int = TABLE1_SEED,
-        store=None) -> list[Table1Row]:
-    """Measure Table 1 for every benchmark.
+def plan(ctx: ExperimentContext, seed: int = 2016) -> ExperimentPlan:
+    """Table 1 as row units.
 
-    Args:
-        scale: ``paper`` scale measures the paper's problem sizes;
-            other presets use the scaled-down kernels.
-        seed: benchmark input seed.
-        store: optional result store; profiled rows persist there and
-            a warm rerun profiles nothing.
+    The rows always profile on :data:`TABLE1_SEED` (a kernel-data
+    seed): the campaign ``seed`` does not change the table, so every
+    campaign seed shares the same persisted rows.
     """
-    rows, _, _ = resolve_units(row_units(scale, seed), store)
-    return rows
+    return ExperimentPlan(units=row_units(ctx.scale),
+                          assemble=list,
+                          render=lambda rows: render(rows))
 
 
 def render(rows: list[Table1Row]) -> str:

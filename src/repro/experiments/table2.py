@@ -14,6 +14,7 @@ from repro.fi.model_a import FixedProbabilityInjector
 from repro.fi.model_b import StaInjector
 from repro.fi.model_bplus import StaNoiseInjector
 from repro.fi.model_c import StatisticalInjector
+from repro.mc.units import ExperimentPlan
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,12 @@ def rows() -> list[Table2Row]:
             injector_class=StatisticalInjector.__name__,
         ),
     ]
+
+
+def plan(ctx, seed: int = 2016) -> ExperimentPlan:
+    """Table 2 has no units: the matrix is derived from the classes."""
+    return ExperimentPlan(units=[], assemble=lambda _: rows(),
+                          render=lambda table: render(table))
 
 
 def render(table: list[Table2Row] | None = None) -> str:

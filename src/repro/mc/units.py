@@ -8,15 +8,19 @@ cache-key payload that addresses its result in a
 kind-agnostic -- the ``kind`` field of the key payload selects the
 artifact's schema and (de)serializer through the store's registry
 (:mod:`repro.store.schema`), so any artifact with a lossless
-``to_json``/``from_json`` pair can ride the same rails.  The same
-units serve three callers:
+``to_json``/``from_json`` pair can ride the same rails.
 
-* the figure drivers iterate them in order (store-aware: hits skip the
-  expensive computation entirely);
+Each experiment module declares its recipe once, as an
+:class:`ExperimentPlan`: the units, how their artifacts assemble into
+the result, and how the result renders.  The same plan serves two
+resolvers:
+
+* :func:`resolve_units` iterates the units in order (store-aware: hits
+  skip the expensive computation entirely) --
+  :func:`repro.experiments.run` returns the assembled result this way;
 * the campaign orchestrator shards them across forked workers and
   persists each result as soon as it completes (kill-safe resume);
-* tests compare resolve paths (fresh vs cached vs forked) for
-  bit-identical output.
+  every CLI experiment command renders through it.
 
 Key discipline: the payload contains *everything* that determines the
 result -- experiment, full scale preset, master seed, and the
@@ -98,6 +102,30 @@ class WorkUnit:
     label: str
     key: dict
     compute: Callable[[], object]
+
+
+@dataclass
+class ExperimentPlan:
+    """One experiment as units plus the recipe that folds them.
+
+    Attributes:
+        units: the experiment's work units, in assembly order.
+        assemble: resolved artifacts (in unit order) -> the result.
+        render: result -> the rendered text.
+        prepare: optional; forces expensive shared substrate (fig2's
+            characterizations) and is invoked by the orchestrator only
+            when the plan has pending units, so a fully warm campaign
+            never touches it.
+
+    Plans call their module's ``assemble``/``render`` through the
+    module at call time (a lambda, not a bound function object), so a
+    wrapper installed on the module attribute sees every call.
+    """
+
+    units: list[WorkUnit]
+    assemble: Callable[[list], object]
+    render: Callable[[object], str]
+    prepare: Callable[[], None] | None = None
 
 
 def resolve_units(units: list[WorkUnit], store=None,

@@ -5,6 +5,7 @@ import pytest
 from repro.experiments import ablations
 from repro.experiments.context import ExperimentContext
 from repro.experiments.scale import Scale
+from repro.mc.units import resolve_units
 
 TINY = Scale(name="tiny-abl", trials=6, freq_points=5,
              kernel_scale="quick", char_cycles=192, fig4_samples=384,
@@ -14,6 +15,18 @@ TINY = Scale(name="tiny-abl", trials=6, freq_points=5,
 @pytest.fixture(scope="module")
 def ctx() -> ExperimentContext:
     return ExperimentContext.create(TINY, seed=2016)
+
+
+def _semantics(ctx: ExperimentContext) -> ablations.SemanticsAblation:
+    points, _, _ = resolve_units(ablations.semantics_point_units(ctx),
+                                 None)
+    return ablations.assemble_semantics(points)
+
+
+def _adders(store=None) -> ablations.AdderTopologyAblation:
+    parts, _, _ = resolve_units(ablations.adder_topology_units(TINY),
+                                store)
+    return ablations.assemble_adders(parts)
 
 
 class TestGlitchModelAblation:
@@ -39,7 +52,7 @@ class TestGlitchModelAblation:
 
 class TestSemanticsAblation:
     def test_both_semantics_inject_similar_rates(self, ctx):
-        result = ablations.run_semantics_ablation(TINY, context=ctx)
+        result = _semantics(ctx)
         flip_rate = result.summary_flip["fi_rate_per_kcycle"]
         stale_rate = result.summary_stale["fi_rate_per_kcycle"]
         # The fault *mask* distribution is identical; only the applied
@@ -52,7 +65,7 @@ class TestSemanticsAblation:
 class TestAdderTopologyAblation:
     @pytest.fixture(scope="class")
     def result(self):
-        return ablations.run_adder_topology_ablation(TINY)
+        return _adders()
 
     def test_artifact_round_trip_is_exact(self, result):
         import json
@@ -64,10 +77,10 @@ class TestAdderTopologyAblation:
             self, result, tmp_path, monkeypatch):
         from repro.store import ResultStore
         store = ResultStore(tmp_path / "store")
-        cold = ablations.run_adder_topology_ablation(TINY, store=store)
+        cold = _adders(store)
         assert cold.poffs_hz == result.poffs_hz
         monkeypatch.setenv("REPRO_FORBID_DTA", "1")
-        warm = ablations.run_adder_topology_ablation(TINY, store=store)
+        warm = _adders(store)
         assert warm.poffs_hz == result.poffs_hz
 
     def test_all_topologies_measured(self, result):
@@ -93,8 +106,8 @@ class TestAdderTopologyAblation:
 class TestRender:
     def test_render_all(self, ctx):
         glitch = ablations.run_glitch_model_ablation(TINY, context=ctx)
-        semantics = ablations.run_semantics_ablation(TINY, context=ctx)
-        adders = ablations.run_adder_topology_ablation(TINY)
+        semantics = _semantics(ctx)
+        adders = _adders()
         text = ablations.render_all(glitch, semantics, adders)
         assert "glitch model" in text
         assert "carry-select" in text

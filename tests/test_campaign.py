@@ -11,23 +11,31 @@ The invariants under test are the subsystem's reason to exist:
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from repro import cli
+from repro import cli, experiments
 from repro.campaign import CAMPAIGN_EXPERIMENTS, campaign_status, \
     plan_campaign, run_campaign
 from repro.campaign.orchestrator import _init_worker, _run_shard
-from repro.experiments import ablations, fig2, fig4, fig5, fig6, fig7
+from repro.experiments import ablations, fig2, fig4, fig7
 from repro.experiments.context import ExperimentContext
 from repro.experiments.scale import Scale
+from repro.mc.units import ExperimentPlan, WorkUnit, resolve_units
 from repro.store import ResultStore
 
 TINY = Scale(name="tiny", trials=4, freq_points=4, kernel_scale="quick",
              char_cycles=128, fig4_samples=128, voltage_points=3)
 
 SEED = 2016
+
+
+def _render(name: str, **kwargs) -> str:
+    """One experiment resolved in order by ``experiments.run``, rendered."""
+    return experiments.EXPERIMENTS[name].render(
+        experiments.run(name, TINY, seed=SEED, **kwargs))
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +46,7 @@ def ctx() -> ExperimentContext:
 @pytest.fixture(scope="module")
 def fig7_truth(ctx) -> str:
     """Rendered fig7 with no store involved: the ground truth."""
-    return fig7.render(fig7.run(TINY, seed=SEED, context=ctx))
+    return _render("fig7", context=ctx)
 
 
 @pytest.fixture()
@@ -53,15 +61,13 @@ class _Forbidden(Exception):
 class TestStoreAwareDrivers:
     def test_warm_fig7_is_identical_and_simulation_free(
             self, ctx, fig7_truth, store, monkeypatch):
-        cold = fig7.render(fig7.run(TINY, seed=SEED, context=ctx,
-                                    store=store))
+        cold = _render("fig7", context=ctx, store=store)
         assert cold == fig7_truth
 
         def boom(*args, **kwargs):
             raise _Forbidden("run_point called on a warm store")
         monkeypatch.setattr("repro.experiments.fig7.run_point", boom)
-        warm = fig7.render(fig7.run(TINY, seed=SEED, context=ctx,
-                                    store=store))
+        warm = _render("fig7", context=ctx, store=store)
         assert warm == fig7_truth
 
     def test_characterization_persists_across_contexts(self, store):
@@ -186,21 +192,21 @@ class TestOtherPlans:
         # Two benchmarks only, driven through the driver API (the
         # campaign registry runs the full figure; this keeps CI fast).
         benchmarks = ("mat_mult_8bit",)
-        truth = fig6.render(fig6.run(TINY, seed=SEED, context=ctx,
-                                     benchmarks=benchmarks))
-        cold = fig6.render(fig6.run(TINY, seed=SEED, context=ctx,
-                                    benchmarks=benchmarks, store=store))
-        warm = fig6.render(fig6.run(TINY, seed=SEED, context=ctx,
-                                    benchmarks=benchmarks, store=store))
+        truth = _render("fig6", context=ctx, benchmarks=benchmarks)
+        cold = _render("fig6", context=ctx, benchmarks=benchmarks,
+                       store=store)
+        warm = _render("fig6", context=ctx, benchmarks=benchmarks,
+                       store=store)
         assert cold == truth and warm == truth
 
     def test_ablations_semantics_store_round_trip(self, ctx, store):
-        truth = ablations.run_semantics_ablation(TINY, seed=SEED,
-                                                 context=ctx)
-        cold = ablations.run_semantics_ablation(TINY, seed=SEED,
-                                                context=ctx, store=store)
-        warm = ablations.run_semantics_ablation(TINY, seed=SEED,
-                                                context=ctx, store=store)
+        def semantics(store):
+            points, _, _ = resolve_units(
+                ablations.semantics_point_units(ctx, seed=SEED), store)
+            return ablations.assemble_semantics(points)
+        truth = semantics(None)
+        cold = semantics(store)
+        warm = semantics(store)
         assert cold == truth and warm == truth
 
     def test_fig5_units_label_their_condition(self, ctx):
@@ -274,12 +280,10 @@ class TestCurveArtifacts:
                                                  monkeypatch):
         # The CLI flow: a store-attached context persists the
         # characterizations, curves land as fig2_curve units.
-        truth = fig2.render(fig2.run(TINY, seed=SEED, context=ctx,
-                                     points=61))
+        truth = _render("fig2", context=ctx, points=61)
         cold_ctx = ExperimentContext.create(TINY, seed=SEED,
                                             store=store)
-        cold = fig2.render(fig2.run(TINY, seed=SEED, context=cold_ctx,
-                                    points=61))
+        cold = _render("fig2", context=cold_ctx, points=61)
         assert cold == truth
         # A fresh process (fresh context, cold in-memory caches) must
         # serve the rerun entirely from the store: any DTA is a bug.
@@ -288,19 +292,16 @@ class TestCurveArtifacts:
         monkeypatch.setenv("REPRO_FORBID_DTA", "1")
         warm_ctx = ExperimentContext.create(TINY, seed=SEED,
                                             store=store)
-        warm = fig2.render(fig2.run(TINY, seed=SEED, context=warm_ctx,
-                                    points=61))
+        warm = _render("fig2", context=warm_ctx, points=61)
         assert warm == truth
 
     def test_warm_fig4_is_identical_and_dta_free(self, ctx, store,
                                                  monkeypatch):
-        truth = fig4.render(fig4.run(TINY, seed=SEED, context=ctx))
-        cold = fig4.render(fig4.run(TINY, seed=SEED, context=ctx,
-                                    store=store))
+        truth = _render("fig4", context=ctx)
+        cold = _render("fig4", context=ctx, store=store)
         assert cold == truth
         monkeypatch.setenv("REPRO_FORBID_DTA", "1")
-        warm = fig4.render(fig4.run(TINY, seed=SEED, context=ctx,
-                                    store=store))
+        warm = _render("fig4", context=ctx, store=store)
         assert warm == truth
 
     def test_fig4_variants_are_order_independent(self, ctx):
@@ -338,20 +339,21 @@ class TestCampaignAll:
     def test_all_sections_match_direct_drivers(self, all_truth, ctx,
                                                fig7_truth):
         assert fig7_truth in all_truth
-        assert fig4.render(fig4.run(TINY, seed=SEED, context=ctx)) \
-            in all_truth
+        assert _render("fig4", context=ctx) in all_truth
 
     @pytest.mark.parametrize("name", CAMPAIGN_EXPERIMENTS)
     def test_driver_render_is_campaign_render_from_shared_entries(
             self, name, all_truth, truth_store, monkeypatch):
-        # `repro figN --jobs N` prints the campaign render and serial
-        # `repro figN` the driver render: on the store `all` filled,
-        # both must be served without computing and agree byte for byte.
+        # `experiments.run` resolves a plan's units in order, the
+        # campaign scans and dispatches them: on the store `all`
+        # filled, both must be served without computing and render
+        # byte for byte alike.
         monkeypatch.setenv("REPRO_FORBID_MC", "1")
         monkeypatch.setenv("REPRO_FORBID_DTA", "1")
         warm_ctx = ExperimentContext.create(TINY, seed=SEED,
                                             store=truth_store)
-        driver = cli._EXPERIMENTS[name](TINY, SEED, warm_ctx, truth_store)
+        driver = plan_campaign(name, warm_ctx, SEED).render(
+            experiments.run(name, TINY, SEED, context=warm_ctx))
         report = run_campaign(name, TINY, seed=SEED, store=truth_store)
         assert report.computed == 0
         assert driver == report.rendered
@@ -410,6 +412,39 @@ class TestReportAccuracy:
         outcome = _run_shard([0, 1])
         assert outcome["computed"] == [1]
         assert outcome["failed"] == []
+
+
+class TestRegistry:
+    """One registry: every experiment surface resolves through it."""
+
+    def test_every_experiment_command_resolves_to_a_plan(self, ctx):
+        parser = cli.build_parser()
+        assert set(CAMPAIGN_EXPERIMENTS) <= set(experiments.EXPERIMENTS)
+        for name in experiments.EXPERIMENTS:
+            assert parser.parse_args([name]).command == name
+            plan = plan_campaign(name, ctx, SEED)
+            assert isinstance(plan, ExperimentPlan)
+            assert all(isinstance(unit, WorkUnit) for unit in plan.units)
+        for name in CAMPAIGN_EXPERIMENTS + ("all",):
+            args = parser.parse_args(["campaign", "run", name])
+            assert args.experiment == name
+
+    @pytest.mark.parametrize("name", CAMPAIGN_EXPERIMENTS + ("all",))
+    def test_cold_status_warns_about_exactly_the_planned_voltages(
+            self, name, store, monkeypatch):
+        planned: set[float] = set()
+        characterized = ExperimentContext.characterized
+
+        def recording(context, config):
+            planned.add(config.vdd)
+            return characterized(context, config)
+        monkeypatch.setattr(ExperimentContext, "characterized", recording)
+        warnings: list[str] = []
+        campaign_status(name, TINY, SEED, store, log=warnings.append)
+        warned = {float(volts) for message in warnings
+                  for volts in re.findall(r"(\d+\.\d+)V\b", message)}
+        assert warned == planned
+        assert len(warnings) == (1 if planned else 0)
 
 
 class TestColdStoreDetection:

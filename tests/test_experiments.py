@@ -8,6 +8,7 @@ any scale.
 import numpy as np
 import pytest
 
+from repro import experiments
 from repro.experiments import fig1, fig2, fig4, fig5, fig6, fig7
 from repro.experiments import table1, table2
 from repro.experiments.context import ExperimentContext, NOMINAL_VDD
@@ -49,7 +50,7 @@ class TestContext:
 
 class TestTable1:
     def test_paper_scale_rows(self):
-        rows = table1.run("paper")
+        rows = experiments.run("table1", "paper")
         by_name = {row.name: row for row in rows}
         assert by_name["median"].size == "129 values"
         assert by_name["mat_mult_16bit"].size == "16x16 matr."
@@ -63,7 +64,7 @@ class TestTable1:
                 > by_name["mat_mult_8bit"].control_fraction)
 
     def test_render(self):
-        rows = table1.run("quick")
+        rows = experiments.run("table1", "quick")
         text = table1.render(rows)
         assert "median" in text and "output error" in text
 
@@ -87,7 +88,7 @@ class TestTable2:
 
 class TestFig2:
     def test_qualitative_claims(self, ctx):
-        result = fig2.run(TINY, context=ctx, points=121)
+        result = experiments.run("fig2", TINY, context=ctx, points=121)
         # Every CDF is monotone non-decreasing in frequency.
         for curve in result.curves:
             assert np.all(np.diff(curve.probabilities) >= -1e-12)
@@ -105,13 +106,13 @@ class TestFig2:
         assert onset24 <= onset3
 
     def test_render(self, ctx):
-        assert "l.mul" in fig2.render(fig2.run(TINY, context=ctx,
-                                               points=61))
+        assert "l.mul" in fig2.render(
+            experiments.run("fig2", TINY, context=ctx, points=61))
 
 
 class TestFig4:
     def test_poff_ordering_matches_paper(self, ctx):
-        result = fig4.run(TINY, context=ctx)
+        result = experiments.run("fig4", TINY, context=ctx)
         mul = result.curve("l.mul 32-bit").poff_hz()
         add32 = result.curve("l.add 32-bit").poff_hz()
         add16 = result.curve("l.add 16-bit").poff_hz()
@@ -120,21 +121,21 @@ class TestFig4:
         assert mul < add32 < add16
 
     def test_mse_saturates(self, ctx):
-        result = fig4.run(TINY, context=ctx)
+        result = experiments.run("fig4", TINY, context=ctx)
         for curve in result.curves:
             assert curve.mse[-1] > 0
             # Saturation: the top of the sweep is within 10x of the max.
             assert curve.mse[-1] > curve.mse.max() / 10
 
     def test_add16_mse_is_orders_below_add32(self, ctx):
-        result = fig4.run(TINY, context=ctx)
+        result = experiments.run("fig4", TINY, context=ctx)
         assert (result.curve("l.add 16-bit").mse.max()
                 < result.curve("l.add 32-bit").mse.max() / 1e3)
 
 
 class TestFig1:
     def test_model_b_cliff_and_bplus_shift(self, ctx):
-        results = fig1.run(TINY, context=ctx)
+        results = experiments.run("fig1", TINY, context=ctx)
         by_sigma = {r.sigma_v: r for r in results}
         # Model B onset sits at the STA limit.
         assert by_sigma[0.0].onset_hz == pytest.approx(
@@ -159,7 +160,7 @@ class TestFig1:
 class TestFig5:
     @pytest.fixture(scope="class")
     def results(self, ctx):
-        return fig5.run(TINY, context=ctx)
+        return experiments.run("fig5", TINY, context=ctx)
 
     def test_six_configurations(self, results):
         assert len(results) == 6
@@ -195,7 +196,7 @@ class TestFig5:
 
 class TestFig6:
     def test_two_benchmark_smoke(self, ctx):
-        results = fig6.run(TINY, context=ctx,
+        results = experiments.run("fig6", TINY, context=ctx,
                            benchmarks=("mat_mult_8bit", "kmeans"))
         by_name = {r.benchmark: r for r in results}
         # Model B+'s hard threshold sits below the model-C PoFF of
@@ -212,7 +213,7 @@ class TestFig6:
 
 class TestFig7:
     def test_voltage_overscaling_tradeoff(self, ctx):
-        result = fig7.run(TINY, context=ctx)
+        result = experiments.run("fig7", TINY, context=ctx)
         assert {c.sigma_v for c in result.curves} == {0.0, 0.010, 0.025}
         no_noise = result.curve(0.0)
         # Power is monotone in voltage and normalized at the top.

@@ -1,5 +1,7 @@
 """Tests for Verilog export, STA reports and the CLI."""
 
+import tempfile
+
 import pytest
 
 from repro import obs
@@ -155,9 +157,22 @@ class TestCli:
         assert main(["fig7", "--store", str(tmp_path / "a")]) == 0
         assert capsys.readouterr().out == sharded
 
-    def test_fig_jobs_needs_the_store(self, capsys):
-        assert main(["fig7", "--no-store", "--jobs", "2"]) == 2
-        assert "drop --no-store" in capsys.readouterr().err
+    def test_fig_no_store_jobs_renders_the_serial_figure(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(scale_mod._PRESETS, "quick", TINY)
+        assert main(["fig7", "--store", str(tmp_path / "serial")]) == 0
+        serial = capsys.readouterr().out
+        # --no-store shards over a throwaway store: nothing lands in
+        # the default store and the throwaway one is gone afterwards.
+        default = tmp_path / "default-store"
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setenv("REPRO_STORE", str(default))
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        assert main(["fig7", "--no-store", "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert not default.exists()
+        assert list(scratch.iterdir()) == []
 
     def test_fig_jobs_trace_counts_every_trial(self, tmp_path, capsys,
                                                monkeypatch):
