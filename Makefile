@@ -20,7 +20,7 @@ PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 tier1: lint test bench-engines-scratch bench-check campaign-smoke chaos-smoke obs-smoke fabric-smoke perfbench-selftest
 
 # Static checks: ruff + mypy per pyproject.toml (strict on
-# src/repro/analysis/, permissive elsewhere).  Where those tools are
+# src/repro/analysis/ and src/repro/timing/sta.py, permissive elsewhere).  Where those tools are
 # not installed the gate falls back to compileall + an AST
 # unused-import sweep and says so -- the gate never silently narrows.
 lint:

@@ -10,7 +10,8 @@ of the two engines (or glitch models) produced it.
 
 Three coordinated layers:
 
-* :mod:`repro.analysis.sta` -- the STA core: envelope propagation,
+* :mod:`repro.analysis.sta` -- STA reports over the envelope of
+  :mod:`repro.timing.sta` (the one STA, which also signs off the ALU):
   per-endpoint slack against a clock period, top-K critical-path
   extraction, and the persistable :class:`~repro.analysis.sta.StaReport`
   artifact (store kind ``"sta_report"``).
@@ -23,7 +24,8 @@ Three coordinated layers:
 """
 
 from repro.analysis.oracle import BoundsViolation, bounds_check_enabled
-from repro.analysis.sta import StaReport, build_report, compute_envelope
+from repro.analysis.sta import StaReport, build_report, unit_report
+from repro.timing.sta import compute_envelope
 
 __all__ = [
     "BoundsViolation",
@@ -31,4 +33,5 @@ __all__ = [
     "bounds_check_enabled",
     "build_report",
     "compute_envelope",
+    "unit_report",
 ]

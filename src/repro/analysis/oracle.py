@@ -3,7 +3,7 @@
 With ``REPRO_CHECK_BOUNDS=1`` in the environment, every propagate call
 -- any engine, any glitch model -- has its returned arrivals checked
 against the static envelope of
-:func:`repro.analysis.sta.compute_envelope`:
+:func:`repro.timing.sta.compute_envelope`:
 
     every arrival is exactly 0.0 (no event) or inside [min, max].
 
@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from repro.analysis.sta import Envelope, compute_envelope
 from repro.netlist.plan import CompiledPlan
+from repro.timing.sta import Envelope, compute_envelope
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netlist.circuit import Circuit

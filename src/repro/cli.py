@@ -466,17 +466,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "sta":
         import json
         alu = calibrated_alu()
-        circuit = alu.units[args.unit]
-        delays = circuit.gate_delays(alu.library, args.vdd,
-                                     alu.unit_scales[args.unit])
         clock_ps = args.clock_ps if args.clock_ps is not None \
             else alu.worst_sta_period_ps(args.vdd)
-        report = analysis.build_report(
-            circuit, delays,
-            input_arrival_ps=alu.library.clk_to_q(args.vdd),
-            overhead_ps=alu.mux_delay_ps(args.vdd)
-            + alu.library.setup(args.vdd),
-            clock_ps=clock_ps, k_paths=args.paths)
+        report = analysis.unit_report(alu, args.unit, args.vdd,
+                                      clock_ps=clock_ps, k_paths=args.paths)
         if args.json:
             print(json.dumps(report.to_json(), indent=2, sort_keys=True))
         else:

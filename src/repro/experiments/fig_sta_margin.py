@@ -5,7 +5,7 @@ arrival; dynamic timing analysis observes what the workload actually
 exercises.  The gap between the two is the timing margin the paper's
 better-than-worst-case operation harvests.  This driver renders that
 gap directly: per functional unit, the static bound from the
-:mod:`repro.analysis.sta` envelope (persisted as an ``sta_report``
+:mod:`repro.timing.sta` envelope (persisted as an ``sta_report``
 store artifact) against quantiles of the DTA critical-period
 distribution from the standard characterization.
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.sta import StaReport, build_report
+from repro.analysis.sta import StaReport, unit_report
 from repro.experiments.context import NOMINAL_VDD, ExperimentContext
 from repro.mc.units import ExperimentPlan, WorkUnit, work_unit_key
 from repro.timing.characterize import alu_fingerprint
@@ -89,15 +89,7 @@ def sta_report_units(ctx: ExperimentContext, seed: int,
     units: list[WorkUnit] = []
     for name, _ in UNIT_MNEMONICS:
         def compute(name: str = name) -> StaReport:
-            circuit = alu.units[name]
-            delays = circuit.gate_delays(alu.library, vdd,
-                                         alu.unit_scales[name])
-            return build_report(
-                circuit, delays,
-                input_arrival_ps=alu.library.clk_to_q(vdd),
-                overhead_ps=alu.mux_delay_ps(vdd)
-                + alu.library.setup(vdd),
-                clock_ps=clock_ps, k_paths=K_PATHS)
+            return unit_report(alu, name, vdd, clock_ps, K_PATHS)
 
         units.append(WorkUnit(
             label=f"sta:{name}@{vdd:.2f}V",

@@ -2,10 +2,14 @@
 
 Per paper Section 3.2: STA of the placed & routed netlist provides the
 worst-case path delay to every endpoint at the chosen operating
-condition.  Whenever an FI-eligible instruction activates the execute
-stage *and* the clock period is shorter than an endpoint's worst-case
-delay (plus setup), a fault is injected into that endpoint --
-deterministically, every such cycle.
+condition.  Here that is the ALU's endpoint table
+(:meth:`~repro.netlist.alu.AluNetlist.endpoint_sta`): the max bound of
+the compiled-plan envelope of :mod:`repro.timing.sta`, computed once
+per voltage and shared with model B+ and the STA frequency limit.
+Whenever an FI-eligible instruction activates the execute stage *and*
+the clock period is shorter than an endpoint's worst-case delay (plus
+setup), a fault is injected into that endpoint -- deterministically,
+every such cycle.
 
 Because the worst path delay to each endpoint is taken over *all*
 instructions (the model is not instruction aware) and actual path

@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro import obs
 from repro.isa.instructions import ALU_MNEMONICS
 from repro.netlist.adders import ADDER_KINDS, adder_circuit
 from repro.netlist.circuit import Circuit
@@ -35,7 +36,7 @@ from repro.netlist.library import CellLibrary, VDD_REF
 from repro.netlist.logic_unit import OP_AND, OP_OR, OP_XOR, logic_circuit
 from repro.netlist.multiplier import multiplier_circuit
 from repro.netlist.shifter import shifter_circuit
-from repro.timing.sta import static_arrivals
+from repro.timing.sta import compute_envelope
 
 #: Number of ALU endpoint flip-flops (the EX-stage result register).
 N_ENDPOINTS = 32
@@ -120,6 +121,8 @@ class AluNetlist:
             self.unit_scales.update(unit_scales)
         self._dispatch: dict[str, tuple[str, StimulusBuilder]] = \
             self._build_dispatch()
+        #: (vdd, unit scales) -> read-only endpoint STA table.
+        self._sta_tables: dict[tuple, dict[str, np.ndarray]] = {}
 
     def _build_dispatch(self) -> dict[str, tuple[str, StimulusBuilder]]:
         dispatch: dict[str, tuple[str, StimulusBuilder]] = {
@@ -174,16 +177,37 @@ class AluNetlist:
     def endpoint_sta(self, vdd: float = VDD_REF) -> dict[str, np.ndarray]:
         """Static arrival per unit and endpoint bit, incl. output mux.
 
+        Each unit's ``result`` rows of its STA envelope
+        (:func:`repro.timing.sta.compute_envelope` at the unit's sizing
+        scale, launched at clock-to-Q), plus the output-mux delay.
         Setup time is not included; callers compare
         ``arrival + setup`` against the clock period.
+
+        The table is computed once per ``(vdd, unit_scales)`` and its
+        arrays are read-only: recalibrating the units changes the key,
+        so a lookup is never served a stale table.
         """
+        key = (vdd, tuple(self.unit_scales.items()))
+        table = self._sta_tables.get(key)
+        if table is None:
+            with obs.span("timing.sta", vdd=float(vdd)):
+                table = self._endpoint_table(vdd)
+            self._sta_tables[key] = table
+        return dict(table)
+
+    def _endpoint_table(self, vdd: float) -> dict[str, np.ndarray]:
+        launch = self.library.clk_to_q(vdd)
         mux = self.mux_delay_ps(vdd)
-        result = {}
+        table = {}
         for name, unit in self.units.items():
-            arrivals = static_arrivals(unit, self.library, vdd,
-                                       self.unit_scales[name])
-            result[name] = arrivals["result"] + mux
-        return result
+            delays = unit.gate_delays(self.library, vdd,
+                                      self.unit_scales[name])
+            envelope = compute_envelope(unit.plan, delays, launch)
+            rows = unit.plan.rows[unit.output_nets("result")]
+            bits = envelope.max_rows[rows] + mux
+            bits.flags.writeable = False
+            table[name] = bits
+        return table
 
     def worst_sta_period_ps(self, vdd: float = VDD_REF) -> float:
         """Minimum safe clock period [ps]: worst arrival + setup."""

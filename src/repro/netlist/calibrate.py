@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.netlist.alu import AluNetlist
 from repro.netlist.library import VDD_REF
-from repro.timing.sta import static_arrivals
+from repro.timing.sta import compute_envelope
 
 #: Target STA-limited clock period [ps] per unit at 0.7 V (including
 #: clock-to-Q, output mux and setup).  1414.4 ps = 1 / 707.1 MHz for the
@@ -72,9 +72,11 @@ def calibrate_alu(alu: AluNetlist,
             raise CalibrationError(
                 f"unit {name!r}: target {target} ps leaves no budget "
                 f"for logic (fixed overhead {fixed:.1f} ps)")
-        arrivals = static_arrivals(unit, library, vdd, scale=1.0,
-                                   include_clk_to_q=False)
-        path = max(float(bits.max()) for bits in arrivals.values())
+        envelope = compute_envelope(
+            unit.plan, unit.gate_delays(library, vdd, scale=1.0))
+        endpoints = [net for bus in unit.output_names
+                     for net in unit.output_nets(bus)]
+        path = float(envelope.max_rows[unit.plan.rows[endpoints]].max())
         if path <= 0:
             raise CalibrationError(f"unit {name!r} has no timing path")
         scales[name] = budget / path

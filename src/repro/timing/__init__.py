@@ -10,7 +10,7 @@ from repro.timing.characterize import (
 from repro.timing.dta import DtaResult, run_dta, sample_operands
 from repro.timing.noise import VoltageNoise
 from repro.timing.report import EndpointSlack, TimingReport, timing_report
-from repro.timing.sta import max_frequency_hz, static_arrivals, worst_arrival
+from repro.timing.sta import compute_envelope
 from repro.timing.voltage import VddDelayModel
 
 __all__ = [
@@ -24,11 +24,9 @@ __all__ = [
     "VddDelayModel",
     "VoltageNoise",
     "clear_cache",
+    "compute_envelope",
     "get_characterization",
-    "max_frequency_hz",
     "run_dta",
     "sample_operands",
-    "static_arrivals",
     "timing_report",
-    "worst_arrival",
 ]

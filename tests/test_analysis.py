@@ -1,6 +1,6 @@
 """The static analysis plane: envelope, paths, oracle, lint, CLI.
 
-The central property: the STA envelope of ``repro.analysis.sta`` is an
+The central property: the STA envelope of ``repro.timing.sta`` is an
 *independent* bound on every dynamic engine -- random circuits, random
 delays, any engine, any glitch model, every arrival is 0.0 or inside
 [min, max], and the rank-1 critical path's forward-walked arrival
@@ -29,16 +29,12 @@ from repro.analysis.oracle import (
     check_bounds,
     maybe_check_bounds,
 )
-from repro.analysis.sta import (
-    STA_REPORT_SCHEMA,
-    StaReport,
-    build_report,
-    compute_envelope,
-)
+from repro.analysis.sta import STA_REPORT_SCHEMA, StaReport, build_report
 from repro.cli import main
 from repro.netlist.circuit import ENGINES, Circuit
 from repro.netlist.plan import compile_plan
 from repro.store.schema import KINDS, artifact_from_json, current_schema
+from repro.timing.sta import compute_envelope
 from test_engine_equivalence import random_circuits
 
 

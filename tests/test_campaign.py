@@ -24,6 +24,7 @@ from repro.experiments import ablations, fig2, fig4, fig7
 from repro.experiments.context import ExperimentContext
 from repro.experiments.scale import Scale
 from repro.mc.units import ExperimentPlan, WorkUnit, resolve_units
+from repro.netlist import alu as alu_mod
 from repro.store import ResultStore
 
 TINY = Scale(name="tiny", trials=4, freq_points=4, kernel_scale="quick",
@@ -357,6 +358,31 @@ class TestCampaignAll:
         report = run_campaign(name, TINY, seed=SEED, store=truth_store)
         assert report.computed == 0
         assert driver == report.rendered
+
+    def test_warm_all_runs_one_sta_table_per_alu_and_vdd(
+            self, all_truth, truth_store, monkeypatch):
+        # Planning asks for the STA table many times per voltage; each
+        # distinct (ALU, vdd) costs one envelope pass per unit, once.
+        lookups: list[tuple[int, float]] = []
+        passes = {"n": 0}
+        endpoint_sta = alu_mod.AluNetlist.endpoint_sta
+        envelope = alu_mod.compute_envelope
+
+        def recording_lookup(self, vdd=0.7):
+            lookups.append((id(self), float(vdd)))
+            return endpoint_sta(self, vdd)
+
+        def counting_envelope(*args, **kwargs):
+            passes["n"] += 1
+            return envelope(*args, **kwargs)
+        monkeypatch.setattr(alu_mod.AluNetlist, "endpoint_sta",
+                            recording_lookup)
+        monkeypatch.setattr(alu_mod, "compute_envelope", counting_envelope)
+        report = run_campaign("all", TINY, seed=SEED, store=truth_store)
+        assert report.computed == 0
+        assert len(lookups) > len(set(lookups))
+        n_units = len(alu_mod.AluNetlist.UNIT_NAMES)
+        assert passes["n"] == n_units * len(set(lookups))
 
     def test_resume_after_kill_is_byte_identical(self, all_truth,
                                                  store_factory):

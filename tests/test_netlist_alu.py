@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.netlist.alu import AluConfig, AluNetlist, N_ENDPOINTS
+from repro.netlist.calibrate import calibrate_alu, calibrated_alu
 
 MASK = (1 << 32) - 1
 u32 = st.integers(min_value=0, max_value=MASK)
@@ -87,6 +89,53 @@ class TestStaViews:
         ratio = (high - mux8) / (low - mux7)
         assert np.allclose(ratio, ratio[0])
         assert ratio[0] < 1.0
+
+
+class TestStaMemo:
+    """One envelope pass per unit per (vdd, unit scales)."""
+
+    @pytest.fixture()
+    def fresh(self):
+        return calibrated_alu()
+
+    def test_second_lookup_runs_no_envelope_pass(self, fresh, monkeypatch):
+        first = fresh.endpoint_sta(0.7)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("envelope recomputed on a memo hit")
+        monkeypatch.setattr("repro.netlist.alu.compute_envelope", boom)
+        second = fresh.endpoint_sta(0.7)
+        assert fresh.worst_sta_period_ps(0.7) > 0
+        for name, bits in first.items():
+            assert second[name] is bits
+
+    def test_recalibration_is_never_served_stale(self, fresh):
+        assert fresh.worst_sta_period_ps(0.7) == pytest.approx(1414.4)
+        calibrate_alu(fresh, {"multiplier": 1500.0})
+        assert fresh.worst_sta_period_ps(0.7) == pytest.approx(1500.0)
+
+    def test_tables_are_read_only(self, fresh):
+        table = fresh.endpoint_sta(0.7)
+        for bits in table.values():
+            assert not bits.flags.writeable
+        with pytest.raises(ValueError):
+            table["adder"][0] = 0.0
+        table.pop("adder")  # the returned dict is the caller's own
+        assert "adder" in fresh.endpoint_sta(0.7)
+
+    def test_one_span_per_memo_miss(self, fresh, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        obs.configure(trace)
+        try:
+            fresh.endpoint_sta(0.7)
+            fresh.worst_sta_period_ps(0.7)
+            fresh.sta_limit_hz(0.8)
+        finally:
+            obs.shutdown()
+            obs.reset()
+        spans = [r for r in obs.spans(obs.read_trace(trace))
+                 if r["name"] == "timing.sta"]
+        assert [r["a"] for r in spans] == [{"vdd": 0.7}, {"vdd": 0.8}]
 
 
 class TestPropagateBounds:

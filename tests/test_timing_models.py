@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.netlist.circuit import Circuit
 from repro.netlist.library import CHARACTERIZED_VDDS, CellLibrary, VDD_REF
 from repro.timing.noise import VoltageNoise
-from repro.timing.sta import max_frequency_hz, static_arrivals, worst_arrival
+from repro.timing.sta import compute_envelope
 from repro.timing.voltage import VddDelayModel
 
 
@@ -42,6 +42,25 @@ class TestLibrary:
         assert library.setup(0.8) < library.setup(0.7)
 
 
+def _per_gate_arrivals(circuit: Circuit, delays: np.ndarray,
+                       launch: float) -> np.ndarray:
+    """Reference STA: one topological per-gate max-plus loop.
+
+    Constant nets arrive at 0.0, so a net fed by constants alone gets
+    a finite arrival here where the envelope gives ``-inf``.
+    """
+    arrival = np.full(circuit.n_nets, launch)
+    arrival[:2] = 0.0
+    for index, (ins, out) in enumerate(
+            zip(circuit.gate_inputs, circuit.gate_outputs)):
+        arrival[out] = max(arrival[i] for i in ins) + delays[index]
+    return arrival
+
+
+def _bus_max(circuit: Circuit, envelope, bus: str) -> np.ndarray:
+    return envelope.max_rows[circuit.plan.rows[circuit.output_nets(bus)]]
+
+
 class TestSta:
     def _chain(self, n: int) -> Circuit:
         circuit = Circuit("chain")
@@ -55,16 +74,19 @@ class TestSta:
     def test_chain_arrival(self):
         library = CellLibrary()
         circuit = self._chain(5)
-        arrivals = static_arrivals(circuit, library, 0.7)
+        envelope = compute_envelope(circuit.plan,
+                                    circuit.gate_delays(library, 0.7),
+                                    library.clk_to_q(0.7))
         expected = library.clk_to_q(0.7) + 5 * library.delay_ps("INV", 0.7)
-        assert arrivals["y"][0] == pytest.approx(expected)
+        assert _bus_max(circuit, envelope, "y")[0] == pytest.approx(
+            expected)
 
     def test_without_clk_to_q(self):
         library = CellLibrary()
         circuit = self._chain(3)
-        arrivals = static_arrivals(circuit, library, 0.7,
-                                   include_clk_to_q=False)
-        assert arrivals["y"][0] == pytest.approx(
+        envelope = compute_envelope(circuit.plan,
+                                    circuit.gate_delays(library, 0.7))
+        assert _bus_max(circuit, envelope, "y")[0] == pytest.approx(
             3 * library.delay_ps("INV", 0.7))
 
     def test_worst_takes_max_over_outputs(self):
@@ -75,13 +97,52 @@ class TestSta:
         long = circuit.gate("INV", circuit.gate("INV", short))
         circuit.output_bus("s", [short])
         circuit.output_bus("l", [long])
-        assert worst_arrival(circuit, library) == pytest.approx(
-            static_arrivals(circuit, library)["l"][0])
+        envelope = compute_envelope(circuit.plan,
+                                    circuit.gate_delays(library),
+                                    library.clk_to_q())
+        assert envelope.worst_arrival == _bus_max(circuit, envelope, "l")[0]
+        assert envelope.worst_arrival > _bus_max(circuit, envelope, "s")[0]
 
-    def test_max_frequency(self):
-        assert max_frequency_hz(960.0, 40.0) == pytest.approx(1e9)
-        with pytest.raises(ValueError):
-            max_frequency_hz(-50.0, 40.0)
+    def test_constant_fed_net_never_arrives(self):
+        """The one place the envelope departs from the per-gate loop.
+
+        The loop times a gate fed by constants alone from the
+        constants' 0.0 arrival; the envelope knows it can never switch
+        and gives it ``-inf``.  Gates with a live input agree.
+        """
+        library = CellLibrary()
+        circuit = Circuit("consty")
+        a = circuit.input_bus("a", 1)[0]
+        dead = circuit.gate("AND2", circuit.const(0), circuit.const(1))
+        live = circuit.gate("OR2", a, dead)
+        circuit.output_bus("y", [dead, live])
+        delays = circuit.gate_delays(library)
+        launch = library.clk_to_q()
+        loop = _per_gate_arrivals(circuit, delays, launch)
+        envelope = compute_envelope(circuit.plan, delays, launch)
+        bits = _bus_max(circuit, envelope, "y")
+        assert loop[dead] == delays[0]
+        assert bits[0] == -np.inf
+        assert bits[1] == loop[live] == launch + delays[1]
+
+    @pytest.mark.parametrize("vdd", [0.6, 0.7, 1.2])
+    def test_calibrated_units_match_per_gate_loop_bitwise(self, alu, vdd):
+        for name, unit in alu.units.items():
+            delays = unit.gate_delays(alu.library, vdd,
+                                      alu.unit_scales[name])
+            for launch in (0.0, alu.library.clk_to_q(vdd)):
+                loop = _per_gate_arrivals(unit, delays, launch)
+                envelope = compute_envelope(unit.plan, delays, launch)
+                for bus in unit.output_names:
+                    expected = loop[unit.output_nets(bus)]
+                    got = _bus_max(unit, envelope, bus)
+                    assert got.tobytes() == expected.tobytes(), (name, bus)
+
+    def test_calibrated_result_bits_are_finite(self, alu):
+        """Every ALU endpoint can switch: model B's masks rest on it."""
+        for vdd in CHARACTERIZED_VDDS:
+            for name, bits in alu.endpoint_sta(vdd).items():
+                assert np.all(np.isfinite(bits)), (name, vdd)
 
 
 class TestVddDelayModel:
