@@ -43,8 +43,9 @@ bench-engines:
 bench-baseline:
 	$(PYTHON) scripts/bench_median.py
 
-# Rerun the engine rows at reduced size and fail if any committed
-# BENCH_engines.json speedup regressed beyond tolerance (20%).
+# Rerun the engine rows at the block width the baseline was recorded
+# at and fail if any committed BENCH_engines.json speedup regressed
+# beyond tolerance (20%).
 bench-check:
 	$(PYTHON) scripts/bench_check.py
 

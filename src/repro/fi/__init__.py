@@ -4,13 +4,12 @@ from repro.fi.base import FAULT_SEMANTICS, FaultInjector, NullInjector
 from repro.fi.model_a import FixedProbabilityInjector
 from repro.fi.model_b import StaInjector, endpoint_worst_sta
 from repro.fi.model_bplus import StaNoiseInjector
-from repro.fi.model_c import CORRELATION_MODES, StatisticalInjector
+from repro.fi.model_c import StatisticalInjector
 from repro.fi.sampling import BitSampler
 from repro.fi.streams import EffectivePeriodStream
 
 __all__ = [
     "BitSampler",
-    "CORRELATION_MODES",
     "EffectivePeriodStream",
     "FAULT_SEMANTICS",
     "FaultInjector",

@@ -11,26 +11,19 @@ with an FI-eligible instruction in the execute stage:
    the characterization voltage;
 3. faults are injected per endpoint with those probabilities.
 
-Two endpoint-correlation modes are provided:
-
-* ``independent`` (default, the paper's step 3): each endpoint draws
-  its own Bernoulli with probability ``P_{E,V,I}``;
-* ``joint``: a whole characterization cycle is resampled from the DTA
-  statistics, preserving the correlations between endpoints that share
-  logic cones (an extension of the paper's model; marginals match the
-  CDFs exactly either way).
-
-The per-cycle fast path costs one stream read, one bisect into the
-period grid every ALU mnemonic shares, one read of the characterization's
-any-endpoint fault probability, and one uniform draw; the conditional
-sampling only runs on actual fault cycles, with the row's sampler the
-characterization keeps for all its injectors.
+Each endpoint faults by its own Bernoulli draw with probability
+``P_{E,V,I}``.  The per-cycle fast path costs one stream read, one
+bisect into the period grid of the characterization's one fault
+table, one read of the instruction's any-endpoint fault probability,
+and one uniform draw; the conditional sampling only runs on actual
+fault cycles, with the row's sampler the characterization keeps for
+all its injectors.
 :meth:`StatisticalInjector.next_fault` replays that fast path over the
 golden ALU sequence in numpy slices: it reads a slice's fault
-probabilities from one dense (mnemonic, row) table, finds the first
-faulting op with :func:`~repro.fi.base.first_hit`, samples the mask as
-the live call would, and gives the slice's unread periods back to the
-stream.
+probabilities from the table's dense (mnemonic, row) any-endpoint
+probabilities, finds the first faulting op with
+:func:`~repro.fi.base.first_hit`, samples the mask as the live call
+would, and gives the slice's unread periods back to the stream.
 """
 
 from __future__ import annotations
@@ -49,8 +42,6 @@ from repro.timing.characterize import (
 from repro.timing.noise import VoltageNoise
 from repro.timing.voltage import VddDelayModel
 
-CORRELATION_MODES = ("independent", "joint")
-
 
 class StatisticalInjector(FaultInjector):
     """Instruction-aware statistical fault injection (model C).
@@ -64,8 +55,9 @@ class StatisticalInjector(FaultInjector):
             the CDFs accordingly, e.g. for voltage overscaling).
         vdd_model: fitted Vdd-delay curve.
         rng: random generator.
-        correlation: ``"independent"`` or ``"joint"`` (see module doc).
         semantics: fault semantics.
+
+    The characterization's fault table must cover every ALU mnemonic.
     """
 
     model_name = "C"
@@ -75,15 +67,10 @@ class StatisticalInjector(FaultInjector):
                  vdd_operating: float | None = None,
                  vdd_model: VddDelayModel | None = None,
                  rng: np.random.Generator | None = None,
-                 correlation: str = "independent",
                  semantics: str = "flip"):
         super().__init__(semantics)
         if frequency_hz <= 0:
             raise ValueError("frequency must be positive")
-        if correlation not in CORRELATION_MODES:
-            raise ValueError(
-                f"unknown correlation mode {correlation!r}; "
-                f"expected one of {CORRELATION_MODES}")
         if vdd_model is None:
             raise ValueError(
                 "a fitted VddDelayModel is required (use "
@@ -91,14 +78,16 @@ class StatisticalInjector(FaultInjector):
         self.characterization = characterization
         self.frequency_hz = frequency_hz
         self.noise = noise
-        self.correlation = correlation
         self.vdd_characterized = characterization.config.vdd
         self.vdd_operating = (vdd_operating
                               if vdd_operating is not None
                               else self.vdd_characterized)
         self._rng = rng or np.random.default_rng()
-        self._grids = characterization.grids
-        self._cdfs = characterization.cdfs
+        self._grid = grid = characterization.grid
+        if grid.mnemonics != ALU_MNEMONICS:
+            missing = sorted(set(ALU_MNEMONICS) - set(grid.mnemonics))
+            raise ValueError(f"the CDF grid covers {grid.mnemonics}, "
+                             f"not the ALU mnemonics (missing {missing})")
         self._stream = EffectivePeriodStream(
             period_ps=1e12 / frequency_hz,
             vdd_operating=self.vdd_operating,
@@ -106,42 +95,21 @@ class StatisticalInjector(FaultInjector):
             vdd_model=vdd_model,
             noise=noise,
             rng=self._rng)
-        # One row index serves every mnemonic, per op and in a scan, so
-        # every ALU mnemonic needs a grid and all grids one period grid
-        # (characterizations compile them that way).
-        grids = [self._grids.get(mnemonic) for mnemonic in ALU_MNEMONICS]
-        missing = [mnemonic for mnemonic, grid
-                   in zip(ALU_MNEMONICS, grids) if grid is None]
-        if missing:
-            raise ValueError(f"no CDF grid for {missing}")
-        if not all(np.array_equal(grid.periods, grids[0].periods)
-                   for grid in grids):
-            raise ValueError("the ALU mnemonics' CDF grids must share "
-                             "one period grid")
-        self._row_grid = grids[0]
-        # (mnemonic id, row) -> the any-endpoint fault probability.
-        self._p_any = np.stack([grid.p_any for grid in grids])
-        self._draw_limit = self._draw_limits(grids)
+        # mnemonic -> (its id, its any-endpoint fault probability per row).
+        self._rows = {mnemonic: (mid, grid.p_any[mid])
+                      for mid, mnemonic in enumerate(ALU_MNEMONICS)}
+        self._draw_limit = self._draw_limits()
 
-    def _draw_limits(self, grids) -> np.ndarray:
+    def _draw_limits(self) -> np.ndarray:
         """Per-mnemonic longest period whose fast path draws a uniform.
 
         A cycle draws exactly when its period is at most its mnemonic's
-        limit: on the grid, and either mapping to a row before the
-        grid's first quiet row (independent mode) or below the worst
-        sampled cycle (joint mode).
+        limit: on the grid and mapping to a row before the mnemonic's
+        first quiet row.
         """
-        periods = self._row_grid.periods
-        limits = []
-        for mnemonic, grid in zip(ALU_MNEMONICS, grids):
-            if self.correlation == "independent":
-                quiet = grid.first_quiet_row
-                limit = periods[quiet] if quiet < len(periods) else np.inf
-            else:
-                worst = self._cdfs[mnemonic].row_max_sorted[-1]
-                limit = np.nextafter(worst, -np.inf)
-            limits.append(min(limit, np.nextafter(periods[-1], -np.inf)))
-        return np.array(limits)
+        periods = self._grid.periods
+        limits = np.append(periods, np.inf)[self._grid.first_quiet_rows]
+        return np.minimum(limits, np.nextafter(periods[-1], -np.inf))
 
     @classmethod
     def for_alu(cls, alu: AluNetlist, frequency_hz: float,
@@ -149,7 +117,6 @@ class StatisticalInjector(FaultInjector):
                 vdd_operating: float | None = None,
                 characterization_config: CharacterizationConfig | None = None,
                 rng: np.random.Generator | None = None,
-                correlation: str = "independent",
                 semantics: str = "flip") -> "StatisticalInjector":
         """Build an injector from an ALU, characterizing on first use."""
         characterization = get_characterization(
@@ -161,43 +128,19 @@ class StatisticalInjector(FaultInjector):
             vdd_operating=vdd_operating,
             vdd_model=VddDelayModel.from_alu_sta(alu),
             rng=rng,
-            correlation=correlation,
             semantics=semantics)
 
     # -- mask generation ----------------------------------------------------
 
     def fault_mask(self, mnemonic: str) -> int:
-        period_eff = self._stream.next()
-        row = self._row_grid.row_index(period_eff)
+        row = self._grid.row_index(self._stream.next())
         if row < 0:
             return 0
-        if self.correlation == "joint":
-            return self._joint_mask(mnemonic, period_eff)
-        grid = self._grids[mnemonic]
-        p_any = grid.p_any[row]
-        if p_any <= 0.0 or self._rng.random() >= p_any:
+        mid, p_any = self._rows[mnemonic]
+        p = p_any[row]
+        if p <= 0.0 or self._rng.random() >= p:
             return 0
-        return grid.sampler(row).sample_mask(self._rng)
-
-    def _joint_mask(self, mnemonic: str, period_eff: float) -> int:
-        cdfs = self._cdfs[mnemonic]
-        n = cdfs.n_cycles
-        first_violating = int(np.searchsorted(
-            cdfs.row_max_sorted, period_eff, side="right"))
-        violating = n - first_violating
-        if violating <= 0 or self._rng.random() >= violating / n:
-            return 0
-        return self._joint_sample(cdfs, first_violating, period_eff)
-
-    def _joint_sample(self, cdfs, first_violating: int,
-                      period_eff: float) -> int:
-        """Resample one violating characterization cycle's mask."""
-        index = int(self._rng.integers(first_violating, cdfs.n_cycles))
-        bits = np.flatnonzero(cdfs.critical_rows[index] > period_eff)
-        mask = 0
-        for bit in bits:
-            mask |= 1 << int(bit)
-        return mask
+        return self._grid.sampler(mid, row).sample_mask(self._rng)
 
     # -- fault schedules --------------------------------------------------
 
@@ -211,19 +154,11 @@ class StatisticalInjector(FaultInjector):
             if draw is not None:
                 hit = int(drawing[draw])
                 self._stream.give_back(len(periods) - hit - 1)
-                return start + hit, self._hit_mask(
-                    ALU_MNEMONICS[ids[hit]], periods[hit])
+                row = self._grid.row_index(periods[hit])
+                return start + hit, self._grid.sampler(
+                    int(ids[hit]), row).sample_mask(self._rng)
             start += len(periods)
         return len(mnemonic_ids), 0
-
-    def _hit_mask(self, mnemonic: str, period_eff: float) -> int:
-        """Mask of a cycle whose fast-path uniform fell below its odds."""
-        if self.correlation == "independent":
-            row = self._row_grid.row_index(period_eff)
-            return self._grids[mnemonic].sampler(row).sample_mask(self._rng)
-        cdfs = self._cdfs[mnemonic]
-        return self._joint_sample(cdfs, int(np.searchsorted(
-            cdfs.row_max_sorted, period_eff, side="right")), period_eff)
 
     def snapshot(self) -> object:
         return self._stream.snapshot()
@@ -239,16 +174,5 @@ class StatisticalInjector(FaultInjector):
         probability each one's uniform is tested against, in order.
         """
         drawing = np.flatnonzero(periods <= self._draw_limit[ids])
-        ids, periods = ids[drawing], periods[drawing]
-        if self.correlation == "independent":
-            rows = self._row_grid.row_indices(periods)
-            return drawing, self._p_any[ids, rows]
-        probs = np.empty(len(ids))
-        for mid in np.unique(ids).tolist():
-            at = ids == mid
-            cdfs = self._cdfs[ALU_MNEMONICS[mid]]
-            n = cdfs.n_cycles
-            violating = n - np.searchsorted(cdfs.row_max_sorted,
-                                            periods[at], side="right")
-            probs[at] = violating / n
-        return drawing, probs
+        rows = self._grid.row_indices(periods[drawing])
+        return drawing, self._grid.p_any[ids[drawing], rows]

@@ -9,21 +9,21 @@ Two views are provided:
 
 * :class:`EndpointCdfs` -- the exact empirical CDFs, queried by period
   or frequency (used for plots, tables and tests);
-* :class:`CdfGrid` -- a dense period-grid compilation used by the
-  statistical fault injector: a grid row holds the per-endpoint
-  probabilities and the any-endpoint fault probability the injector's
-  per-cycle fast path tests, and the grid caches the row's conditional
-  sampler, which only a faulting cycle needs.  A characterization
-  compiles every instruction onto one period grid, so one row index
-  serves every instruction, and every injector built on the
-  characterization shares the grid's samplers.
+* :class:`CdfGrid` -- a dense period-grid compilation of every
+  instruction's CDFs, used by the statistical fault injector: a
+  (instruction, grid row) entry holds the per-endpoint probabilities
+  and the any-endpoint fault probability the injector's per-cycle fast
+  path tests, and the grid caches the entry's conditional sampler,
+  which only a faulting cycle needs.  A characterization compiles one
+  grid, so one row index serves every instruction, and every injector
+  built on the characterization shares the grid's samplers.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,7 +44,8 @@ class EndpointCdfs:
         row_max_sorted: (n,) per-cycle worst critical period, sorted
             ascending (drives the any-endpoint probability).
         critical_rows: (n, 32) the raw per-cycle critical periods in
-            row-max sorted order (for joint empirical sampling).
+            row-max sorted order: the matrix a stored characterization
+            holds, from which the other views are rebuilt.
     """
 
     mnemonic: str
@@ -104,53 +105,57 @@ class EndpointCdfs:
 
 @dataclass
 class CdfGrid:
-    """Dense period-grid compilation of one instruction's CDFs.
+    """Dense period-grid compilation of several instructions' CDFs.
 
     Attributes:
-        periods: (G,) ascending clock-period grid [ps].
-        probs: (G, 32) per-endpoint violation probabilities.
-        p_any: (G,) probability that at least one endpoint violates,
-            endpoints independent: ``1 - prod(1 - probs[g])``.
+        mnemonics: the instructions, in the order of the first axis.
+        periods: (G,) ascending clock-period grid [ps], shared by every
+            instruction.
+        probs: (M, G, 32) per-endpoint violation probabilities.
+        p_any: (M, G) probability that at least one endpoint violates,
+            endpoints independent: ``1 - prod(1 - probs[m, g])``.
+        first_quiet_rows: (M,) each instruction's first row where every
+            endpoint's probability is 0.  Violation probabilities only
+            fall as the period grows, so every later row is quiet too.
     """
 
+    mnemonics: tuple[str, ...]
     periods: np.ndarray
     probs: np.ndarray
     p_any: np.ndarray = field(init=False)
+    first_quiet_rows: np.ndarray = field(init=False)
 
     @classmethod
-    def compile(cls, cdfs: EndpointCdfs, period_min_ps: float,
+    def compile(cls, tables: Sequence[EndpointCdfs], period_min_ps: float,
                 period_max_ps: float, points: int = 2048) -> "CdfGrid":
-        """Sample the CDFs onto a dense period grid."""
+        """Sample every table's CDFs onto one dense period grid."""
         if period_min_ps <= 0 or period_max_ps <= period_min_ps:
             raise ValueError("bad grid period range")
         periods = np.linspace(period_min_ps, period_max_ps, points)
-        n = cdfs.n_cycles
-        # Vectorized: for each endpoint row (sorted ascending), the
-        # count of cycles exceeding each grid period is n - insertion
-        # index of that period.
-        probs = np.stack([
-            n - np.searchsorted(row, periods, side="right")
-            for row in cdfs.critical_sorted
-        ]).T / n
-        return cls(periods=periods, probs=probs)
+        probs = np.empty((len(tables), points, tables[0].n_endpoints))
+        for table, table_probs in zip(tables, probs):
+            # Vectorized: for each endpoint row (sorted ascending), the
+            # count of cycles exceeding each grid period is n - insertion
+            # index of that period.
+            n = table.n_cycles
+            table_probs[:] = np.stack([
+                n - np.searchsorted(row, periods, side="right")
+                for row in table.critical_sorted
+            ]).T / n
+        return cls(mnemonics=tuple(table.mnemonic for table in tables),
+                   periods=periods, probs=probs)
 
     def __post_init__(self) -> None:
-        # Equals repro.fi.sampling.any_probability(probs[g]) bit for
-        # bit on every row, the value a row's sampler carries.
-        self.p_any = 1.0 - np.prod(1.0 - self.probs, axis=1)
+        # Equals repro.fi.sampling.any_probability(probs[m, g]) bit for
+        # bit on every row, the value a row's sampler carries.  Built one
+        # instruction at a time: no temporary as large as ``probs``.
+        self.p_any = np.array([1.0 - np.prod(1.0 - table, axis=1)
+                               for table in self.probs])
+        self.first_quiet_rows = np.any(self.probs > 0.0, axis=2).sum(axis=1)
         # The injector's fast path uses plain-Python bisect on a list,
         # which is faster than numpy for scalar lookups.
         self._period_list = self.periods.tolist()
-        self._samplers: dict[int, BitSampler] = {}
-
-    @cached_property
-    def first_quiet_row(self) -> int:
-        """First row where every endpoint's probability is 0.
-
-        Violation probabilities only fall as the period grows, so every
-        later row is quiet too.
-        """
-        return int(np.any(self.probs > 0.0, axis=1).sum())
+        self._samplers: dict[tuple[int, int], BitSampler] = {}
 
     def row_index(self, period_ps: float) -> int:
         """Grid row whose probabilities apply at an effective period.
@@ -171,16 +176,17 @@ class CdfGrid:
             self.periods, periods_ps[on_grid], "left") - 1, 0)
         return rows
 
-    def sampler(self, row: int) -> BitSampler:
-        """The row's conditional :class:`~repro.fi.sampling.BitSampler`.
+    def sampler(self, mnemonic_id: int, row: int) -> BitSampler:
+        """Conditional :class:`~repro.fi.sampling.BitSampler` of one
+        instruction's row.
 
         Built on first use and kept, so a characterization builds each
         row's sampler at most once for all its injectors.
         """
-        sampler = self._samplers.get(row)
+        sampler = self._samplers.get((mnemonic_id, row))
         if sampler is None:
             # Imported here: repro.fi imports this module's package.
             from repro.fi.sampling import BitSampler
-            sampler = self._samplers[row] = BitSampler.from_probs(
-                self.probs[row])
+            sampler = self._samplers[mnemonic_id, row] = \
+                BitSampler.from_probs(self.probs[mnemonic_id, row])
         return sampler

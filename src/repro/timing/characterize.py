@@ -9,13 +9,13 @@ tables the statistical fault injector consumes.
 Characterizations are cached in-process by configuration key, and
 the result store persists them through :meth:`AluCharacterization.to_json`
 (the gate-level timing simulation is the most expensive step of the
-flow).  Every instruction's CDFs are compiled onto one period grid, so
-one grid row index serves every instruction.
+flow).  Every instruction's CDFs are compiled into one period-grid
+fault table, so one grid row index serves every instruction.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -57,12 +57,20 @@ class CharacterizationConfig:
 
 @dataclass
 class AluCharacterization:
-    """Per-instruction CDF tables for one ALU at one supply voltage."""
+    """Per-instruction CDF tables for one ALU at one supply voltage.
+
+    Attributes:
+        config: parameters of the characterization run.
+        cdfs: each instruction's empirical CDFs.
+        grid: every instruction's CDFs on one period grid, in
+            :attr:`mnemonics` order (the fault table model C reads).
+        worst_sta_period_ps: the ALU's worst STA period at ``config.vdd``.
+    """
 
     config: CharacterizationConfig
     cdfs: dict[str, EndpointCdfs]
-    grids: dict[str, CdfGrid] = field(default_factory=dict)
-    worst_sta_period_ps: float = 0.0
+    grid: CdfGrid
+    worst_sta_period_ps: float
 
     @classmethod
     def run(cls, alu: "AluNetlist",
@@ -91,21 +99,18 @@ class AluCharacterization:
     def _compiled(cls, config: CharacterizationConfig,
                   cdfs: dict[str, EndpointCdfs],
                   worst_sta: float) -> "AluCharacterization":
-        """Compile every instruction's CDFs onto one shared period grid.
+        """Compile every instruction's CDFs into one period-grid table.
 
         The grid spans 0.35x the worst STA period up to 5% past the
         slowest of that period and every sampled cycle.
         """
         max_critical = max(float(table.critical_rows.max())
                            for table in cdfs.values())
-        grid_min = 0.35 * worst_sta
-        grid_max = 1.05 * max(max_critical, worst_sta)
-        grids = {
-            mnemonic: CdfGrid.compile(table, grid_min, grid_max,
-                                      config.grid_points)
-            for mnemonic, table in cdfs.items()
-        }
-        return cls(config=config, cdfs=cdfs, grids=grids,
+        grid = CdfGrid.compile(
+            [cdfs[mnemonic] for mnemonic in sorted(cdfs)],
+            0.35 * worst_sta, 1.05 * max(max_critical, worst_sta),
+            config.grid_points)
+        return cls(config=config, cdfs=cdfs, grid=grid,
                    worst_sta_period_ps=worst_sta)
 
     @property
@@ -122,10 +127,10 @@ class AluCharacterization:
     def _rebuild(cls, config: CharacterizationConfig,
                  criticals: dict[str, np.ndarray],
                  worst_sta: float) -> "AluCharacterization":
-        """Reconstruct CDFs and grids from raw critical-period data.
+        """Reconstruct CDFs and the grid from raw critical-period data.
 
         Deterministic: given bit-identical criticals, the rebuilt
-        tables and grids match the originally computed ones exactly
+        tables and grid match the originally computed ones exactly
         (``CdfGrid.compile`` and ``EndpointCdfs.from_critical`` are
         pure), which is what makes store-served characterizations
         interchangeable with freshly computed ones.
@@ -135,8 +140,8 @@ class AluCharacterization:
             # The persisted matrix is critical_rows, i.e. already in
             # row-max ascending order; rebuilding the views directly
             # (instead of re-sorting via from_critical) keeps the row
-            # order exact even when worst periods tie, so joint-mode
-            # sampling stays bit-identical across a round-trip.
+            # order exact even when worst periods tie, so a re-stored
+            # body is byte-identical to the one it was loaded from.
             critical = np.asarray(critical)
             cdfs[mnemonic] = EndpointCdfs(
                 mnemonic=mnemonic,
@@ -151,7 +156,7 @@ class AluCharacterization:
         """Lossless JSON body (schema ``ALU_CHARACTERIZATION_SCHEMA``).
 
         Only the raw per-instruction critical-period matrices travel
-        (exact dtype preserved); CDFs and grids are rebuilt
+        (exact dtype preserved); CDFs and the grid are rebuilt
         deterministically on load.
         """
         from repro.store.serialize import encode

@@ -171,19 +171,6 @@ class TestModelC:
                 1e12 / frequency))
         assert faulty / trials == pytest.approx(expected, rel=0.12)
 
-    def test_joint_mode_matches_empirical_any_prob(self, characterization,
-                                                   vdd_model, rng):
-        frequency = 780e6
-        injector = self._injector(characterization, vdd_model, frequency,
-                                  rng, sigma=0.0, correlation="joint")
-        injector.begin_run()
-        trials = 30000
-        faulty = sum(injector.fault_mask("l.mul") != 0
-                     for _ in range(trials))
-        expected = characterization.cdfs["l.mul"].any_error_prob(
-            1e12 / frequency)
-        assert faulty / trials == pytest.approx(expected, rel=0.12)
-
     def test_voltage_overscaling_shifts_onset(self, characterization,
                                               vdd_model, rng):
         """Running below the characterization voltage at fixed frequency
@@ -206,11 +193,6 @@ class TestModelC:
         with pytest.raises(ValueError, match="VddDelayModel"):
             StatisticalInjector(characterization, 700e6,
                                 VoltageNoise(0.01), rng=rng)
-
-    def test_bad_correlation_mode(self, characterization, vdd_model, rng):
-        with pytest.raises(ValueError, match="correlation"):
-            self._injector(characterization, vdd_model, 700e6, rng,
-                           correlation="psychic")
 
     def test_for_alu_turnkey(self, alu, rng):
         injector = StatisticalInjector.for_alu(

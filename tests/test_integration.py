@@ -81,26 +81,35 @@ class TestModelRelationships:
                         for c in characterization.cdfs.values())
         assert dta_worst <= sta_worst + 1e-9
 
-    def test_joint_and_independent_agree_on_marginals(self, characterization,
-                                                      vdd_model):
-        """Both correlation modes must reproduce the same per-endpoint
-        fault rates (they share the CDF marginals)."""
+    def test_endpoint_rates_match_cdf_marginals(self, characterization,
+                                                vdd_model):
+        """Without noise, every endpoint faults at its DTA CDF's rate.
+
+        Checks the whole per-op chain -- period stream, grid row,
+        any-endpoint draw, conditional sampler -- against
+        ``EndpointCdfs.error_probs``, endpoint by endpoint.
+        """
         frequency = 760e6
-        counts = {}
-        for mode in ("independent", "joint"):
-            rng = np.random.default_rng(5)
-            injector = make_injector(characterization, vdd_model,
-                                     frequency, 0.0, rng,
-                                     correlation=mode)
-            injector.begin_run()
-            total = np.zeros(32)
-            for _ in range(20000):
-                mask = injector.fault_mask("l.mul")
-                for bit in range(32):
-                    total[bit] += (mask >> bit) & 1
-            counts[mode] = total / 20000
-        assert np.allclose(counts["independent"], counts["joint"],
-                           atol=0.01)
+        cycles = 20000
+        injector = make_injector(characterization, vdd_model, frequency,
+                                 0.0, np.random.default_rng(5))
+        injector.begin_run()
+        counts = np.zeros(32)
+        for _ in range(cycles):
+            mask = injector.fault_mask("l.mul")
+            counts += [(mask >> bit) & 1 for bit in range(32)]
+        cdfs = characterization.cdfs["l.mul"]
+        expected = cdfs.error_probs(1e12 / frequency)
+        assert expected.max() > 0.05  # the check has teeth
+        # Five binomial standard deviations per endpoint, plus the
+        # period grid's quantization: the injector reads the grid row
+        # at or just below the period.
+        grid = characterization.grid
+        on_grid = cdfs.error_probs(
+            grid.periods[grid.row_index(1e12 / frequency)])
+        tolerance = (5 * np.sqrt(expected * (1 - expected) / cycles)
+                     + on_grid - expected)
+        assert np.all(np.abs(counts / cycles - expected) <= tolerance)
 
 
 class TestFaultSemanticsEndToEnd:

@@ -27,7 +27,7 @@ from repro.fi.base import FAULT_SEMANTICS, NullInjector
 from repro.fi.model_a import FixedProbabilityInjector
 from repro.fi.model_b import StaInjector
 from repro.fi.model_bplus import StaNoiseInjector
-from repro.fi.model_c import CORRELATION_MODES, StatisticalInjector
+from repro.fi.model_c import StatisticalInjector
 from repro.fi.sampling import BitSampler
 from repro.fi.streams import EffectivePeriodStream
 from repro.isa.instructions import ALU_MNEMONICS
@@ -181,23 +181,17 @@ class TestExactness:
     @settings(max_examples=10, deadline=None)
     @given(mhz=st.floats(672.0, 694.0),
            noise=st.sampled_from([QUIET, NOISE]),
-           correlation=st.sampled_from(CORRELATION_MODES),
            semantics=st.sampled_from(FAULT_SEMANTICS),
            seed=st.integers(0, 2**16))
-    @example(mhz=684.0, noise=NOISE, correlation="independent",
-             semantics="stale", seed=1)
-    @example(mhz=684.0, noise=NOISE, correlation="joint",
-             semantics="flip", seed=1)
-    @example(mhz=770.0, noise=QUIET, correlation="independent",
-             semantics="flip", seed=1)
+    @example(mhz=684.0, noise=NOISE, semantics="stale", seed=1)
+    @example(mhz=770.0, noise=QUIET, semantics="flip", seed=1)
     def test_model_c(self, kernel, characterization, vdd_model, mhz,
-                     noise, correlation, semantics, seed):
+                     noise, semantics, seed):
         def make(per_op, rng):
             cls = _per_op(StatisticalInjector) if per_op \
                 else StatisticalInjector
             return cls(characterization, mhz * 1e6, noise,
-                       vdd_model=vdd_model, rng=rng,
-                       correlation=correlation, semantics=semantics)
+                       vdd_model=vdd_model, rng=rng, semantics=semantics)
         _assert_exact(kernel, make, 6, seed)
 
     @pytest.mark.parametrize("mhz", [600.0, 684.0])
@@ -285,12 +279,8 @@ class TestPaths:
         n = len(golden_run(countdown).mnemonic_ids)
         assert any(t.alu_cycles > n for t in point.trials)
 
-    @pytest.mark.parametrize("correlation,seed,n_trials",
-                             [("independent", 7, 30), ("joint", 14, 24)],
-                             ids=CORRELATION_MODES)
     def test_hit_and_divergence_across_refill_seam(
-            self, characterization, vdd_model, paths, correlation, seed,
-            n_trials):
+            self, characterization, vdd_model, paths):
         """A search and a rollback each span a 65,536-value refill."""
         kmeans = build_kernel("kmeans", "quick")
         injectors = []
@@ -298,11 +288,10 @@ class TestPaths:
         def make(per_op, rng):
             cls = _per_op(StatisticalInjector) if per_op else _SeamWatch
             injector = cls(characterization, 675e6, NOISE,
-                           vdd_model=vdd_model, rng=rng,
-                           correlation=correlation)
+                           vdd_model=vdd_model, rng=rng)
             injectors.append(injector)
             return injector
-        _assert_exact(kmeans, make, n_trials, seed)
+        _assert_exact(kmeans, make, 30, 7)
         seams = injectors[0].seams
         # No trial stops early, so every rollback is a divergence's.
         assert paths["diverged"] > 0 and not paths["stopped early"]
@@ -392,19 +381,17 @@ class TestHookCuts:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**16),
-           correlation=st.sampled_from(CORRELATION_MODES),
            semantics=st.sampled_from(FAULT_SEMANTICS),
            leave=st.sampled_from(["stop", "switch", "outlive"]),
            data=st.data())
-    def test_model_c(self, characterization, vdd_model, seed, correlation,
-                     semantics, leave, data):
+    def test_model_c(self, characterization, vdd_model, seed, semantics,
+                     leave, data):
         golden = self._golden(seed)
 
         def make():
             return StatisticalInjector(
                 characterization, 700e6, NOISE, vdd_model=vdd_model,
-                rng=np.random.default_rng(seed), correlation=correlation,
-                semantics=semantics)
+                rng=np.random.default_rng(seed), semantics=semantics)
         starts = self._scan_starts(make, golden)
         cut = data.draw(st.sampled_from(sorted(
             {min(max(s + d, 0), self.N_OPS) for s in starts
@@ -416,28 +403,25 @@ class TestDrawProbabilities:
     """The vectorized per-cycle draw test equals the scalar fast path."""
 
     @staticmethod
-    def _fast_path(injector, mnemonic, period):
+    def _fast_path(injector, mid, period):
         """Probability the live fast path tests its uniform against."""
-        grid = injector.characterization.grids[mnemonic]
+        grid = injector.characterization.grid
         row = grid.row_index(period)
         if row < 0:
             return None
-        if injector.correlation == "independent":
-            p_any = BitSampler.from_probs(grid.probs[row]).p_any
-            return p_any if p_any > 0.0 else None
-        cdfs = injector.characterization.cdfs[mnemonic]
-        violating = cdfs.n_cycles - int(np.searchsorted(
-            cdfs.row_max_sorted, period, side="right"))
-        return violating / cdfs.n_cycles if violating > 0 else None
+        p_any = BitSampler.from_probs(grid.probs[mid, row]).p_any
+        return p_any if p_any > 0.0 else None
 
-    @pytest.mark.parametrize("correlation", CORRELATION_MODES)
-    def test_boundaries(self, characterization, vdd_model, correlation):
+    def test_boundaries(self, characterization, vdd_model):
         injector = StatisticalInjector(
             characterization, 700e6, NOISE, vdd_model=vdd_model,
-            rng=np.random.default_rng(0), correlation=correlation)
-        grid_periods = next(iter(characterization.grids.values())).periods
+            rng=np.random.default_rng(0))
+        grid = characterization.grid
+        grid_periods = grid.periods
+        # Each mnemonic's draw limit sits on its first quiet row's period.
+        quiet = np.minimum(grid.first_quiet_rows, len(grid_periods) - 1)
         edges = np.concatenate(
-            [grid_periods[::64], grid_periods[-3:]]
+            [grid_periods[::64], grid_periods[-3:], grid_periods[quiet]]
             + [cdfs.row_max_sorted[-3:]
                for cdfs in characterization.cdfs.values()])
         candidates = np.concatenate([
@@ -445,9 +429,9 @@ class TestDrawProbabilities:
             np.nextafter(edges, -np.inf),
             np.random.default_rng(1).uniform(
                 0.3 * grid_periods[0], 1.1 * grid_periods[-1], 500)])
-        for mid, mnemonic in enumerate(ALU_MNEMONICS):
+        for mid in range(len(ALU_MNEMONICS)):
             ids = np.full(len(candidates), mid, dtype=np.uint8)
-            expected = [self._fast_path(injector, mnemonic, period)
+            expected = [self._fast_path(injector, mid, period)
                         for period in candidates.tolist()]
             drawing, probs = injector._draw_probs(ids, candidates)
             assert drawing.tolist() == \

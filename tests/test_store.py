@@ -10,7 +10,7 @@ from repro.mc.sweep import FrequencySweep
 from repro.store import ResultStore, canonical_json, decode, encode, \
     key_hash
 from repro.store.serialize import NDARRAY_TAG, json_hash
-from repro.timing.cdf import CdfGrid, EndpointCdfs
+from repro.timing.cdf import EndpointCdfs
 from repro.timing.characterize import (
     ALU_CHARACTERIZATION_SCHEMA,
     AluCharacterization,
@@ -133,16 +133,7 @@ class TestCharacterizationJson:
             critical = rng.uniform(600.0, 1500.0, size=(16, 32))
             cdfs[mnemonic] = EndpointCdfs.from_critical(
                 mnemonic, config.vdd, critical)
-        max_critical = max(float(t.critical_rows.max())
-                           for t in cdfs.values())
-        grids = {
-            m: CdfGrid.compile(t, 0.35 * worst,
-                               1.05 * max(max_critical, worst),
-                               config.grid_points)
-            for m, t in cdfs.items()
-        }
-        return AluCharacterization(config=config, cdfs=cdfs, grids=grids,
-                                   worst_sta_period_ps=worst)
+        return AluCharacterization._compiled(config, cdfs, worst)
 
     def test_round_trip_bit_identical(self):
         char = self._characterization()
@@ -159,10 +150,10 @@ class TestCharacterizationJson:
                                   original.critical_sorted)
             assert np.array_equal(rebuilt.row_max_sorted,
                                   original.row_max_sorted)
-            assert np.array_equal(back.grids[mnemonic].probs,
-                                  char.grids[mnemonic].probs)
-            assert np.array_equal(back.grids[mnemonic].p_any,
-                                  char.grids[mnemonic].p_any)
+        assert back.grid.mnemonics == char.grid.mnemonics == ("l.add",
+                                                              "l.mul")
+        assert np.array_equal(back.grid.probs, char.grid.probs)
+        assert np.array_equal(back.grid.p_any, char.grid.p_any)
 
     def test_schema_guard(self):
         payload = self._characterization().to_json()

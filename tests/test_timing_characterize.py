@@ -1,7 +1,5 @@
 """Tests for the characterization flow: coverage, caching, persistence."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from repro.experiments.context import ExperimentContext
 from repro.fi.model_c import StatisticalInjector
 from repro.fi.sampling import BitSampler, any_probability
 from repro.isa.instructions import ALU_MNEMONICS
-from repro.timing.cdf import CdfGrid
 from repro.timing.characterize import (
     AluCharacterization,
     CharacterizationConfig,
@@ -24,16 +21,19 @@ class TestCoverage:
         assert set(characterization.mnemonics) == set(ALU_MNEMONICS)
 
     def test_grids_built_for_every_instruction(self, characterization):
-        assert set(characterization.grids) == set(characterization.cdfs)
+        grid = characterization.grid
+        assert grid.mnemonics == characterization.mnemonics
+        assert grid.probs.shape == (len(grid.mnemonics), len(grid.periods),
+                                    32)
 
     def test_worst_sta_recorded(self, alu, characterization):
         assert characterization.worst_sta_period_ps == pytest.approx(
             alu.worst_sta_period_ps(characterization.config.vdd))
 
     def test_grid_covers_all_critical_periods(self, characterization):
-        for mnemonic, cdfs in characterization.cdfs.items():
-            grid = characterization.grids[mnemonic]
-            assert grid.periods[-1] >= cdfs.row_max_sorted[-1]
+        periods = characterization.grid.periods
+        for cdfs in characterization.cdfs.values():
+            assert periods[-1] >= cdfs.row_max_sorted[-1]
 
 
 class TestCaching:
@@ -75,10 +75,10 @@ class TestOlderStoredData:
                 got = getattr(loaded.cdfs[mnemonic], name)
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
-            for name in ("periods", "probs", "p_any"):
-                assert np.array_equal(
-                    getattr(loaded.grids[mnemonic], name),
-                    getattr(original.grids[mnemonic], name))
+        assert loaded.grid.mnemonics == original.grid.mnemonics
+        for name in ("periods", "probs", "p_any", "first_quiet_rows"):
+            assert np.array_equal(getattr(loaded.grid, name),
+                                  getattr(original.grid, name))
 
     def test_body_with_timing_dtype_reloads(self, characterization):
         body = characterization.to_json()
@@ -93,9 +93,10 @@ class TestSharedTables:
     def test_p_any_is_the_independent_any_endpoint_probability(self, alu):
         quick = get_characterization(
             alu, ExperimentContext.create("quick").char_config())
-        for grid in quick.grids.values():
-            assert grid.p_any.tolist() == [
-                any_probability(probs) for probs in grid.probs]
+        grid = quick.grid
+        assert grid.p_any.tolist() == [
+            [any_probability(probs) for probs in table]
+            for table in grid.probs]
 
     def test_injectors_share_row_samplers(self, characterization,
                                           vdd_model, monkeypatch):
@@ -117,22 +118,11 @@ class TestSharedTables:
 
     def test_injector_rejects_a_missing_mnemonic(self, characterization,
                                                  vdd_model):
-        grids = dict(characterization.grids)
-        del grids["l.mul"]
+        cdfs = dict(characterization.cdfs)
+        del cdfs["l.mul"]
+        partial = AluCharacterization._compiled(
+            characterization.config, cdfs,
+            characterization.worst_sta_period_ps)
         with pytest.raises(ValueError, match="l.mul"):
-            StatisticalInjector(replace(characterization, grids=grids),
-                                700e6, VoltageNoise(0.010),
-                                vdd_model=vdd_model)
-
-    def test_injector_rejects_unshared_periods(self, characterization,
-                                               vdd_model):
-        cdfs = characterization.cdfs["l.add"]
-        periods = characterization.grids["l.add"].periods
-        grids = dict(characterization.grids)
-        grids["l.add"] = CdfGrid.compile(cdfs, periods[0],
-                                         1.01 * periods[-1],
-                                         len(periods))
-        with pytest.raises(ValueError, match="period grid"):
-            StatisticalInjector(replace(characterization, grids=grids),
-                                700e6, VoltageNoise(0.010),
+            StatisticalInjector(partial, 700e6, VoltageNoise(0.010),
                                 vdd_model=vdd_model)

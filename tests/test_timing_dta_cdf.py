@@ -104,14 +104,14 @@ class TestEndpointCdfs:
 class TestCdfGrid:
     def test_grid_probabilities_match_exact(self):
         cdfs = _synthetic_cdfs()
-        grid = CdfGrid.compile(cdfs, 50.0, 450.0, points=401)
+        grid = CdfGrid.compile([cdfs], 50.0, 450.0, points=401)
         index = grid.row_index(175.0)
-        assert grid.probs[index][0] == pytest.approx(1 / 3)
-        assert grid.probs[index][1] == pytest.approx(1.0)
+        assert grid.probs[0, index, 0] == pytest.approx(1 / 3)
+        assert grid.probs[0, index, 1] == pytest.approx(1.0)
 
     def test_row_index_semantics(self):
         cdfs = _synthetic_cdfs()
-        grid = CdfGrid.compile(cdfs, 100.0, 500.0, points=5)
+        grid = CdfGrid.compile([cdfs], 100.0, 500.0, points=5)
         assert grid.row_index(50.0) == 0       # clamps pessimistically
         assert grid.row_index(10000.0) == -1   # beyond grid: no faults
         # In-range values pick the row at or just below the period.
@@ -120,13 +120,34 @@ class TestCdfGrid:
 
     def test_p_any_monotone_decreasing(self):
         cdfs = _synthetic_cdfs()
-        grid = CdfGrid.compile(cdfs, 50.0, 450.0, points=101)
-        assert np.all(np.diff(grid.p_any) <= 1e-12)
+        grid = CdfGrid.compile([cdfs], 50.0, 450.0, points=101)
+        assert np.all(np.diff(grid.p_any[0]) <= 1e-12)
 
     def test_bad_range(self):
         cdfs = _synthetic_cdfs()
         with pytest.raises(ValueError):
-            CdfGrid.compile(cdfs, 200.0, 100.0)
+            CdfGrid.compile([cdfs], 200.0, 100.0)
+
+    def test_one_table_per_instruction_on_one_period_grid(self):
+        cdfs = _synthetic_cdfs()
+        doubled = EndpointCdfs.from_critical(
+            "l.slow", 0.7, 2.0 * cdfs.critical_rows)
+        grid = CdfGrid.compile([cdfs, doubled], 50.0, 900.0, points=171)
+        assert grid.mnemonics == ("l.test", "l.slow")
+        for mid, table in enumerate((cdfs, doubled)):
+            alone = CdfGrid.compile([table], 50.0, 900.0, points=171)
+            assert np.array_equal(grid.probs[mid], alone.probs[0])
+            assert np.array_equal(grid.p_any[mid], alone.p_any[0])
+            # The first quiet row is the first grid period at or past
+            # the table's worst cycle.
+            quiet = grid.first_quiet_rows[mid]
+            assert grid.periods[quiet] >= table.row_max_sorted[-1] \
+                > grid.periods[quiet - 1]
+            assert np.array_equal(
+                grid.sampler(mid, quiet - 1).p_bits,
+                grid.probs[mid, quiet - 1])
+        assert grid.sampler(1, 10) is grid.sampler(1, 10)
+        assert grid.sampler(0, 10) is not grid.sampler(1, 10)
 
 
 class TestRealCharacterizationProperties:
