@@ -10,9 +10,9 @@ future PRs have a perf trajectory.  Run with::
 The pytest-benchmark fixture times the optimized path; the reference
 path is measured once per test with ``perf_counter`` (it is 5-30x
 slower, timing it with full rounds would dominate the suite).  The
-propagate, scheduled ``run_point`` and ISS rows, whose ratios swing
-between processes on a loaded host, time alternating pairs instead
-(:func:`_paired_medians`).
+propagate, DTA, scheduled ``run_point`` and ISS rows, whose ratios
+swing between processes on a loaded host, time alternating pairs
+instead (:func:`_paired_medians`).
 """
 
 from __future__ import annotations
@@ -117,9 +117,17 @@ def test_propagate_block(ctx, mnemonic, glitch_model):
             reference_s, speedup=speedup)
 
 
+#: Alternating compiled/reference pairs behind each DTA row.
+RUN_DTA_PAIRS = 15
+
+
 @pytest.mark.parametrize("mnemonic", ["l.add", "l.mul"])
-def test_run_dta(benchmark, ctx, mnemonic):
-    """DTA characterization throughput over 1024 cycles."""
+def test_run_dta(ctx, mnemonic):
+    """DTA characterization throughput over 1024 cycles.
+
+    The row's speedup is the median of ``RUN_DTA_PAIRS`` paired ratios
+    (see :func:`_paired_medians`).
+    """
     alu = ctx.alu
     n_cycles = 1024
 
@@ -127,15 +135,14 @@ def test_run_dta(benchmark, ctx, mnemonic):
         return run_dta(alu, mnemonic, n_cycles, vdd=0.7, seed=11,
                        block=BLOCK, engine=engine)
 
-    run("compiled")
-    benchmark(lambda: run("compiled"))
-    reference_s = _time_best(lambda: run("reference"))
     compiled_res = run("compiled")
     reference_res = run("reference")
     assert np.array_equal(compiled_res.critical_ps,
                           reference_res.critical_ps)
-    _record(f"run_dta[{mnemonic},1024cyc]", benchmark.stats.stats.min,
-            reference_s)
+    compiled_s, reference_s, speedup = _paired_medians(
+        lambda: run("compiled"), lambda: run("reference"), RUN_DTA_PAIRS)
+    _record(f"run_dta[{mnemonic},1024cyc]", compiled_s, reference_s,
+            speedup=speedup)
 
 
 class _RareInjector(FaultInjector):

@@ -14,6 +14,7 @@ metrics of Section 4.2:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 from repro.mc.stats import mean, wilson_interval
 
@@ -50,6 +51,9 @@ class TrialResult:
     cycles: int
     abort_reason: str | None = None
 
+    #: The field names :meth:`from_json` accepts (set below the class).
+    FIELD_NAMES: ClassVar[frozenset[str]]
+
     @property
     def fi_rate_per_kcycle(self) -> float:
         if self.kernel_cycles <= 0:
@@ -63,11 +67,13 @@ class TrialResult:
     @classmethod
     def from_json(cls, payload: dict) -> "TrialResult":
         """Inverse of :meth:`to_json` (exact round-trip)."""
-        names = {f.name for f in fields(cls)}
-        unknown = set(payload) - names
+        unknown = payload.keys() - cls.FIELD_NAMES
         if unknown:
             raise ValueError(f"unknown TrialResult fields {sorted(unknown)}")
         return cls(**payload)
+
+
+TrialResult.FIELD_NAMES = frozenset(f.name for f in fields(TrialResult))
 
 
 @dataclass

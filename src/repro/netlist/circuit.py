@@ -255,9 +255,12 @@ class Circuit:
         key = (vdd, scale)
         cached = self._delay_cache.get(key)
         if cached is None:
-            cached = np.array(
-                [library.delay_ps(kind, vdd, scale)
-                 for kind in self.gate_kinds])
+            # CellLibrary.delay_ps over every gate at once: the same two
+            # float64 multiplies in the same order, so the same bits.
+            nominal = library.cell_delays_ps
+            base = np.array([nominal[kind] for kind in self.gate_kinds],
+                            dtype=float)
+            cached = base * scale * library.voltage_factor(vdd)
             self._delay_cache[key] = cached
         return cached
 

@@ -89,21 +89,28 @@ def _decode_array(payload: dict):
 
 def canonical_json(payload) -> str:
     """Deterministic JSON text of a payload (keys sorted, compact)."""
-    return json.dumps(encode(payload), sort_keys=True,
-                      separators=(",", ":"))
+    return native_json(encode(payload))
+
+
+def native_json(value) -> str:
+    """:func:`canonical_json` of an already JSON-native value (a key
+    or body parsed back from a stored envelope, say), without the
+    :func:`encode` walk, which on a warm read costs several times the
+    ``json.loads`` it follows."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def text_hash(text: str) -> str:
+    """SHA-256 hex digest of a canonical JSON text."""
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def json_hash(value) -> str:
-    """SHA-256 hex digest of an already JSON-native value's canonical JSON.
-
-    Equal to :func:`key_hash` on such a value (a body parsed back from
-    a stored envelope, say) without the :func:`encode` walk, which on
-    a warm read costs several times the ``json.loads`` it follows.
-    """
-    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    """SHA-256 hex digest of an already JSON-native value's canonical
+    JSON; equal to :func:`key_hash` on such a value."""
+    return text_hash(native_json(value))
 
 
 def key_hash(payload) -> str:
     """SHA-256 hex digest of a key payload's canonical JSON."""
-    return json_hash(encode(payload))
+    return text_hash(canonical_json(payload))

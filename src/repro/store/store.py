@@ -64,7 +64,8 @@ from repro.store.backend import FsBackend, ObjectStat, StoreBackend
 from repro.store.retry import RetryPolicy
 from repro.store.schema import artifact_from_json, artifact_to_json, \
     current_schema
-from repro.store.serialize import canonical_json, json_hash, key_hash
+from repro.store.serialize import canonical_json, json_hash, key_hash, \
+    native_json, text_hash
 
 FORMAT = "repro-store/1"
 
@@ -156,14 +157,15 @@ class ResultStore:
         """
         kind = key_payload["kind"]
         with obs.span("store.put", kind=kind):
-            sha = self.key_of(key_payload)
+            key_text = canonical_json(key_payload)
+            sha = text_hash(key_text)
             body = artifact_to_json(kind, artifact)
             envelope = {
                 "format": FORMAT,
                 "sha256": sha,
                 "label": label,
                 "created_unix": time.time(),
-                "key": json.loads(canonical_json(key_payload)),
+                "key": json.loads(key_text),
                 "artifact": body,
                 # Body checksum, verified on get(): detects torn or
                 # bit-rotted artifact bodies behind a parseable
@@ -256,7 +258,8 @@ class ResultStore:
                 return None  # stale-schema request: never served
         except KeyError:
             return None
-        name = self._object_name(self.key_of(key_payload))
+        key_text = canonical_json(key_payload)
+        name = self._object_name(text_hash(key_text))
         data = self.backend.read(name)
         if data is None:
             return None
@@ -267,7 +270,7 @@ class ResultStore:
         if envelope is None:
             self._quarantine(name, "unreadable or malformed envelope")
             return None
-        if canonical_json(envelope["key"]) != canonical_json(key_payload):
+        if native_json(envelope["key"]) != key_text:
             self._quarantine(name, "embedded key mismatches address")
             return None
         return name, envelope
@@ -473,10 +476,7 @@ class ResultStore:
     @staticmethod
     def _self_consistent(envelope: dict, stem: str) -> bool:
         """Entry's own key must hash to its file name."""
-        try:
-            return key_hash(envelope["key"]) == stem
-        except TypeError:
-            return False
+        return json_hash(envelope["key"]) == stem
 
     @staticmethod
     def _stale(envelope: dict) -> bool:

@@ -15,8 +15,9 @@ Two views are provided:
   and the any-endpoint fault probability the injector's per-cycle fast
   path tests, and the grid caches the entry's conditional sampler,
   which only a faulting cycle needs.  A characterization compiles one
-  grid, so one row index serves every instruction, and every injector
-  built on the characterization shares the grid's samplers.
+  grid, on first use by model C, so one row index serves every
+  instruction, and every injector built on the characterization
+  shares the grid's samplers.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -39,18 +41,15 @@ class EndpointCdfs:
     Attributes:
         mnemonic: instruction these statistics belong to.
         vdd: characterization supply voltage.
-        critical_sorted: (32, n) critical periods [ps], each endpoint
-            row sorted ascending.
         row_max_sorted: (n,) per-cycle worst critical period, sorted
             ascending (drives the any-endpoint probability).
         critical_rows: (n, 32) the raw per-cycle critical periods in
             row-max sorted order: the matrix a stored characterization
-            holds, from which the other views are rebuilt.
+            holds, from which the other views are derived.
     """
 
     mnemonic: str
     vdd: float
-    critical_sorted: np.ndarray
     row_max_sorted: np.ndarray
     critical_rows: np.ndarray
 
@@ -65,10 +64,16 @@ class EndpointCdfs:
         return cls(
             mnemonic=mnemonic,
             vdd=vdd,
-            critical_sorted=np.sort(critical_ps.T, axis=1),
             row_max_sorted=row_max[order],
             critical_rows=critical_ps[order],
         )
+
+    @cached_property
+    def critical_sorted(self) -> np.ndarray:
+        """(32, n) critical periods [ps], each endpoint row sorted
+        ascending; built on first use (only :meth:`error_probs` reads
+        it)."""
+        return np.sort(self.critical_rows.T, axis=1)
 
     @property
     def n_cycles(self) -> int:
@@ -132,16 +137,19 @@ class CdfGrid:
         if period_min_ps <= 0 or period_max_ps <= period_min_ps:
             raise ValueError("bad grid period range")
         periods = np.linspace(period_min_ps, period_max_ps, points)
-        probs = np.empty((len(tables), points, tables[0].n_endpoints))
+        n_endpoints = tables[0].n_endpoints
+        probs = np.empty((len(tables), points, n_endpoints))
+        # Bin b of an endpoint counts its cycles whose critical period
+        # exceeds exactly the grid periods below index b; summing the
+        # bins above row g counts the cycles that violate at periods[g].
+        offsets = (points + 1) * np.arange(n_endpoints)
         for table, table_probs in zip(tables, probs):
-            # Vectorized: for each endpoint row (sorted ascending), the
-            # count of cycles exceeding each grid period is n - insertion
-            # index of that period.
-            n = table.n_cycles
-            table_probs[:] = np.stack([
-                n - np.searchsorted(row, periods, side="right")
-                for row in table.critical_sorted
-            ]).T / n
+            bins = np.searchsorted(periods, table.critical_rows, "left")
+            counts = np.bincount((bins + offsets).ravel(),
+                                 minlength=n_endpoints * (points + 1))
+            exceeding = np.cumsum(
+                counts.reshape(n_endpoints, points + 1)[:, :0:-1], axis=1)
+            table_probs[:] = exceeding[:, ::-1].T / table.n_cycles
         return cls(mnemonics=tuple(table.mnemonic for table in tables),
                    periods=periods, probs=probs)
 

@@ -10,12 +10,16 @@ Characterizations are cached in-process by configuration key, and
 the result store persists them through :meth:`AluCharacterization.to_json`
 (the gate-level timing simulation is the most expensive step of the
 flow).  Every instruction's CDFs are compiled into one period-grid
-fault table, so one grid row index serves every instruction.
+fault table, so one grid row index serves every instruction.  Only
+model C reads that table, so it is compiled on first use: a
+characterization served from the store to a figure that builds no
+injector never compiles it.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.netlist.alu import AluNetlist
+from repro import obs
 from repro.netlist.library import VDD_REF
 from repro.timing.cdf import CdfGrid, EndpointCdfs
 from repro.timing.dta import run_dta
@@ -62,14 +67,11 @@ class AluCharacterization:
     Attributes:
         config: parameters of the characterization run.
         cdfs: each instruction's empirical CDFs.
-        grid: every instruction's CDFs on one period grid, in
-            :attr:`mnemonics` order (the fault table model C reads).
         worst_sta_period_ps: the ALU's worst STA period at ``config.vdd``.
     """
 
     config: CharacterizationConfig
     cdfs: dict[str, EndpointCdfs]
-    grid: CdfGrid
     worst_sta_period_ps: float
 
     @classmethod
@@ -92,26 +94,27 @@ class AluCharacterization:
                 glitch_model=config.glitch_model)
             cdfs[mnemonic] = EndpointCdfs.from_critical(
                 mnemonic, config.vdd, result.critical_ps)
-        return cls._compiled(config, cdfs,
-                             alu.worst_sta_period_ps(config.vdd))
+        return cls(config=config, cdfs=cdfs,
+                   worst_sta_period_ps=alu.worst_sta_period_ps(config.vdd))
 
-    @classmethod
-    def _compiled(cls, config: CharacterizationConfig,
-                  cdfs: dict[str, EndpointCdfs],
-                  worst_sta: float) -> "AluCharacterization":
-        """Compile every instruction's CDFs into one period-grid table.
+    @cached_property
+    def grid(self) -> CdfGrid:
+        """Every instruction's CDFs on one period grid, in
+        :attr:`mnemonics` order: the fault table model C reads.
 
-        The grid spans 0.35x the worst STA period up to 5% past the
-        slowest of that period and every sampled cycle.
+        Compiled on first use and kept, so every injector built on
+        this characterization shares it.  The grid spans 0.35x the
+        worst STA period up to 5% past the slowest of that period and
+        every sampled cycle.
         """
+        worst_sta = self.worst_sta_period_ps
         max_critical = max(float(table.critical_rows.max())
-                           for table in cdfs.values())
-        grid = CdfGrid.compile(
-            [cdfs[mnemonic] for mnemonic in sorted(cdfs)],
-            0.35 * worst_sta, 1.05 * max(max_critical, worst_sta),
-            config.grid_points)
-        return cls(config=config, cdfs=cdfs, grid=grid,
-                   worst_sta_period_ps=worst_sta)
+                           for table in self.cdfs.values())
+        with obs.span("timing.grid", vdd=float(self.config.vdd)):
+            return CdfGrid.compile(
+                [self.cdfs[mnemonic] for mnemonic in self.mnemonics],
+                0.35 * worst_sta, 1.05 * max(max_critical, worst_sta),
+                self.config.grid_points)
 
     @property
     def mnemonics(self) -> tuple[str, ...]:
@@ -127,13 +130,14 @@ class AluCharacterization:
     def _rebuild(cls, config: CharacterizationConfig,
                  criticals: dict[str, np.ndarray],
                  worst_sta: float) -> "AluCharacterization":
-        """Reconstruct CDFs and the grid from raw critical-period data.
+        """Reconstruct the CDFs from raw critical-period data.
 
         Deterministic: given bit-identical criticals, the rebuilt
-        tables and grid match the originally computed ones exactly
-        (``CdfGrid.compile`` and ``EndpointCdfs.from_critical`` are
-        pure), which is what makes store-served characterizations
-        interchangeable with freshly computed ones.
+        tables (and the grid compiled from them on first use) match
+        the originally computed ones exactly (``CdfGrid.compile`` and
+        ``EndpointCdfs.from_critical`` are pure), which is what makes
+        store-served characterizations interchangeable with freshly
+        computed ones.
         """
         cdfs = {}
         for mnemonic, critical in criticals.items():
@@ -146,18 +150,17 @@ class AluCharacterization:
             cdfs[mnemonic] = EndpointCdfs(
                 mnemonic=mnemonic,
                 vdd=config.vdd,
-                critical_sorted=np.sort(critical.T, axis=1),
                 row_max_sorted=critical.max(axis=1),
                 critical_rows=critical,
             )
-        return cls._compiled(config, cdfs, worst_sta)
+        return cls(config=config, cdfs=cdfs, worst_sta_period_ps=worst_sta)
 
     def to_json(self) -> dict:
         """Lossless JSON body (schema ``ALU_CHARACTERIZATION_SCHEMA``).
 
         Only the raw per-instruction critical-period matrices travel
-        (exact dtype preserved); CDFs and the grid are rebuilt
-        deterministically on load.
+        (exact dtype preserved); the CDFs are rebuilt deterministically
+        on load, and the grid on first use.
         """
         from repro.store.serialize import encode
         return {

@@ -23,9 +23,11 @@ from repro.campaign.orchestrator import _init_worker, _run_shard
 from repro.experiments import ablations, fig2, fig4, fig7
 from repro.experiments.context import ExperimentContext
 from repro.experiments.scale import Scale
+from repro.fi.model_c import StatisticalInjector
 from repro.mc.units import ExperimentPlan, WorkUnit, resolve_units
 from repro.netlist import alu as alu_mod
 from repro.store import ResultStore
+from repro.timing.cdf import CdfGrid, EndpointCdfs
 
 TINY = Scale(name="tiny", trials=4, freq_points=4, kernel_scale="quick",
              char_cycles=128, fig4_samples=128, voltage_points=3)
@@ -383,6 +385,39 @@ class TestCampaignAll:
         assert len(lookups) > len(set(lookups))
         n_units = len(alu_mod.AluNetlist.UNIT_NAMES)
         assert passes["n"] == n_units * len(set(lookups))
+
+    def test_warm_all_compiles_no_fault_table(self, all_truth, truth_store,
+                                              monkeypatch):
+        # A warm campaign builds no injector, so the characterizations
+        # it reads from the store never compile model C's fault table
+        # or sort their CDFs.
+        built: list[str] = []
+        compile_grid = CdfGrid.compile.__func__
+        sort_rows = EndpointCdfs.critical_sorted.func
+
+        def counting_compile(cls, *args, **kwargs):
+            built.append("grid")
+            return compile_grid(cls, *args, **kwargs)
+
+        def counting_sort(table):
+            built.append("sort")
+            return sort_rows(table)
+        monkeypatch.setattr(CdfGrid, "compile",
+                            classmethod(counting_compile))
+        monkeypatch.setattr(EndpointCdfs, "critical_sorted",
+                            property(counting_sort))
+        report = run_campaign("all", TINY, seed=SEED, store=truth_store)
+        assert report.computed == 0
+        assert report.rendered == all_truth
+        assert built == []
+        # The counters see the store-served tables' first use.
+        warm_ctx = ExperimentContext.create(TINY, seed=SEED,
+                                            store=truth_store)
+        loaded = warm_ctx.characterization()
+        StatisticalInjector(loaded, 700e6, warm_ctx.noise(0.010),
+                            vdd_model=warm_ctx.vdd_model)
+        loaded.cdfs["l.add"].error_probs(1400.0)
+        assert built == ["grid", "sort"]
 
     def test_resume_after_kill_is_byte_identical(self, all_truth,
                                                  store_factory):

@@ -133,7 +133,7 @@ class TestCharacterizationJson:
             critical = rng.uniform(600.0, 1500.0, size=(16, 32))
             cdfs[mnemonic] = EndpointCdfs.from_critical(
                 mnemonic, config.vdd, critical)
-        return AluCharacterization._compiled(config, cdfs, worst)
+        return AluCharacterization(config, cdfs, worst)
 
     def test_round_trip_bit_identical(self):
         char = self._characterization()
@@ -221,6 +221,8 @@ class TestResultStore:
         envelope["key"]["seed"] = 999
         path.write_text(json.dumps(envelope))
         assert store.get(_key()) is None
+        assert not path.exists()
+        assert list(store.quarantine_dir.iterdir())
 
     def test_stale_schema_never_served_and_gc_reclaims(self, tmp_path):
         store = ResultStore(tmp_path / "store")

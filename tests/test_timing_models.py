@@ -36,6 +36,17 @@ class TestLibrary:
         assert library.delay_ps("INV", scale=2.0) == pytest.approx(
             2.0 * library.delay_ps("INV"))
 
+    @pytest.mark.parametrize("vdd", CHARACTERIZED_VDDS)
+    def test_gate_delays_match_per_gate_delay_ps_bitwise(self, alu, vdd):
+        library = alu.library
+        for name, unit in alu.units.items():
+            for scale in (1.0, alu.unit_scales[name]):
+                expected = np.array([library.delay_ps(kind, vdd, scale)
+                                     for kind in unit.gate_kinds])
+                got = unit.gate_delays(library, vdd, scale)
+                assert got.dtype == expected.dtype
+                assert got.tobytes() == expected.tobytes(), (name, scale)
+
     def test_sequential_overheads_scale_with_voltage(self):
         library = CellLibrary()
         assert library.clk_to_q(0.6) > library.clk_to_q(0.7)
