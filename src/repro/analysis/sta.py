@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, ClassVar
 
 import numpy as np
 
@@ -32,9 +32,6 @@ from repro.timing.sta import Envelope, compute_envelope
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netlist.alu import AluNetlist
     from repro.netlist.circuit import Circuit
-
-#: Schema version of the persisted ``sta_report`` artifact.
-STA_REPORT_SCHEMA = 1
 
 #: Safety valve for the k-best search: the potential is exact, so real
 #: reports finish in O(K * depth) pops; the cap only guards degenerate
@@ -233,6 +230,8 @@ class StaReport:
     ``slack = clock - overhead - max_arrival``.
     """
 
+    SCHEMA: ClassVar[int] = 1
+
     circuit: str
     n_gates: int
     n_nets: int
@@ -320,7 +319,7 @@ class StaReport:
 
     def to_json(self) -> dict[str, Any]:
         return {
-            "schema": STA_REPORT_SCHEMA,
+            "schema": self.SCHEMA,
             "circuit": self.circuit,
             "n_gates": self.n_gates,
             "n_nets": self.n_nets,
@@ -335,10 +334,6 @@ class StaReport:
 
     @classmethod
     def from_json(cls, payload: dict[str, Any]) -> "StaReport":
-        if payload["schema"] != STA_REPORT_SCHEMA:
-            raise ValueError(
-                f"sta_report schema {payload['schema']} != "
-                f"{STA_REPORT_SCHEMA}")
         return cls(
             circuit=str(payload["circuit"]),
             n_gates=int(payload["n_gates"]),

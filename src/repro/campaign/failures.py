@@ -12,23 +12,24 @@ orchestrator records a :class:`UnitFailure` in the store under a key
 * a later successful compute deletes the marker, so stale failure
   state never outlives its cause.
 
-Import-light on purpose: the store's schema registry imports this
-module lazily, and importing the orchestrator here would complete a
-cycle through ``repro.store``.
+The store's schema registry imports this module lazily; importing the
+orchestrator here would complete a cycle through ``repro.store``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
+from repro.mc.units import work_unit_key
 from repro.store.serialize import key_hash
-
-UNIT_FAILURE_SCHEMA = 1
 
 
 @dataclass(frozen=True)
 class UnitFailure:
     """Outcome record of a unit whose compute raised."""
+
+    SCHEMA: ClassVar[int] = 1
 
     label: str
     error: str  # formatted traceback of the last attempt
@@ -37,7 +38,7 @@ class UnitFailure:
 
     def to_json(self) -> dict:
         return {
-            "schema": UNIT_FAILURE_SCHEMA,
+            "schema": self.SCHEMA,
             "label": self.label,
             "error": self.error,
             "attempts": self.attempts,
@@ -46,10 +47,6 @@ class UnitFailure:
 
     @classmethod
     def from_json(cls, payload: dict) -> "UnitFailure":
-        if payload.get("schema") != UNIT_FAILURE_SCHEMA:
-            raise ValueError(
-                f"unit_failure schema mismatch: "
-                f"{payload.get('schema')} != {UNIT_FAILURE_SCHEMA}")
         return cls(
             label=str(payload["label"]),
             error=str(payload["error"]),
@@ -65,12 +62,7 @@ def failure_key(unit_key: dict) -> dict:
     collide with the unit's own entry, and the marker key must stay
     valid for *any* unit kind without copying kind-specific fields.
     """
-    return {
-        "kind": "unit_failure",
-        "schema": UNIT_FAILURE_SCHEMA,
-        "experiment": unit_key.get("experiment", ""),
-        "scale": None,
-        "seed": unit_key.get("seed", 0),
-        "stream": "failure",
-        "config": {"unit_sha": key_hash(unit_key)},
-    }
+    return work_unit_key("unit_failure", unit_key.get("experiment", ""),
+                         None, unit_key.get("seed", 0),
+                         {"unit_sha": key_hash(unit_key)},
+                         stream="failure")

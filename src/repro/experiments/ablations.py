@@ -23,6 +23,7 @@ had real silicon) and deserve quantified justification:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -134,10 +135,6 @@ def assemble_semantics(points: list[McPoint],
         summary_stale=points[1].summary())
 
 
-#: Schema version of the AdderTopologyAblation JSON representation;
-#: bump on any incompatible change (store entries key on it).
-ADDER_ABLATION_SCHEMA = 1
-
 #: Per-topology seed stride: every topology derives its own operand
 #: stream as ``seed + ADDER_SEED_STRIDE * index``, so topology units
 #: are independent of the order in which they compute.
@@ -153,6 +150,8 @@ class AdderTopologyAblation:
     :func:`assemble_adders` merges them into the full study.
     """
 
+    SCHEMA: ClassVar[int] = 1
+
     #: topology -> (poff with 15-bit operands, poff with 32-bit operands)
     poffs_hz: dict[str, tuple[float, float]]
 
@@ -167,7 +166,7 @@ class AdderTopologyAblation:
     def to_json(self) -> dict:
         """Lossless JSON body (floats round-trip exactly)."""
         return {
-            "schema": ADDER_ABLATION_SCHEMA,
+            "schema": self.SCHEMA,
             "poffs_hz": {kind: [float(narrow), float(wide)]
                          for kind, (narrow, wide)
                          in self.poffs_hz.items()},
@@ -176,11 +175,6 @@ class AdderTopologyAblation:
     @classmethod
     def from_json(cls, payload: dict) -> "AdderTopologyAblation":
         """Inverse of :meth:`to_json` (exact round-trip)."""
-        if payload.get("schema") != ADDER_ABLATION_SCHEMA:
-            raise ValueError(
-                f"AdderTopologyAblation schema mismatch: stored "
-                f"{payload.get('schema')}, current "
-                f"{ADDER_ABLATION_SCHEMA}")
         return cls(poffs_hz={
             kind: (narrow, wide)
             for kind, (narrow, wide) in payload["poffs_hz"].items()})

@@ -21,6 +21,7 @@ worker -- reloads them bit-identically instead of re-running DTA.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,14 +37,12 @@ PLOT_VDDS = (0.7, 0.8)
 #: Frequency axis of the paper's plot [Hz].
 FREQ_AXIS = (800e6, 2000e6)
 
-#: Schema version of the CdfCurve JSON representation; bump on any
-#: incompatible change (store entries key on it).
-FIG2_CURVE_SCHEMA = 1
-
 
 @dataclass
 class CdfCurve:
     """One CDF curve: error probability versus frequency."""
+
+    SCHEMA: ClassVar[int] = 1
 
     mnemonic: str
     bit: int
@@ -61,10 +60,10 @@ class CdfCurve:
     # -- persistence -----------------------------------------------------
 
     def to_json(self) -> dict:
-        """Lossless JSON body (schema ``FIG2_CURVE_SCHEMA``)."""
+        """Lossless JSON body (schema ``SCHEMA``)."""
         from repro.store.serialize import encode
         return {
-            "schema": FIG2_CURVE_SCHEMA,
+            "schema": self.SCHEMA,
             "mnemonic": self.mnemonic,
             "bit": int(self.bit),
             "vdd": float(self.vdd),
@@ -76,10 +75,6 @@ class CdfCurve:
     def from_json(cls, payload: dict) -> "CdfCurve":
         """Inverse of :meth:`to_json` (exact numpy round-trip)."""
         from repro.store.serialize import decode
-        if payload.get("schema") != FIG2_CURVE_SCHEMA:
-            raise ValueError(
-                f"CdfCurve schema mismatch: stored "
-                f"{payload.get('schema')}, current {FIG2_CURVE_SCHEMA}")
         return cls(
             mnemonic=payload["mnemonic"],
             bit=payload["bit"],

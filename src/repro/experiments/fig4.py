@@ -28,6 +28,7 @@ sharded across campaign workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -55,10 +56,6 @@ SIGMA_V = 0.010
 #: Frequency axis of the paper's plot [Hz].
 FREQ_AXIS = (650e6, 1250e6)
 
-#: Schema version of the InstructionMseCurve JSON representation; bump
-#: on any incompatible change (store entries key on it).
-FIG4_CURVE_SCHEMA = 1
-
 #: Per-variant seed stride: every variant derives its own master seed
 #: as ``seed + 4 + FIG4_SEED_STRIDE * index`` (the ``+ 4`` is the
 #: study's historical RNG salt), so variant curves are independent of
@@ -69,6 +66,8 @@ FIG4_SEED_STRIDE = 15485863
 @dataclass
 class InstructionMseCurve:
     """MSE-vs-frequency curve of one instruction variant."""
+
+    SCHEMA: ClassVar[int] = 1
 
     label: str
     mnemonic: str
@@ -86,10 +85,10 @@ class InstructionMseCurve:
     # -- persistence -----------------------------------------------------
 
     def to_json(self) -> dict:
-        """Lossless JSON body (schema ``FIG4_CURVE_SCHEMA``)."""
+        """Lossless JSON body (schema ``SCHEMA``)."""
         from repro.store.serialize import encode
         return {
-            "schema": FIG4_CURVE_SCHEMA,
+            "schema": self.SCHEMA,
             "label": self.label,
             "mnemonic": self.mnemonic,
             "operand_bits": int(self.operand_bits),
@@ -101,10 +100,6 @@ class InstructionMseCurve:
     def from_json(cls, payload: dict) -> "InstructionMseCurve":
         """Inverse of :meth:`to_json` (exact numpy round-trip)."""
         from repro.store.serialize import decode
-        if payload.get("schema") != FIG4_CURVE_SCHEMA:
-            raise ValueError(
-                f"InstructionMseCurve schema mismatch: stored "
-                f"{payload.get('schema')}, current {FIG4_CURVE_SCHEMA}")
         return cls(
             label=payload["label"],
             mnemonic=payload["mnemonic"],

@@ -14,6 +14,7 @@ warm ``repro table1`` rerun profiles nothing.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 from repro.bench.suite import BENCHMARK_NAMES, build_kernel
 from repro.experiments.context import ExperimentContext
@@ -21,9 +22,6 @@ from repro.experiments.scale import Scale, get_scale
 from repro.mc.units import ExperimentPlan, WorkUnit, work_unit_key
 from repro.sim.cpu import Cpu
 from repro.sim.machine import MachineConfig
-
-#: Schema version of the Table1Row JSON representation.
-TABLE1_ROW_SCHEMA = 1
 
 #: The table's historical benchmark-input seed.  It is a *kernel data*
 #: seed, not a Monte-Carlo master seed, so it stays fixed across
@@ -44,6 +42,8 @@ def _rating(fraction: float, thresholds: tuple[float, float]) -> str:
 @dataclass
 class Table1Row:
     """One benchmark's measured properties."""
+
+    SCHEMA: ClassVar[int] = 1
 
     name: str
     size: str
@@ -71,9 +71,9 @@ class Table1Row:
     # -- persistence -----------------------------------------------------
 
     def to_json(self) -> dict:
-        """Lossless JSON body (schema ``TABLE1_ROW_SCHEMA``)."""
+        """Lossless JSON body (schema ``SCHEMA``)."""
         return {
-            "schema": TABLE1_ROW_SCHEMA,
+            "schema": self.SCHEMA,
             "name": self.name,
             "size": self.size,
             "cycles": int(self.cycles),
@@ -88,10 +88,6 @@ class Table1Row:
     @classmethod
     def from_json(cls, payload: dict) -> "Table1Row":
         """Inverse of :meth:`to_json` (exact round-trip)."""
-        if payload.get("schema") != TABLE1_ROW_SCHEMA:
-            raise ValueError(
-                f"Table1Row schema mismatch: stored "
-                f"{payload.get('schema')}, current {TABLE1_ROW_SCHEMA}")
         return cls(
             name=payload["name"],
             size=payload["size"],

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 
 from repro import faults, obs
 from repro.fabric.lease import LeaseLedger, LeaseLost
-from repro.store.retry import _uniform
 from repro.store.serialize import key_hash
 
 _LOG = logging.getLogger("repro.fabric")
@@ -159,7 +158,7 @@ def _worker_main(worker: int, batches: list[Batch], units, store,
             polls += 1
             # Deterministic per-worker jitter de-synchronizes the
             # herd without wall-clock randomness.
-            time.sleep(poll_s * (0.5 + _uniform(0, owner, polls)))
+            time.sleep(poll_s * (0.5 + faults.uniform(0, owner, polls)))
     obs.flush()
 
 

@@ -14,4 +14,5 @@ from repro.faults.plane import (  # noqa: F401
     reset,
     schedule_from_log,
     trip,
+    uniform,
 )

@@ -101,7 +101,7 @@ class FaultRule:
         if self.after is not None:
             return hit == self.after
         if self.p is not None:
-            return _uniform(seed, site, hit) < self.p
+            return uniform(seed, site, hit) < self.p
         return True  # unconditional: every hit fires
 
     def max_fires(self) -> int | None:
@@ -114,10 +114,14 @@ class FaultRule:
         return None  # unlimited
 
 
-def _uniform(seed: int, site: str, hit: int) -> float:
-    """Deterministic uniform [0, 1) from (seed, site, hit)."""
+def uniform(seed: int, key: str, n: int) -> float:
+    """Deterministic uniform [0, 1) from (seed, key, n).
+
+    The fault plane's decision draw, also the retry and lease-poll
+    jitter: a pure function of its arguments, so replays repeat it.
+    """
     digest = hashlib.sha256(
-        f"{seed}\x00{site}\x00{hit}".encode()).digest()
+        f"{seed}\x00{key}\x00{n}".encode()).digest()
     return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
 

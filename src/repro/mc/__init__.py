@@ -1,6 +1,6 @@
 """Monte-Carlo harness: trials, aggregation, sweeps, statistics."""
 
-from repro.mc.results import MC_POINT_SCHEMA, McPoint, TrialResult
+from repro.mc.results import McPoint, TrialResult
 from repro.mc.runner import (
     BUDGET_FACTOR,
     GoldenRun,
@@ -12,7 +12,6 @@ from repro.mc.runner import (
 )
 from repro.mc.stats import geometric_mean, mean, std, wilson_interval
 from repro.mc.sweep import (
-    FREQUENCY_SWEEP_SCHEMA,
     FrequencySweep,
     frequency_grid,
     sweep_frequencies,
@@ -27,10 +26,8 @@ from repro.mc.units import (
 
 __all__ = [
     "BUDGET_FACTOR",
-    "FREQUENCY_SWEEP_SCHEMA",
     "FrequencySweep",
     "GoldenRun",
-    "MC_POINT_SCHEMA",
     "McPoint",
     "TrialResult",
     "WorkUnit",

@@ -18,11 +18,6 @@ from typing import ClassVar
 
 from repro.mc.stats import mean, wilson_interval
 
-#: Schema version of the McPoint JSON representation; bump on any
-#: incompatible change (store entries key on it, so old entries are
-#: invalidated rather than misread).
-MC_POINT_SCHEMA = 1
-
 
 @dataclass(frozen=True)
 class TrialResult:
@@ -84,6 +79,8 @@ class McPoint:
     averaged over the *successful* (finished) runs only, while the FI
     rate is averaged over all runs.
     """
+
+    SCHEMA: ClassVar[int] = 1
 
     label: str
     trials: list[TrialResult] = field(default_factory=list)
@@ -162,14 +159,14 @@ class McPoint:
     # -- persistence -----------------------------------------------------
 
     def to_json(self) -> dict:
-        """Lossless JSON body (schema ``MC_POINT_SCHEMA``).
+        """Lossless JSON body (schema ``SCHEMA``).
 
         Trials serialize field-by-field; the config dict goes through
         the store encoder so numpy scalars keep their exact dtype.
         """
         from repro.store.serialize import encode
         return {
-            "schema": MC_POINT_SCHEMA,
+            "schema": self.SCHEMA,
             "label": self.label,
             "config": encode(self.config),
             "trials": [trial.to_json() for trial in self.trials],
@@ -179,10 +176,6 @@ class McPoint:
     def from_json(cls, payload: dict) -> "McPoint":
         """Inverse of :meth:`to_json` (exact round-trip)."""
         from repro.store.serialize import decode
-        if payload.get("schema") != MC_POINT_SCHEMA:
-            raise ValueError(
-                f"McPoint schema mismatch: stored {payload.get('schema')}, "
-                f"current {MC_POINT_SCHEMA}")
         return cls(
             label=payload["label"],
             trials=[TrialResult.from_json(t) for t in payload["trials"]],

@@ -245,14 +245,9 @@ def _schedule(injector: FaultInjector, golden: GoldenRun, saved: object,
 
 
 def _run_iss(kernel: KernelInstance, injector: FaultInjector,
-             config: MachineConfig, budget: int, cpu: Cpu,
+             budget: int, cpu: Cpu,
              schedule: tuple | None) -> TrialResult:
     """Execute one trial in the ISS on a reset CPU."""
-    if cpu.config.with_max_cycles(budget) != \
-            config.with_max_cycles(budget):
-        raise ValueError(
-            "reused cpu was built with a different MachineConfig "
-            f"({cpu.config}) than requested ({config})")
     cpu.reset()
     cpu.injector = injector
     if schedule is None:
@@ -296,8 +291,7 @@ def _run_trials(kernel: KernelInstance, injector: FaultInjector,
                       injector=injector)
         schedule = None if fault is None \
             else _schedule(injector, golden, saved, fault)
-        yield _run_iss(kernel, injector, base_config, budget, cpu,
-                       schedule)
+        yield _run_iss(kernel, injector, budget, cpu, schedule)
 
 
 def run_trial(kernel: KernelInstance, injector: FaultInjector,
@@ -324,6 +318,12 @@ def run_trial(kernel: KernelInstance, injector: FaultInjector,
             with the old memory map).
     """
     budget = trial_budget(kernel, config, budget_factor)
+    if cpu is not None:
+        requested = (config or MachineConfig()).with_max_cycles(budget)
+        if cpu.config.with_max_cycles(budget) != requested:
+            raise ValueError(
+                "reused cpu was built with a different MachineConfig "
+                f"({cpu.config}) than requested ({requested})")
     return next(_run_trials(kernel, injector, 1, config, budget, cpu))
 
 

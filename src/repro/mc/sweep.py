@@ -11,7 +11,7 @@ number annotated in the paper's Fig. 5/6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -24,9 +24,6 @@ from repro.mc.units import WorkUnit, mc_point_key, resolve_units
 #: Builds an injector for (frequency_hz, rng).
 FrequencyInjectorFactory = Callable[
     [float, np.random.Generator], FaultInjector]
-
-#: Schema version of the FrequencySweep JSON representation.
-FREQUENCY_SWEEP_SCHEMA = 1
 
 #: Per-frequency seed stride (each swept point derives its own master
 #: seed as ``seed + SWEEP_SEED_STRIDE * index`` over the sorted grid).
@@ -45,6 +42,8 @@ class FrequencySweep:
             operating condition (for PoFF-gain reporting).
         config: free-form description of the sweep conditions.
     """
+
+    SCHEMA: ClassVar[int] = 1
 
     kernel_name: str
     frequencies_hz: list[float]
@@ -90,10 +89,10 @@ class FrequencySweep:
     # -- persistence -----------------------------------------------------
 
     def to_json(self) -> dict:
-        """Lossless JSON body (schema ``FREQUENCY_SWEEP_SCHEMA``)."""
+        """Lossless JSON body (schema ``SCHEMA``)."""
         from repro.store.serialize import encode
         return {
-            "schema": FREQUENCY_SWEEP_SCHEMA,
+            "schema": self.SCHEMA,
             "kernel_name": self.kernel_name,
             "frequencies_hz": [float(f) for f in self.frequencies_hz],
             "points": [point.to_json() for point in self.points],
@@ -103,16 +102,18 @@ class FrequencySweep:
 
     @classmethod
     def from_json(cls, payload: dict) -> "FrequencySweep":
-        """Inverse of :meth:`to_json` (exact round-trip)."""
+        """Inverse of :meth:`to_json` (exact round-trip).
+
+        Nested points decode through the store registry, so their own
+        ``"schema"`` is checked as well.
+        """
+        from repro.store.schema import artifact_from_json
         from repro.store.serialize import decode
-        if payload.get("schema") != FREQUENCY_SWEEP_SCHEMA:
-            raise ValueError(
-                f"FrequencySweep schema mismatch: stored "
-                f"{payload.get('schema')}, current {FREQUENCY_SWEEP_SCHEMA}")
         return cls(
             kernel_name=payload["kernel_name"],
             frequencies_hz=list(payload["frequencies_hz"]),
-            points=[McPoint.from_json(p) for p in payload["points"]],
+            points=[artifact_from_json("mc_point", p)
+                    for p in payload["points"]],
             sta_limit_hz=payload["sta_limit_hz"],
             config=decode(payload["config"]),
         )

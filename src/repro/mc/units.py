@@ -35,7 +35,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from repro.bench.kernel import KernelInstance
-from repro.mc.results import MC_POINT_SCHEMA
 from repro.mc.runner import BUDGET_FACTOR
 
 
@@ -44,9 +43,10 @@ def work_unit_key(kind: str, experiment: str, scale, seed: int,
     """Canonical cache-key payload for one work unit of any kind.
 
     The schema version is read from the store's kind registry so it
-    always tracks the artifact's ``*_SCHEMA`` constant.  ``stream``
+    always tracks the artifact class's ``SCHEMA``.  ``stream``
     defaults to ``"dta"`` for deterministic (non-Monte-Carlo)
-    artifacts; Monte-Carlo points use :func:`mc_point_key` instead.
+    artifacts; Monte-Carlo points (:func:`mc_point_key`) and failure
+    markers build their keys through here too.
     """
     from repro.store.schema import current_schema
     return {
@@ -68,21 +68,14 @@ def mc_point_key(experiment: str, scale, seed: int,
     ``"stream": "serial"`` names ``run_point``'s one random-stream
     scheme; it stays in the payload so existing keys are unchanged.
     """
-    return {
-        "kind": "mc_point",
-        "schema": MC_POINT_SCHEMA,
-        "experiment": experiment,
-        "scale": asdict(scale) if scale is not None else None,
-        "seed": seed,
-        "stream": "serial",
-        "config": {
-            **(condition or {}),
-            "benchmark": kernel.name,
-            "kernel_params": dict(kernel.params),
-            "n_trials": n_trials,
-            "budget_factor": BUDGET_FACTOR,
-        },
-    }
+    return work_unit_key(
+        "mc_point", experiment, scale, seed,
+        {**(condition or {}),
+         "benchmark": kernel.name,
+         "kernel_params": dict(kernel.params),
+         "n_trials": n_trials,
+         "budget_factor": BUDGET_FACTOR},
+        stream="serial")
 
 
 @dataclass

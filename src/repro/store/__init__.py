@@ -6,6 +6,11 @@ condition config, schema version).  This package persists them as
 canonical JSON envelopes addressed by the SHA-256 of that key, so
 repeated invocations -- and campaign worker processes -- reuse instead
 of recompute.
+
+Each artifact kind is declared once, in the kind table of
+:mod:`repro.store.schema`; its schema version lives on the artifact
+class (``SCHEMA``).  Importing this package loads no artifact module:
+a kind's class is imported on its first use.
 """
 
 from repro.store.backend import FsBackend, ObjectStat, StoreBackend
@@ -15,7 +20,6 @@ from repro.store.schema import (
     artifact_from_json,
     artifact_to_json,
     current_schema,
-    schema_versions,
 )
 from repro.store.serialize import canonical_json, decode, encode, key_hash
 from repro.store.store import ResultStore, StoreEntry, default_root
@@ -36,5 +40,4 @@ __all__ = [
     "default_root",
     "encode",
     "key_hash",
-    "schema_versions",
 ]

@@ -10,8 +10,8 @@ once:
   (default 0.02 s), doubled per attempt.
 
 The jitter is **deterministic**: a hash of (seed, key, attempt) maps
-each sleep into ``[0.5, 1.5)`` of its exponential slot, exactly the
-fault plane's decision scheme (:mod:`repro.faults.plane`).  Reruns of
+each sleep into ``[0.5, 1.5)`` of its exponential slot, the fault
+plane's own decision draw (:func:`repro.faults.uniform`).  Reruns of
 a failing schedule therefore sleep identically -- chaos replays stay
 byte-for-byte reproducible -- while concurrent workers (distinct
 ``key`` strings) still de-synchronize their retry storms.
@@ -19,11 +19,12 @@ byte-for-byte reproducible -- while concurrent workers (distinct
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 import time
 from dataclasses import dataclass
+
+from repro.faults import uniform
 
 _RETRIES_ENV = "REPRO_STORE_RETRIES"
 _BACKOFF_ENV = "REPRO_STORE_BACKOFF_S"
@@ -32,13 +33,6 @@ DEFAULT_ATTEMPTS = 3
 DEFAULT_BACKOFF_S = 0.02
 
 _LOG = logging.getLogger("repro.store")
-
-
-def _uniform(seed: int, key: str, attempt: int) -> float:
-    """Deterministic uniform [0, 1) from (seed, key, attempt)."""
-    digest = hashlib.sha256(
-        f"{seed}\x00{key}\x00{attempt}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
 
 @dataclass(frozen=True)
@@ -71,7 +65,7 @@ class RetryPolicy:
         its slot by a pure function of (seed, key, attempt).
         """
         slot = self.backoff_s * (1 << attempt)
-        return slot * (0.5 + _uniform(self.seed, key, attempt))
+        return slot * (0.5 + uniform(self.seed, key, attempt))
 
     def run(self, what: str, func, *, retry_on=(OSError,),
             sleep=time.sleep, log: logging.Logger | None = None):

@@ -1,99 +1,74 @@
-"""Artifact kind registry: schema versions and (de)serialization.
+"""Artifact kind registry: one table from kind to artifact class.
 
-Every persisted artifact kind has a canonical, versioned JSON schema.
-The version is part of the cache key, so bumping a schema silently
-invalidates every stored entry of that kind (old entries are never
-misread -- they become unreferenced and are reclaimed by ``gc``).
+Every persisted artifact kind is one row of :data:`_CLASSES`: the
+module and name of the class whose ``to_json``/``from_json`` pair
+(de)serializes it.  The class declares its own body format version as
+``SCHEMA``; its ``to_json`` writes it as the body's ``"schema"`` field
+and every unit key carries it, so bumping it silently invalidates every
+stored entry of that kind (old entries are never misread -- they become
+unreferenced and are reclaimed by ``gc``).  :func:`artifact_from_json`
+checks a body's version once, for every kind.
 
-Imports of the concrete artifact classes happen lazily inside the
-dispatch functions: the store package stays import-light and free of
-cycles (``mc`` and ``timing`` never import it at module scope in the
-other direction).  Schema versions are read from the ``*_SCHEMA``
-constants defined next to each artifact's ``to_json``/``from_json``
--- a single source of truth; there is no parallel literal to keep in
-sync.
+The classes are imported lazily (``importlib``, on first use of a
+kind): the store package stays import-light and free of cycles
+(``mc`` and ``timing`` never import it at module scope in the other
+direction).
 """
 
 from __future__ import annotations
 
+import importlib
+from functools import cache
+
+#: Kind -> (module, class name) of its artifact class.
+_CLASSES = {
+    "mc_point": ("repro.mc.results", "McPoint"),
+    "frequency_sweep": ("repro.mc.sweep", "FrequencySweep"),
+    "alu_characterization":
+        ("repro.timing.characterize", "AluCharacterization"),
+    "fig2_curve": ("repro.experiments.fig2", "CdfCurve"),
+    "fig4_curve": ("repro.experiments.fig4", "InstructionMseCurve"),
+    "adder_ablation":
+        ("repro.experiments.ablations", "AdderTopologyAblation"),
+    "table1_row": ("repro.experiments.table1", "Table1Row"),
+    "unit_failure": ("repro.campaign.failures", "UnitFailure"),
+    "sta_report": ("repro.analysis.sta", "StaReport"),
+}
+
 #: Artifact kinds the store can hold.
-KINDS = ("mc_point", "frequency_sweep", "alu_characterization",
-         "fig2_curve", "fig4_curve", "adder_ablation", "table1_row",
-         "unit_failure", "sta_report")
+KINDS = tuple(_CLASSES)
+
+
+@cache
+def _artifact_class(kind: str) -> type:
+    try:
+        module, name = _CLASSES[kind]
+    except KeyError:
+        raise KeyError(f"unknown artifact kind {kind!r}; known: "
+                       f"{sorted(KINDS)}") from None
+    return getattr(importlib.import_module(module), name)
 
 
 def current_schema(kind: str) -> int:
     """Current schema version of an artifact kind."""
-    if kind == "mc_point":
-        from repro.mc.results import MC_POINT_SCHEMA
-        return MC_POINT_SCHEMA
-    if kind == "frequency_sweep":
-        from repro.mc.sweep import FREQUENCY_SWEEP_SCHEMA
-        return FREQUENCY_SWEEP_SCHEMA
-    if kind == "alu_characterization":
-        from repro.timing.characterize import ALU_CHARACTERIZATION_SCHEMA
-        return ALU_CHARACTERIZATION_SCHEMA
-    if kind == "fig2_curve":
-        from repro.experiments.fig2 import FIG2_CURVE_SCHEMA
-        return FIG2_CURVE_SCHEMA
-    if kind == "fig4_curve":
-        from repro.experiments.fig4 import FIG4_CURVE_SCHEMA
-        return FIG4_CURVE_SCHEMA
-    if kind == "adder_ablation":
-        from repro.experiments.ablations import ADDER_ABLATION_SCHEMA
-        return ADDER_ABLATION_SCHEMA
-    if kind == "table1_row":
-        from repro.experiments.table1 import TABLE1_ROW_SCHEMA
-        return TABLE1_ROW_SCHEMA
-    if kind == "unit_failure":
-        from repro.campaign.failures import UNIT_FAILURE_SCHEMA
-        return UNIT_FAILURE_SCHEMA
-    if kind == "sta_report":
-        from repro.analysis.sta import STA_REPORT_SCHEMA
-        return STA_REPORT_SCHEMA
-    raise KeyError(f"unknown artifact kind {kind!r}; known: "
-                   f"{sorted(KINDS)}")
-
-
-def schema_versions() -> dict[str, int]:
-    """Kind -> current schema version, for reporting."""
-    return {kind: current_schema(kind) for kind in KINDS}
+    return _artifact_class(kind).SCHEMA
 
 
 def artifact_to_json(kind: str, artifact) -> dict:
     """Serialize an artifact into its canonical JSON body."""
-    current_schema(kind)  # validate the kind early
+    _artifact_class(kind)  # validate the kind early
     return artifact.to_json()
 
 
 def artifact_from_json(kind: str, payload: dict):
-    """Deserialize an artifact body of a known kind."""
-    if kind == "mc_point":
-        from repro.mc.results import McPoint
-        return McPoint.from_json(payload)
-    if kind == "frequency_sweep":
-        from repro.mc.sweep import FrequencySweep
-        return FrequencySweep.from_json(payload)
-    if kind == "alu_characterization":
-        from repro.timing.characterize import AluCharacterization
-        return AluCharacterization.from_json(payload)
-    if kind == "fig2_curve":
-        from repro.experiments.fig2 import CdfCurve
-        return CdfCurve.from_json(payload)
-    if kind == "fig4_curve":
-        from repro.experiments.fig4 import InstructionMseCurve
-        return InstructionMseCurve.from_json(payload)
-    if kind == "adder_ablation":
-        from repro.experiments.ablations import AdderTopologyAblation
-        return AdderTopologyAblation.from_json(payload)
-    if kind == "table1_row":
-        from repro.experiments.table1 import Table1Row
-        return Table1Row.from_json(payload)
-    if kind == "unit_failure":
-        from repro.campaign.failures import UnitFailure
-        return UnitFailure.from_json(payload)
-    if kind == "sta_report":
-        from repro.analysis.sta import StaReport
-        return StaReport.from_json(payload)
-    raise KeyError(f"unknown artifact kind {kind!r}; known: "
-                   f"{sorted(KINDS)}")
+    """Deserialize an artifact body of a known kind.
+
+    Raises ``ValueError`` when the body's ``"schema"`` is not the
+    class's current one.
+    """
+    cls = _artifact_class(kind)
+    if payload.get("schema") != cls.SCHEMA:
+        raise ValueError(
+            f"{kind} schema mismatch: stored {payload.get('schema')}, "
+            f"current {cls.SCHEMA}")
+    return cls.from_json(payload)

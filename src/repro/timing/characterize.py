@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 if TYPE_CHECKING:
     from repro.netlist.alu import AluNetlist
@@ -31,9 +31,6 @@ from repro import obs
 from repro.netlist.library import VDD_REF
 from repro.timing.cdf import CdfGrid, EndpointCdfs
 from repro.timing.dta import run_dta
-
-#: Schema version of the AluCharacterization JSON representation.
-ALU_CHARACTERIZATION_SCHEMA = 1
 
 
 @dataclass(frozen=True)
@@ -69,6 +66,8 @@ class AluCharacterization:
         cdfs: each instruction's empirical CDFs.
         worst_sta_period_ps: the ALU's worst STA period at ``config.vdd``.
     """
+
+    SCHEMA: ClassVar[int] = 1
 
     config: CharacterizationConfig
     cdfs: dict[str, EndpointCdfs]
@@ -156,7 +155,7 @@ class AluCharacterization:
         return cls(config=config, cdfs=cdfs, worst_sta_period_ps=worst_sta)
 
     def to_json(self) -> dict:
-        """Lossless JSON body (schema ``ALU_CHARACTERIZATION_SCHEMA``).
+        """Lossless JSON body (schema ``SCHEMA``).
 
         Only the raw per-instruction critical-period matrices travel
         (exact dtype preserved); the CDFs are rebuilt deterministically
@@ -164,7 +163,7 @@ class AluCharacterization:
         """
         from repro.store.serialize import encode
         return {
-            "schema": ALU_CHARACTERIZATION_SCHEMA,
+            "schema": self.SCHEMA,
             "config": asdict(self.config),
             "worst_sta_period_ps": float(self.worst_sta_period_ps),
             "critical_ps": {
@@ -177,11 +176,6 @@ class AluCharacterization:
     def from_json(cls, payload: dict) -> "AluCharacterization":
         """Inverse of :meth:`to_json` (bit-identical tables)."""
         from repro.store.serialize import decode
-        if payload.get("schema") != ALU_CHARACTERIZATION_SCHEMA:
-            raise ValueError(
-                f"AluCharacterization schema mismatch: stored "
-                f"{payload.get('schema')}, current "
-                f"{ALU_CHARACTERIZATION_SCHEMA}")
         # Bodies written by older builds also carry the settle-pipeline
         # dtype, which was "float64" under every key the current code
         # builds; fields the config no longer has are dropped.
@@ -221,7 +215,7 @@ def characterization_key(alu: "AluNetlist",
     """
     return {
         "kind": "alu_characterization",
-        "schema": ALU_CHARACTERIZATION_SCHEMA,
+        "schema": AluCharacterization.SCHEMA,
         "alu": alu_fingerprint(alu),
         "config": asdict(config),
     }

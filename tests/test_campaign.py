@@ -258,16 +258,6 @@ class TestCurveArtifacts:
         assert back.mse.tobytes() == curve.mse.tobytes()
         assert back.poff_hz() == curve.poff_hz()
 
-    def test_schema_guard(self):
-        payload = self._cdf_curve().to_json()
-        payload["schema"] = fig2.FIG2_CURVE_SCHEMA + 1
-        with pytest.raises(ValueError):
-            fig2.CdfCurve.from_json(payload)
-        payload = self._mse_curve().to_json()
-        payload["schema"] = fig4.FIG4_CURVE_SCHEMA + 1
-        with pytest.raises(ValueError):
-            fig4.InstructionMseCurve.from_json(payload)
-
     def test_store_round_trip_through_kind_registry(self, store):
         curve = self._cdf_curve()
         from repro.mc.units import work_unit_key

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.suite import build_kernel
-from repro.fi.base import FaultInjector
+from repro.fi.base import FaultInjector, NullInjector
 from repro.mc.runner import run_trial
 from repro.netlist.circuit import Circuit, CircuitError
 from repro.netlist.gates import GATE_KINDS, arity_of
@@ -354,6 +354,14 @@ def test_cpu_reuse_rejects_config_mismatch(kernel):
     with pytest.raises(ValueError, match="MachineConfig"):
         run_trial(kernel, _RareInjector(np.random.default_rng(3)),
                   config=other, cpu=cpu)
+
+
+def test_cpu_reuse_mismatch_raises_without_a_fault(kernel):
+    """The check holds even when the trial never reaches the ISS."""
+    cpu = Cpu(kernel.program, injector=None)
+    other = MachineConfig(dmem_size=2 * cpu.config.dmem_size)
+    with pytest.raises(ValueError, match="MachineConfig"):
+        run_trial(kernel, NullInjector(), config=other, cpu=cpu)
 
 
 def test_reset_restores_dmem_snapshot(kernel):

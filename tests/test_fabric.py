@@ -23,7 +23,7 @@ import pytest
 from repro import faults, obs
 from repro.fabric import HttpBackend, LeaseLedger, LeaseLost, serve
 from repro.fabric.worker import Batch, dispatch_fabric, plan_batches
-from repro.mc.results import MC_POINT_SCHEMA, McPoint, TrialResult
+from repro.mc.results import McPoint, TrialResult
 from repro.mc.units import WorkUnit
 from repro.store import ResultStore
 from repro.store.backend import FsBackend
@@ -73,7 +73,7 @@ def _point(label="p"):
 
 
 def _key(seed=0):
-    return {"kind": "mc_point", "schema": MC_POINT_SCHEMA,
+    return {"kind": "mc_point", "schema": McPoint.SCHEMA,
             "experiment": "fabric-test", "scale": None, "seed": seed,
             "stream": "serial", "config": {"vdd": 0.7}}
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro import faults
-from repro.faults.plane import _uniform
+from repro.faults import uniform
 
 
 @pytest.fixture(autouse=True)
@@ -83,7 +83,7 @@ class TestDecisions:
         spec = "seed=11;site.x:torn@p=0.5"
         plane = faults.configure(spec)
         first = [plane.fire("site.x") for _ in range(50)]
-        expected = ["torn" if _uniform(11, "site.x", hit) < 0.5 else None
+        expected = ["torn" if uniform(11, "site.x", hit) < 0.5 else None
                     for hit in range(1, 51)]
         assert first == expected
         assert any(first) and not all(first)

@@ -5,14 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.mc.results import MC_POINT_SCHEMA, McPoint, TrialResult
+from repro.mc.results import McPoint, TrialResult
 from repro.mc.sweep import FrequencySweep
 from repro.store import ResultStore, canonical_json, decode, encode, \
     key_hash
 from repro.store.serialize import NDARRAY_TAG, json_hash
 from repro.timing.cdf import EndpointCdfs
 from repro.timing.characterize import (
-    ALU_CHARACTERIZATION_SCHEMA,
     AluCharacterization,
     CharacterizationConfig,
 )
@@ -36,7 +35,7 @@ def _point(label="p", n=3):
 
 
 def _key(seed=0, **extra):
-    key = {"kind": "mc_point", "schema": MC_POINT_SCHEMA,
+    key = {"kind": "mc_point", "schema": McPoint.SCHEMA,
            "experiment": "test", "scale": None, "seed": seed,
            "stream": "serial", "config": {"vdd": 0.7}}
     key.update(extra)
@@ -98,12 +97,6 @@ class TestMcJsonRoundTrip:
         assert back == point
         assert back.summary() == point.summary()
 
-    def test_mc_point_schema_guard(self):
-        payload = _point().to_json()
-        payload["schema"] = MC_POINT_SCHEMA + 1
-        with pytest.raises(ValueError):
-            McPoint.from_json(payload)
-
     def test_mc_point_json_native(self):
         # The body must survive a real JSON text round-trip.
         payload = json.loads(json.dumps(_point().to_json()))
@@ -154,12 +147,6 @@ class TestCharacterizationJson:
                                                               "l.mul")
         assert np.array_equal(back.grid.probs, char.grid.probs)
         assert np.array_equal(back.grid.p_any, char.grid.p_any)
-
-    def test_schema_guard(self):
-        payload = self._characterization().to_json()
-        payload["schema"] = ALU_CHARACTERIZATION_SCHEMA + 1
-        with pytest.raises(ValueError):
-            AluCharacterization.from_json(payload)
 
 
 class TestResultStore:
@@ -226,13 +213,13 @@ class TestResultStore:
 
     def test_stale_schema_never_served_and_gc_reclaims(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        old_key = _key(schema=MC_POINT_SCHEMA - 1)
+        old_key = _key(schema=McPoint.SCHEMA - 1)
         # Simulate an entry written by an older code version: the
         # envelope is self-consistent under the old schema key.
         store.put(_key(), _point())
         path = store._object_path(store.key_of(_key()))
         envelope = json.loads(path.read_text())
-        envelope["key"]["schema"] = MC_POINT_SCHEMA - 1
+        envelope["key"]["schema"] = McPoint.SCHEMA - 1
         envelope["sha256"] = store.key_of(old_key)
         old_path = store._object_path(store.key_of(old_key))
         old_path.parent.mkdir(parents=True, exist_ok=True)
@@ -294,7 +281,7 @@ class TestResultStore:
         store.put(_key(seed=1), _point())
         char = TestCharacterizationJson()._characterization()
         char_key = {"kind": "alu_characterization",
-                    "schema": ALU_CHARACTERIZATION_SCHEMA,
+                    "schema": AluCharacterization.SCHEMA,
                     "alu": ["test"], "config": {"n": 16}}
         store.put(char_key, char)
         removed, _ = store.gc(remove_all=True, kinds=("mc_point",))
@@ -318,7 +305,7 @@ class TestResultStore:
         store = ResultStore(tmp_path / "store")
         char = TestCharacterizationJson()._characterization()
         key = {"kind": "alu_characterization",
-               "schema": ALU_CHARACTERIZATION_SCHEMA,
+               "schema": AluCharacterization.SCHEMA,
                "alu": ["test"], "config": {"n": 16}}
         store.put(key, char, label="char")
         back = store.get(key)
@@ -665,7 +652,7 @@ class TestLruEviction:
 
 def _char_key(seed=0):
     return {"kind": "alu_characterization",
-            "schema": ALU_CHARACTERIZATION_SCHEMA,
+            "schema": AluCharacterization.SCHEMA,
             "experiment": "test", "scale": None, "seed": seed,
             "stream": "dta", "config": {"vdd": 0.7}}
 

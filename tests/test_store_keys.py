@@ -11,7 +11,9 @@ Building the keys runs no DTA and no Monte-Carlo simulation.
 import pytest
 
 from repro.bench.suite import build_kernel
-from repro.experiments import ablations, fig5
+from repro.campaign.failures import failure_key
+from repro.experiments import ablations, fig2, fig4, fig5, fig_sta_margin, \
+    table1
 from repro.experiments.context import ExperimentContext
 from repro.mc.units import mc_point_key
 from repro.netlist.calibrate import calibrated_alu
@@ -34,6 +36,22 @@ CHARACTERIZATION_KEYS = {
 MC_POINT_KEY = \
     "6c78c54f25ac2fe0b2d496c010be04eec283362c76ff554e2b9e3fe7a762a8be"
 
+#: The failure marker shadowing that Monte-Carlo point.
+FAILURE_KEY = \
+    "f67524cd6e2ff84858b0dc2e3fa027df6adea8262dba1685a6aaf6be149316e0"
+
+#: The first work unit of each deterministic experiment at quick scale.
+FIRST_UNIT_KEYS = {
+    "fig2_curve":
+        "d36eaa73df53c972d9459f8b77040f1b8ad2acc3f233f652f943b8736199fc08",
+    "fig4_curve":
+        "a6a3aece3973e98912c848f423f25f83830ccfe8f59436f0b3ab57a5c7762056",
+    "table1_row":
+        "c8b267f9e078961d2f93d32cba47909956866d118d16d144cfa509021960e64c",
+    "sta_report":
+        "32078ad013f7ad517c3902a3c774a1babb4a8461b59236f8aa4f20afe7725b87",
+}
+
 #: The adder-topology ablation units at quick scale, in unit order.
 ADDER_UNIT_KEYS = [
     "a22f4ceb00b728c02711fefa9b5944364726caddd097a3bafe58104c25e5f43f",
@@ -50,14 +68,40 @@ def test_characterization_keys_pinned(scale, vdd):
     assert key_hash(key) == CHARACTERIZATION_KEYS[(scale, vdd)]
 
 
-def test_mc_point_key_pinned():
+def _pinned_mc_point_key() -> dict:
     ctx = ExperimentContext.create("quick", 2016)
     kernel = build_kernel("median", ctx.scale.kernel_scale)
-    key = mc_point_key(
+    return mc_point_key(
         "fig5", ctx.scale, 2016, kernel, ctx.scale.trials,
         {"vdd": 0.7, "sigma_v": 0.01, "model": "C",
          "frequency_hz": 700e6, **ctx.char_fingerprint(0.7)})
-    assert key_hash(key) == MC_POINT_KEY
+
+
+def test_mc_point_key_pinned():
+    assert key_hash(_pinned_mc_point_key()) == MC_POINT_KEY
+
+
+def test_failure_key_pinned():
+    assert key_hash(failure_key(_pinned_mc_point_key())) == FAILURE_KEY
+
+
+def _first_unit(kind: str, ctx: ExperimentContext):
+    if kind == "fig2_curve":
+        return fig2.curve_units(ctx, 2016)[0]
+    if kind == "fig4_curve":
+        return fig4.curve_units(ctx, 2016)[0]
+    if kind == "table1_row":
+        return table1.row_units("quick")[0]
+    vdd = fig_sta_margin.NOMINAL_VDD
+    return fig_sta_margin.sta_report_units(
+        ctx, 2016, vdd, ctx.alu.worst_sta_period_ps(vdd))[0]
+
+
+@pytest.mark.parametrize("kind", sorted(FIRST_UNIT_KEYS))
+def test_work_unit_keys_pinned(kind):
+    unit = _first_unit(kind, ExperimentContext.create("quick", 2016))
+    assert unit.key["kind"] == kind
+    assert key_hash(unit.key) == FIRST_UNIT_KEYS[kind]
 
 
 def test_adder_topology_unit_keys_pinned():
