@@ -13,13 +13,15 @@ processes:
    whose complete events cover the store, campaign, circuit and
    propagate layers, coming from the parent *and* at least one forked
    worker pid; ``repro stats`` must render it.
-3. **Disabled means free.**  With the plane off, a sensitized
-   propagate on the compiled engine must cost within
-   :data:`OVERHEAD_LIMIT` (2%) of a no-telemetry baseline -- measured
-   in-process by interleaving min-of-k timings of the normal disabled
-   path against ``repro.obs`` monkeypatched to unconditional no-ops
-   (what "the import never existed" would cost), so machine noise
-   hits both sides equally.
+3. **Disabled means free.**  With the plane off, two loops must each
+   cost within :data:`OVERHEAD_LIMIT` (2%) of a no-telemetry baseline:
+   a sensitized propagate on the compiled engine, and a Monte-Carlo
+   trial of the paper-size 16-bit matmul that runs in the ISS on its
+   fault schedule.  Each is measured in-process as the median of
+   paired ratios: each pair times the normal disabled path and
+   ``repro.obs`` monkeypatched to unconditional no-ops (what "the
+   import never existed" would cost) back to back, so machine noise
+   hits both sides of a pair alike.
 
 Exit code 0 = all invariants hold.  Wired into ``make obs-smoke``
 (part of ``make tier1``).
@@ -29,11 +31,13 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -48,9 +52,10 @@ OVERHEAD_LIMIT = 0.02
 #: quantity under test is deterministic, the box is not (single-core
 #: containers swing 30-40% between back-to-back runs).
 OVERHEAD_ATTEMPTS = 3
-#: Propagate calls per timing sample and samples per side.
+#: Propagate calls per timing sample.
 OVERHEAD_REPS = 10
-OVERHEAD_SAMPLES = 12
+#: Paired samples per timed loop.
+OVERHEAD_PAIRS = 61
 
 
 def repro(args: list[str],
@@ -112,52 +117,84 @@ def check_export(trace: Path) -> None:
                          + stats.stdout)
 
 
-def measure_overhead() -> float:
-    """Disabled-plane cost of one propagate vs a no-telemetry no-op.
-
-    Interleaved min-of-k in one process: sample A times the shipped
-    disabled path (module-flag check per span call), sample B the same
-    call with ``repro.obs`` patched to unconditional no-ops.  The
-    difference is exactly what having the telemetry plane *imported
-    but off* costs.
-    """
-    import repro.obs as obs
+def propagate_call() -> Callable[[], object]:
+    """One sensitized compiled-engine propagate of 512 vectors."""
     from repro.netlist.calibrate import calibrated_alu
     import numpy as np
 
-    obs.reset()  # force the plane off even under a stray $REPRO_TRACE
     alu = calibrated_alu()
     rng = np.random.default_rng(0)
     a = rng.integers(0, 1 << 32, 513, dtype=np.uint64)
     b = rng.integers(0, 1 << 32, 513, dtype=np.uint64)
     prev, new = (a[:512], b[:512]), (a[1:], b[1:])
-    def call() -> None:
-        alu.propagate("l.add", prev, new, 0.7, "sensitized",
-                      engine="compiled")
+    return lambda: alu.propagate("l.add", prev, new, 0.7, "sensitized",
+                                 engine="compiled")
 
+
+def scheduled_trial_call() -> Callable[[], object]:
+    """One scheduled paper 16-bit matmul trial: its ``Cpu.run`` is the
+    block loop, hook-free up to the trial's first fault."""
+    from repro.bench.suite import build_kernel
+    from repro.fi.model_a import FixedProbabilityInjector
+    from repro.mc.runner import run_trial, trial_budget
+    from repro.sim.cpu import Cpu
+    from repro.sim.machine import MachineConfig
+    import numpy as np
+
+    kernel = build_kernel("mat_mult_16bit", "paper")
+    cpu = Cpu(kernel.program,
+              config=MachineConfig().with_max_cycles(trial_budget(kernel)))
+
+    def call():
+        injector = FixedProbabilityInjector(
+            1e-6, rng=np.random.default_rng(1))
+        return run_trial(kernel, injector, cpu=cpu)
+
+    if not call().fault_count:
+        raise SystemExit("FAIL: the timed trial has no fault, so it "
+                         "never reaches the ISS")
+    return call
+
+
+def measure_overhead(call: Callable[[], object], reps: int) -> float:
+    """Disabled-plane cost of ``call`` vs a no-telemetry no-op.
+
+    Each pair times ``reps`` calls on the shipped disabled path
+    (module-flag check per span or counter call) and ``reps`` calls
+    with ``repro.obs`` patched to unconditional no-ops, in alternating
+    order; the result is the median of the pairs' ratios, less one.
+    That is exactly what having the telemetry plane *imported but off*
+    costs.
+    """
+    import repro.obs as obs
+
+    obs.reset()  # force the plane off even under a stray $REPRO_TRACE
     null_span = obs.span("warmup")  # the shared no-op (plane is off)
     real = (obs.span, obs.counter, obs.flush)
     patched = (lambda name, **attrs: null_span,
                lambda name, value=1: None,
                lambda: None)
 
-    def sample() -> float:
-        start = time.perf_counter()
-        for _ in range(OVERHEAD_REPS):
-            call()
-        return time.perf_counter() - start
-
-    for _ in range(3):
-        call()  # warm plan, workspace, delay tiles
-    best_on = best_off = float("inf")
-    for _ in range(OVERHEAD_SAMPLES):
-        best_on = min(best_on, sample())
-        obs.span, obs.counter, obs.flush = patched
+    def sample(plane: tuple) -> float:
+        obs.span, obs.counter, obs.flush = plane
         try:
-            best_off = min(best_off, sample())
+            start = time.perf_counter()
+            for _ in range(reps):
+                call()
+            return time.perf_counter() - start
         finally:
             obs.span, obs.counter, obs.flush = real
-    return best_on / best_off - 1.0
+
+    for _ in range(3):
+        call()  # warm plans, workspaces, bound code
+    ratios = []
+    for pair in range(OVERHEAD_PAIRS):
+        if pair % 2:
+            off, on = sample(patched), sample(real)
+        else:
+            on, off = sample(real), sample(patched)
+        ratios.append(on / off)
+    return statistics.median(ratios) - 1.0
 
 
 def main() -> int:
@@ -186,19 +223,23 @@ def main() -> int:
         check_export(trace)
 
     print("[4/4] disabled-path overhead gate ...", flush=True)
-    overheads = []
+    loops = {"sensitized propagate": (propagate_call(), OVERHEAD_REPS),
+             "scheduled ISS trial": (scheduled_trial_call(), 1)}
     for attempt in range(OVERHEAD_ATTEMPTS):
-        overhead = measure_overhead()
-        overheads.append(overhead)
-        print(f"  attempt {attempt + 1}: {overhead * 100:+.2f}% "
-              f"(limit {OVERHEAD_LIMIT * 100:.0f}%)", flush=True)
-        if overhead <= OVERHEAD_LIMIT:
+        overheads = {name: measure_overhead(call, reps)
+                     for name, (call, reps) in loops.items()}
+        print(f"  attempt {attempt + 1}: " + ", ".join(
+            f"{name} {overhead * 100:+.2f}%"
+            for name, overhead in overheads.items())
+            + f" (limit {OVERHEAD_LIMIT * 100:.0f}%)", flush=True)
+        if max(overheads.values()) <= OVERHEAD_LIMIT:
             break
     else:
+        name = max(overheads, key=overheads.get)
         raise SystemExit(
             f"FAIL: disabled telemetry costs "
-            f"{min(overheads) * 100:.2f}% > "
-            f"{OVERHEAD_LIMIT * 100:.0f}% on sensitized propagate")
+            f"{overheads[name] * 100:.2f}% > "
+            f"{OVERHEAD_LIMIT * 100:.0f}% on {name}")
 
     print("obs smoke: all invariants hold")
     return 0

@@ -73,10 +73,10 @@ class EffectivePeriodStream:
             self._values = self._refill()
 
     def _refill(self) -> np.ndarray:
-        droops = self._noise.sample(self._block, self._rng)
-        factors = self._vdd_model.scale_factor(
-            self.vdd_operating + droops, self.vdd_characterized)
-        return self.period_ps / factors
+        vdd = self._noise.sample(self._block, self._rng)
+        vdd += self.vdd_operating
+        factors = self._vdd_model.scale_factor(vdd, self.vdd_characterized)
+        return np.divide(self.period_ps, factors, out=factors)
 
     def next(self) -> float:
         """Effective period [ps] for the next cycle."""

@@ -17,7 +17,11 @@ random streams exactly as the live run would up to that fault:
 * a fault -- the trial runs in the ISS under a counting hook that
   applies each scheduled mask at its ALU op, draws the next
   :data:`PER_OP_AFTER_FAULT` ops' masks per-op, and only then asks the
-  model for the next fault (``mc.trials.scheduled``).  Where the live run
+  model for the next fault (``mc.trials.scheduled``).  The hook
+  publishes the golden sequence and the next op it must see on the
+  CPU's run state (:attr:`Cpu.core`), so the ISS runs every block whose
+  ALU ops are golden and come before that op without calling the hook
+  at all, and only counts them (``sim.alu.free``).  Where the live run
   leaves the golden sequence (another mnemonic, or more ALU ops than
   golden) the hook restores the injector to the start of its current
   search, replays the hit-free golden ops up to that point, and goes on
@@ -97,6 +101,11 @@ class GoldenRun:
         """:attr:`mnemonic_ids` as mnemonics (built for the first schedule)."""
         return [ALU_MNEMONICS[index] for index in self.mnemonic_ids.tolist()]
 
+    @cached_property
+    def id_bytes(self) -> bytes:
+        """:attr:`mnemonic_ids` as the bytes a schedule publishes."""
+        return self.mnemonic_ids.tobytes()
+
 
 class _TraceRecorder(NullInjector):
     """Fault-free injector that records the FI-window ALU mnemonics."""
@@ -175,7 +184,7 @@ def _judge(cpu: Cpu, kernel: KernelInstance, result) -> TrialResult:
 
 
 def _schedule(injector: FaultInjector, golden: GoldenRun, saved: object,
-              fault: tuple[int, int]
+              fault: tuple[int, int], core
               ) -> tuple[Callable[[str, int], int], Callable[[], bool]]:
     """The FI hook that runs a trial on its fault schedule, and its settle.
 
@@ -190,16 +199,23 @@ def _schedule(injector: FaultInjector, golden: GoldenRun, saved: object,
     on per-op.  ``settle()``, called after the run, repairs a run that
     stopped before the scanned frontier the same way and returns
     whether the run diverged.
+
+    ``at`` is the next op the hook must see: the scheduled fault, or
+    the next per-op draw.  The hook keeps it published as ``core.stop``
+    (-1 once diverged: every op), next to the golden ids
+    ``core.golden``; ``core`` is the CPU's run state
+    (:attr:`repro.sim.cpu.Cpu.core`), which counts the golden ops
+    before ``at`` itself, as the hook's first branch would.
     """
     ids = golden.mnemonic_ids
     names = golden.mnemonics
     n = len(ids)
     on_alu, fault_mask = injector.on_alu, injector.fault_mask
-    stale = injector.semantics == "stale"
     pos = 0
     at, mask = fault
     until = 0  # ops before this one are drawn per-op
     diverged = False
+    core.golden, core.stop = golden.id_bytes, at
 
     def rewind(k: int) -> None:
         """Put the streams where ``k`` per-op golden calls leave them."""
@@ -213,8 +229,7 @@ def _schedule(injector: FaultInjector, golden: GoldenRun, saved: object,
         i = injector.alu_cycles
         if i != at and mnemonic == names[i]:
             injector.alu_cycles = i + 1
-            if stale:
-                injector._last_latched = result
+            injector._last_latched = result
             return result
         if not diverged:
             if i < n and mnemonic == names[i]:
@@ -230,9 +245,11 @@ def _schedule(injector: FaultInjector, golden: GoldenRun, saved: object,
                 else:
                     pos, saved = i + 1, injector.snapshot()
                     at, mask = injector.next_fault(ids, pos)
+                core.stop = at
                 return result
             rewind(i)
             diverged = True
+            core.stop = -1
         at = i + 1  # keeps the fast path shut: per-op from here on
         return on_alu(mnemonic, result)
 
@@ -245,19 +262,24 @@ def _schedule(injector: FaultInjector, golden: GoldenRun, saved: object,
 
 
 def _run_iss(kernel: KernelInstance, injector: FaultInjector,
-             budget: int, cpu: Cpu,
-             schedule: tuple | None) -> TrialResult:
-    """Execute one trial in the ISS on a reset CPU."""
+             budget: int, cpu: Cpu, golden: GoldenRun, saved: object,
+             fault: tuple[int, int] | None) -> TrialResult:
+    """Execute one trial in the ISS on a reset CPU.
+
+    ``fault`` is the trial's first scheduled fault, found from the
+    random state ``saved``; None runs the trial per-op.
+    """
     cpu.reset()
     cpu.injector = injector
-    if schedule is None:
+    if fault is None:
         result = cpu.run(kernel.entry, max_cycles=budget)
         obs.counter("mc.trials.live")
     else:
-        hook, settle = schedule
+        hook, settle = _schedule(injector, golden, saved, fault, cpu.core)
         result = cpu.run(kernel.entry, max_cycles=budget, fi_hook=hook)
         obs.counter("mc.trials.diverged" if settle()
                     else "mc.trials.scheduled")
+        obs.counter("mc.alu.scheduled", result.alu_cycles)
     return _judge(cpu, kernel, result)
 
 
@@ -289,9 +311,7 @@ def _run_trials(kernel: KernelInstance, injector: FaultInjector,
             cpu = Cpu(kernel.program,
                       config=base_config.with_max_cycles(budget),
                       injector=injector)
-        schedule = None if fault is None \
-            else _schedule(injector, golden, saved, fault)
-        yield _run_iss(kernel, injector, budget, cpu, schedule)
+        yield _run_iss(kernel, injector, budget, cpu, golden, saved, fault)
 
 
 def run_trial(kernel: KernelInstance, injector: FaultInjector,

@@ -273,6 +273,11 @@ def render_stats(records: list[dict], limit: int = 20) -> str:
             stepped = totals.get("sim.cycles.stepped", 0)
             lines.append(f"{'iss block share':28s} "
                          f"{1 - stepped / cycles:>11.1%}")
+        scheduled_alu = totals.get("mc.alu.scheduled", 0)
+        if scheduled_alu:
+            free = totals.get("sim.alu.free", 0)
+            lines.append(f"{'iss hook-free share':28s} "
+                         f"{free / scheduled_alu:>11.1%}")
     fabric = fabric_split(records)
     if fabric is not None:
         lines.append("")

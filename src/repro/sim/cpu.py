@@ -42,18 +42,31 @@ Fault injection contract: while the FI window is open (between the
 ``on_alu(mnemonic, result) -> result`` hook before write-back, modeling
 timing faults captured in the EX-stage ALU endpoint flip-flops.  A
 block reads the hook once and calls it for its ALU results one at a
-time, in order.
+time, in order -- except where a fault-schedule hook has said it would
+only count them.  Such a hook publishes the golden run's FI-window ALU
+mnemonic ids and ``stop``, the next golden op it must see, on
+:attr:`Cpu.core`; a block entered at ALU op ``i`` whose ``k`` ALU ops
+are the golden ops ``i .. i + k - 1``, all before ``stop``, runs as its
+*hook-free* variant.  That variant (generated by the same emitters on
+first use) calls no hook, and the run loop does the hook's counting:
+it adds ``k`` to the injector's ``alu_cycles`` (only the ops before the
+aborting instruction if the block aborts), and the block leaves its
+last ALU result in the injector's ``_last_latched``.
+
+Every store marks its data-memory page as written, so :meth:`Cpu.reset`
+copies back only the pages a run wrote.
 """
 
 from __future__ import annotations
 
 import builtins
+from itertools import accumulate
 from types import CodeType, FunctionType
 from typing import Callable
 
 from repro import obs
 from repro.isa.encoding import Decoded, EncodingError, decode
-from repro.isa.instructions import NOP_EXIT, NOP_REPORT
+from repro.isa.instructions import ALU_MNEMONICS, NOP_EXIT, NOP_REPORT
 from repro.isa.program import Program
 from repro.sim.exceptions import (
     IllegalInstruction,
@@ -64,7 +77,7 @@ from repro.sim.exceptions import (
     SimulationFault,
 )
 from repro.sim.machine import MachineConfig, NOP_FI_OFF, NOP_FI_ON
-from repro.sim.memory import DataMemory
+from repro.sim.memory import PAGE_SHIFT, DataMemory
 from repro.sim.result import ExecutionResult
 
 MASK32 = 0xFFFFFFFF
@@ -86,7 +99,7 @@ class _Core:
     """
 
     __slots__ = ("injector", "alu_hook", "hook", "flag", "fi_window",
-                 "retired")
+                 "retired", "golden", "stop")
 
     def __init__(self, injector) -> None:
         self.injector = injector
@@ -97,6 +110,10 @@ class _Core:
         self.fi_window = False
         #: Instructions of the aborting block that retired before it.
         self.retired = 0
+        #: A fault schedule's golden FI-window ALU ids (see Cpu.core).
+        self.golden = b""
+        #: The next golden ALU op the schedule's hook must see (-1: all).
+        self.stop = -1
 
     def fi_on(self) -> None:
         self.fi_window = True
@@ -112,9 +129,11 @@ class _Core:
 # ----------------------------------------------------------------------
 #
 # Generated code runs with the bound state ``r`` (registers), ``m``
-# (the data-memory bytearray), ``dmem``, ``core`` and ``reports``, the
-# block-wide hook ``h``, and the temporaries ``v`` (a value), ``o`` (a
-# data-memory offset) and ``t`` (a branch's next slot).
+# (the data-memory bytearray), ``w`` (its written-page marks), ``dmem``,
+# ``core`` and ``reports``, the block-wide hook ``h``, and the
+# temporaries ``v`` (a value), ``o`` (a data-memory offset), ``t`` (a
+# branch's next slot) and ``x`` (a hook-free block's last ALU result).
+# ``abort`` is the bookkeeping an instruction that can abort does first.
 
 def _r(n: int) -> str:
     """Source reading register ``n`` (r0 reads as the constant 0)."""
@@ -165,10 +184,12 @@ _STORES = {
 }
 
 
-def _emit_alu(d: Decoded) -> list[str]:
+def _emit_alu(d: Decoded, hooked: bool) -> list[str]:
     expr = _ALU[d.mnemonic].format(
         a=_r(d.ra), b=_r(d.rb), imm=d.imm, imm16=d.imm & 0xFFFF,
         imm32=d.imm & MASK32, shift=d.imm & 31)
+    if not hooked:
+        return [f"x = {expr}"] + ([f"r[{d.rd}] = x"] if d.rd else [])
     if not d.rd:
         # The result is discarded, but it still occupies EX and is
         # still seen by the hook.
@@ -189,7 +210,8 @@ def _emit_compare(d: Decoded) -> list[str]:
     return [f"core.flag = {a} {_COMPARE[kind]} {b}"]
 
 
-def _emit_memory(d: Decoded, k: int, config: MachineConfig) -> list[str]:
+def _emit_memory(d: Decoded, abort: str,
+                 config: MachineConfig) -> list[str]:
     load = d.mnemonic in _LOADS
     width, method, access = (_LOADS if load else _STORES)[d.mnemonic]
     # The base is word aligned, so the offset's alignment is the
@@ -204,27 +226,25 @@ def _emit_memory(d: Decoded, k: int, config: MachineConfig) -> list[str]:
         else _r(d.ra)
     lines = [f"o = {pointer} - {config.dmem_base}"]
     if load:
-        lines.append(f"if {check}: core.retired = {k}; "
-                     f"dmem.{method}({address})")
+        lines.append(f"if {check}: {abort}; dmem.{method}({address})")
         if d.rd:
             lines.append(f"r[{d.rd}] = {access}")
     else:
         lines.append(f"v = {_r(d.rb)}")
-        lines.append(f"if {check}: core.retired = {k}; "
-                     f"dmem.{method}({address}, v)")
-        lines.append(access)
+        lines.append(f"if {check}: {abort}; dmem.{method}({address}, v)")
+        lines.append(f"{access}; w[o >> {PAGE_SHIFT}] = 1")
     return lines
 
 
-def _emit_branch(d: Decoded, index: int, k: int, config: MachineConfig,
-                 after: str) -> list[str]:
+def _emit_branch(d: Decoded, index: int, abort: str,
+                 config: MachineConfig, after: str) -> list[str]:
     """Lines leaving the next slot in ``t`` (``after`` when not taken)."""
     mnemonic = d.mnemonic
     address = config.imem_base + 4 * index
     link = (address + 8) & MASK32
     if mnemonic in ("l.jr", "l.jalr"):
         lines = [f"t = {_r(d.rb)}",
-                 f"if t & 3: core.retired = {k}; raise PcOutOfRange("
+                 f"if t & 3: {abort}; raise PcOutOfRange("
                  f"'jump register target %#x misaligned' % t)"]
         if mnemonic == "l.jalr":
             lines.append(f"r[9] = {link}")
@@ -242,21 +262,22 @@ def _emit_branch(d: Decoded, index: int, k: int, config: MachineConfig,
     return [f"t = {target}"]
 
 
-def _emit(d: Decoded, index: int, k: int, config: MachineConfig,
-          after: str) -> list[str]:
-    """Source lines executing ``d`` at slot ``index``, ``k``-th of a block.
+def _emit(d: Decoded, index: int, abort: str, config: MachineConfig,
+          after: str, hooked: bool = True) -> list[str]:
+    """Source lines executing ``d`` at slot ``index``.
 
-    ``after`` is the source of the slot an untaken branch goes to.
+    ``after`` is the source of the slot an untaken branch goes to;
+    ``hooked`` is False in a hook-free block.
     """
     spec = d.spec
     if spec.is_alu:
-        return _emit_alu(d)
+        return _emit_alu(d, hooked)
     if spec.is_compare:
         return _emit_compare(d)
     if spec.is_load or spec.is_store:
-        return _emit_memory(d, k, config)
+        return _emit_memory(d, abort, config)
     if spec.is_branch:
-        return _emit_branch(d, index, k, config, after)
+        return _emit_branch(d, index, abort, config, after)
     if d.mnemonic == "l.movhi":
         return [f"r[{d.rd}] = {(d.imm << 16) & MASK32}"] if d.rd else []
     return {NOP_EXIT: ["raise _Exit()"],
@@ -287,17 +308,17 @@ _GLOBALS = {"__builtins__": builtins, "InfiniteLoop": InfiniteLoop,
             "PcOutOfRange": PcOutOfRange, "_Exit": _Exit}
 
 
-def _generate(name: str, decoded: list[Decoded], lines: list[str],
-              result: str) -> CodeType:
-    """Code of ``bind(r, m, dmem, core, reports)``, returning ``name``.
+def _generate(name: str, lines: list[str], result: str,
+              reads_hook: bool) -> CodeType:
+    """Code of ``bind(r, m, w, dmem, core, reports)``, returning ``name``.
 
-    ``name`` runs ``lines``, the code of the instructions ``decoded``,
-    and returns ``result``; it reads the hook once if any is ALU-class.
+    ``name`` reads the hook once if ``reads_hook``, runs ``lines`` and
+    returns ``result``.
     """
-    body = ["h = core.hook"] if any(d.spec.is_alu for d in decoded) else []
+    body = ["h = core.hook"] if reads_hook else []
     body += lines + [f"return {result}"]
     source = "\n".join(
-        ["def bind(r, m, dmem, core, reports):", f"    def {name}():"]
+        ["def bind(r, m, w, dmem, core, reports):", f"    def {name}():"]
         + [f"        {line}" for line in body] + [f"    return {name}"])
     module = compile(source, f"<iss {name}>", "exec")
     return next(const for const in module.co_consts
@@ -315,7 +336,8 @@ class _Image:
         self.words = words
         self.config = config
         self._decoded: dict[int, Decoded | None] = {}
-        self._blocks: dict[int, tuple[CodeType | None, int]] = {}
+        self._blocks: dict[int, tuple] = {}
+        self._free: dict[int, CodeType] = {}
         self._slots: dict[int, CodeType] = {}
 
     def decoded(self, index: int) -> Decoded | None:
@@ -335,17 +357,20 @@ class _Image:
             d = self.decoded(index)
             if d is None:
                 raise IllegalInstruction(f"at {address:#x}")
-            lines = _emit(d, index, 0, self.config, "None")
+            lines = _emit(d, index, "core.retired = 0", self.config, "None")
             code = self._slots[index] = _generate(
-                f"slot_{address:x}", [d], lines,
-                "t" if d.spec.is_branch else "None")
+                f"slot_{address:x}", lines,
+                "t" if d.spec.is_branch else "None", d.spec.is_alu)
         return code
 
-    def block(self, start: int) -> tuple[CodeType | None, int]:
-        """Code and length of the block entered at slot ``start``.
+    def block(self, start: int) -> tuple:
+        """The block entered at slot ``start``.
 
-        The first pass finds the block's extent, the second emits it.
-        The code is None where the slot itself takes the step path.
+        Returns its code, its length, its ALU ops' mnemonic ids (bytes
+        indexing ``ALU_MNEMONICS``) and, per instruction offset, the
+        number of ALU ops before it.  The first pass finds the block's
+        extent, the second emits it.  The code is None where the slot
+        itself takes the step path.
         """
         found = self._blocks.get(start)
         if found is not None:
@@ -365,17 +390,53 @@ class _Image:
                 break
             end += 1
         n = end - start
-        code = None
+        found: tuple = (None, 0, b"", ())
         if n:
             decoded = [self.decoded(index) for index in range(start, end)]
-            lines: list[str] = []
-            for k, d in enumerate(decoded):
-                lines += _emit(d, start + k, k, config, str(end))
-            address = config.imem_base + 4 * start
-            code = _generate(f"block_{address:x}", decoded, lines,
-                             "t" if branch else str(end))
-        found = self._blocks[start] = (code, n)
+            alu = [d.spec.is_alu for d in decoded]
+            found = (self._emit_block(start, n, True), n,
+                     bytes(ALU_MNEMONICS.index(d.mnemonic)
+                           for d in decoded if d.spec.is_alu),
+                     tuple(accumulate(alu[:-1], initial=0)))
+        self._blocks[start] = found
         return found
+
+    def free_block(self, start: int) -> CodeType:
+        """Code of the hook-free variant of the block entered at ``start``."""
+        code = self._free.get(start)
+        if code is None:
+            code = self._free[start] = self._emit_block(
+                start, self.block(start)[1], False)
+        return code
+
+    def _emit_block(self, start: int, n: int, hooked: bool) -> CodeType:
+        """Code of the ``n``-instruction block at ``start``.
+
+        A hook-free block keeps its latest ALU result in ``x`` and
+        stores it as the injector's latch wherever it leaves: at its
+        end and before an abort.
+        """
+        config = self.config
+        end = start + n
+        # A block ends in a branch and its delay slot, or before the
+        # slot it falls through to.
+        branch = n >= 2 and self.decoded(end - 2).spec.is_branch
+        lines: list[str] = []
+        alu = latched = False
+        for k in range(n):
+            d = self.decoded(start + k)
+            abort = f"core.retired = {k}"
+            if latched:
+                abort += "; core.injector._last_latched = x"
+            lines += _emit(d, start + k, abort, config, str(end), hooked)
+            alu = alu or d.spec.is_alu
+            latched = alu and not hooked
+        if latched:
+            lines.append("core.injector._last_latched = x")
+        address = config.imem_base + 4 * start
+        return _generate(
+            f"block_{address:x}" if hooked else f"free_{address:x}",
+            lines, "t" if branch else str(end), alu and hooked)
 
 
 #: Process-wide, so the CPUs a campaign builds per unit share generated
@@ -384,7 +445,7 @@ class _Image:
 _IMAGES: dict[tuple, _Image] = {}
 
 #: Block entry of a slot that takes the step path.
-_STEP: tuple[None, int] = (None, 0)
+_STEP: tuple = (None, 0, 0, b"", ())
 
 
 def _image(words: tuple[int, ...], config: MachineConfig) -> _Image:
@@ -434,11 +495,17 @@ class Cpu:
         self._image = _image(tuple(self._load_program()), self.config)
         size = len(self._image.words)
         # Slot functions and blocks are bound on first entry (see
-        # _run_loop); a block entry is (function, length), length 0
-        # where the slot takes the step path.
+        # _run_loop); a block entry is (function, length, ALU op count,
+        # ALU ids, ALU prefix counts), length 0 where the slot takes
+        # the step path.  Hook-free blocks are bound on first use.
         self._code: list[Callable[[], int | None] | None] = [None] * size
-        self._blocks: list[tuple[Callable[[], int] | None, int] | None] = \
-            [None] * size
+        self._blocks: list[tuple | None] = [None] * size
+        self._free: list[Callable[[], int] | None] = [None] * size
+        # Per golden ALU op, the ALU ids of a block found to match the
+        # published golden sequence there: a rerun of the same path
+        # checks identity instead of comparing bytes.
+        self._golden = b""
+        self._matched: list[bytes | None] = []
         # Snapshot the loaded data image once: reset() restores it
         # instead of re-splitting the program (the Monte-Carlo
         # trial-reuse fast path).
@@ -457,6 +524,19 @@ class Cpu:
     def flag(self) -> bool:
         """The compare flag (``SR[F]``)."""
         return self._core.flag
+
+    @property
+    def core(self) -> _Core:
+        """The run state an FI hook publishes its fault schedule on.
+
+        Before the run, the hook sets ``golden`` to the golden run's
+        FI-window ALU mnemonic ids (bytes indexing ``ALU_MNEMONICS``)
+        and keeps ``stop`` at the next golden op it must see, -1 once it
+        must see every op; blocks whose ALU ops are golden and all
+        before ``stop`` then run without it.  The run clears both when
+        it ends.
+        """
+        return self._core
 
     # ------------------------------------------------------------------
     # Program loading and binding generated code
@@ -486,17 +566,24 @@ class Cpu:
 
     def _bind(self, code: CodeType) -> Callable[[], int | None]:
         """Bind generated code to this CPU's state."""
+        dmem = self.dmem
         return FunctionType(code, _GLOBALS)(
-            self.regs, self.dmem._bytes, self.dmem, self._core, self.reports)
+            self.regs, dmem._bytes, dmem._written, dmem, self._core,
+            self.reports)
 
     def _bind_slot(self, index: int) -> Callable[[], int | None]:
         op = self._code[index] = self._bind(self._image.slot(index))
         return op
 
-    def _bind_block(self, index: int) -> tuple[Callable[[], int] | None, int]:
-        code, n = self._image.block(index)
-        block = self._blocks[index] = (self._bind(code), n) if n else _STEP
+    def _bind_block(self, index: int) -> tuple:
+        code, n, ids, pre = self._image.block(index)
+        block = self._blocks[index] = \
+            (self._bind(code), n, len(ids), ids, pre) if n else _STEP
         return block
+
+    def _bind_free(self, index: int) -> Callable[[], int]:
+        op = self._free[index] = self._bind(self._image.free_block(index))
+        return op
 
     def reset(self) -> None:
         """Restore architectural state for a fresh run.
@@ -505,9 +592,10 @@ class Cpu:
         far stays bound, so a rerun binds only code it had not reached
         before.  All state containers are mutated in place -- the bound
         functions hold references to ``regs``, ``reports``, the data
-        memory's bytearray and the run state ``_core``, so rebinding any
-        of them would silently disconnect the code from the
-        architectural state.
+        memory's bytearray and page marks and the run state ``_core``,
+        so rebinding any of them would silently disconnect the code from
+        the architectural state.  The data memory copies back only the
+        pages written since the last reset.
         """
         self.regs[:] = [0] * 32
         self.reports.clear()
@@ -534,7 +622,8 @@ class Cpu:
             max_cycles: overrides the configured cycle budget.
             fi_hook: FI hook for this run in place of the injector's
                 ``on_alu`` (it keeps the injector's counters; the
-                Monte-Carlo runner's fault-schedule hook).
+                Monte-Carlo runner's fault-schedule hook).  It needs an
+                injector: without one it raises ``ValueError``.
 
         Returns:
             An :class:`ExecutionResult`; fatal conditions are reported
@@ -550,8 +639,12 @@ class Cpu:
         if injector is not None:
             injector.begin_run()
             core.alu_hook = fi_hook or injector.on_alu
+        elif fi_hook is not None:
+            raise ValueError("fi_hook needs an injector: it keeps the "
+                             "injector's counters")
         else:
             core.alu_hook = None
+        core.hook = core.alu_hook if core.fi_window else None
         finished = False
         abort_reason: str | None = None
         exit_code: int | None = None
@@ -581,7 +674,9 @@ class Cpu:
             raise PcOutOfRange(f"entry {entry:#x} not word aligned")
         imem_base = self.config.imem_base
         code = self._code
+        free = self._free
         core = self._core
+        injector = core.injector
         trace = self.trace_hook
         profile = self.profile
         size = len(code)
@@ -591,20 +686,41 @@ class Cpu:
         pc_index = (entry - imem_base) // 4
         cycles = start = self.cycles
         # The FI window only opens and closes on the step path, so the
-        # kernel cycles are counted per window rather than per block.
+        # kernel cycles are counted per window rather than per block,
+        # and whether blocks may run hook-free is known between steps.
         kernel_cycles = self.kernel_cycles
         opened = cycles
-        stepped = 0
+        golden = core.golden
+        if golden is not self._golden:
+            self._golden, self._matched = golden, [None] * len(golden)
+        matched = self._matched
+        scheduled = bool(golden) and core.fi_window
+        stepped = freed = 0
         try:
             while True:
                 if 0 <= pc_index < size:
-                    block, n = blocks[pc_index] or \
+                    block, n, k, ids, pre = blocks[pc_index] or \
                         self._bind_block(pc_index)
                     if n and cycles + n <= budget:
+                        if k and scheduled:
+                            i = injector.alu_cycles
+                            if i + k <= core.stop and (
+                                    matched[i] is ids
+                                    or golden.startswith(ids, i)):
+                                matched[i] = ids
+                                block = free[pc_index] or \
+                                    self._bind_free(pc_index)
+                                injector.alu_cycles = i + k
+                                freed += k
                         try:
                             pc_index = block()
                         except SimulationFault:
                             cycles += core.retired
+                            if block is free[pc_index]:
+                                # Count only the ALU ops that retired.
+                                unrun = k - pre[core.retired]
+                                injector.alu_cycles -= unrun
+                                freed -= unrun
                             raise
                         cycles += n
                         continue
@@ -636,6 +752,7 @@ class Cpu:
                             kernel_cycles += cycles - opened
                         else:
                             opened = cycles
+                        scheduled = bool(golden) and not window
                     cycles += 1
                     stepped += 1
                     if pending is not None:
@@ -652,5 +769,10 @@ class Cpu:
                 kernel_cycles += cycles - opened
             self.cycles = cycles
             self.kernel_cycles = kernel_cycles
+            # A schedule hook holds the run state, so the run disarms
+            # it: the CPU stays out of reference cycles.
+            core.alu_hook = core.hook = None
+            core.golden, core.stop = b"", -1
             obs.counter("sim.cycles", cycles - start)
             obs.counter("sim.cycles.stepped", stepped)
+            obs.counter("sim.alu.free", freed)

@@ -8,6 +8,9 @@ The memory is byte-addressable and big-endian, like the real OR1K.
 All accesses are bounds-checked: fault-corrupted pointers that escape
 the SRAM raise :class:`~repro.sim.exceptions.MemoryFault`, which the
 simulator reports as a failed (non-finishing) run.
+
+Every store marks its 4 KiB page as written, so restoring a snapshot
+between Monte-Carlo trials copies only the pages the trial wrote.
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ from __future__ import annotations
 from repro.sim.exceptions import MemoryFault, MisalignedAccess
 
 MASK32 = 0xFFFFFFFF
+
+#: log2 of the page size of the written-page marks.
+PAGE_SHIFT = 12
+PAGE_SIZE = 1 << PAGE_SHIFT
 
 
 class DataMemory:
@@ -34,6 +41,11 @@ class DataMemory:
         self.base = base
         self.size = size
         self._bytes = bytearray(size)
+        #: One flag per page: written since the last snapshot or
+        #: restore.  The ISS's generated stores set it too.
+        self._written = bytearray(-(-size >> PAGE_SHIFT))
+        #: The image the unwritten pages hold (None: not known).
+        self._image: bytes | None = None
 
     @property
     def limit(self) -> int:
@@ -63,6 +75,7 @@ class DataMemory:
         off = self._offset(address, 4)
         value &= MASK32
         self._bytes[off:off + 4] = value.to_bytes(4, "big")
+        self._written[off >> PAGE_SHIFT] = 1
 
     # -- sub-word access -------------------------------------------------
 
@@ -78,12 +91,15 @@ class DataMemory:
         off = self._offset(address, 2)
         self._bytes[off] = (value >> 8) & 0xFF
         self._bytes[off + 1] = value & 0xFF
+        self._written[off >> PAGE_SHIFT] = 1
 
     def load_byte(self, address: int) -> int:
         return self._bytes[self._offset(address, 1)]
 
     def store_byte(self, address: int, value: int) -> None:
-        self._bytes[self._offset(address, 1)] = value & 0xFF
+        off = self._offset(address, 1)
+        self._bytes[off] = value & 0xFF
+        self._written[off >> PAGE_SHIFT] = 1
 
     # -- bulk helpers for loading inputs and reading results -------------
 
@@ -103,17 +119,41 @@ class DataMemory:
         code holds it.
         """
         self._bytes[:] = bytes(self.size)
+        self._image = None
 
     # -- snapshot/restore (the CPU-reuse fast path between MC trials) ----
 
     def snapshot(self) -> bytes:
-        """Immutable copy of the current memory image."""
-        return bytes(self._bytes)
+        """Immutable copy of the current memory image.
+
+        Restoring it copies only the pages written after this call.
+        """
+        self._image = bytes(self._bytes)
+        self._written[:] = bytes(len(self._written))
+        return self._image
 
     def restore(self, image: bytes) -> None:
-        """Restore a :meth:`snapshot` image in place."""
+        """Restore a :meth:`snapshot` image in place.
+
+        Restoring the image last taken or restored copies only the
+        pages written since (a Monte-Carlo trial writes a few of the
+        256 pages of a 1 MiB memory); any other image is copied whole.
+        """
         if len(image) != self.size:
             raise ValueError(
                 f"snapshot is {len(image)} bytes for a {self.size}-byte "
                 f"memory")
-        self._bytes[:] = image
+        written = self._written
+        if image is self._image:
+            source = memoryview(image)
+            page = written.find(1)
+            while page >= 0:
+                written[page] = 0
+                start = page << PAGE_SHIFT
+                self._bytes[start:start + PAGE_SIZE] = \
+                    source[start:start + PAGE_SIZE]
+                page = written.find(1, page + 1)
+        else:
+            self._bytes[:] = image
+            self._image = image
+            written[:] = bytes(len(written))

@@ -47,5 +47,5 @@ class VoltageNoise:
             return np.zeros(count)
         values = rng.normal(0.0, self.sigma_v, count)
         bound = self.max_droop_v
-        return np.clip(values, -bound, bound)
+        return np.clip(values, -bound, bound, out=values)
 

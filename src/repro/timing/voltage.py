@@ -75,10 +75,18 @@ class VddDelayModel:
 
         Values outside the fitted range are clamped to the range edges
         (large physically-unrealistic extrapolations are not
-        meaningful; noise is clipped to +-2 sigma anyway).
+        meaningful; noise is clipped to +-2 sigma anyway).  The
+        polynomial is evaluated by the Horner steps of ``np.polyval``
+        (from zero, multiply then add each coefficient), in place, so
+        the result is ``np.polyval``'s bit for bit with two arrays
+        allocated instead of one per step.
         """
         vdd = np.clip(vdd, self.vdd_min, self.vdd_max)
-        return np.polyval(np.asarray(self.coefficients), vdd)
+        delay = np.zeros_like(vdd, dtype=float)
+        for coefficient in self.coefficients:
+            delay *= vdd
+            delay += coefficient
+        return delay[()]
 
     def scale_factor(self, vdd_effective: np.ndarray | float,
                      vdd_reference: float) -> np.ndarray | float:
@@ -87,4 +95,6 @@ class VddDelayModel:
         A droop (lower effective voltage) yields a factor > 1: all path
         delays stretch by this factor during the affected cycle.
         """
-        return self.delay_ps(vdd_effective) / self.delay_ps(vdd_reference)
+        factor = self.delay_ps(vdd_effective)
+        factor /= self.delay_ps(vdd_reference)
+        return factor

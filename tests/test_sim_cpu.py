@@ -4,19 +4,22 @@ import gc
 import random
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import obs
-from repro.fi.base import FaultInjector
+from repro.fi.base import FAULT_SEMANTICS, FaultInjector, NullInjector
+from repro.fi.model_a import FixedProbabilityInjector
 from repro.isa.assembler import assemble
 from repro.isa.encoding import Decoded, encode
 from repro.isa.instructions import INSTRUCTIONS, Format
 from repro.isa.program import Program
+from repro.mc import runner
 from repro.sim.cpu import Cpu
 from repro.sim.exceptions import SimulationFault
 from repro.sim.machine import DATA_BASE, MachineConfig
-from repro.sim.memory import DataMemory
+from repro.sim.memory import PAGE_SIZE, DataMemory
 
 MASK32 = 0xFFFFFFFF
 #: Cpu arguments of the block path and of the per-instruction step path
@@ -549,6 +552,18 @@ class TestInjectorIntegration:
         assert result.reports == [4]
         assert result.fault_count == 0
 
+    def test_fi_hook_without_an_injector_raises(self):
+        cpu = Cpu(assemble("""
+        start:
+            l.nop 0x10
+            l.addi r3, r0, 1
+            l.nop 0x1
+        """))
+        calls = []
+        with pytest.raises(ValueError, match="injector"):
+            cpu.run("start", fi_hook=lambda m, r: calls.append(m) or r)
+        assert calls == []
+
     def test_non_alu_not_hooked(self):
         source = f"""
         start:
@@ -599,6 +614,57 @@ class TestProfiling:
         second = cpu.run("start")
         assert first.exit_code == second.exit_code == 9
         assert second.cycles == first.cycles
+
+
+class TestResetPages:
+    """``reset`` copies back only written pages, and every one of them."""
+
+    # One block stores into pages 0, 3, 5 and 9 (each holding initial
+    # data), then aborts on a misaligned store next to the last one.
+    SOURCE = f"""
+    start:
+        l.movhi r4, hi({DATA_BASE})
+        l.ori   r4, r4, lo({DATA_BASE})
+        l.movhi r7, hi({DATA_BASE + 9 * PAGE_SIZE})
+        l.ori   r7, r7, lo({DATA_BASE + 9 * PAGE_SIZE})
+        l.movhi r5, 0x1234
+        l.ori   r5, r5, 0x5678
+        l.sw    0(r4), r5
+        l.sh    {3 * PAGE_SIZE + 2}(r4), r5
+        l.sb    {5 * PAGE_SIZE + 1}(r4), r5
+        l.sw    4(r7), r5
+        l.sw    2(r7), r5
+        l.nop 0x1
+
+    .org {DATA_BASE:#x}
+        .word 1, 2
+    .org {DATA_BASE + 3 * PAGE_SIZE:#x}
+        .word 3
+    .org {DATA_BASE + 5 * PAGE_SIZE:#x}
+        .word 5
+    .org {DATA_BASE + 9 * PAGE_SIZE:#x}
+        .word 9, 10, 11
+    """
+
+    @pytest.mark.parametrize("path", [NO_TRACE, STEP], ids=["block", "step"])
+    def test_every_written_page_comes_back(self, path):
+        program = assemble(self.SOURCE)
+        image = Cpu(program).dmem.snapshot()
+        cpu = Cpu(program, **path)
+        first = cpu.run("start")
+        assert first.abort_reason == "misaligned-access"
+        assert first.cycles == 10
+        assert bytes(cpu.dmem._bytes) != image
+        # Host-side writes mark their pages too.
+        cpu.dmem.store_word(DATA_BASE + 7 * PAGE_SIZE, 0xFFFFFFFF)
+        cpu.dmem.store_half(DATA_BASE + 11 * PAGE_SIZE + 2, 0xFFFF)
+        cpu.dmem.store_byte(DATA_BASE + 12 * PAGE_SIZE + 3, 0xFF)
+        cpu.dmem.write_words(DATA_BASE + 14 * PAGE_SIZE - 4, [6, 7])
+        cpu.reset()
+        assert bytes(cpu.dmem._bytes) == image
+        assert cpu.run("start") == first
+        cpu.reset()
+        assert bytes(cpu.dmem._bytes) == image
 
 
 class TestLoader:
@@ -757,8 +823,7 @@ class TestObservability:
 
 class TestLifetime:
     def test_dead_cpu_is_freed_without_the_cyclic_gc(self):
-        # The run ends with the FI window open, the injector's hook
-        # still armed.
+        # The run ends with the FI window open.
         source = """
         start:
             l.nop 0x10
@@ -774,6 +839,33 @@ class TestLifetime:
             refs = [weakref.ref(cpu), weakref.ref(cpu.dmem),
                     weakref.ref(injector)]
             del cpu, injector
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
+
+    def test_cpu_run_on_a_schedule_is_freed_without_the_cyclic_gc(self):
+        # The schedule hook holds the run state it publishes on.
+        source = """
+        start:
+            l.nop 0x10
+            l.addi r3, r0, 4
+            l.nop 0x1
+        """
+        gc.disable()
+        try:
+            injector = NullInjector()
+            golden = runner.GoldenRun(
+                cycles=0, result=None,
+                mnemonic_ids=np.array([runner._MNEMONIC_IDS["l.addi"]],
+                                      dtype=np.uint8))
+            cpu = Cpu(assemble(source), injector=injector)
+            hook, settle = runner._schedule(injector, golden, None, (1, 0),
+                                            cpu.core)
+            assert cpu.run("start", fi_hook=hook).alu_cycles == 1
+            # The run state holds the injector: it goes with it.
+            refs = [weakref.ref(cpu), weakref.ref(cpu.dmem),
+                    weakref.ref(injector)]
+            del cpu, injector, hook, settle
             assert [ref() for ref in refs] == [None, None, None]
         finally:
             gc.enable()
@@ -931,3 +1023,188 @@ def test_block_execution_matches_per_instruction(words, pointers, data,
                                                  seed, budget):
     block, step = _run_both(words, pointers, data, seed, budget)
     assert block == step
+
+
+# -- differential test under a fault schedule: hook-free blocks --------
+
+def _schedule_both(words, pointers, golden_pointers, data, seed, budget,
+                   p_bit, semantics):
+    """Block path vs step path of one program under a schedule hook.
+
+    The schedule's golden sequence is the program's own fault-free run
+    from ``golden_pointers``, so a trial can abort mid-block where its
+    golden run went on; model A draws faults over it, so runs keep,
+    leave and outlive it.
+    """
+    def program(pointers):
+        prologue = [_word("l.nop", imm=0x10)]
+        for reg, offset in zip((1, 2, 3), pointers):
+            prologue += [_word("l.movhi", rd=reg, imm=DATA_BASE >> 16),
+                         _word("l.ori", rd=reg, ra=reg, imm=offset)]
+        return Program(words=prologue + words)
+
+    recorder = runner._TraceRecorder()
+    cpu = Cpu(program(golden_pointers), config=_DIFF_CONFIG,
+              injector=recorder)
+    cpu.dmem.write_words(DATA_BASE, data)
+    cpu.run(0, max_cycles=budget)
+    golden = runner.GoldenRun(
+        cycles=0, result=None, mnemonic_ids=np.array(
+            [runner._MNEMONIC_IDS[m] for m in recorder.mnemonics],
+            dtype=np.uint8))
+    outcomes = []
+    for trace_hook in (None, lambda address, decoded: None):
+        injector = FixedProbabilityInjector(
+            p_bit, rng=np.random.default_rng(seed), semantics=semantics)
+        saved = injector.snapshot()
+        fault = injector.next_fault(golden.mnemonic_ids, 0)
+        cpu = Cpu(program(pointers), config=_DIFF_CONFIG,
+                  injector=injector, trace_hook=trace_hook)
+        cpu.dmem.write_words(DATA_BASE, data)
+        hook, settle = runner._schedule(injector, golden, saved, fault,
+                                        cpu.core)
+        result = cpu.run(0, max_cycles=budget, fi_hook=hook)
+        outcomes.append((result, list(cpu.regs), cpu.flag,
+                         cpu.dmem.snapshot(), settle(),
+                         injector.fault_count, injector.faulty_cycles,
+                         injector.alu_cycles, injector._last_latched,
+                         injector._rng.bit_generator.state,
+                         (cpu.core.golden, cpu.core.stop)))
+    return outcomes
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(words=st.lists(_INSTRUCTION, min_size=1, max_size=40),
+       pointers=st.lists(st.integers(0, 72), min_size=3, max_size=3),
+       golden_pointers=st.lists(st.integers(0, 72), min_size=3,
+                                max_size=3),
+       data=st.lists(st.integers(0, 0xFFFFFFFF), min_size=16,
+                     max_size=16),
+       seed=st.integers(0, 2**32 - 1),
+       budget=st.integers(1, 400),
+       p_bit=st.sampled_from([0.0, 1e-3, 1e-2]),
+       semantics=st.sampled_from(FAULT_SEMANTICS))
+def test_scheduled_block_execution_matches_per_instruction(
+        words, pointers, golden_pointers, data, seed, budget, p_bit,
+        semantics):
+    block, step = _schedule_both(words, pointers, golden_pointers, data,
+                                 seed, budget, p_bit, semantics)
+    assert block == step
+    assert block[-1] == (b"", -1)  # the run clears the schedule
+
+
+class TestHookFree:
+    """Blocks a fault schedule lets run without its hook."""
+
+    # Each pass through the loop block has four ALU ops, three before
+    # its load; the fourth pass loads below the data memory and aborts.
+    # The schedule's golden run is the program's own, plus a fifth pass:
+    # as if faults had made the fourth pass's load fail.
+    SOURCE = f"""
+    start:
+        l.nop 0x10
+        l.movhi r7, hi({DATA_BASE})
+        l.ori   r7, r7, lo({DATA_BASE})
+        l.addi  r1, r0, 3
+    loop:
+        l.addi  r1, r1, -1
+        l.slli  r4, r1, 2
+        l.add   r4, r4, r7
+        l.lwz   r5, 0(r4)
+        l.addi  r2, r2, 1
+        l.sfne  r1, r7
+        l.bf    loop
+        l.nop
+        l.nop 0x1
+    """
+
+    @pytest.fixture(autouse=True)
+    def clean_plane(self):
+        obs.reset()
+        yield
+        obs.reset()
+
+    def _run(self, injector, at, **path):
+        """Result, registers, latch and hooked ops of a scheduled run."""
+        program = assemble(self.SOURCE)
+        recorder = runner._TraceRecorder()
+        Cpu(program, injector=recorder).run("start")
+        golden = runner.GoldenRun(
+            cycles=0, result=None, mnemonic_ids=np.array(
+                [runner._MNEMONIC_IDS[m] for m in recorder.mnemonics
+                 + recorder.mnemonics[-3:] + ["l.addi"]], dtype=np.uint8))
+        cpu = Cpu(program, injector=injector, **path)
+        hook, settle = runner._schedule(injector, golden, None, (at, 0),
+                                        cpu.core)
+        hooked = []
+        result = cpu.run("start", fi_hook=lambda mnemonic, value: (
+            hooked.append(injector.alu_cycles) or hook(mnemonic, value)))
+        settle()
+        return result, list(cpu.regs), injector._last_latched, hooked
+
+    @pytest.mark.parametrize("semantics", FAULT_SEMANTICS)
+    def test_abort_mid_block_counts_the_retired_alu_ops(self, tmp_path,
+                                                        semantics):
+        trace = tmp_path / "t.jsonl"
+        obs.configure(trace)
+        block, step = [self._run(NullInjector(semantics=semantics), 21,
+                                 **path) for path in (NO_TRACE, STEP)]
+        obs.shutdown()
+        assert block[:3] == step[:3]
+        result, _, latched, hooked = block
+        assert result.abort_reason == "memory-fault"
+        # The prologue's two, three passes' four, and the three before
+        # the aborting load: every block golden and before stop, the
+        # last one cut by its abort.
+        assert result.alu_cycles == 2 + 3 * 4 + 3 == 17
+        assert latched == (DATA_BASE - 4) & MASK32  # the last address
+        assert hooked == [] and step[3] == list(range(17))
+        totals = obs.counter_totals(obs.read_trace(trace))
+        assert totals["sim.alu.free"] == 17
+
+    def test_a_diverged_run_calls_the_hook_on_every_op(self):
+        # The golden ids say op 1 is an l.xori, but the program runs
+        # only l.addi: the run diverges there and draws per-op from then
+        # on, also where its ops match the golden ids again (ops 2-19,
+        # before the schedule's first fault at op 20).
+        source = """
+        start:
+            l.nop 0x10
+            l.addi r1, r0, 30
+        loop:
+            l.addi r1, r1, -1
+            l.sfne r1, r0
+            l.bf   loop
+            l.nop
+            l.nop 0x1
+        """
+        golden = runner.GoldenRun(cycles=0, result=None, mnemonic_ids=np.array(
+            [runner._MNEMONIC_IDS[m]
+             for m in ["l.addi", "l.xori"] + ["l.addi"] * 40],
+            dtype=np.uint8))
+        outcomes = []
+        for path in (NO_TRACE, STEP):
+            injector = FixedProbabilityInjector(
+                1e-3, rng=np.random.default_rng(3))
+            saved = injector.snapshot()
+            fault = injector.next_fault(golden.mnemonic_ids, 0)
+            assert fault[0] == 20
+            cpu = Cpu(assemble(source), injector=injector, **path)
+            hook, settle = runner._schedule(injector, golden, saved, fault,
+                                            cpu.core)
+            # A fault on the counter may loop it on: cut it at 400 cycles.
+            result = cpu.run("start", max_cycles=400, fi_hook=hook)
+            outcomes.append((result, settle(),
+                             injector._rng.bit_generator.state))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1]  # diverged
+
+    def test_a_block_holding_the_next_op_to_see_runs_hooked(self):
+        block = self._run(NullInjector(), 10)
+        step = self._run(NullInjector(), 10, **STEP)
+        assert block[:3] == step[:3]
+        # Op 10 opens the third pass: the hook sees that whole block,
+        # and the fourth pass runs hook-free.
+        assert block[3] == [10, 11, 12, 13]
+        assert step[3] == list(range(17))

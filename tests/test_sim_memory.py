@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.exceptions import MemoryFault, MisalignedAccess
-from repro.sim.memory import DataMemory
+from repro.sim.memory import PAGE_SIZE, DataMemory
 
 
 @pytest.fixture()
@@ -91,3 +91,50 @@ class TestBulk:
         assert mem.load_word(0x1000) == 0
         # In place: code bound to the bytearray stays connected.
         assert mem._bytes is cells
+
+
+class TestRestore:
+    """A restore copies back written pages only, and all of them."""
+
+    @pytest.fixture()
+    def big(self) -> DataMemory:
+        # Five pages and a partial sixth.
+        memory = DataMemory(base=0x1000, size=5 * PAGE_SIZE + 8)
+        memory.write_words(0x1000 + 2 * PAGE_SIZE, [7, 8])
+        return memory
+
+    def test_restore_brings_back_every_written_page(self, big):
+        image = big.snapshot()
+        big.store_word(0x1000, 1)
+        big.store_half(0x1000 + 3 * PAGE_SIZE + 2, 2)
+        big.store_byte(0x1000 + 5 * PAGE_SIZE + 7, 3)
+        # Two words either side of a page boundary.
+        big.write_words(0x1000 + 2 * PAGE_SIZE - 4, [4, 5])
+        assert big.snapshot() != image
+        big.restore(image)
+        assert big.snapshot() == image
+
+    def test_restore_copies_only_the_written_pages(self, big):
+        image = big.snapshot()
+        big.store_word(0x1000 + PAGE_SIZE, 1)
+        # Not a store: a page the marks cannot know about.
+        big._bytes[4 * PAGE_SIZE] = 9
+        big.restore(image)
+        assert big.load_word(0x1000 + PAGE_SIZE) == 0
+        assert big._bytes[4 * PAGE_SIZE] == 9
+
+    def test_another_image_is_copied_whole(self, big):
+        first = big.snapshot()
+        big.store_word(0x1000, 1)
+        second = big.snapshot()
+        big._bytes[4 * PAGE_SIZE] = 9
+        big.restore(first)
+        assert big.snapshot() == first
+        big.restore(second)
+        assert big.snapshot() == second
+
+    def test_clear_then_restore(self, big):
+        image = big.snapshot()
+        big.clear()
+        big.restore(image)
+        assert big.snapshot() == image

@@ -15,6 +15,7 @@ happened, so the suite cannot pass vacuously.
 from __future__ import annotations
 
 import collections
+import types
 
 import numpy as np
 import pytest
@@ -102,8 +103,8 @@ def paths(monkeypatch):
     seen = collections.Counter()
     schedule = runner._schedule
 
-    def spy(injector, golden, saved, fault):
-        hook, settle = schedule(injector, golden, saved, fault)
+    def spy(injector, golden, saved, fault, core):
+        hook, settle = schedule(injector, golden, saved, fault, core)
         names = golden.mnemonics
         off = []
 
@@ -298,13 +299,47 @@ class TestPaths:
         assert seams["hit"] > 0 and seams["rewind"] > 0
 
 
+def _core():
+    """Stand-in for the CPU run state a schedule hook publishes on."""
+    return types.SimpleNamespace(golden=b"", stop=-1)
+
+
+def _feed(hook, injector, core, ops, results, spans):
+    """The hook's outputs over ``ops``, fed in blocks as the ISS feeds it.
+
+    ``spans`` gives the ALU op count of each next block (1 once it
+    runs out).  A block whose ops the published schedule lets run hook-free
+    -- golden, all before ``core.stop`` -- is counted and latched
+    without a hook call, as the ISS's hook-free block does; any other
+    calls the hook on each op.
+    """
+    got = []
+    spans = iter(spans)
+    j = 0
+    while j < len(ops):
+        k = min(next(spans, 1), len(ops) - j)
+        i = injector.alu_cycles
+        ids = bytes(ALU_MNEMONICS.index(m) for m in ops[j:j + k])
+        if i + k <= core.stop and core.golden.startswith(ids, i):
+            injector.alu_cycles = i + k
+            injector._last_latched = results[j + k - 1]
+            got += results[j:j + k]
+        else:
+            got += [hook(m, r) for m, r in zip(ops[j:j + k],
+                                               results[j:j + k])]
+        j += k
+    return got
+
+
 class TestHookCuts:
     """The schedule hook equals per-op ``on_alu`` wherever a run leaves.
 
     Drives the runner's hook directly with the golden mnemonics up to a
     cut, then either stops, switches mnemonic, or runs past the golden
     end; cuts include every op where a scan began and its neighbours,
-    the edges of the per-op stretch after each fault.
+    the edges of the per-op stretch after each fault.  The ops come in
+    blocks of random length, and every block the published schedule
+    allows runs hook-free (see :func:`_feed`).
     """
 
     N_OPS = 300
@@ -324,7 +359,8 @@ class TestHookCuts:
         injector.next_fault = lambda ids, start: (
             starts.append(start) or scan(ids, start))
         fault = scan(golden.mnemonic_ids, 0)
-        hook, settle = runner._schedule(injector, golden, None, fault)
+        hook, settle = runner._schedule(injector, golden, None, fault,
+                                        _core())
         injector.begin_run()
         for mnemonic in golden.mnemonics:
             hook(mnemonic, 0)
@@ -344,20 +380,22 @@ class TestHookCuts:
             ops = names + tail
         results = data.draw(st.lists(st.integers(0, 2**32 - 1),
                                      min_size=len(ops), max_size=len(ops)))
+        spans = data.draw(st.lists(st.integers(1, 40), max_size=60))
         scheduled, per_op = make(), make()
         saved = scheduled.snapshot()
         fault = scheduled.next_fault(golden.mnemonic_ids, 0)
         assume(fault[0] < n)  # a trial the runner runs on its schedule
-        hook, settle = runner._schedule(scheduled, golden, saved, fault)
+        core = _core()
+        hook, settle = runner._schedule(scheduled, golden, saved, fault,
+                                        core)
         scheduled.begin_run()
-        got = [hook(m, r) for m, r in zip(ops, results)]
+        got = _feed(hook, scheduled, core, ops, results, spans)
         settle()
         per_op.begin_run()
         assert got == [per_op.on_alu(m, r) for m, r in zip(ops, results)]
-        for field in ("alu_cycles", "fault_count", "faulty_cycles"):
+        for field in ("alu_cycles", "fault_count", "faulty_cycles",
+                      "_last_latched"):
             assert getattr(scheduled, field) == getattr(per_op, field)
-        if scheduled.semantics == "stale":  # flip never reads it
-            assert scheduled._last_latched == per_op._last_latched
         # The streams continue identically.
         assert [scheduled.fault_mask(m) for m in names] == \
             [per_op.fault_mask(m) for m in names]
@@ -598,3 +636,23 @@ class TestObservability:
         assert f"{3 / 8:>11.1%}" in stats
         assert "mc divergence rate" in stats
         assert f"{diverged / 4:>11.1%}" in stats
+
+    def test_hook_free_share(self, kernel, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        obs.configure(trace)
+        point = run_point(kernel, lambda rng: FixedProbabilityInjector(
+            1e-5, rng=rng), 6, seed=1)
+        obs.shutdown()
+        records = obs.read_trace(trace)
+        totals = obs.counter_totals(records)
+        ran = [t for t in point.trials if t.fault_count]
+        assert ran and len(ran) == totals.get("mc.trials.scheduled", 0) \
+            + totals.get("mc.trials.diverged", 0)
+        assert totals["mc.alu.scheduled"] == sum(t.alu_cycles for t in ran)
+        free = totals["sim.alu.free"]
+        # Ops up to each trial's first fault run hook-free; the ops at a
+        # fault, after it and after a divergence call the hook.
+        assert 0 < free < totals["mc.alu.scheduled"]
+        stats = obs.render_stats(records)
+        assert "iss hook-free share" in stats
+        assert f"{free / totals['mc.alu.scheduled']:>11.1%}" in stats

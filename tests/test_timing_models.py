@@ -189,6 +189,29 @@ class TestVddDelayModel:
         assert vdd_model.delay_ps(0.1) == vdd_model.delay_ps(0.6)
         assert vdd_model.delay_ps(2.0) == vdd_model.delay_ps(1.0)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_in_place_horner_equals_polyval_bit_for_bit(self, vdd_model,
+                                                        dtype):
+        """A noise refill's 65,536 values, clamped ones included."""
+        rng = np.random.default_rng(7)
+        vdds = (0.7 + rng.normal(0.0, 0.15, 65536)).astype(dtype)
+        vdds[:4] = (0.0, vdd_model.vdd_min, vdd_model.vdd_max, 5.0)
+        assert (vdds < vdd_model.vdd_min).any()
+        assert (vdds > vdd_model.vdd_max).any()
+        reference = np.polyval(np.asarray(vdd_model.coefficients),
+                               np.clip(vdds, vdd_model.vdd_min,
+                                       vdd_model.vdd_max))
+        delays = vdd_model.delay_ps(vdds)
+        assert delays.dtype == reference.dtype
+        assert np.array_equal(delays.view(np.uint64),
+                              reference.view(np.uint64))
+        for vdd in vdds[:64]:
+            scalar = vdd_model.delay_ps(vdd)
+            assert type(scalar) is np.float64
+            assert scalar == np.polyval(np.asarray(vdd_model.coefficients),
+                                        np.clip(vdd, vdd_model.vdd_min,
+                                                vdd_model.vdd_max))
+
     def test_sensitivity_matches_paper_band(self, vdd_model):
         """A 20 mV droop costs roughly 5-9 % delay (paper: B+ onset at
         661 MHz from a 707 MHz limit, i.e. ~7 %)."""
